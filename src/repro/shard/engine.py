@@ -409,14 +409,21 @@ def run_chains_sharded(
     shards = check_positive_int(shards, "shards")
     if workers is not None:
         workers = check_positive_int(workers, "workers")
+    # The planner only sees W when workers apply its row blocks (sparse
+    # W).  A dense or factored W is walked by the coordinator, so it
+    # neither weighs a shard nor widens a halo; the columns policy never
+    # plans over W at all.
     plan = plan_shards(
-        o_tensor, r_tensor, w_matrix if beta > 0.0 else None, shards
+        o_tensor,
+        r_tensor,
+        w_matrix if beta > 0.0 and sp.issparse(w_matrix) else None,
+        shards,
     )
     n_workers = min(plan.n_shards, workers or available_workers())
-    # A dense feature-walk GEMM is the one product whose row blocks BLAS
-    # does not reproduce bit-for-bit, so under the rows policy the
-    # coordinator keeps it whole (the literal serial statement); sparse
-    # W row blocks are exact and stay sharded.
+    # A dense (or factored) feature-walk GEMM is the one product whose
+    # row blocks BLAS does not reproduce bit-for-bit, so under the rows
+    # policy the coordinator keeps it whole (the literal serial
+    # statement); sparse W row blocks are exact and stay sharded.
     parent_feature_walk = (
         plan.policy == "rows" and beta > 0.0 and not sp.issparse(w_matrix)
     )

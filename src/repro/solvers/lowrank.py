@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import ValidationError
 
@@ -49,7 +50,10 @@ class LowRankMatrix:
     """A factored matrix ``U @ Vt`` that quacks like its dense product.
 
     Supports the one operation the chain runner needs — ``self @ X`` —
-    at ``O(n r q)`` instead of ``O(n^2 q)``.
+    at ``O(n r q)`` instead of ``O(n^2 q)``.  The factors are dense
+    arrays or scipy sparse matrices (the exact cosine ``W`` of sparse
+    features, :func:`repro.core.features.factored_cosine_transition_matrix`,
+    keeps them sparse).
     """
 
     u: np.ndarray
@@ -79,7 +83,8 @@ class LowRankMatrix:
 
     def dense(self) -> np.ndarray:
         """Materialise the dense product (tests and small matrices only)."""
-        return self.u @ self.vt
+        product = self.u @ self.vt
+        return product.toarray() if sp.issparse(product) else product
 
 
 def randomized_svd(
@@ -139,8 +144,15 @@ def compress_matrix(
 
     Returns ``(low, residual_norm)`` where ``residual_norm`` estimates
     ``‖matrix - low.dense()‖₂`` by the power method on the residual
-    operator (never materialised).
+    operator (never materialised).  A :class:`LowRankMatrix` of rank at
+    most ``rank`` (such as the exact factored cosine ``W``) is returned
+    unchanged with residual ``0.0``; a larger one is compressed from its
+    dense product.
     """
+    if isinstance(matrix, LowRankMatrix):
+        if matrix.rank <= rank:
+            return matrix, 0.0
+        matrix = matrix.dense()
     u, s, vt = randomized_svd(
         matrix,
         rank,

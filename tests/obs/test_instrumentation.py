@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import TMark
 from repro.core.tmark import build_operators
+from repro.hin.graph import HIN
 from repro.obs import CHAIN_PHASES, ListRecorder, use_recorder
 from tests.conftest import small_labeled_hin
 
@@ -62,6 +63,30 @@ class TestChainInstrumentation:
         assert event["n_nodes"] == hin.n_nodes
         assert event["transition_seconds"] >= 0.0
         assert event["feature_seconds"] >= 0.0
+
+    def test_operator_build_reports_w_form(self, hin):
+        nonnegative = HIN(
+            hin.tensor,
+            hin.relation_names,
+            np.abs(hin.features),
+            hin.label_matrix,
+            hin.label_names,
+            node_names=hin.node_names,
+        )
+        n, d = hin.n_nodes, hin.n_features
+        for graph, kwargs, form, rank in (
+            (nonnegative, {}, "factored", d + 1),
+            (hin, {}, "dense", n),  # signed features: no exact factoring
+            (nonnegative, {"similarity_top_k": 3}, "sparse", n),
+        ):
+            recorder = ListRecorder()
+            build_operators(graph, recorder=recorder, **kwargs)
+            (event,) = recorder.events_of("operator_build")
+            (build_span,) = [
+                e for e in recorder.events_of("span") if e["name"] == "build_operators"
+            ]
+            for record in (event, build_span):
+                assert (record["w_form"], record["w_rank"]) == (form, rank)
 
     def test_counters_accumulate(self, hin):
         recorder = ListRecorder()

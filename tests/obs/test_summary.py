@@ -72,6 +72,21 @@ class TestSummarizeTrace:
         assert summary.max_mass_drift == 4e-12
         assert summary.min_probe_entry == 5e-7
 
+    def test_counts_feature_walk_forms(self):
+        factored = {"event": "operator_build", "w_form": "factored", "w_rank": 121}
+        events = [
+            factored,
+            factored,
+            {"event": "operator_build", "w_form": "dense", "w_rank": 400},
+            # Per-chunk store builds carry no W form.
+            {"event": "operator_build", "operator": "O", "seconds": 0.1},
+        ]
+        summary = summarize_trace(events)
+        assert summary.w_forms == {"factored rank 121": 2, "dense rank 400": 1}
+        text = format_trace_summary(summary)
+        assert "feature walk W: dense rank 400 x1, factored rank 121 x2" in text
+        assert summary.to_dict()["w_forms"] == summary.w_forms
+
     def test_probe_without_entry_fields_keeps_min_none(self):
         summary = summarize_trace([{"event": "invariant_probe", "t": 1}])
         assert summary.n_probes == 1

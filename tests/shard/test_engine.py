@@ -17,8 +17,10 @@ import pytest
 from repro.core import TMark
 from repro.datasets import make_worked_example
 from repro.experiments.parallel import WorkerError, fork_available
+from repro.hin.builder import HINBuilder
 from repro.obs import ListRecorder
 from repro.shard import run_chains_sharded, shard_fallback_reason
+from repro.solvers.lowrank import LowRankMatrix
 from tests.conftest import small_labeled_hin
 
 pytestmark = pytest.mark.skipif(
@@ -93,6 +95,49 @@ class TestBitIdentity:
         assert np.array_equal(scores, serial.result_.node_scores)
         assert np.array_equal(relations, serial.result_.relation_scores)
         assert len(histories) == hin.n_labels
+
+
+@pytest.fixture(scope="module")
+def factored_hin():
+    """Non-negative features with n >> d: the fit walks a factored W.
+
+    Links form two rings (steps 1 and 2), so a shard's O/R halo is a
+    few boundary rows rather than the whole complement.
+    """
+    rng = np.random.default_rng(7)
+    n, q = 48, 3
+    builder = HINBuilder([f"c{c}" for c in range(q)])
+    for idx in range(n):
+        labels = [f"c{idx % q}"] if idx % 4 == 0 else []
+        features = rng.poisson(1.0, size=5).astype(float)
+        features[idx % q] += 2.0
+        builder.add_node(f"v{idx}", features=features, labels=labels)
+    for idx in range(n):
+        builder.add_link(f"v{idx}", f"v{(idx + 1) % n}", "r0")
+        builder.add_link(f"v{idx}", f"v{(idx + 2) % n}", "r1")
+    return builder.build()
+
+
+class TestFactoredWalk:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_scores_identical(self, factored_hin, shards):
+        model = TMark(alpha=0.8, gamma=0.4, max_iter=80)
+        assert isinstance(model_operators(factored_hin, model)[2], LowRankMatrix)
+        serial = fitted(factored_hin)
+        sharded = fitted(factored_hin, shards=shards, workers=2)
+        assert_same_scores(serial, sharded)
+
+    def test_coordinator_walk_adds_no_halo(self, factored_hin):
+        # Workers never read a factored (or dense) W, so the exchange
+        # reports only the O/R halo, as for a fit without a feature walk.
+        walks, no_walk = ListRecorder(), ListRecorder()
+        fitted(factored_hin, shards=2, workers=2, recorder=walks)
+        fitted(factored_hin, gamma=0.0, shards=2, workers=2, recorder=no_walk)
+        halo = {e["halo_rows"] for e in walks.events_of("boundary_exchange")}
+        expected = {e["halo_rows"] for e in no_walk.events_of("boundary_exchange")}
+        assert halo == expected
+        # The full complement of two shards would total n rows.
+        assert max(halo) < factored_hin.n_nodes // 2
 
 
 class TestSolvers:
@@ -215,11 +260,11 @@ class TestFailurePropagation:
 
 def model_operators(hin, model):
     """The ``(O, R, W)`` triple exactly as ``TMark.fit`` builds it."""
-    from repro.core.features import feature_transition_matrix
+    from repro.core.features import feature_walk_matrix
     from repro.tensor.transition import build_transition_tensors
 
     o_tensor, r_tensor = build_transition_tensors(hin.tensor)
-    w_matrix = feature_transition_matrix(
+    w_matrix = feature_walk_matrix(
         hin.features,
         top_k=model.similarity_top_k,
         metric=model.similarity_metric,

@@ -8,6 +8,7 @@ import pytest
 from repro.core import TMark
 from repro.core.tmark import build_operators
 from repro.errors import ValidationError
+from repro.hin.graph import HIN
 from repro.solvers import (
     LowRankMatrix,
     compress_matrix,
@@ -111,6 +112,44 @@ class TestCompression:
         np.testing.assert_array_equal(
             plain_x.argmax(axis=1), low_x.argmax(axis=1)
         )
+
+
+class TestCompressFactoredW:
+    @staticmethod
+    def factored_operators(n=60, d=6):
+        hin = small_labeled_hin(seed=5, n=n, q=3)
+        counts = np.random.default_rng(1).poisson(1.5, size=(n, d)).astype(float)
+        nonnegative = HIN(
+            hin.tensor,
+            hin.relation_names,
+            counts,
+            hin.label_matrix,
+            hin.label_names,
+            node_names=hin.node_names,
+        )
+        operators = build_operators(nonnegative)
+        assert isinstance(operators.w_matrix, LowRankMatrix)
+        assert operators.w_matrix.rank == d + 1
+        return operators
+
+    def test_low_enough_rank_is_returned_unchanged(self):
+        operators = self.factored_operators()
+        for rank in (7, 20):
+            compressed, residual = compress_operators(operators, rank=rank)
+            assert compressed.w_matrix is operators.w_matrix
+            assert residual == 0.0
+        low, residual = compress_matrix(operators.w_matrix, 7)
+        assert low is operators.w_matrix and residual == 0.0
+
+    def test_higher_rank_is_compressed_from_its_product(self):
+        operators = self.factored_operators()
+        dense = operators.w_matrix.dense()
+        compressed, residual = compress_operators(operators, rank=3, seed=4)
+        assert compressed.w_matrix.rank == 3
+        _, dense_residual = compress_matrix(dense, 3, seed=4)
+        assert residual == pytest.approx(dense_residual, rel=1e-6)
+        true_residual = np.linalg.norm(dense - compressed.w_matrix.dense(), 2)
+        assert residual == pytest.approx(true_residual, rel=0.5)
 
 
 class TestPredictionErrorBound:
