@@ -69,6 +69,7 @@ from repro.obs.flight import FlightRecorder, ResourceSampler, sample_process_sta
 from repro.obs.spans import (
     SpanContext,
     activate_span,
+    annotate_span,
     current_span,
     current_span_id,
     new_span_id,
@@ -97,6 +98,7 @@ __all__ = [
     "SpanContext",
     "span",
     "activate_span",
+    "annotate_span",
     "current_span",
     "current_span_id",
     "new_span_id",

@@ -138,8 +138,9 @@ class ResourceSampler:
     """Daemon thread emitting periodic ``resource_sample`` events.
 
     Samples :func:`sample_process_stats` into ``recorder`` every
-    ``interval`` seconds, starting with one immediate sample so even
-    short-lived runs record a baseline.  ``start``/``stop`` are
+    ``interval`` seconds.  ``start`` takes one baseline sample before it
+    returns, so even short-lived runs (and a ring read right after
+    start) hold one.  ``start``/``stop`` are
     idempotent; ``stop`` joins the thread.  Usable as a context manager.
     """
 
@@ -159,19 +160,21 @@ class ResourceSampler:
         if self._thread is not None:
             return self
         self._stop.clear()
+        self._sample()
         self._thread = threading.Thread(
             target=self._run, name="repro-resource-sampler", daemon=True
         )
         self._thread.start()
         return self
 
+    def _sample(self) -> None:
+        if self.recorder.enabled:
+            self.recorder.emit("resource_sample", **sample_process_stats())
+            self.n_samples += 1
+
     def _run(self) -> None:
-        while True:
-            if self.recorder.enabled:
-                self.recorder.emit("resource_sample", **sample_process_stats())
-                self.n_samples += 1
-            if self._stop.wait(self.interval):
-                return
+        while not self._stop.wait(self.interval):
+            self._sample()
 
     def stop(self) -> None:
         """Stop and join the sampler thread (no-op when not running)."""

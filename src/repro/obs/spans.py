@@ -76,6 +76,10 @@ _current_span: ContextVar[SpanContext | None] = ContextVar(
 )
 
 
+#: Fields added to open spans by :func:`annotate_span`, by span id.
+_late_fields: dict[str, dict] = {}
+
+
 def current_span() -> SpanContext | None:
     """The active span context in this thread/task, or ``None``."""
     return _current_span.get()
@@ -103,6 +107,16 @@ def activate_span(context: SpanContext | None):
         _current_span.reset(token)
 
 
+def annotate_span(context: SpanContext | None, **fields) -> None:
+    """Add ``fields`` to the event of the open span ``context``.
+
+    For values known only once the span's body has run.  ``context`` is
+    what :func:`span` yielded, so a disabled span (``None``) is a no-op.
+    """
+    if context is not None:
+        _late_fields.setdefault(context.span_id, {}).update(fields)
+
+
 @contextmanager
 def span(name: str, *, recorder: Recorder | None = None, **fields):
     """Open a span named ``name``; emit one ``"span"`` event on exit.
@@ -115,7 +129,8 @@ def span(name: str, *, recorder: Recorder | None = None, **fields):
     and flat events emitted inside are tagged by the trace sinks.
 
     The event carries ``name``, the three ids, ``seconds``, the emitting
-    ``pid``/``tid`` and any extra ``fields``; its ``ts`` is stamped at
+    ``pid``/``tid``, any extra ``fields`` and any added by
+    :func:`annotate_span`; its ``ts`` is stamped at
     *close*, so the interval is ``[ts - seconds, ts]`` on the recorder's
     clock.  An exception escaping the body is recorded as an ``error``
     field (exception class name) and re-raised.
@@ -148,6 +163,9 @@ def span(name: str, *, recorder: Recorder | None = None, **fields):
         if error is not None:
             record["error"] = error
         record.update(fields)
+        late = _late_fields.pop(ctx.span_id, None)
+        if late is not None:
+            record.update(late)
         rec.emit("span", **record)
 
 

@@ -10,6 +10,7 @@ from repro.obs.flight import FlightRecorder, ResourceSampler, sample_process_sta
 from repro.obs.spans import (
     SpanContext,
     activate_span,
+    annotate_span,
     current_span,
     current_span_id,
     new_span_id,
@@ -78,6 +79,22 @@ class TestSpanNesting:
         (event,) = recorder.events_of("span")
         assert event["n_classes"] == 4
         assert event["solver"] == "plain"
+
+    def test_annotated_fields_land_on_their_own_span(self):
+        recorder = ListRecorder()
+        with span("outer", recorder=recorder) as outer:
+            with span("inner", recorder=recorder) as inner:
+                annotate_span(inner, w_form="factored")
+            annotate_span(outer, w_rank=5)
+            annotate_span(outer, w_rank=6)
+        inner_event, outer_event = recorder.events_of("span")
+        assert inner_event["w_form"] == "factored" and "w_rank" not in inner_event
+        assert outer_event["w_rank"] == 6 and "w_form" not in outer_event
+
+    def test_annotating_a_disabled_span_is_a_no_op(self):
+        with span("skipped") as ctx:
+            annotate_span(ctx, w_form="dense")
+        assert ctx is None
 
     def test_exception_recorded_and_reraised(self):
         recorder = ListRecorder()
