@@ -15,8 +15,8 @@ residual decade at ``tol = 1e-10``.
    (summed over classes) under ``solver="anderson"`` must be at least
    :data:`REDUCTION_FLOOR` times fewer than plain.  (Measured ~11x;
    the floor is the ISSUE's acceptance threshold, kept loose so noisy
-   CI machines never flake on it.)  Aitken and auto are recorded for
-   the trajectory but only Anderson is guarded — it is the solver the
+   CI machines never flake on it.)  Auto is recorded for the
+   trajectory but only Anderson is guarded — it is the solver the
    adaptive policy escalates to.
 
 Results append to ``BENCH_solvers.json`` at the repo root.
@@ -46,7 +46,7 @@ BENCH_PATH = REPO_ROOT / "BENCH_solvers.json"
 REDUCTION_FLOOR = 1.5
 
 #: The accelerated solvers measured against the plain baseline.
-ACCELERATED = ("anderson", "aitken", "auto")
+ACCELERATED = ("anderson", "auto")
 
 #: Chain hyper-parameters: a tiny restart weight makes the walk nearly
 #: periodic on the homophilous graph, which is exactly the slow-mixing

@@ -63,8 +63,10 @@ BENCH_PATH = REPO_ROOT / "BENCH_trace_overhead.json"
 #: execute an identical number of iterations either way.
 FIT_PARAMS = dict(alpha=0.85, gamma=0.5, label_threshold=0.8, tol=1e-300, max_iter=60)
 
-#: Branch checks per iteration in ``TMark._run_chains_batched`` when the
-#: recorder is disabled (five phase guards + the emit-block guard).
+#: Branch checks per iteration in the chain driver
+#: (``repro.core.chains.run_chains``) when the recorder is disabled: six
+#: phase-timer guards (one of them the backend x-step's ``feature_walk``
+#: check) + the emit-block guard.
 GUARDS_PER_ITERATION = 7
 
 

@@ -1,0 +1,297 @@
+"""The chain driver: every per-class chain of Algorithm 1, in lockstep.
+
+:func:`run_chains` owns the iteration — the Eq. 12 restart update, the
+simplex projections, the solver proposals, residual bookkeeping, column
+freezing and every telemetry event.  A *backend* owns only where the
+iterates live and how the two heavy products are computed:
+
+* ``X`` / ``Z`` / ``L`` — the ``(n, q)`` node scores, ``(m, q)``
+  relation scores and ``(n, q)`` restart vectors the driver reads and
+  writes in place;
+* ``x_step(active, timer)`` — the unprojected Eq. 10 step
+  ``alpha * l + (1 - alpha - beta) * O(x, z) + beta * W x`` for the
+  ``active`` columns, starting the ``feature_walk`` phase on ``timer``
+  (``None`` when untraced) before the walk;
+* ``z_step(x_new, active)`` — the unprojected Eq. 8 step ``R(x, x)``;
+* ``end_iteration(recorder, t, n_active)`` — called on traced fits just
+  before the ``chain_iteration`` event;
+* ``o_tensor`` / ``r_tensor`` — read for the probes' dangling shares.
+
+:class:`LocalBackend` runs the products in process — for in-memory
+operators and store-backed :class:`~repro.ooc.ChunkedOperators` alike,
+since both expose ``propagate_many`` and ``@``.  The fork pool of
+:mod:`repro.shard` is the other backend.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.core.convergence import ChainHistory
+from repro.core.labels import initial_label_vector, updated_label_vector
+from repro.obs.recorder import CHAIN_PHASES, PhaseTimer, get_recorder
+from repro.solvers.base import PLAIN_SOLVER, make_solver, propose_safeguarded
+from repro.utils.simplex import project_to_simplex, uniform_distribution
+
+
+class LocalBackend:
+    """In-process products over any ``propagate_many`` / ``@`` operators.
+
+    ``model`` supplies the step weights (``alpha``, ``beta`` and the
+    dust-clamped relational weight); ``q`` is the number of chains.
+    """
+
+    def __init__(self, model, o_tensor, r_tensor, w_matrix, q: int):
+        self.o_tensor, self.r_tensor, self.w_matrix = o_tensor, r_tensor, w_matrix
+        self.alpha, self.beta = model.alpha, model.beta
+        self.relational_weight = model._relational_weight
+        n, m = o_tensor.shape[0], r_tensor.shape[2]
+        self.X, self.Z, self.L = np.empty((n, q)), np.empty((m, q)), np.empty((n, q))
+
+    def x_step(self, active, timer):
+        """The unprojected Eq. 10 step for the ``active`` columns."""
+        x_active = self.X[:, active]
+        x_new = self.alpha * self.L[:, active]
+        if self.relational_weight > 0.0:
+            x_new = x_new + self.relational_weight * self.o_tensor.propagate_many(
+                x_active, self.Z[:, active]
+            )
+        if timer is not None:
+            timer.start("feature_walk")
+        if self.beta > 0.0:
+            x_new = x_new + self.beta * (self.w_matrix @ x_active)
+        return x_new
+
+    def z_step(self, x_new, active):
+        """The unprojected Eq. 8 step ``R(x_new, x_new)``."""
+        return self.r_tensor.propagate_many(x_new, x_new)
+
+    def end_iteration(self, recorder, t: int, n_active: int) -> None:
+        """Nothing to report: no iterate crosses a process boundary."""
+
+
+def _emit_solver_restart(rec, t, c, accelerator, reason, **timing) -> None:
+    """One ``solver_restart`` event: class ``c``'s accelerator dropped its history."""
+    rec.emit(
+        "solver_restart",
+        t=t,
+        class_index=c,
+        solver=accelerator.active_name,
+        reason=reason,
+        **timing,
+    )
+    rec.count("solver_restarts")
+
+
+def run_chains(
+    model, backend, label_matrix, *, starts=None, recorder=None,
+    solver: str = PLAIN_SOLVER,
+):
+    """Advance all ``q`` per-class chains of Algorithm 1 in lockstep.
+
+    Every iteration runs one backend x-step and one z-step over the
+    still-active class columns, so the operator structure is traversed
+    once per iteration instead of once per class.  Columns whose
+    residual falls below ``tol`` are frozen — early-converging classes
+    stop paying for slow ones — and each class keeps its own
+    :class:`ChainHistory` with exactly the entries the sequential
+    per-class loop (``TMark._run_chain``) would record.
+
+    ``model`` supplies the chain hyper-parameters (``tol`` /
+    ``max_iter`` / label-update settings); ``starts`` optionally
+    provides warm ``(X0, Z0)`` score matrices.  Returns
+    ``(node_scores, relation_scores, histories)``, the scores being the
+    backend's ``X`` / ``Z`` buffers.
+
+    When ``recorder`` is enabled, every iteration emits one
+    ``chain_iteration`` event carrying the five
+    :data:`~repro.obs.CHAIN_PHASES` wall-clock timings plus one
+    ``chain_class`` event per active class with its residual and
+    frozen flag.  When the recorder additionally asks for probes
+    (``recorder.probes``), every iteration also emits one
+    ``invariant_probe`` event checking the quantities Theorem 1
+    guarantees: the simplex mass drift of the active ``x``/``z``
+    columns (max ``|column sum - 1|``), their minimum entries and
+    negative-entry count, the dangling-mass share the O/R builds had to
+    repair, and the Eq. 12 restart-acceptance count (-1 on iterations
+    where the update is inactive).  The instrumentation only *observes*
+    — timings and probes are taken around/after the existing statements
+    without reordering any floating-point operation, so traced and
+    untraced fits are bit-identical.
+
+    ``solver`` selects the fixed-point accelerator (see
+    :mod:`repro.solvers`).  For the default ``"plain"`` no solver
+    object is even created and every solver statement is skipped.  For
+    accelerated solvers, each per-class accelerator is offered the
+    ``(x_prev, plain step)`` pair right after the x-projection;
+    accepted proposals replace the column (a ``solver_step`` event),
+    safeguard rejections fall back to the plain step and restart the
+    accelerator's history (a ``solver_restart`` event), and an Eq. 12
+    restart-vector change resets the history too (the map being
+    accelerated has moved).
+    """
+    rec = get_recorder() if recorder is None else recorder
+    timed = rec.enabled
+    probes_on = timed and rec.probes
+    label_matrix = np.asarray(label_matrix, dtype=bool)
+    q = label_matrix.shape[1]
+    X, Z, L = backend.X, backend.Z, backend.L
+    m = Z.shape[0]
+
+    masks = [label_matrix[:, c] for c in range(q)]
+    L[:] = np.column_stack([initial_label_vector(mask) for mask in masks])
+    if starts is None:
+        X[:] = L
+        Z[:] = np.repeat(uniform_distribution(m)[:, None], q, axis=1)
+    else:
+        for target, start in zip((X, Z), starts):
+            target[:] = np.column_stack(
+                [
+                    project_to_simplex(np.asarray(start[:, c], dtype=float))
+                    for c in range(q)
+                ]
+            )
+    histories = [
+        ChainHistory(tol=model.tol, n_anchors=int(mask.sum())) for mask in masks
+    ]
+    use_solver = solver != PLAIN_SOLVER
+    solvers = (
+        [make_solver(solver, tol=model.tol) for _ in range(q)]
+        if use_solver
+        else None
+    )
+    if probes_on:
+        o_dangling_share = float(backend.o_tensor.dangling_share)
+        r_unlinked_share = float(backend.r_tensor.unlinked_share)
+    timer = None
+    active = list(range(q))
+    for t in range(1, model.max_iter + 1):
+        if not active:
+            break
+        if timed:
+            timer = PhaseTimer(CHAIN_PHASES)
+            timer.start("label_update")
+        if model.update_labels and t > 2:
+            for c in active:
+                vector, n_accepted = updated_label_vector(
+                    masks[c],
+                    X[:, c],
+                    model.label_threshold,
+                    mode=model.threshold_mode,
+                    return_accepted=True,
+                )
+                if use_solver and not np.array_equal(vector, L[:, c]):
+                    # The restart vector moved (Eq. 12 accepted new
+                    # nodes): the map being accelerated changed, so the
+                    # solver's iterate history is stale.
+                    solvers[c].map_changed()
+                    if timed:
+                        _emit_solver_restart(rec, t, c, solvers[c], "label_update")
+                L[:, c] = vector
+                histories[c].accepted_history.append(n_accepted)
+        if timed:
+            timer.start("o_propagation")
+        x_new = backend.x_step(active, timer)
+        if timed:
+            timer.start("projection")
+        for idx in range(len(active)):
+            x_new[:, idx] = project_to_simplex(x_new[:, idx])
+        if use_solver:
+            if timed:
+                # Pause the phase clock: proposal time is reported on the
+                # solver_step/solver_restart events themselves so a
+                # plain-vs-accelerated trace-diff compares the shared
+                # phases like for like.
+                timer.stop()
+            for idx, c in enumerate(active):
+                accelerator = solvers[c]
+                step_started = time.perf_counter() if timed else 0.0
+                outcome, safe = propose_safeguarded(
+                    accelerator,
+                    X[:, c].copy(),
+                    x_new[:, idx].copy(),
+                    t=t,
+                    residuals=histories[c].residuals,
+                )
+                if outcome == "none":
+                    continue
+                if outcome == "rejected":
+                    if timed:
+                        _emit_solver_restart(
+                            rec, t, c, accelerator, "safeguard",
+                            seconds=time.perf_counter() - step_started,
+                        )
+                else:
+                    x_new[:, idx] = safe
+                    if timed:
+                        rec.emit(
+                            "solver_step",
+                            t=t,
+                            class_index=c,
+                            solver=accelerator.active_name,
+                            seconds=time.perf_counter() - step_started,
+                        )
+                        rec.count("solver_steps")
+        if timed:
+            timer.start("r_contraction")
+        z_new = backend.z_step(x_new, active)
+        if timed:
+            timer.start("projection")
+        still_active = []
+        for idx, c in enumerate(active):
+            z_col = project_to_simplex(z_new[:, idx])
+            rho = histories[c].record(x_new[:, idx], X[:, c], z_col, Z[:, c])
+            X[:, c] = x_new[:, idx]
+            Z[:, c] = z_col
+            if rho >= model.tol:
+                still_active.append(c)
+        if timed:
+            timer.stop()
+            backend.end_iteration(rec, t, len(active))
+            rec.emit(
+                "chain_iteration",
+                t=t,
+                n_active=len(active),
+                phases=dict(timer.phases),
+            )
+            rec.count("chain_iterations")
+            for c in active:
+                frozen = histories[c].converged
+                rec.emit(
+                    "chain_class",
+                    t=t,
+                    class_index=c,
+                    residual=histories[c].final_residual,
+                    frozen=frozen,
+                )
+                if frozen:
+                    rec.count("frozen_columns")
+            if probes_on:
+                z_active = Z[:, active]
+                if model.update_labels and t > 2:
+                    n_accepted = sum(
+                        histories[c].accepted_history[-1] for c in active
+                    )
+                else:
+                    n_accepted = -1
+                rec.emit(
+                    "invariant_probe",
+                    t=t,
+                    n_active=len(active),
+                    x_mass_drift=float(np.abs(x_new.sum(axis=0) - 1.0).max()),
+                    z_mass_drift=float(np.abs(z_active.sum(axis=0) - 1.0).max()),
+                    x_min=float(x_new.min()),
+                    z_min=float(z_active.min()),
+                    n_negative=int((x_new < 0.0).sum() + (z_active < 0.0).sum()),
+                    n_accepted=n_accepted,
+                    o_dangling_share=o_dangling_share,
+                    r_unlinked_share=r_unlinked_share,
+                )
+                rec.count("invariant_probes")
+        active = still_active
+    for c in active:
+        # The loop ran out of budget with this chain still moving.
+        histories[c].exhausted = True
+    return X, Z, histories

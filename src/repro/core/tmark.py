@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.chains import LocalBackend, run_chains
 from repro.core.convergence import ChainHistory
 from repro.core.features import feature_walk_matrix, walk_matrix_form
 from repro.core.labels import (
@@ -43,14 +44,9 @@ from repro.core.labels import (
 from repro.errors import NotFittedError, ValidationError
 from repro.hin.graph import HIN
 from repro.obs.health import health_from_history
-from repro.obs.recorder import CHAIN_PHASES, PhaseTimer, get_recorder
+from repro.obs.recorder import get_recorder
 from repro.obs.spans import annotate_span, span
-from repro.solvers.base import (
-    PLAIN_SOLVER,
-    check_solver,
-    make_solver,
-    propose_safeguarded,
-)
+from repro.solvers.base import PLAIN_SOLVER, check_solver
 from repro.tensor.transition import build_transition_tensors
 from repro.utils.simplex import project_to_simplex, uniform_distribution
 from repro.utils.validation import (
@@ -243,13 +239,12 @@ class TMark:
         Fixed-point solver for the per-class chains: ``"plain"`` (the
         default — the literal Algorithm 1 power iteration, bit-identical
         to releases predating :mod:`repro.solvers`), ``"anderson"``
-        (windowed least-squares mixing), ``"aitken"`` (vector Aitken
-        Δ² extrapolation), or ``"auto"`` (watch the empirical decay
-        rate and switch slow chains onto Anderson).  All accelerated
-        solvers are safeguarded: an extrapolated iterate that leaves
-        the simplex is discarded for the plain step, so the stationary
-        pair they converge to is the same one (argmax-identical
-        predictions, residual ≤ ``tol``).
+        (windowed least-squares mixing), or ``"auto"`` (watch the
+        empirical decay rate and switch slow chains onto Anderson).
+        All accelerated solvers are safeguarded: an extrapolated
+        iterate that leaves the simplex is discarded for the plain
+        step, so the stationary pair they converge to is the same one
+        (argmax-identical predictions, residual ≤ ``tol``).
 
     Examples
     --------
@@ -572,9 +567,9 @@ class TMark:
         if shards is not None:
             shards = check_positive_int(shards, "shards")
         if shards is not None and shards > 1:
-            from repro.shard import shard_fallback_reason
+            from repro.experiments.parallel import serial_fallback_reason
 
-            reason = shard_fallback_reason()
+            reason = serial_fallback_reason()
             if reason is not None:
                 warnings.warn(
                     f"fit(shards={shards}) falling back to serial: {reason}",
@@ -596,11 +591,10 @@ class TMark:
                     recorder=rec, solver=solver_name,
                 )
             else:
-                node_scores, relation_scores, histories = (
-                    self._run_chains_batched(
-                        o_tensor, r_tensor, w_matrix, label_matrix,
-                        starts=starts, recorder=rec, solver=solver_name,
-                    )
+                node_scores, relation_scores, histories = run_chains(
+                    self, LocalBackend(self, o_tensor, r_tensor, w_matrix, q),
+                    label_matrix, starts=starts, recorder=rec,
+                    solver=solver_name,
                 )
         for c, history in enumerate(histories):
             if history.exhausted:
@@ -657,257 +651,13 @@ class TMark:
         weight = 1.0 - self.alpha - self.beta
         return 0.0 if weight < RELATIONAL_WEIGHT_EPS else weight
 
-    def _run_chains_batched(
-        self, o_tensor, r_tensor, w_matrix, label_matrix, *, starts=None,
-        recorder=None, solver=PLAIN_SOLVER,
-    ):
-        """Advance all ``q`` per-class chains of Algorithm 1 in lockstep.
-
-        Every iteration contracts the still-active class columns through
-        one :meth:`~repro.tensor.transition.NodeTransitionTensor.propagate_many`
-        / ``propagate_many`` pair (plus one sparse ``W @ X`` product), so
-        the sparse operator structure is traversed once per iteration
-        instead of once per class.  Columns whose residual falls below
-        ``tol`` are frozen — early-converging classes stop paying for
-        slow ones — and each class keeps its own :class:`ChainHistory`
-        with exactly the entries the sequential per-class loop
-        (:meth:`_run_chain`) would record.
-
-        ``starts`` optionally provides warm ``(X0, Z0)`` score matrices.
-        Returns ``(node_scores, relation_scores, histories)``.
-
-        When ``recorder`` is enabled, every iteration emits one
-        ``chain_iteration`` event carrying the five
-        :data:`~repro.obs.CHAIN_PHASES` wall-clock timings plus one
-        ``chain_class`` event per active class with its residual and
-        frozen flag.  When the recorder additionally asks for probes
-        (``recorder.probes``), every iteration also emits one
-        ``invariant_probe`` event checking the quantities Theorem 1
-        guarantees: the simplex mass drift of the active ``x``/``z``
-        columns (max ``|column sum - 1|``), their minimum entries and
-        negative-entry count, the dangling-mass share the O/R builds
-        had to repair, and the Eq. 12 restart-acceptance count (-1 on
-        iterations where the update is inactive).  The instrumentation
-        only *observes* — timings and probes are taken around/after the
-        existing statements without reordering any floating-point
-        operation, so traced and untraced fits are bit-identical.
-
-        ``solver`` selects the fixed-point accelerator (see
-        :mod:`repro.solvers`).  For the default ``"plain"`` no solver
-        object is even created and every added statement is skipped, so
-        plain fits stay bit-identical to the pre-solver code path.  For
-        accelerated solvers, each per-class accelerator is offered the
-        ``(x_prev, plain step)`` pair right after the x-projection;
-        accepted proposals replace the column (a ``solver_step`` event),
-        safeguard rejections fall back to the plain step and restart
-        the accelerator's history (a ``solver_restart`` event), and an
-        Eq. 12 restart-vector change resets the history too (the map
-        being accelerated has moved).
-        """
-        rec = get_recorder() if recorder is None else recorder
-        timed = rec.enabled
-        probes_on = timed and rec.probes
-        label_matrix = np.asarray(label_matrix, dtype=bool)
-        n, q = label_matrix.shape
-        m = r_tensor.shape[2]
-        alpha, beta = self.alpha, self.beta
-        relational_weight = self._relational_weight
-
-        masks = [label_matrix[:, c] for c in range(q)]
-        label_vectors = np.column_stack(
-            [initial_label_vector(mask) for mask in masks]
-        )
-        if starts is None:
-            x_scores = label_vectors.copy()
-            z_scores = np.repeat(uniform_distribution(m)[:, None], q, axis=1)
-        else:
-            x_scores = np.column_stack(
-                [
-                    project_to_simplex(np.asarray(starts[0][:, c], dtype=float))
-                    for c in range(q)
-                ]
-            )
-            z_scores = np.column_stack(
-                [
-                    project_to_simplex(np.asarray(starts[1][:, c], dtype=float))
-                    for c in range(q)
-                ]
-            )
-        histories = [
-            ChainHistory(tol=self.tol, n_anchors=int(mask.sum())) for mask in masks
-        ]
-        use_solver = solver != PLAIN_SOLVER
-        solvers = (
-            [make_solver(solver, tol=self.tol) for _ in range(q)]
-            if use_solver
-            else None
-        )
-        if probes_on:
-            o_dangling_share = float(o_tensor.dangling_share)
-            r_unlinked_share = float(r_tensor.unlinked_share)
-        active = list(range(q))
-        for t in range(1, self.max_iter + 1):
-            if not active:
-                break
-            if timed:
-                timer = PhaseTimer(CHAIN_PHASES)
-                timer.start("label_update")
-            if self.update_labels and t > 2:
-                for c in active:
-                    vector, n_accepted = updated_label_vector(
-                        masks[c],
-                        x_scores[:, c],
-                        self.label_threshold,
-                        mode=self.threshold_mode,
-                        return_accepted=True,
-                    )
-                    if use_solver and not np.array_equal(
-                        vector, label_vectors[:, c]
-                    ):
-                        # The restart vector moved (Eq. 12 accepted new
-                        # nodes): the map being accelerated changed, so
-                        # the solver's iterate history is stale.
-                        solvers[c].map_changed()
-                        if timed:
-                            rec.emit(
-                                "solver_restart",
-                                t=t,
-                                class_index=c,
-                                solver=solvers[c].active_name,
-                                reason="label_update",
-                            )
-                            rec.count("solver_restarts")
-                    label_vectors[:, c] = vector
-                    histories[c].accepted_history.append(n_accepted)
-            if timed:
-                timer.start("o_propagation")
-            x_active = x_scores[:, active]
-            x_new = alpha * label_vectors[:, active]
-            if relational_weight > 0.0:
-                x_new = x_new + relational_weight * o_tensor.propagate_many(
-                    x_active, z_scores[:, active]
-                )
-            if timed:
-                timer.start("feature_walk")
-            if beta > 0.0:
-                x_new = x_new + beta * (w_matrix @ x_active)
-            if timed:
-                timer.start("projection")
-            for idx in range(len(active)):
-                x_new[:, idx] = project_to_simplex(x_new[:, idx])
-            if use_solver:
-                if timed:
-                    # Pause the phase clock: proposal time is reported on
-                    # the solver_step/solver_restart events themselves so
-                    # a plain-vs-accelerated trace-diff compares the
-                    # shared phases like for like.
-                    timer.stop()
-                for idx, c in enumerate(active):
-                    accelerator = solvers[c]
-                    step_started = time.perf_counter() if timed else 0.0
-                    outcome, safe = propose_safeguarded(
-                        accelerator,
-                        x_scores[:, c].copy(),
-                        x_new[:, idx].copy(),
-                        t=t,
-                        residuals=histories[c].residuals,
-                    )
-                    if outcome == "none":
-                        continue
-                    if outcome == "rejected":
-                        if timed:
-                            rec.emit(
-                                "solver_restart",
-                                t=t,
-                                class_index=c,
-                                solver=accelerator.active_name,
-                                reason="safeguard",
-                                seconds=time.perf_counter() - step_started,
-                            )
-                            rec.count("solver_restarts")
-                    else:
-                        x_new[:, idx] = safe
-                        if timed:
-                            rec.emit(
-                                "solver_step",
-                                t=t,
-                                class_index=c,
-                                solver=accelerator.active_name,
-                                seconds=time.perf_counter() - step_started,
-                            )
-                            rec.count("solver_steps")
-            if timed:
-                timer.start("r_contraction")
-            z_new = r_tensor.propagate_many(x_new, x_new)
-            if timed:
-                timer.start("projection")
-            still_active = []
-            residuals = [] if timed else None
-            for idx, c in enumerate(active):
-                z_col = project_to_simplex(z_new[:, idx])
-                rho = histories[c].record(
-                    x_new[:, idx], x_scores[:, c], z_col, z_scores[:, c]
-                )
-                x_scores[:, c] = x_new[:, idx]
-                z_scores[:, c] = z_col
-                if rho >= self.tol:
-                    still_active.append(c)
-                if timed:
-                    residuals.append((c, rho))
-            if timed:
-                timer.stop()
-                rec.emit(
-                    "chain_iteration",
-                    t=t,
-                    n_active=len(active),
-                    phases=dict(timer.phases),
-                )
-                rec.count("chain_iterations")
-                for c, rho in residuals:
-                    frozen = rho < self.tol
-                    rec.emit(
-                        "chain_class",
-                        t=t,
-                        class_index=c,
-                        residual=rho,
-                        frozen=frozen,
-                    )
-                    if frozen:
-                        rec.count("frozen_columns")
-                if probes_on:
-                    z_active = z_scores[:, active]
-                    if self.update_labels and t > 2:
-                        n_accepted = sum(
-                            histories[c].accepted_history[-1] for c in active
-                        )
-                    else:
-                        n_accepted = -1
-                    rec.emit(
-                        "invariant_probe",
-                        t=t,
-                        n_active=len(active),
-                        x_mass_drift=float(np.abs(x_new.sum(axis=0) - 1.0).max()),
-                        z_mass_drift=float(np.abs(z_active.sum(axis=0) - 1.0).max()),
-                        x_min=float(x_new.min()),
-                        z_min=float(z_active.min()),
-                        n_negative=int((x_new < 0.0).sum() + (z_active < 0.0).sum()),
-                        n_accepted=n_accepted,
-                        o_dangling_share=o_dangling_share,
-                        r_unlinked_share=r_unlinked_share,
-                    )
-                    rec.count("invariant_probes")
-            active = still_active
-        for c in active:
-            # The loop ran out of budget with this chain still moving.
-            histories[c].exhausted = True
-        return x_scores, z_scores, histories
-
     def _run_chain(self, o_tensor, r_tensor, w_matrix, class_mask, *, start=None):
         """One per-class chain of Algorithm 1; returns ``(x, z, history)``.
 
-        The sequential reference the batched runner is checked against:
-        both share the same propagation kernels (``propagate`` delegates
-        to ``propagate_many``), so their outputs agree bit-for-bit.
+        The sequential reference the chain driver
+        (:func:`repro.core.chains.run_chains`) is checked against: both
+        share the same propagation kernels (``propagate`` delegates to
+        ``propagate_many``), so their outputs agree bit-for-bit.
         ``start`` optionally provides a warm ``(x0, z0)`` pair.
         """
         m = r_tensor.shape[2]

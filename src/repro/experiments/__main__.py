@@ -62,6 +62,7 @@ import sys
 import time
 
 from repro.experiments.registry import experiment_ids, get_experiment, run_experiment
+from repro.solvers.base import SOLVER_NAMES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--solver",
         default=None,
-        choices=("plain", "anderson", "aitken", "auto"),
+        choices=SOLVER_NAMES,
         help="fixed-point solver for the T-Mark chains (repro.solvers)",
     )
     run.add_argument(
@@ -289,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--trace", default=None, metavar="PATH",
                         help="record streaming telemetry to this JSONL file")
     stream.add_argument("--solver", default=None,
-                        choices=("plain", "anderson", "aitken", "auto"),
+                        choices=SOLVER_NAMES,
                         help="fixed-point solver for the reconvergence fits")
     serve = sub.add_parser(
         "serve",
@@ -310,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--journal", default=None, metavar="PATH",
                        help="append accepted /update deltas to this JSONL journal")
     serve.add_argument("--solver", default=None,
-                       choices=("plain", "anderson", "aitken", "auto"),
+                       choices=SOLVER_NAMES,
                        help="fixed-point solver for background reconvergences")
     serve.add_argument("--max-seconds", type=float, default=None,
                        help="self-terminate after this many seconds (smoke tests)")

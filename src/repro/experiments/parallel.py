@@ -77,12 +77,7 @@ def fork_available() -> bool:
 
 
 def in_worker() -> bool:
-    """Whether this process is a pool worker (nested pools are refused).
-
-    Shared with :mod:`repro.shard`: a sharded fit dispatched from inside
-    a grid/trial worker falls back to the serial chain runner, exactly
-    as a nested grid would.
-    """
+    """Whether this process is a pool worker (nested pools are refused)."""
     return _STATE is not None
 
 
@@ -305,9 +300,15 @@ def _run_trial(spec: TrialSpec) -> _Outcome:
     )
 
 
-def _serial_fallback_reason() -> str | None:
-    """Why a pool cannot be used here (``None`` when it can)."""
-    if _STATE is not None:
+def serial_fallback_reason() -> str | None:
+    """Why a fork pool cannot be used here (``None`` when it can).
+
+    The one fallback contract of every pool entry point — the parallel
+    grid, parallel trials and sharded fits (:mod:`repro.shard`): no
+    nested pools (a pool requested from inside a grid/trial worker runs
+    serially), and no pools without the ``fork`` start method.
+    """
+    if in_worker():
         return "already inside a worker process (no nested pools)"
     if not fork_available():
         return "the 'fork' start method is unavailable on this platform"
@@ -411,7 +412,7 @@ def run_grid_parallel(
 
     workers = check_positive_int(workers, "workers")
     fractions = harness.PAPER_FRACTIONS if fractions is None else fractions
-    reason = _serial_fallback_reason()
+    reason = serial_fallback_reason()
     if reason is not None:
         warnings.warn(
             f"run_grid(workers={workers}) falling back to serial: {reason}",
@@ -532,10 +533,11 @@ def run_trials_parallel(
     (the caller then runs its serial loop).
     """
     workers = check_positive_int(workers, "workers")
-    if _serial_fallback_reason() is not None:
+    reason = serial_fallback_reason()
+    if reason is not None:
         warnings.warn(
             f"evaluate_method(workers={workers}) falling back to serial: "
-            f"{_serial_fallback_reason()}",
+            f"{reason}",
             RuntimeWarning,
             stacklevel=2,
         )

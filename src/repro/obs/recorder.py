@@ -44,7 +44,7 @@ EVENT_TYPES = (
     "snapshot_swap",    # serving snapshot published: version + build time
 )
 
-#: The five per-iteration phases of ``TMark._run_chains_batched``.
+#: The five per-iteration phases of :func:`repro.core.chains.run_chains`.
 CHAIN_PHASES = (
     "label_update",   # the Eq. 12 restart-vector update
     "o_propagation",  # restart mix + O x-bar_1 X x-bar_3 Z contraction

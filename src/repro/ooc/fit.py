@@ -58,7 +58,7 @@ def fit_from_store(
     chunk_size:
         Columns per block for operator construction and propagation.
     solver:
-        Per-fit solver override (plain/anderson/aitken/auto), as in
+        Per-fit solver override (one of :data:`repro.solvers.SOLVER_NAMES`), as in
         :meth:`TMark.fit`.
     starts:
         Optional warm-start ``(X0, Z0)`` pair, as in :meth:`TMark.fit`.

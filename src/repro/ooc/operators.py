@@ -77,6 +77,12 @@ def _csc_block(data, indices, indptr, j0: int, j1: int, n_rows: int):
     )
 
 
+def _column_blocks(start: int, stop: int, chunk: int):
+    """``(j0, j1)`` column blocks of width ``chunk`` tiling ``[start, stop)``."""
+    for j0 in range(start, stop, chunk):
+        yield j0, min(j0 + chunk, stop)
+
+
 class ChunkedNodeTransition:
     """Out-of-core ``O`` of Eq. 1: per-relation mmap'd CSC + dangling mask.
 
@@ -101,20 +107,6 @@ class ChunkedNodeTransition:
             self._data[k] = np.load(self._data_files[k], mmap_mode="r")
         indices, indptr = self._store_arrays(k)
         return self._data[k], indices, indptr
-
-    def relation_arrays(self, k: int):
-        """Relation ``k``'s on-disk CSC triple ``(data, indices, indptr)``.
-
-        The entry point for external chunk walkers (the sharded fit's
-        column workers): all three arrays are memmaps, so a fork worker
-        re-reads the same pages without any serialisation.
-        """
-        return self._relation(k)
-
-    @property
-    def nondangling_rows(self):
-        """The ``(m, n)`` boolean non-dangling indicator (memmap)."""
-        return self._nondangling
 
     @property
     def chunk_size(self) -> int:
@@ -151,10 +143,16 @@ class ChunkedNodeTransition:
         """Fraction of the ``n * m`` mode-1 columns that are dangling."""
         return self.n_dangling / (self._n * self._m)
 
-    def propagate_many(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Batched ``O x-bar_1 X x-bar_3 Z`` over the mmap'd slices."""
-        X = check_array_2d(X, "X", shape=(self._n, None))
-        Z = check_array_2d(Z, "Z", shape=(self._m, X.shape[1]))
+    def column_partial(self, X, Z, start: int, stop: int):
+        """Columns ``[start, stop)`` of the contraction, before the dangling mass.
+
+        Returns ``(partial, covered)``: the ``(n, q)`` sum
+        ``sum_k Z[k] * (M_k[:, start:stop] @ X[start:stop])`` and the
+        ``(m, q)`` mass of ``X[start:stop]`` on each relation's
+        non-dangling columns.  Chunks start at ``start``, so the full
+        range is exactly :meth:`propagate_many`'s walk and a sharded
+        fit's column workers run the same kernel on their ranges.
+        """
         q = X.shape[1]
         result = np.zeros_like(X)
         acc = np.empty_like(X)
@@ -164,8 +162,7 @@ class ChunkedNodeTransition:
             acc[:] = 0.0
             nd_covered = np.zeros(q)
             nd_row = self._nondangling[k]
-            for j0 in range(0, self._n, self._chunk):
-                j1 = min(j0 + self._chunk, self._n)
+            for j0, j1 in _column_blocks(start, stop, self._chunk):
                 block = _csc_block(data, indices, indptr, j0, j1, self._n)
                 if block is not None:
                     acc += block @ X[j0:j1]
@@ -175,6 +172,13 @@ class ChunkedNodeTransition:
             result += acc * Z[k]
             covered[k] = nd_covered
             release_pages(data, indices, indptr, nd_row)
+        return result, covered
+
+    def propagate_many(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Batched ``O x-bar_1 X x-bar_3 Z`` over the mmap'd slices."""
+        X = check_array_2d(X, "X", shape=(self._n, None))
+        Z = check_array_2d(Z, "Z", shape=(self._m, X.shape[1]))
+        result, covered = self.column_partial(X, Z, 0, self._n)
         totals = _column_sums(X) * _column_sums(Z)
         dangling = np.maximum(totals - _column_sums(Z * covered), 0.0)
         result += dangling / self._n
@@ -216,19 +220,6 @@ class ChunkedRelationTransition:
             )
         return self._pairs
 
-    def relation_arrays(self, k: int):
-        """Relation ``k``'s on-disk CSC triple ``(data, indices, indptr)``."""
-        return self._relation(k)
-
-    def pair_arrays(self):
-        """The linked-pair pattern's ``(indices, indptr)`` memmaps."""
-        return self._pair_arrays()
-
-    @property
-    def chunk_size(self) -> int:
-        """Columns per streamed block."""
-        return self._chunk
-
     @property
     def relation_nnz(self) -> tuple[int, ...]:
         """Stored entries per relation slice (from the data file sizes)."""
@@ -261,22 +252,24 @@ class ChunkedRelationTransition:
         """Fraction of the ``n^2`` node pairs with no relation at all."""
         return 1.0 - self._n_linked / (self._n * self._n)
 
-    def propagate_many(
-        self, X: np.ndarray, Y: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Batched ``R x-bar_1 X x-bar_2 Y`` over the mmap'd slices."""
-        X = check_array_2d(X, "X", shape=(self._n, None))
-        Y = X if Y is None else check_array_2d(Y, "Y", shape=(self._n, X.shape[1]))
-        result = np.empty((self._m, X.shape[1]))
+    def column_partial(self, X, Y, start: int, stop: int):
+        """Columns ``[start, stop)`` of the bilinear forms, before the unlinked mass.
+
+        Returns ``(partial, linked)``: the ``(m, q)`` per-relation
+        ``column_sums(X * (B_k[:, start:stop] @ Y[start:stop]))`` (zero
+        rows for empty relations) and the ``(q,)`` linked-pair mass over
+        the same columns.  Chunks start at ``start``, so the full range
+        is exactly :meth:`propagate_many`'s walk and a sharded fit's
+        column workers run the same kernel on their ranges.
+        """
+        result = np.zeros((self._m, X.shape[1]))
         acc = np.empty_like(X)
         for k in range(self._m):
             data, indices, indptr = self._relation(k)
             if data.size == 0:
-                result[k] = 0.0
                 continue
             acc[:] = 0.0
-            for j0 in range(0, self._n, self._chunk):
-                j1 = min(j0 + self._chunk, self._n)
+            for j0, j1 in _column_blocks(start, stop, self._chunk):
                 block = _csc_block(data, indices, indptr, j0, j1, self._n)
                 if block is not None:
                     acc += block @ Y[j0:j1]
@@ -284,26 +277,27 @@ class ChunkedRelationTransition:
             release_pages(data, indices, indptr)
         pair_indices, pair_indptr = self._pair_arrays()
         acc[:] = 0.0
-        for j0 in range(0, self._n, self._chunk):
-            j1 = min(j0 + self._chunk, self._n)
-            start, stop = int(pair_indptr[j0]), int(pair_indptr[j1])
-            if start == stop:
+        for j0, j1 in _column_blocks(start, stop, self._chunk):
+            lo, hi = int(pair_indptr[j0]), int(pair_indptr[j1])
+            if lo == hi:
                 continue
-            local_indptr = np.asarray(
-                pair_indptr[j0 : j1 + 1], dtype=np.int64
-            ) - start
+            local_indptr = np.asarray(pair_indptr[j0 : j1 + 1], dtype=np.int64) - lo
             block = sp.csc_matrix(
-                (
-                    np.ones(stop - start),
-                    pair_indices[start:stop],
-                    local_indptr,
-                ),
+                (np.ones(hi - lo), pair_indices[lo:hi], local_indptr),
                 shape=(self._n, j1 - j0),
             )
             acc += block @ Y[j0:j1]
         release_pages(pair_indices, pair_indptr)
+        return result, _column_sums(X * acc)
+
+    def propagate_many(
+        self, X: np.ndarray, Y: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Batched ``R x-bar_1 X x-bar_2 Y`` over the mmap'd slices."""
+        X = check_array_2d(X, "X", shape=(self._n, None))
+        Y = X if Y is None else check_array_2d(Y, "Y", shape=(self._n, X.shape[1]))
+        result, linked_mass = self.column_partial(X, Y, 0, self._n)
         totals = _column_sums(X) * _column_sums(Y)
-        linked_mass = _column_sums(X * acc)
         dangling = np.maximum(totals - linked_mass, 0.0)
         result += dangling / self._m
         return result
@@ -337,15 +331,6 @@ class ChunkedFeatureWalk:
         """Storage mode: ``"dense"`` or ``"csc"``."""
         return self._mode
 
-    @property
-    def chunk_size(self) -> int:
-        """Columns per streamed block (csc mode)."""
-        return self._chunk
-
-    def arrays(self):
-        """The on-disk arrays: ``(w,)`` dense or ``(data, indices, indptr)``."""
-        return self._load()
-
     def _load(self):
         if self._arrays is None:
             if self._mode == "dense":
@@ -356,22 +341,30 @@ class ChunkedFeatureWalk:
                 )
         return self._arrays
 
-    def __matmul__(self, X: np.ndarray) -> np.ndarray:
-        X = check_array_2d(X, "X", shape=(self._n, None))
+    def column_partial(self, X, start: int, stop: int) -> np.ndarray:
+        """Columns ``[start, stop)`` of the walk: ``W[:, start:stop] @ X[start:stop]``.
+
+        Chunks (csc mode) start at ``start``, so the full range is
+        exactly ``W @ X`` and a sharded fit's column workers run the
+        same kernel on their ranges.
+        """
         if self._mode == "dense":
             (w,) = self._load()
-            result = w @ X
+            result = w[:, start:stop] @ X[start:stop]
             release_pages(w)
             return result
         data, indices, indptr = self._load()
         result = np.zeros_like(X)
-        for j0 in range(0, self._n, self._chunk):
-            j1 = min(j0 + self._chunk, self._n)
+        for j0, j1 in _column_blocks(start, stop, self._chunk):
             block = _csc_block(data, indices, indptr, j0, j1, self._n)
             if block is not None:
                 result += block @ X[j0:j1]
         release_pages(data, indices, indptr)
         return result
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        X = check_array_2d(X, "X", shape=(self._n, None))
+        return self.column_partial(X, 0, self._n)
 
 
 class ChunkedOperators:

@@ -5,24 +5,29 @@ Public surface:
 * :func:`plan_shards` / :class:`ShardPlan` / :class:`Shard` — the
   balanced-nnz contiguous partitioner (rows policy for in-memory
   operators, chunk-aligned columns policy for store-backed ones).
-* :func:`run_chains_sharded` — the multi-process twin of the serial
-  chain runner (bit-identical scores under the rows policy for any
-  shard count).
+* :class:`ShardBackend` — the fork pool as a backend of the one chain
+  driver (:func:`repro.core.chains.run_chains`), and
+  :func:`run_chains_sharded`, the entry point that runs the driver over
+  it (bit-identical scores under the rows policy for any shard count).
 * :func:`shard_fallback_reason` — why sharding is unavailable here
-  (``None`` when it is); callers fall back to the serial path with a
-  ``RuntimeWarning`` exactly like the parallel grid does.
+  (``None`` when it is): the pools' shared
+  :func:`repro.experiments.parallel.serial_fallback_reason`, re-exported;
+  callers fall back to the serial path with a ``RuntimeWarning``
+  exactly like the parallel grid does.
 
 Entry points thread through the stack: ``TMark.fit(shards=K,
 workers=N)``, :func:`repro.ooc.fit_from_store`,
 ``StreamingSession.reconverge`` and the CLI's ``run --shards``.
 """
 
-from repro.shard.engine import run_chains_sharded, shard_fallback_reason
+from repro.experiments.parallel import serial_fallback_reason as shard_fallback_reason
+from repro.shard.engine import ShardBackend, run_chains_sharded
 from repro.shard.plan import SHARD_POLICIES, Shard, ShardPlan, plan_shards
 
 __all__ = [
     "SHARD_POLICIES",
     "Shard",
+    "ShardBackend",
     "ShardPlan",
     "plan_shards",
     "run_chains_sharded",

@@ -16,15 +16,13 @@ essentially a menu of accelerators for exactly this problem class:
 low-rank tensor Markov models (arXiv 2411.02098) and multigrid with
 low-rank corrections for tensor-structured chains (arXiv 1412.0937).
 
-This package provides those accelerators as *solvers* the chain runner
-(:meth:`repro.core.tmark.TMark._run_chains_batched`) consults once per
-iteration per class:
+This package provides those accelerators as *solvers* the chain driver
+(:func:`repro.core.chains.run_chains`, whatever its backend) consults
+once per iteration per class:
 
 * :class:`~repro.solvers.anderson.AndersonAccelerator` — windowed
   least-squares mixing of the recent iterates (Anderson acceleration /
   DIIS), pure numpy;
-* :class:`~repro.solvers.aitken.AitkenAccelerator` — vector Aitken
-  :math:`\\Delta^2` (Lusternik) extrapolation over plain-step triples;
 * :class:`~repro.solvers.adaptive.AdaptiveAccelerator` — reads the
   chain's empirical decay rate through the
   :mod:`repro.obs.health` estimators and switches a slow chain (rate
@@ -50,7 +48,6 @@ releases predating this layer.
 """
 
 from repro.solvers.adaptive import AdaptiveAccelerator
-from repro.solvers.aitken import AitkenAccelerator
 from repro.solvers.anderson import AndersonAccelerator
 from repro.solvers.base import (
     PLAIN_SOLVER,
@@ -76,7 +73,6 @@ __all__ = [
     "make_solver",
     "safeguard_proposal",
     "AndersonAccelerator",
-    "AitkenAccelerator",
     "AdaptiveAccelerator",
     "LowRankMatrix",
     "randomized_svd",

@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ValidationError
 
 #: Registered solver names (``TMark(solver=...)`` accepts exactly these).
-SOLVER_NAMES = ("plain", "anderson", "aitken", "auto")
+SOLVER_NAMES = ("plain", "anderson", "auto")
 
 #: The no-acceleration default: the chain runner special-cases this name
 #: and never instantiates a solver object for it, keeping plain fits
@@ -175,7 +175,6 @@ def check_solver(solver: str) -> str:
 def make_solver(solver: str, *, tol: float) -> FixedPointAccelerator | None:
     """Instantiate one per-class solver; ``None`` for the plain step."""
     from repro.solvers.adaptive import AdaptiveAccelerator
-    from repro.solvers.aitken import AitkenAccelerator
     from repro.solvers.anderson import AndersonAccelerator
 
     check_solver(solver)
@@ -183,6 +182,4 @@ def make_solver(solver: str, *, tol: float) -> FixedPointAccelerator | None:
         return None
     if solver == "anderson":
         return AndersonAccelerator(tol=tol)
-    if solver == "aitken":
-        return AitkenAccelerator(tol=tol)
     return AdaptiveAccelerator(tol=tol)

@@ -156,9 +156,9 @@ class TestSolverEvents:
 
     def test_fit_event_carries_solver_name(self, hin):
         recorder = ListRecorder()
-        TMark(alpha=0.7, gamma=0.4).fit(hin, recorder=recorder, solver="aitken")
+        TMark(alpha=0.7, gamma=0.4).fit(hin, recorder=recorder, solver="anderson")
         (fit_event,) = recorder.events_of("fit")
-        assert fit_event["solver"] == "aitken"
+        assert fit_event["solver"] == "anderson"
 
     def test_fit_override_beats_constructor_default(self, hin):
         model = TMark(alpha=0.7, gamma=0.4, solver="anderson")

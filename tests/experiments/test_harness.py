@@ -58,7 +58,7 @@ class TestWithSolver:
 
     def test_non_tmark_factories_pass_through(self):
         sentinel = object()
-        factory = with_solver(lambda: sentinel, "aitken")
+        factory = with_solver(lambda: sentinel, "anderson")
         assert factory() is sentinel
 
     def test_unknown_solver_fails_at_wrap_time(self):

@@ -180,10 +180,13 @@ class TestTelemetry:
         assert recorder.counters["shard_dispatches"] == len(dispatches)
         assert recorder.counters["boundary_exchanges"] == len(exchanges)
 
-    def test_serial_chain_events_preserved(self, hin):
+    @pytest.mark.parametrize("solver", ["plain", "anderson"])
+    def test_serial_chain_events_preserved(self, hin, solver):
         serial_rec, sharded_rec = ListRecorder(), ListRecorder()
-        fitted(hin, recorder=serial_rec)
-        fitted(hin, shards=2, workers=2, recorder=sharded_rec)
+        serial = fitted(hin, solver=solver, recorder=serial_rec)
+        sharded = fitted(
+            hin, solver=solver, shards=2, workers=2, recorder=sharded_rec
+        )
         for event in ("chain_iteration", "chain_class", "chain_health"):
             assert len(sharded_rec.events_of(event)) == len(
                 serial_rec.events_of(event)
@@ -196,13 +199,37 @@ class TestTelemetry:
             e["residual"] for e in sharded_rec.events_of("chain_class")
         ]
         assert serial_residuals == sharded_residuals
+        # Probes and solver events agree field by field (timings aside).
+        for event in ("invariant_probe", "solver_step", "solver_restart"):
+            serial_events = [
+                untimed(e) for e in serial_rec.events_of(event)
+            ]
+            sharded_events = [
+                untimed(e) for e in sharded_rec.events_of(event)
+            ]
+            assert serial_events == sharded_events, event
+        assert serial_rec.events_of("invariant_probe")
+        if solver != "plain":
+            assert serial_rec.events_of("solver_step")
+        assert np.array_equal(
+            serial.result_.node_scores, sharded.result_.node_scores
+        )
+
+
+def untimed(event):
+    """An event's fields minus wall-clock timings and span ids."""
+    return {
+        key: value
+        for key, value in event.items()
+        if key not in ("seconds", "span_id")
+    }
 
 
 class TestFallback:
     def test_no_fork_warns_and_matches_serial(self, hin, monkeypatch):
-        import repro.shard.engine as engine
+        import repro.experiments.parallel as parallel
 
-        monkeypatch.setattr(engine, "fork_available", lambda: False)
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
         assert shard_fallback_reason() is not None
         serial = fitted(hin)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
@@ -210,9 +237,9 @@ class TestFallback:
         assert_same_scores(serial, fallback)
 
     def test_nested_worker_warns_and_matches_serial(self, hin, monkeypatch):
-        import repro.shard.engine as engine
+        import repro.experiments.parallel as parallel
 
-        monkeypatch.setattr(engine, "in_worker", lambda: True)
+        monkeypatch.setattr(parallel, "in_worker", lambda: True)
         serial = fitted(hin)
         with pytest.warns(RuntimeWarning, match="inside a worker"):
             fallback = fitted(hin, shards=2, workers=2)

@@ -8,7 +8,6 @@ from repro.solvers import (
     PLAIN_SOLVER,
     SOLVER_NAMES,
     AdaptiveAccelerator,
-    AitkenAccelerator,
     AndersonAccelerator,
     FixedPointAccelerator,
     check_solver,
@@ -19,7 +18,7 @@ from repro.solvers import (
 
 class TestCheckSolver:
     def test_vocabulary(self):
-        assert SOLVER_NAMES == ("plain", "anderson", "aitken", "auto")
+        assert SOLVER_NAMES == ("plain", "anderson", "auto")
         assert PLAIN_SOLVER == "plain"
 
     @pytest.mark.parametrize("name", SOLVER_NAMES)
@@ -38,7 +37,6 @@ class TestMakeSolver:
 
     def test_accelerators_by_name(self):
         assert isinstance(make_solver("anderson", tol=1e-8), AndersonAccelerator)
-        assert isinstance(make_solver("aitken", tol=1e-8), AitkenAccelerator)
         assert isinstance(make_solver("auto", tol=1e-8), AdaptiveAccelerator)
 
     def test_unknown_name_raises(self):
@@ -105,4 +103,3 @@ class TestAcceleratorBase:
 
     def test_active_name_defaults_to_name(self):
         assert AndersonAccelerator(tol=1e-8).active_name == "anderson"
-        assert AitkenAccelerator(tol=1e-8).active_name == "aitken"

@@ -141,7 +141,7 @@ class TestSolverThreading:
     def test_reconverge_accepts_solver_override(self):
         session = make_session(seed=6)
         session.fit()
-        update = session.reconverge(solver="aitken")
+        update = session.reconverge(solver="anderson")
         assert update.warm
         assert update.converged
 
