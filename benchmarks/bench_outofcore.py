@@ -80,11 +80,9 @@ def analytic_inmemory_footprint(
       linked-pair indicator pattern (``<= nnz`` entries) and indptr;
     * dense features ``(n, d)`` float64 and the ``(n, q)`` bool labels.
 
-    Deliberately *excluded*: the dense ``n x n`` fibre-sum intermediate
-    the in-RAM ``R`` build allocates (32 TB at 2M nodes — the in-memory
-    path cannot run at all, which only understates this footprint), the
-    feature-walk matrix ``W`` (not built at ``gamma = 0`` on either
-    path) and the chain state ``X``/``Z`` (identical on both paths).
+    Deliberately *excluded*: the feature-walk matrix ``W`` (not built at
+    ``gamma = 0`` on either path) and the chain state ``X``/``Z``
+    (identical on both paths).
     """
     if n_pairs is None:
         n_pairs = nnz

@@ -13,12 +13,11 @@ The written values are **bit-identical** to the in-RAM build:
   the same order as ``SparseTensor3.mode1_column_sums`` (the store's CSC
   concatenation *is* the coalesced COO order), and the normalisation is
   the same multiply-by-reciprocal the CSC ``@ diags(scale)`` performs;
-* ``R`` — the per-``(i, j)`` fibre sums restricted to a column block
-  see exactly the block's entries in the coalesced k-major order, so the
-  ``np.unique`` + ``bincount`` accumulation matches
-  ``mode3_fibre_sums`` addition for addition — *without* ever
-  allocating that method's dense ``n^2`` array, which is what caps the
-  in-RAM build at a few hundred thousand nodes;
+* ``R`` — both builds call the shared fibre kernel
+  :func:`repro.tensor.sptensor.normalise_fibres`; a column block holds
+  every entry of its ``(i, j)`` fibres in the coalesced k-major order,
+  so the per-block sums are the in-RAM build's sums addition for
+  addition, while only the block — not the whole tensor — is resident;
 * ``W`` — small stores reuse the dense Eq. 9 code verbatim; larger
   stores require ``similarity_top_k`` and go through the (already
   chunked) top-k cosine path.
@@ -58,6 +57,7 @@ from repro.ooc.operators import (
     release_pages,
 )
 from repro.ooc.store import GraphStore
+from repro.tensor.sptensor import normalise_fibres
 from repro.utils.validation import check_positive_int
 
 #: Version of the on-disk operator-cache layout.
@@ -134,10 +134,10 @@ def _build_r(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> int:
     """Fibre-normalise across relations column-block-wise; returns pair count.
 
     A column block loads the matching slice of *every* relation at once
-    (the ``(i, j)`` fibre sums run over ``k``), computes the per-pair
-    sums via ``np.unique`` over the block's flat pair ids — the sparse
-    replacement for the dense ``n^2`` ``mode3_fibre_sums`` array — and
-    writes the normalised values back per relation.  The unique pair
+    (the ``(i, j)`` fibre sums run over ``k``), normalises the block's
+    entries with :func:`~repro.tensor.sptensor.normalise_fibres` — the
+    kernel the in-RAM ``RelationTransitionTensor`` build uses — and
+    writes the values back per relation.  The kernel's linked pair
     ids, being sorted, come out in CSC column-major order, so the
     linked-pair indicator pattern is assembled in the same pass.
     """
@@ -176,10 +176,7 @@ def _build_r(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> int:
             all_i = np.concatenate(i_parts)
             all_j = np.concatenate(j_parts)
             all_v = np.concatenate(v_parts)
-            pair_ids = all_j * n + all_i
-            unique_pairs, inverse = np.unique(pair_ids, return_inverse=True)
-            fibre_sums = np.bincount(inverse, weights=all_v)
-            normalised = all_v / fibre_sums[inverse]
+            unique_pairs, normalised = normalise_fibres(all_j * n + all_i, all_v)
             offset = 0
             for k, (start, stop) in enumerate(spans):
                 length = stop - start

@@ -60,6 +60,7 @@ from repro.errors import ValidationError
 from repro.hin.graph import HIN
 from repro.obs.recorder import get_recorder
 from repro.stream.delta import ResolvedBatch, materialize_batch, resolve_batch
+from repro.tensor.sptensor import normalise_fibres
 from repro.tensor.transition import (
     NodeTransitionTensor,
     RelationTransitionTensor,
@@ -223,18 +224,17 @@ class IncrementalOperators:
 
         # R: fibre (i, j) entries appear at ascending k in the k-major
         # coord order; a stable sort by fibre id preserves that.
-        fibre_sums = tensor.mode3_fibre_sums()
         fibres = j * n + i
-        r_norm = values / fibre_sums[fibres]
+        linked, r_norm = normalise_fibres(fibres, values)
         self._r_fibres: dict[
             tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
         if fibres.size:
             order = np.argsort(fibres, kind="stable")
             sorted_fibres = fibres[order]
-            unique_fibres, starts = np.unique(sorted_fibres, return_index=True)
+            starts = np.searchsorted(sorted_fibres, linked)
             bounds = np.append(starts, sorted_fibres.size)
-            for pos, fibre in enumerate(unique_fibres.tolist()):
+            for pos, fibre in enumerate(linked.tolist()):
                 sel = order[bounds[pos] : bounds[pos + 1]]
                 node_j, node_i = divmod(fibre, n)
                 self._r_fibres[(node_i, node_j)] = (

@@ -20,6 +20,24 @@ import scipy.sparse as sp
 from repro.errors import ShapeError, ValidationError
 
 
+def normalise_fibres(
+    pair_ids: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Divide every entry by its ``(i, j)`` fibre sum over the relations (Eq. 2).
+
+    ``pair_ids`` holds each entry's flat pair id ``j*n + i`` (mode-3
+    column order) and ``values`` its raw weight.  Returns the sorted
+    unique ids of the linked pairs and the normalised values, in input
+    order.  Only linked pairs get a sum — the unlinked ones carry the
+    implicit uniform ``1/m`` — so memory is ``O(nnz)``, never ``O(n^2)``.
+    ``bincount`` adds each fibre's entries in input order, the same
+    additions a dense ``minlength=n*n`` reduction would make.
+    """
+    linked, inverse = np.unique(pair_ids, return_inverse=True)
+    sums = np.bincount(inverse, weights=values)
+    return linked, values / sums[inverse]
+
+
 class SparseTensor3:
     """Immutable sparse tensor of shape ``(n, n, m)``.
 
@@ -258,24 +276,17 @@ class SparseTensor3:
         dangling columns that Eq. 1 replaces with the uniform 1/n.
         """
         cols = self._k * self._n + self._j
+        # ``astype`` copies nothing here; it only keeps an empty tensor's
+        # sums float (``bincount`` returns int64 for an empty input).
         return np.bincount(
             cols, weights=self._values, minlength=self._n * self._m
-        ).astype(float)
-
-    def mode3_fibre_sums(self) -> np.ndarray:
-        """Sums over ``k`` for every ``(i, j)`` fibre, flat ``n*n`` array.
-
-        Index ``j*n + i`` (mode-3 column order).  Zero entries mark the
-        node pairs with no relation, replaced by uniform 1/m in Eq. 2.
-        """
-        cols = self._j * self._n + self._i
-        return np.bincount(
-            cols, weights=self._values, minlength=self._n * self._n
-        ).astype(float)
+        ).astype(float, copy=False)
 
     def relation_degrees(self) -> np.ndarray:
         """Total link weight per relation (length ``m``)."""
-        return np.bincount(self._k, weights=self._values, minlength=self._m).astype(float)
+        return np.bincount(
+            self._k, weights=self._values, minlength=self._m
+        ).astype(float, copy=False)
 
     def transpose_nodes(self) -> "SparseTensor3":
         """Swap the two node axes (reverse every link's direction)."""

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from repro.errors import ShapeError, ValidationError
-from repro.tensor.sptensor import SparseTensor3
+from repro.tensor.sptensor import SparseTensor3, normalise_fibres
 from repro.utils.validation import check_array_1d, check_array_2d
 
 
@@ -292,9 +292,7 @@ class RelationTransitionTensor:
         self._m = m
         i, j, k = tensor.coords
         values = tensor.values
-        fibre_sums = tensor.mode3_fibre_sums()
-        fibre_idx = j * n + i
-        norm_values = values / fibre_sums[fibre_idx]
+        linked, norm_values = normalise_fibres(j * n + i, values)
         # B_k holds relation k's normalised entries at (i, j): the Eq. 8
         # reduction z_k = sum_{i,j} R[i,j,k] x_i y_j becomes the bilinear
         # form x^T (B_k @ y), batched over columns.
@@ -309,7 +307,6 @@ class RelationTransitionTensor:
                 )
             )
         self._rel_slices = tuple(slices)
-        linked = np.unique(fibre_idx)
         self._pair_j, self._pair_i = np.divmod(linked, n)
         self._pair_indicator = sp.csr_matrix(
             (np.ones(linked.size), (self._pair_i, self._pair_j)), shape=(n, n)

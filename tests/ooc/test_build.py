@@ -13,6 +13,7 @@ from repro.ooc import (
     generate_ooc_store,
 )
 from repro.ooc.build import MAX_DENSE_W_NODES, OPERATORS_MANIFEST
+from repro.tensor.transition import RelationTransitionTensor
 
 from tests.ooc.test_store import sample_hin
 
@@ -253,3 +254,39 @@ class TestEvents:
         assert len(w_events) == 1
         assert w_events[0]["feature_seconds"] >= 0.0
         assert w_events[0]["transition_seconds"] == 0.0
+
+
+class TestRParity:
+    """Both ``R`` builds run the same fibre kernel, so they agree bitwise."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64])
+    def test_r_slices_and_pairs_match_inram(self, tmp_path, chunk_size):
+        store = generate_ooc_store(
+            tmp_path / "store",
+            n_nodes=40,
+            n_links=600,
+            n_relations=3,
+            n_labels=2,
+            n_features=4,
+            seed=11,
+        )
+        build_chunked_operators(store, chunk_size=chunk_size, build_w=False)
+        tensor = store.to_hin().tensor
+        i, j, _ = tensor.coords
+        fibre_lengths = np.bincount(j * store.n_nodes + i)
+        assert fibre_lengths.max() > 1  # some pair is linked by several relations
+        inram = RelationTransitionTensor(tensor)
+        for k in range(store.n_relations):
+            expected = inram._rel_slices[k].tocsc()
+            expected.sort_indices()
+            _, indices, indptr = store.relation_arrays(k)
+            assert np.array_equal(indices, expected.indices), f"R relation {k}"
+            assert np.array_equal(indptr, expected.indptr), f"R relation {k}"
+            ondisk = ondisk_relation_data(store, "r", k)
+            assert ondisk.tobytes() == expected.data.tobytes(), f"R relation {k}"
+        pair_indices = np.load(store.operators_dir / "pair.indices.npy")
+        pair_indptr = np.load(store.operators_dir / "pair.indptr.npy")
+        assert np.array_equal(pair_indices, inram._pair_i)
+        assert np.array_equal(
+            np.diff(pair_indptr), np.bincount(inram._pair_j, minlength=store.n_nodes)
+        )

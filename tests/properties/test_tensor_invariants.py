@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.tensor.products import dense_mode12_product, dense_mode13_product
-from repro.tensor.sptensor import SparseTensor3
+from repro.tensor.sptensor import SparseTensor3, normalise_fibres
 from repro.tensor.transition import NodeTransitionTensor, RelationTransitionTensor
 from tests.conftest import random_sparse_tensor
 
@@ -58,6 +58,44 @@ class TestSparseTensorInvariants:
         agg = tensor.aggregate_relations().toarray()
         stacked = sum(s.toarray() for s in tensor.relation_slices())
         assert np.allclose(agg, stacked)
+
+
+@st.composite
+def multi_relation_tensors(draw):
+    """Tensors whose linked ``(i, j)`` pairs repeat across several relations."""
+    seed = draw(st.integers(0, 10**6))
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(2, 6))
+    n_pairs = draw(st.integers(1, min(n * n, 200)))
+    rng = np.random.default_rng(seed)
+    pairs = rng.choice(n * n, size=n_pairs, replace=False)
+    per_pair = rng.integers(1, m + 1, size=n_pairs)
+    pair_ids = np.repeat(pairs, per_pair)
+    k = np.concatenate([rng.choice(m, size=c, replace=False) for c in per_pair])
+    j, i = np.divmod(pair_ids, n)
+    values = rng.uniform(0.1, 2.0, size=pair_ids.size)
+    return SparseTensor3(i, j, k, values, shape=(n, n, m))
+
+
+class TestFibreNormalisation:
+    @settings(max_examples=40, deadline=None)
+    @given(multi_relation_tensors())
+    def test_matches_dense_bincount_bitwise(self, tensor):
+        n = tensor.n_nodes
+        i, j, _ = tensor.coords
+        pair_ids = j * n + i
+        dense_sums = np.bincount(pair_ids, weights=tensor.values, minlength=n * n)
+        expected = tensor.values / dense_sums[pair_ids]
+        expected_linked = np.flatnonzero(np.bincount(pair_ids, minlength=n * n))
+
+        linked, normalised = normalise_fibres(pair_ids, tensor.values)
+        assert normalised.tobytes() == expected.tobytes()
+        assert np.array_equal(linked, expected_linked)
+
+        r_tensor = RelationTransitionTensor(tensor)
+        assert np.array_equal(
+            r_tensor._pair_j * n + r_tensor._pair_i, expected_linked
+        )
 
 
 class TestTransitionInvariants:

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import ShapeError, ValidationError
-from repro.tensor.sptensor import SparseTensor3
+from repro.tensor.sptensor import SparseTensor3, normalise_fibres
 
 
 def make_simple():
@@ -179,10 +179,13 @@ class TestStructureQueries:
         assert sums.shape == (6,)
         assert sums[1] == 1.0 and sums[2] == 2.0 and sums[3] == 3.0
 
-    def test_mode3_fibre_sums(self):
-        sums = make_simple().mode3_fibre_sums()
-        assert sums.shape == (9,)
-        assert sums[1 * 3 + 0] == 1.0  # (i=0, j=1)
+    def test_normalise_fibres(self):
+        tensor = make_simple()
+        i, j, _ = tensor.coords
+        pair_ids = j * 3 + i
+        linked, normalised = normalise_fibres(pair_ids, tensor.values)
+        assert normalised[pair_ids == 1 * 3 + 0] == 1.0  # (i=0, j=1)
+        assert linked.tolist() == [2, 3, 7]  # unlinked pairs are absent
 
     def test_relation_degrees(self):
         assert np.allclose(make_simple().relation_degrees(), [3.0, 3.0])

@@ -1,5 +1,7 @@
 """Tests for the O / R transition tensors and their dangling handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -90,6 +92,26 @@ class TestRelationTransitionTensor:
         r_tensor = RelationTransitionTensor(tiny_tensor)
         i, j, _ = tiny_tensor.coords
         assert r_tensor.n_linked_pairs == np.unique(j * 4 + i).size
+
+    def test_build_allocates_nothing_quadratic(self):
+        # Eq. 2 only needs sums over the linked pairs; a dense n*n fibre-sum
+        # array would pin 128 MB here, far over the n*n*8/4 budget.
+        n, n_links = 4000, 300
+        rng = np.random.default_rng(0)
+        tensor = SparseTensor3(
+            rng.integers(0, n, n_links),
+            rng.integers(0, n, n_links),
+            rng.integers(0, 3, n_links),
+            rng.uniform(0.1, 2.0, n_links),
+            shape=(n, n, 3),
+        )
+        tracemalloc.start()
+        try:
+            RelationTransitionTensor(tensor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
     def test_propagate_preserves_simplex(self, tiny_tensor):
         r_tensor = RelationTransitionTensor(tiny_tensor)
