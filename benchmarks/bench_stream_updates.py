@@ -1,9 +1,10 @@
 """Streaming-update benchmark: incremental + warm must beat cold rebuilds.
 
 The streaming pipeline exists to make per-batch updates cheap: after a
-delta batch, :class:`~repro.stream.IncrementalOperators` renormalises
-only the touched columns/fibres instead of rebuilding ``(O, R, W)``
-from scratch, and the warm-started chains reconverge from the previous
+delta batch, :class:`~repro.stream.IncrementalOperators` rebuilds
+``O`` / ``R`` from the already-materialised post-batch tensor and keeps
+``W`` unless features changed, instead of running ``build_operators``
+from the HIN, and the warm-started chains reconverge from the previous
 stationary state instead of from the Eq. 11 cold start.  This bench
 pins that promise on a ``q = 8`` synthetic workload (~800 nodes):
 

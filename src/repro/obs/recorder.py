@@ -25,7 +25,7 @@ EVENT_TYPES = (
     "trial",            # one per harness trial: split + fit + score
     "grid_cell",        # one per run_grid cell: mean/std + wall clock
     "delta_apply",      # one per streaming delta batch: size + op mix
-    "operator_patch",   # incremental O/R/W patch: touched columns/fibres
+    "operator_patch",   # incremental O/R/W update: touched columns/fibres
     "reconverge",       # warm refit after a batch: iterations + wall clock
     "chain_health",     # per-class convergence verdict (repro.obs.health)
     "invariant_probe",  # per-iteration simplex/negativity/dangling probes

@@ -2,9 +2,9 @@
 
 An evolving HIN is modelled as a seed graph plus an ordered journal of
 :class:`GraphDelta` edits.  :class:`IncrementalOperators` keeps the
-T-Mark operator triple ``(O, R, W)`` in sync with the graph by
-renormalising only the touched columns/fibres (exact against a full
-rebuild), and :class:`StreamingSession` warm-starts the per-class
+T-Mark operator triple ``(O, R, W)`` in sync with the graph (``O`` /
+``R`` rebuilt from the post-batch tensor, ``W`` refreshed only when
+features change; exact against a full rebuild), and :class:`StreamingSession` warm-starts the per-class
 chains from the previous stationary distributions so each update
 reconverges in a fraction of the cold-start iterations.
 """

@@ -10,10 +10,11 @@ Two consumers share one resolution pass (:func:`resolve_batch`):
 
 * :func:`apply_batch` materialises a fresh immutable
   :class:`~repro.hin.graph.HIN` — the reference semantics;
-* :class:`repro.stream.operators.IncrementalOperators` patches its
-  cached transition operators from the same resolved edit list, which
-  is what makes the patched-equals-rebuilt exactness contract testable
-  against a single source of truth.
+* :class:`repro.stream.operators.IncrementalOperators` materialises
+  the same post-batch HIN, rebuilds ``O`` / ``R`` from its tensor, and
+  reads the resolved edit list to decide what else to refresh — so the
+  incremental operators and the reference semantics share a single
+  source of truth.
 
 Link semantics follow the builder: an undirected link is two converse
 tensor entries (one entry when it is a self-loop), the entry written for
@@ -255,12 +256,13 @@ def as_batch(deltas) -> DeltaBatch:
 class ResolvedBatch:
     """A batch resolved against a concrete HIN: index-level edit lists.
 
-    Produced by :func:`resolve_batch`, consumed by both
-    :func:`apply_batch` (materialise a new HIN) and
-    ``IncrementalOperators.apply`` (patch cached operators).  The tensor
-    edits in ``link_ops`` are *entries* — undirected links already
-    expanded into their converse pair, self-loops stored once — in
-    delta order, which both consumers rely on for weight accumulation.
+    Produced by :func:`resolve_batch`, consumed by
+    :func:`materialize_batch` (build the new HIN, for both
+    :func:`apply_batch` and ``IncrementalOperators.apply``) and by
+    ``IncrementalOperators.apply`` (which operators to refresh, and the
+    touched counts it reports).  The tensor edits in ``link_ops`` are
+    *entries* — undirected links already expanded into their converse
+    pair, self-loops stored once — in delta order.
     """
 
     n_old: int
@@ -280,7 +282,7 @@ class ResolvedBatch:
 
     @property
     def touches_links(self) -> bool:
-        """Whether the batch edits any tensor entry (O/R must be patched)."""
+        """Whether the batch edits any tensor entry (O/R must be rebuilt)."""
         return bool(self.link_ops)
 
     @property
@@ -438,7 +440,7 @@ def apply_batch(hin: HIN, deltas) -> HIN:
     """Apply a batch to ``hin`` and return the mutated graph as a new HIN.
 
     The reference semantics of the streaming layer: the incremental
-    operator patcher is pinned (bit-or-near-equal) against
+    operators are pinned (bit-or-near-equal) against
     ``build_operators(apply_batch(hin, batch))``.
     """
     return materialize_batch(hin, resolve_batch(hin, deltas))

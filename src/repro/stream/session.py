@@ -1,7 +1,7 @@
-"""Streaming T-Mark: apply deltas, patch operators, reconverge warm.
+"""Streaming T-Mark: apply deltas, update operators, reconverge warm.
 
 :class:`StreamingSession` owns the triple *(evolving HIN, incremental
-operators, last fitted result)*.  Each :meth:`apply` call patches the
+operators, last fitted result)*.  Each :meth:`apply` call updates the
 cached ``(O, R, W)`` through :class:`IncrementalOperators` and re-runs
 the per-class chains warm-started from the previous stationary ``x`` /
 ``z`` (padded with uniform mass for nodes the batch added), so the walk

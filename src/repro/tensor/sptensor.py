@@ -56,7 +56,10 @@ class SparseTensor3:
     Notes
     -----
     Duplicate ``(i, j, k)`` coordinates are summed.  Entries that sum to
-    zero are dropped.
+    zero are dropped.  The stored entries are sorted by ``(k, j, i)``
+    (mode-1 column order), so each relation is one contiguous run and
+    each ``(j, k)`` column a contiguous run inside it; the ``O`` / ``R``
+    builds and ``repro.stream.delta.resolve_batch`` rely on that order.
     """
 
     __slots__ = ("_i", "_j", "_k", "_values", "_n", "_m")
@@ -179,7 +182,10 @@ class SparseTensor3:
 
     @property
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The coordinate arrays ``(i, j, k)`` (read-only views)."""
+        """The coordinate arrays ``(i, j, k)`` (read-only views).
+
+        Sorted by ``(k, j, i)``, with no repeated coordinate.
+        """
         return self._i, self._j, self._k
 
     @property

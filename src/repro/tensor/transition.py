@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from repro.errors import ShapeError, ValidationError
+from repro.errors import ValidationError
 from repro.tensor.sptensor import SparseTensor3, normalise_fibres
 from repro.utils.validation import check_array_1d, check_array_2d
 
@@ -64,9 +64,10 @@ class NodeTransitionTensor:
     """The node-transition tensor ``O`` of Eq. 1, with implicit dangling mass.
 
     Stores the normalised tensor as ``m`` per-relation ``(n, n)`` CSR
-    slices (plus the mode-1 matricization for :meth:`matricized` /
-    :meth:`to_dense`) and an ``(m, n)`` indicator of the non-dangling
-    ``(j, k)`` columns used to vectorise the uniform correction.
+    slices and an ``(m, n)`` indicator of the non-dangling ``(j, k)``
+    columns used to vectorise the uniform correction.  The mode-1
+    matricization behind :meth:`matricized` / :meth:`to_dense` is
+    stacked from the slices on first use.
     """
 
     __slots__ = ("_mat", "_slices", "_nondangling_cols", "_nd_indicator", "_n", "_m")
@@ -75,52 +76,26 @@ class NodeTransitionTensor:
         n, _, m = tensor.shape
         self._n = n
         self._m = m
-        unfolded = tensor.unfold(1).tocsc()
+        i, j, k = tensor.coords
         col_sums = tensor.mode1_column_sums()
         nondangling = col_sums > 0
         # Normalise each non-dangling column to sum to one.
         scale = np.ones_like(col_sums)
         scale[nondangling] = 1.0 / col_sums[nondangling]
-        unfolded = (unfolded @ sp.diags(scale)).tocsc()
-        self._mat = unfolded.tocsr()
-        # Mode-1 column k*n + j holds fibre O[:, j, k]: slicing the CSC
-        # unfolding into n-column blocks yields the per-relation slices.
+        values = tensor.values * scale[k * n + j]
+        # Coords are sorted by (k, j, i): each relation is one contiguous
+        # run, and its entries fill slice M_k at (i, j).
+        runs = np.searchsorted(k, np.arange(m + 1))
         self._slices = tuple(
-            unfolded[:, k * n : (k + 1) * n].tocsr() for k in range(m)
+            sp.csr_matrix((values[a:b], (i[a:b], j[a:b])), shape=(n, n))
+            for a, b in zip(runs[:-1], runs[1:])
         )
+        self._mat = None  # propagate_many never needs the matricization
         self._nondangling_cols = np.flatnonzero(nondangling)
         k_nd, j_nd = np.divmod(self._nondangling_cols, n)
         self._nd_indicator = sp.csr_matrix(
             (np.ones(self._nondangling_cols.size), (k_nd, j_nd)), shape=(m, n)
         )
-
-    @classmethod
-    def from_parts(cls, slices, nondangling_cols, *, n: int, m: int):
-        """Assemble a tensor directly from normalised per-relation slices.
-
-        The constructor behind ``repro.stream``'s incremental operator
-        maintenance: after a delta batch, only the touched slices are
-        rebuilt and the untouched CSR objects are reused as-is.  The
-        caller guarantees each slice column either sums to one or is
-        empty, and that ``nondangling_cols`` (mode-1 flat ids
-        ``k*n + j``, sorted) lists exactly the non-empty columns.  The
-        mode-1 matricization is assembled lazily on first use —
-        :meth:`propagate_many` never needs it.
-        """
-        if len(slices) != m:
-            raise ShapeError(f"expected {m} slices, got {len(slices)}")
-        self = object.__new__(cls)
-        self._n = int(n)
-        self._m = int(m)
-        self._slices = tuple(slices)
-        self._mat = None
-        self._nondangling_cols = np.asarray(nondangling_cols, dtype=np.int64)
-        k_nd, j_nd = np.divmod(self._nondangling_cols, self._n)
-        self._nd_indicator = sp.csr_matrix(
-            (np.ones(self._nondangling_cols.size), (k_nd, j_nd)),
-            shape=(self._m, self._n),
-        )
-        return self
 
     def _matricized(self) -> sp.csr_matrix:
         if self._mat is None:
@@ -296,44 +271,15 @@ class RelationTransitionTensor:
         # B_k holds relation k's normalised entries at (i, j): the Eq. 8
         # reduction z_k = sum_{i,j} R[i,j,k] x_i y_j becomes the bilinear
         # form x^T (B_k @ y), batched over columns.
-        order = np.argsort(k, kind="stable")
-        boundaries = np.searchsorted(k[order], np.arange(m + 1))
-        slices = []
-        for rel in range(m):
-            sel = order[boundaries[rel] : boundaries[rel + 1]]
-            slices.append(
-                sp.csr_matrix(
-                    (norm_values[sel], (i[sel], j[sel])), shape=(n, n)
-                )
-            )
-        self._rel_slices = tuple(slices)
+        runs = np.searchsorted(k, np.arange(m + 1))
+        self._rel_slices = tuple(
+            sp.csr_matrix((norm_values[a:b], (i[a:b], j[a:b])), shape=(n, n))
+            for a, b in zip(runs[:-1], runs[1:])
+        )
         self._pair_j, self._pair_i = np.divmod(linked, n)
         self._pair_indicator = sp.csr_matrix(
             (np.ones(linked.size), (self._pair_i, self._pair_j)), shape=(n, n)
         )
-
-    @classmethod
-    def from_parts(cls, rel_slices, pair_i, pair_j, *, n: int, m: int):
-        """Assemble a tensor directly from normalised per-relation slices.
-
-        The streaming counterpart of the constructor: after a delta
-        batch only the relations with touched fibres get fresh slices;
-        ``pair_i`` / ``pair_j`` list the linked ``(i, j)`` pairs (the
-        caller keeps them consistent with the non-empty fibres).
-        """
-        if len(rel_slices) != m:
-            raise ShapeError(f"expected {m} slices, got {len(rel_slices)}")
-        self = object.__new__(cls)
-        self._n = int(n)
-        self._m = int(m)
-        self._rel_slices = tuple(rel_slices)
-        self._pair_i = np.asarray(pair_i, dtype=np.int64)
-        self._pair_j = np.asarray(pair_j, dtype=np.int64)
-        self._pair_indicator = sp.csr_matrix(
-            (np.ones(self._pair_i.size), (self._pair_i, self._pair_j)),
-            shape=(self._n, self._n),
-        )
-        return self
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -466,32 +412,3 @@ def is_irreducible(tensor: SparseTensor3) -> bool:
     n_components, _ = connected_components(agg, directed=True, connection="strong")
     return bool(n_components == 1)
 
-
-def stochastic_matrix_from_counts(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """Column-normalise a non-negative matrix; zero columns become uniform.
-
-    Utility shared by the feature-transition matrix ``W`` (Eq. 9) and
-    several baselines.  The returned matrix is dense-free: zero columns are
-    left zero and a caller needing exact stochasticity should handle them
-    (``W`` does so explicitly because cosine similarity of a node with
-    itself is 1, so its columns are never empty for non-zero features).
-
-    Raises
-    ------
-    ValidationError
-        If any entry is negative — normalising signed counts would
-        silently produce columns that are not probability distributions.
-    """
-    mat = sp.csc_matrix(matrix, dtype=float)
-    if mat.shape[0] != mat.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {mat.shape}")
-    if mat.nnz and float(mat.data.min()) < 0.0:
-        raise ValidationError(
-            "cannot build a stochastic matrix from negative counts; "
-            "clip or shift the input first"
-        )
-    col_sums = np.asarray(mat.sum(axis=0)).ravel()
-    scale = np.ones_like(col_sums)
-    nonzero = col_sums > 0
-    scale[nonzero] = 1.0 / col_sums[nonzero]
-    return (mat @ sp.diags(scale)).tocsr()

@@ -1,6 +1,7 @@
 """Hypothesis property tests on the tensor substrate."""
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.tensor.products import dense_mode12_product, dense_mode13_product
@@ -146,6 +147,56 @@ class TestTransitionInvariants:
         combined = o_tensor.propagate(0.3 * x1 + 0.7 * x2, z)
         split = 0.3 * o_tensor.propagate(x1, z) + 0.7 * o_tensor.propagate(x2, z)
         assert np.allclose(combined, split)
+
+
+@st.composite
+def sparse_relation_tensors(draw):
+    """Tensors with some relations left empty and many dangling columns."""
+    seed = draw(st.integers(0, 10**6))
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 4))
+    live = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    n_entries = draw(st.integers(0, 3 * n))
+    rng = np.random.default_rng(seed)
+    k = rng.choice(np.flatnonzero(live), size=n_entries) if any(live) else []
+    i = rng.integers(0, n, size=len(k))
+    j = rng.integers(0, n, size=len(k))
+    values = rng.uniform(0.1, 2.0, size=len(k))
+    return SparseTensor3(i, j, k, values, shape=(n, n, m))
+
+
+def reference_o_build(tensor):
+    """Eq. 1 through the mode-1 unfolding: ``A_(1) @ diag(scale)``, cut per relation."""
+    n, _, m = tensor.shape
+    col_sums = tensor.mode1_column_sums()
+    nondangling = col_sums > 0
+    scale = np.ones_like(col_sums)
+    scale[nondangling] = 1.0 / col_sums[nondangling]
+    unfolded = (tensor.unfold(1).tocsc() @ sp.diags(scale)).tocsc()
+    slices = [unfolded[:, k * n : (k + 1) * n].tocsr() for k in range(m)]
+    return unfolded.tocsr(), slices, np.flatnonzero(nondangling)
+
+
+def assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        got_arr, expected_arr = getattr(got, name), getattr(expected, name)
+        assert got_arr.dtype == expected_arr.dtype
+        assert got_arr.tobytes() == expected_arr.tobytes()
+
+
+class TestDirectOBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_relation_tensors())
+    def test_matches_unfolded_construction_bytewise(self, tensor):
+        n, _, m = tensor.shape
+        mat, slices, nondangling = reference_o_build(tensor)
+        o_tensor = NodeTransitionTensor(tensor)
+        for k in range(m):
+            assert_same_csr(o_tensor.relation_slice(k), slices[k])
+        assert np.array_equal(o_tensor._nondangling_cols, nondangling)
+        assert o_tensor.dangling_share == (n * m - nondangling.size) / (n * m)
+        assert_same_csr(o_tensor.matricized(), mat)
 
 
 class TestHinRoundTripInvariants:

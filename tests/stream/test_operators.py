@@ -2,11 +2,14 @@
 
 The exactness contract of ``repro.stream.operators``: after
 ``ops.apply(batch)`` the cached triple equals ``build_operators`` on
-``apply_batch(hin, batch)`` — bitwise for link-only batches (including
-dangling gain/loss in both directions), and to tight ``allclose``
-tolerance when the incremental cosine-similarity path handles feature
-edits.
+``apply_batch(hin, batch)`` — ``O`` and ``R`` bitwise after every
+batch (including dangling gain/loss in both directions), ``W`` bitwise
+on its rebuild paths and to tight ``allclose`` tolerance when the
+incremental cosine-similarity path handles feature edits.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from repro.solvers.lowrank import LowRankMatrix
 from repro.stream.delta import GraphDelta, apply_batch
 from repro.stream.operators import IncrementalOperators
 from repro.stream.workload import synthetic_delta_log
+from repro.tensor.sptensor import SparseTensor3
 from tests.conftest import small_labeled_hin
 from tests.stream.test_delta import small_hin
 
@@ -380,3 +384,59 @@ class TestInterfaces:
         assert event["touched_fibres"] == 2
         assert not event["full_w_recompute"]
         assert recorder.counters["operator_patches"] == 1
+
+
+def array_nbytes(*objs):
+    """Bytes held by dense arrays and the three arrays of CSR matrices."""
+    total = 0
+    for obj in objs:
+        if sp.issparse(obj):
+            total += obj.data.nbytes + obj.indices.nbytes + obj.indptr.nbytes
+        else:
+            total += obj.nbytes
+    return total
+
+
+class TestColdBuildMemory:
+    def test_retains_little_beyond_its_operators(self):
+        # ~30k tensor entries, non-negative features: factored W, so the
+        # operators' own arrays are all O(nnz + n d).
+        rng = np.random.default_rng(5)
+        n, m, n_links = 3000, 3, 15_000
+        src = rng.integers(0, n, size=n_links)
+        dst = rng.integers(0, n, size=n_links)
+        k = rng.integers(0, m, size=n_links)
+        tensor = SparseTensor3(
+            np.r_[dst, src], np.r_[src, dst], np.r_[k, k], shape=(n, n, m)
+        )
+        labels = np.zeros((n, 2), dtype=bool)
+        labels[np.arange(n), rng.integers(0, 2, size=n)] = True
+        features = rng.integers(0, 5, size=(n, 6)).astype(float)
+        hin = HIN(tensor, ["r0", "r1", "r2"], features, labels, ["a", "b"])
+        assert tensor.nnz > 20_000
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ops = IncrementalOperators(hin)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        o_tensor, r_tensor, w_matrix = ops._o, ops._r, ops._w
+        assert isinstance(w_matrix, LowRankMatrix)
+        own = array_nbytes(
+            *o_tensor._slices,
+            o_tensor._nd_indicator,
+            o_tensor._nondangling_cols,
+            *r_tensor._rel_slices,
+            r_tensor._pair_indicator,
+            r_tensor._pair_i,
+            r_tensor._pair_j,
+            w_matrix.u,
+            w_matrix.vt,
+        )
+        # Everything retained beyond the operator arrays themselves is
+        # bookkeeping; per-column or per-fibre side stores would be a
+        # multiple of the operators.
+        assert retained < 2 * own

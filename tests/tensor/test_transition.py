@@ -4,16 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from repro.errors import ValidationError
 from repro.tensor.sptensor import SparseTensor3
 from repro.tensor.transition import (
     NodeTransitionTensor,
     RelationTransitionTensor,
     build_transition_tensors,
     is_irreducible,
-    stochastic_matrix_from_counts,
 )
 from repro.utils.simplex import is_distribution, uniform_distribution
 
@@ -160,27 +157,3 @@ class TestIsIrreducible:
         # Each relation alone is a chain; together they form a cycle.
         tensor = SparseTensor3([1, 0], [0, 1], [0, 1], shape=(2, 2, 2))
         assert is_irreducible(tensor)
-
-
-class TestStochasticMatrixFromCounts:
-    def test_column_sums(self):
-        mat = stochastic_matrix_from_counts(np.array([[1.0, 0.0], [3.0, 0.0]]))
-        dense = mat.toarray()
-        assert np.allclose(dense[:, 0], [0.25, 0.75])
-        assert np.allclose(dense[:, 1], 0.0)  # zero columns left to caller
-
-    def test_rejects_non_square(self):
-        with pytest.raises(Exception):
-            stochastic_matrix_from_counts(np.ones((2, 3)))
-
-    def test_rejects_negative_counts(self):
-        """Negative counts would silently produce signed 'probabilities'
-        (columns still sum to 1) — reject them outright."""
-        counts = np.array([[2.0, 0.0], [-1.0, 1.0]])
-        with pytest.raises(ValidationError):
-            stochastic_matrix_from_counts(counts)
-
-    def test_rejects_negative_sparse_counts(self):
-        counts = sp.csr_matrix(np.array([[0.0, -0.5], [1.0, 0.0]]))
-        with pytest.raises(ValidationError):
-            stochastic_matrix_from_counts(counts)
