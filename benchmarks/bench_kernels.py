@@ -171,3 +171,52 @@ def test_kernel_chunked_topk_w(benchmark):
     )
     cols = np.asarray(matrix.sum(axis=0)).ravel()
     assert np.allclose(cols, 1.0)
+
+
+def test_kernel_stacked_vs_per_slice(benchmark):
+    """The stacked O/R kernels against the per-relation slice loop.
+
+    Paper-sized relation count (n=2500, m=20, ~10k links) and the chain
+    driver's input form: an F-ordered ``q=4`` column subset.  Both
+    ``propagate_many`` kernels must reproduce the per-slice reference
+    byte for byte and beat it by >= 1.3x (median of interleaved runs).
+    """
+    import time
+
+    from tests.tensor.test_propagate_many import per_slice_o, per_slice_r, same_bytes
+
+    rng = ensure_rng(4)
+    n, m, q = 2500, 20, 4
+    tensor = random_sparse_tensor(rng, n=n, m=m, density=10_000 / (n * n * m))
+    o_tensor, r_tensor = build_transition_tensors(tensor)
+    wide = rng.uniform(0.01, 1.0, size=(n, q + 1))
+    X = (wide / wide.sum(axis=0))[:, [0, 1, 3, 4]]
+    Z = np.full((m, q + 1), 1.0 / m)[:, [0, 1, 3, 4]]
+    assert X.flags.f_contiguous and not X.flags.c_contiguous
+    o_slices = o_tensor.row_blocks(0, n)
+    r_slices = (*r_tensor.row_blocks(0, n), r_tensor.pair_rows(0, n))
+    kernels = {
+        "o_stacked": lambda: o_tensor.propagate_many(X, Z),
+        "o_per_slice": lambda: per_slice_o(o_tensor, X, Z, o_slices),
+        "r_stacked": lambda: r_tensor.propagate_many(X, X),
+        "r_per_slice": lambda: per_slice_r(r_tensor, X, X, r_slices),
+    }
+    assert same_bytes(kernels["o_stacked"](), kernels["o_per_slice"]())
+    assert same_bytes(kernels["r_stacked"](), kernels["r_per_slice"]())
+
+    def interleaved(rounds=60):
+        times = {name: [] for name in kernels}
+        for _ in range(rounds):
+            for name, kernel in kernels.items():
+                started = time.perf_counter()
+                kernel()
+                times[name].append(time.perf_counter() - started)
+        return {name: float(np.median(values)) for name, values in times.items()}
+
+    medians = benchmark.pedantic(interleaved, rounds=1, iterations=1)
+    for op in ("o", "r"):
+        speedup = medians[f"{op}_per_slice"] / medians[f"{op}_stacked"]
+        assert speedup >= 1.3, (
+            f"stacked {op.upper()} kernel only {speedup:.2f}x faster than the "
+            f"per-slice loop ({medians})"
+        )

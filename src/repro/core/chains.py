@@ -107,9 +107,9 @@ def run_chains(
 
     When ``recorder`` is enabled, every iteration emits one
     ``chain_iteration`` event carrying the five
-    :data:`~repro.obs.CHAIN_PHASES` wall-clock timings plus one
-    ``chain_class`` event per active class with its residual and
-    frozen flag.  When the recorder additionally asks for probes
+    :data:`~repro.obs.CHAIN_PHASES` wall-clock timings and, per active
+    class, aligned ``class_index`` / ``residual`` / ``frozen`` lists.
+    When the recorder additionally asks for probes
     (``recorder.probes``), every iteration also emits one
     ``invariant_probe`` event checking the quantities Theorem 1
     guarantees: the simplex mass drift of the active ``x``/``z``
@@ -250,24 +250,19 @@ def run_chains(
         if timed:
             timer.stop()
             backend.end_iteration(rec, t, len(active))
+            frozen = [histories[c].converged for c in active]
             rec.emit(
                 "chain_iteration",
                 t=t,
                 n_active=len(active),
                 phases=dict(timer.phases),
+                class_index=list(active),
+                residual=[histories[c].final_residual for c in active],
+                frozen=frozen,
             )
             rec.count("chain_iterations")
-            for c in active:
-                frozen = histories[c].converged
-                rec.emit(
-                    "chain_class",
-                    t=t,
-                    class_index=c,
-                    residual=histories[c].final_residual,
-                    frozen=frozen,
-                )
-                if frozen:
-                    rec.count("frozen_columns")
+            if any(frozen):
+                rec.count("frozen_columns", sum(frozen))
             if probes_on:
                 z_active = Z[:, active]
                 if model.update_labels and t > 2:

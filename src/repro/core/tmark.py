@@ -353,10 +353,10 @@ class TMark:
             settings on one network.
         recorder:
             Optional :class:`repro.obs.Recorder` receiving the fit's
-            telemetry (``chain_iteration`` phase timings, per-class
-            ``chain_class`` residuals, one ``fit`` summary).  Defaults
-            to the ambient recorder (:func:`repro.obs.get_recorder`),
-            which is a no-op unless one was installed.
+            telemetry (``chain_iteration`` phase timings and per-class
+            residuals, one ``fit`` summary).  Defaults to the ambient
+            recorder (:func:`repro.obs.get_recorder`), which is a no-op
+            unless one was installed.
         solver:
             Per-fit override of the constructor's ``solver`` knob (one
             of :data:`repro.solvers.SOLVER_NAMES`); ``None`` keeps the

@@ -6,8 +6,8 @@ This package provides the measurement substrate the perf work builds
 on: a pluggable :class:`Recorder` protocol with a zero-overhead no-op
 default, wall-clock :class:`PhaseTimer` accumulators, monotonic
 counters, and a JSONL trace writer emitting structured events from the
-hot paths (``chain_iteration``, ``chain_class``, ``operator_build``,
-``fit``, ``trial``, ``grid_cell``).
+hot paths (``chain_iteration``, ``operator_build``, ``fit``, ``trial``,
+``grid_cell``).
 
 Recorders are plumbed two ways:
 

@@ -2,12 +2,13 @@
 
 The chain-level trace layer records the Algorithm 1 stopping quantity
 ``rho_t = ||x_t - x_{t-1}||_1 + ||z_t - z_{t-1}||_1`` per class and
-iteration (``chain_class`` events) without interpreting it.  This module
-turns those series into actionable :class:`ChainHealth` verdicts: a
-fitted geometric decay rate (the observable surrogate for the spectral
-gap of the linearised update map — see ``repro.analysis.theory``), a
-projection of how many more iterations the chain needs to reach its
-tolerance, and a five-way status classification.
+iteration (the per-class lists of ``chain_iteration`` events) without
+interpreting it.  This module turns those series into actionable
+:class:`ChainHealth` verdicts: a fitted geometric decay rate (the
+observable surrogate for the spectral gap of the linearised update map
+— see ``repro.analysis.theory``), a projection of how many more
+iterations the chain needs to reach its tolerance, and a five-way
+status classification.
 
 Status vocabulary and thresholds
 --------------------------------
@@ -351,8 +352,31 @@ def health_from_result(result, *, fit_index: int = 0) -> list[ChainHealth]:
     ]
 
 
+def _class_entries(event):
+    """``(class_index, residual, frozen)`` triples an event carries.
+
+    A ``chain_iteration`` event lists every active class; traces
+    recorded before those lists existed carry one ``chain_class`` event
+    per class instead.
+    """
+    kind = event.get("event")
+    if kind == "chain_iteration":
+        return zip(
+            event.get("class_index", ()),
+            event.get("residual", ()),
+            event.get("frozen", ()),
+        )
+    if kind == "chain_class":
+        return [(
+            event.get("class_index", -1),
+            event.get("residual", 0.0),
+            event.get("frozen", False),
+        )]
+    return ()
+
+
 def collect_residual_series(events):
-    """Group a trace's ``chain_class`` residuals by fit and class.
+    """Group a trace's per-class residuals by fit and class.
 
     Returns a list with one entry per fit:
     ``(per_class_residuals, tol, converged_classes)`` where
@@ -360,21 +384,22 @@ def collect_residual_series(events):
     (emission order), ``tol`` is the fit event's tolerance (``None`` for
     traces predating the field or chains not yet closed by a ``fit``
     event), and ``converged_classes`` maps ``class_index -> frozen``
-    from the class's final ``chain_class`` event.
+    from the class's final iteration.  Reads the per-class lists of
+    ``chain_iteration`` events and the ``chain_class`` events of older
+    traces alike.
     """
     groups = []
     current: dict[int, list[float]] = {}
     frozen: dict[int, bool] = {}
     for event in events:
-        kind = event.get("event")
-        if kind == "chain_class":
-            c = int(event.get("class_index", -1))
-            current.setdefault(c, []).append(float(event.get("residual", 0.0)))
-            frozen[c] = bool(event.get("frozen", False))
-        elif kind == "fit":
+        if event.get("event") == "fit":
             if current:
                 groups.append((current, event.get("tol"), frozen))
             current, frozen = {}, {}
+            continue
+        for c, residual, is_frozen in _class_entries(event):
+            current.setdefault(int(c), []).append(float(residual))
+            frozen[int(c)] = bool(is_frozen)
     if current:
         groups.append((current, None, frozen))
     return groups
@@ -385,7 +410,7 @@ def trace_chain_health(events, *, tol: float | None = None) -> list[ChainHealth]
 
     Prefers the precomputed ``chain_health`` events when the trace
     carries them (fits since the diagnostics layer emit one per class);
-    otherwise folds the raw ``chain_class`` residual series, taking the
+    otherwise folds the raw per-class residual series, taking the
     tolerance from each fit's ``fit`` event, then from ``tol``, then
     from :data:`DEFAULT_TOL`.
     """

@@ -18,8 +18,7 @@ from contextvars import ContextVar
 
 #: Every event type the instrumented code emits.
 EVENT_TYPES = (
-    "chain_iteration",  # per-iteration phase timings of the batched fit
-    "chain_class",      # per-class residual / frozen-column telemetry
+    "chain_iteration",  # per-iteration phase timings + per-class residual/frozen
     "operator_build",   # O/R/W construction timings
     "fit",              # one per TMark.fit: wall clock + shape summary
     "trial",            # one per harness trial: split + fit + score

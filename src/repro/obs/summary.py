@@ -104,7 +104,8 @@ def summarize_trace(events) -> TraceSummary:
                 summary.phase_totals[name] = (
                     summary.phase_totals.get(name, 0.0) + float(seconds)
                 )
-        elif kind == "chain_class":
+            summary.n_frozen_events += sum(map(bool, event.get("frozen", ())))
+        elif kind == "chain_class":  # one event per class in older traces
             if event.get("frozen"):
                 summary.n_frozen_events += 1
         elif kind == "fit":

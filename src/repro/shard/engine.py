@@ -103,17 +103,22 @@ class _RowWorker:
     def __init__(self, context: _ShardContext, assigned):
         self.ctx = context
         self.assigned = list(assigned)
-        self.o_nnz = tuple(context.o_tensor.relation_nnz)
-        self.r_nnz = tuple(context.r_tensor.relation_nnz)
-        self.o_blocks = {}
-        self.r_blocks = {}
-        self.pair_blocks = {}
+        self.o_rows = {}
+        self.r_rows = {}
         self.w_blocks = {}
         for shard in self.assigned:
             start, stop = shard.start, shard.stop
-            self.o_blocks[shard.index] = context.o_tensor.row_blocks(start, stop)
-            self.r_blocks[shard.index] = context.r_tensor.row_blocks(start, stop)
-            self.pair_blocks[shard.index] = context.r_tensor.pair_rows(start, stop)
+            # The operators' own kernels take these stacks of row blocks.
+            self.o_rows[shard.index] = sp.vstack(
+                context.o_tensor.row_blocks(start, stop), format="csr"
+            )
+            self.r_rows[shard.index] = sp.vstack(
+                (
+                    *context.r_tensor.row_blocks(start, stop),
+                    context.r_tensor.pair_rows(start, stop),
+                ),
+                format="csr",
+            )
             if context.w_matrix is not None:  # sparse: dense W stays home
                 self.w_blocks[shard.index] = context.w_matrix[start:stop]
 
@@ -121,24 +126,20 @@ class _RowWorker:
         """Rows ``[start, stop)`` of the unprojected Eq. 10 step.
 
         Replicates the serial statements restricted to the shard's rows:
-        ``alpha * l``, the per-relation ``z_k * (M_k @ x)`` accumulation
-        with the *global* empty-slice skips, the coordinator-supplied
-        dangling mass, and ``beta * (W @ x)``.
+        ``alpha * l``, the operator's ``relation_sum`` kernel on the
+        shard's stacked row blocks, the coordinator-supplied dangling
+        mass, and ``beta * (W @ x)``.
         """
         ctx = self.ctx
-        x_act = ctx.X[:, active]
+        x_act = np.ascontiguousarray(ctx.X[:, active])
         z_act = ctx.Z[:, active] if rw > 0.0 else None
         for shard in self.assigned:
             start, stop = shard.start, shard.stop
             out = ctx.alpha * ctx.L[start:stop][:, active]
             if rw > 0.0:
-                o_loc = np.zeros((stop - start, len(active)))
-                for k, block in enumerate(self.o_blocks[shard.index]):
-                    if self.o_nnz[k] == 0:
-                        continue
-                    contribution = block @ x_act
-                    contribution *= z_act[k]
-                    o_loc += contribution
+                o_loc = ctx.o_tensor.relation_sum(
+                    x_act, z_act, self.o_rows[shard.index]
+                )
                 o_loc += dang / ctx.n
                 out = out + rw * o_loc
             if beta > 0.0:
@@ -149,20 +150,15 @@ class _RowWorker:
     def round_r(self, active):
         """Rows of the Eq. 8 integrands ``x * (B_k @ x)`` into ``P``.
 
-        The coordinator finishes the contraction with its own
-        per-relation column sums, so nothing here crosses columns.
+        The coordinator finishes the contraction with the operator's
+        ``contract``, so nothing here crosses columns.
         """
         ctx = self.ctx
-        y_act = ctx.XNEW[:, active]
+        y_act = np.ascontiguousarray(ctx.XNEW[:, active])
         for shard in self.assigned:
             start, stop = shard.start, shard.stop
-            y_loc = y_act[start:stop]
-            for k, block in enumerate(self.r_blocks[shard.index]):
-                if self.r_nnz[k] == 0:
-                    continue
-                ctx.P[k, start:stop][:, active] = y_loc * (block @ y_act)
-            ctx.P[ctx.m, start:stop][:, active] = y_loc * (
-                self.pair_blocks[shard.index] @ y_act
+            ctx.P[:, start:stop, active] = ctx.r_tensor.integrands(
+                y_act[start:stop], y_act, self.r_rows[shard.index]
             )
         return None
 
@@ -331,7 +327,6 @@ class ShardBackend:
             self.rows and self.beta > 0.0 and not sp.issparse(w_matrix)
         )
         self.worker_beta = 0.0 if self.parent_walk else self.beta
-        self.r_nnz = tuple(r_tensor.relation_nnz)
         self.context = _ShardContext(
             policy=self.plan.policy, n=n, m=m, alpha=self.alpha,
             o_tensor=o_tensor, r_tensor=r_tensor,
@@ -451,22 +446,17 @@ class ShardBackend:
         replies = _broadcast(self.conns, ("r", list(active)))
         self.exchange_seconds += time.perf_counter() - started
         if self.rows:
-            z_new = np.empty((m, len(active)))
-            for k in range(m):
-                if self.r_nnz[k] == 0:
-                    z_new[k] = 0.0
-                else:
-                    z_new[k] = _column_sums(self.context.P[k][:, active])
-            linked_mass = _column_sums(self.context.P[m][:, active])
-        else:
-            # Empty relations come back as zero rows from every shard.
-            payloads = _merge_shard_payloads(replies)
-            z_new = np.zeros((m, len(active)))
-            linked_mass = np.zeros(len(active))
-            for shard in self.plan.shards:
-                zp, lp = payloads[shard.index]
-                z_new += zp
-                linked_mass += lp
+            return self.r_tensor.contract(
+                self.context.P[:, :, active], x_new, x_new
+            )
+        # Empty relations come back as zero rows from every shard.
+        payloads = _merge_shard_payloads(replies)
+        z_new = np.zeros((m, len(active)))
+        linked_mass = np.zeros(len(active))
+        for shard in self.plan.shards:
+            zp, lp = payloads[shard.index]
+            z_new += zp
+            linked_mass += lp
         column_totals = _column_sums(x_new)
         totals = column_totals * column_totals
         dangling = np.maximum(totals - linked_mass, 0.0)

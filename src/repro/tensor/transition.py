@@ -19,18 +19,23 @@ Both tensors expose two contraction entry points:
 
 * ``propagate(x, z)`` — one distribution pair, the Algorithm 1 step;
 * ``propagate_many(X, Z)`` — ``q`` distribution pairs at once, stacked as
-  columns of ``(n, q)`` / ``(m, q)`` matrices.  This is the kernel behind
-  T-Mark's batched multi-class fit: all per-class chains advance through
-  one set of sparse products instead of ``q`` sequential passes.
+  columns of ``(n, q)`` / ``(m, q)`` matrices: the kernel behind
+  T-Mark's batched multi-class fit.
 
-``O`` is stored as its ``m`` per-relation ``(n, n)`` CSR slices ``M_k``
-(column ``j`` of ``M_k`` is the normalised fibre ``O[:, j, k]``), so the
-contraction ``O x-bar_1 x x-bar_3 z`` becomes ``sum_k z_k (M_k @ x)``
-with *no* ``(n * m)``-sized Kronecker temporary; batching ``q`` columns
-through each ``M_k`` amortises the sparse-structure traversal across all
-classes.  ``propagate`` delegates to ``propagate_many`` on a single
-column, which guarantees the two paths are the same floating-point
-computation — the property the batched-fit equivalence tests pin down.
+Each tensor keeps its ``m`` per-relation ``(n, n)`` CSR slices as *one*
+vertically stacked CSR matrix (row ``k*n + i`` is row ``i`` of slice
+``k``; ``R`` appends its linked-pair indicator as block ``m``), so a
+contraction is a single sparse product with one C-contiguous copy of
+the input block, whatever ``m`` is.  ``O x-bar_1 x x-bar_3 z`` then
+scales each ``(n, q)`` block by ``z_k`` and sums the blocks in ``k``
+order — no ``(n * m)``-sized Kronecker temporary — and ``R x-bar_1 x
+x-bar_2 y`` multiplies each block by ``x`` and takes per-column sums.
+A CSR row's product depends only on that row's entries, so this is
+bit-for-bit the one-product-per-slice computation, and a stack of any
+row range gives those rows exactly: the sharded fit's row workers run
+the same kernels on their row blocks.  ``propagate`` delegates to
+``propagate_many`` on a single column, so the looped and batched paths
+are the same floating-point computation.
 """
 
 from __future__ import annotations
@@ -45,32 +50,91 @@ from repro.utils.validation import check_array_1d, check_array_2d
 
 
 def _column_sums(matrix: np.ndarray) -> np.ndarray:
-    """Per-column sums via 1-D reductions.
+    """Per-column sums via 1-D reductions, over axis ``-2``.
 
     ``matrix.sum(axis=0)`` uses a different accumulation order than a 1-D
     column sum, so its result depends on how many columns ride along in
     the batch.  Summing column by column keeps ``propagate_many`` output
     bit-for-bit identical to per-column ``propagate`` calls — the
     batching contract the property tests pin down.  The loop is over the
-    (small) column count; each reduction is numpy-vectorised.
+    (small) column count; each reduction is numpy-vectorised, and a
+    stack of ``(n, q)`` blocks gets one 1-D sum per block and column.
     """
-    out = np.empty(matrix.shape[1])
-    for c in range(matrix.shape[1]):
-        out[c] = matrix[:, c].sum()
+    out = np.empty(matrix.shape[:-2] + matrix.shape[-1:])
+    for c in range(matrix.shape[-1]):
+        out[..., c] = matrix[..., c].sum(axis=-1)
     return out
 
 
-class NodeTransitionTensor:
-    """The node-transition tensor ``O`` of Eq. 1, with implicit dangling mass.
+def _stack_slices(values, i, j, k, n: int, m: int) -> sp.csr_matrix:
+    """The ``(m*n, n)`` stack with ``values`` at rows ``k*n + i``, columns ``j``.
 
-    Stores the normalised tensor as ``m`` per-relation ``(n, n)`` CSR
-    slices and an ``(m, n)`` indicator of the non-dangling ``(j, k)``
-    columns used to vectorise the uniform correction.  The mode-1
-    matricization behind :meth:`matricized` / :meth:`to_dense` is
-    stacked from the slices on first use.
+    Indices are formed in the CSR index dtype, so the conversion copies
+    none; ``(k, j, i)``-sorted coords fill every row in column order.
+    """
+    rows = k.astype(np.int32 if m * n < 2**31 else np.int64)
+    rows *= n
+    np.add(rows, i, out=rows, casting="unsafe")
+    return sp.csr_matrix((values, (rows, j.astype(rows.dtype))), shape=(m * n, n))
+
+
+class _StackedSlices:
+    """Relation slices kept as one vertically stacked CSR matrix.
+
+    Row ``b*n + i`` of ``_stacked`` is row ``i`` of block ``b``; blocks
+    ``0 .. m-1`` are the relation slices.
     """
 
-    __slots__ = ("_mat", "_slices", "_nondangling_cols", "_nd_indicator", "_n", "_m")
+    __slots__ = ("_stacked", "_n", "_m")
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Logical tensor shape ``(n, n, m)``."""
+        return (self._n, self._n, self._m)
+
+    @property
+    def relation_nnz(self) -> tuple[int, ...]:
+        """Stored entries per relation slice (the kernels skip empty ones)."""
+        bounds = self._stacked.indptr[: self._m * self._n + 1:self._n]
+        return tuple(int(v) for v in np.diff(bounds))
+
+    def row_blocks(self, start: int, stop: int) -> tuple[sp.csr_matrix, ...]:
+        """Rows ``[start, stop)`` of every relation slice, as CSR blocks.
+
+        CSR row slicing copies only the block's entries, and a sparse
+        row block times a dense matrix reproduces the corresponding rows
+        of the full product bit-for-bit — the property the sharded fit's
+        bit-identity contract rests on.
+        """
+        n = self._n
+        return tuple(
+            self._stacked[k * n + start:k * n + stop] for k in range(self._m)
+        )
+
+    def row_nnz(self) -> np.ndarray:
+        """Per-row entry counts over every block: the shard planner's row weights."""
+        counts = np.diff(self._stacked.indptr).reshape(-1, self._n)
+        return counts.sum(axis=0, dtype=np.int64)
+
+    def _block_products(self, stacked, dense: np.ndarray) -> np.ndarray:
+        """``stacked @ dense`` as ``(blocks, rows, q)``, ``stacked`` being
+        the whole stack (``None``) or a stack of the blocks' rows
+        ``[start, stop)``; ``dense`` is copied once into C order."""
+        stacked = self._stacked if stacked is None else stacked
+        n_blocks = self._stacked.shape[0] // self._n
+        products = stacked @ np.ascontiguousarray(dense)
+        return products.reshape(n_blocks, -1, dense.shape[1])
+
+
+class NodeTransitionTensor(_StackedSlices):
+    """The node-transition tensor ``O`` of Eq. 1, with implicit dangling mass.
+
+    Stores the normalised slices ``M_k`` stacked into one ``(m*n, n)``
+    CSR matrix, plus an ``(m, n)`` indicator of the non-dangling
+    ``(j, k)`` columns used to vectorise the uniform correction.
+    """
+
+    __slots__ = ("_nonempty", "_nondangling_cols", "_nd_indicator")
 
     def __init__(self, tensor: SparseTensor3):
         n, _, m = tensor.shape
@@ -83,29 +147,13 @@ class NodeTransitionTensor:
         scale = np.ones_like(col_sums)
         scale[nondangling] = 1.0 / col_sums[nondangling]
         values = tensor.values * scale[k * n + j]
-        # Coords are sorted by (k, j, i): each relation is one contiguous
-        # run, and its entries fill slice M_k at (i, j).
-        runs = np.searchsorted(k, np.arange(m + 1))
-        self._slices = tuple(
-            sp.csr_matrix((values[a:b], (i[a:b], j[a:b])), shape=(n, n))
-            for a, b in zip(runs[:-1], runs[1:])
-        )
-        self._mat = None  # propagate_many never needs the matricization
+        self._stacked = _stack_slices(values, i, j, k, n, m)
+        self._nonempty = np.flatnonzero(self.relation_nnz)
         self._nondangling_cols = np.flatnonzero(nondangling)
         k_nd, j_nd = np.divmod(self._nondangling_cols, n)
         self._nd_indicator = sp.csr_matrix(
             (np.ones(self._nondangling_cols.size), (k_nd, j_nd)), shape=(m, n)
         )
-
-    def _matricized(self) -> sp.csr_matrix:
-        if self._mat is None:
-            self._mat = sp.hstack(self._slices, format="csr")
-        return self._mat
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Logical tensor shape ``(n, n, m)``."""
-        return (self._n, self._n, self._m)
 
     @property
     def n_dangling(self) -> int:
@@ -125,45 +173,13 @@ class NodeTransitionTensor:
 
     def matricized(self) -> sp.csr_matrix:
         """The sparse part of the mode-1 matricization (dangling cols zero)."""
-        return self._matricized().copy()
+        return sp.hstack(self.row_blocks(0, self._n), format="csr")
 
     def relation_slice(self, k: int) -> sp.csr_matrix:
         """The normalised ``(n, n)`` slice ``M_k`` (dangling columns zero)."""
         if not 0 <= k < self._m:
             raise ValidationError(f"relation index {k} out of range [0, {self._m})")
-        return self._slices[k].copy()
-
-    @property
-    def relation_nnz(self) -> tuple[int, ...]:
-        """Stored entries per relation slice (``M_k.nnz``).
-
-        A slice with zero entries is skipped by :meth:`propagate_many`;
-        sharded row workers replicate exactly that skip condition, so
-        the *global* counts — not the per-shard ones — are what they
-        consult.
-        """
-        return tuple(int(slice_k.nnz) for slice_k in self._slices)
-
-    def row_blocks(self, start: int, stop: int) -> tuple[sp.csr_matrix, ...]:
-        """Rows ``[start, stop)`` of every relation slice, as CSR blocks.
-
-        CSR row slicing copies only the block's entries, and a sparse
-        row block times a dense matrix reproduces the corresponding rows
-        of the full product bit-for-bit — the property the sharded fit's
-        bit-identity contract rests on.
-        """
-        return tuple(slice_k[start:stop] for slice_k in self._slices)
-
-    def row_nnz(self) -> np.ndarray:
-        """Per-row stored-entry counts summed over all relation slices.
-
-        The balanced-nnz shard planner's row weights: row ``i``'s cost in
-        the O-propagation is proportional to its entries across slices.
-        """
-        weights = np.zeros(self._n, dtype=np.int64)
-        for slice_k in self._slices:
-            weights += np.diff(slice_k.indptr)
-        return weights
+        return self._stacked[k * self._n:(k + 1) * self._n]
 
     def dangling_mass(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """The per-column uncovered mass the uniform ``1/n`` fibres carry.
@@ -178,6 +194,24 @@ class NodeTransitionTensor:
         totals = _column_sums(X) * _column_sums(Z)
         covered = _column_sums(Z * (self._nd_indicator @ X))
         return np.maximum(totals - covered, 0.0)
+
+    def relation_sum(self, X: np.ndarray, Z: np.ndarray, stacked=None) -> np.ndarray:
+        """The sparse part ``sum_k Z[k] * (M_k @ X)``, blocks added in ``k`` order.
+
+        ``stacked=sp.vstack(row_blocks(start, stop))`` yields rows
+        ``[start, stop)`` bit-for-bit from the full ``X``.  Inputs are not
+        validated.
+        """
+        products = self._block_products(stacked, X)
+        products *= Z[:, None, :]
+        total = np.zeros(products.shape[1:])
+        for k in self._nonempty:
+            total += products[k]
+        # In the caller's layout, which the x-step and its probe column sums
+        # inherit; total holds no -0.0, so the copy equals zeros + total.
+        result = np.empty_like(X, shape=total.shape)
+        result[...] = total
+        return result
 
     def propagate(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Compute ``O x-bar_1 x x-bar_3 z`` (the contraction in Eq. 7/10).
@@ -195,33 +229,16 @@ class NodeTransitionTensor:
     def propagate_many(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Batched contraction: ``q`` pairs ``(x, z)`` stacked as columns.
 
-        Parameters
-        ----------
-        X:
-            ``(n, q)`` matrix; column ``c`` is a node distribution.
-        Z:
-            ``(m, q)`` matrix; column ``c`` is a relation distribution.
-
-        Returns
-        -------
-        ``(n, q)`` matrix whose column ``c`` equals
-        ``propagate(X[:, c], Z[:, c])``: the sparse part is
-        ``sum_k Z[k, c] * (M_k @ X[:, c])`` computed as ``m`` sparse
-        matrix-matrix products shared by all columns, and the dangling
-        ``1/n`` correction is applied per column from the analytically
-        tracked uncovered mass.
+        ``X`` is ``(n, q)`` (node distributions), ``Z`` is ``(m, q)``
+        (relation distributions).  Returns the ``(n, q)`` matrix whose
+        column ``c`` equals ``propagate(X[:, c], Z[:, c])``: the sparse
+        part :meth:`relation_sum` plus the dangling ``1/n`` correction
+        applied per column from the analytically tracked uncovered mass.
         """
         X = check_array_2d(X, "X", shape=(self._n, None))
         Z = check_array_2d(Z, "Z", shape=(self._m, X.shape[1]))
-        result = np.zeros_like(X)
-        for k, slice_k in enumerate(self._slices):
-            if slice_k.nnz == 0:
-                continue
-            contribution = slice_k @ X
-            contribution *= Z[k]
-            result += contribution
-        dangling = self.dangling_mass(X, Z)
-        result += dangling / self._n
+        result = self.relation_sum(X, Z)
+        result += self.dangling_mass(X, Z) / self._n
         return result
 
     def to_dense(self) -> np.ndarray:
@@ -229,67 +246,53 @@ class NodeTransitionTensor:
 
         Intended for tests and tiny examples only.
         """
-        dense = np.full((self._n, self._n, self._m), 0.0)
-        mat = self._matricized().tocoo()
-        k, j = np.divmod(mat.col, self._n)
-        dense[mat.row, j, k] = mat.data
-        dangling = np.ones(self._n * self._m, dtype=bool)
+        n = self._n
+        dense = np.full((n, n, self._m), 0.0)
+        coo = self._stacked.tocoo()
+        k, i = np.divmod(coo.row, n)
+        dense[i, coo.col, k] = coo.data
+        dangling = np.ones(n * self._m, dtype=bool)
         dangling[self._nondangling_cols] = False
         for col in np.flatnonzero(dangling):
-            k, j = divmod(col, self._n)
-            dense[:, j, k] = 1.0 / self._n
+            k, j = divmod(col, n)
+            dense[:, j, k] = 1.0 / n
         return dense
 
 
-class RelationTransitionTensor:
+class RelationTransitionTensor(_StackedSlices):
     """The relation-transition tensor ``R`` of Eq. 2, with implicit dangling mass.
 
-    Stores the normalised entries as ``m`` per-relation ``(n, n)`` CSR
-    slices ``B_k`` (``B_k[i, j] = R[i, j, k]``) plus an ``(n, n)``
-    indicator of the linked ``(i, j)`` pairs, so both the per-relation
-    reductions and the uniform ``1/m`` correction for unlinked pairs are
-    sparse matrix products shared by every column of a batch — no
-    ``(nnz, q)`` gather temporary.
+    Stores the normalised slices ``B_k`` (``B_k[i, j] = R[i, j, k]``) and
+    an ``(n, n)`` indicator of the linked ``(i, j)`` pairs as one
+    ``((m+1)*n, n)`` stack, so the per-relation reductions and the
+    uniform ``1/m`` correction for unlinked pairs share one sparse
+    product — no ``(nnz, q)`` gather temporary.
     """
 
-    __slots__ = (
-        "_rel_slices",
-        "_pair_indicator",
-        "_pair_i",
-        "_pair_j",
-        "_n",
-        "_m",
-    )
+    __slots__ = ("_empty",)
 
     def __init__(self, tensor: SparseTensor3):
         n, _, m = tensor.shape
         self._n = n
         self._m = m
         i, j, k = tensor.coords
-        values = tensor.values
-        linked, norm_values = normalise_fibres(j * n + i, values)
-        # B_k holds relation k's normalised entries at (i, j): the Eq. 8
-        # reduction z_k = sum_{i,j} R[i,j,k] x_i y_j becomes the bilinear
-        # form x^T (B_k @ y), batched over columns.
-        runs = np.searchsorted(k, np.arange(m + 1))
-        self._rel_slices = tuple(
-            sp.csr_matrix((norm_values[a:b], (i[a:b], j[a:b])), shape=(n, n))
-            for a, b in zip(runs[:-1], runs[1:])
-        )
-        self._pair_j, self._pair_i = np.divmod(linked, n)
-        self._pair_indicator = sp.csr_matrix(
-            (np.ones(linked.size), (self._pair_i, self._pair_j)), shape=(n, n)
-        )
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Logical tensor shape ``(n, n, m)``."""
-        return (self._n, self._n, self._m)
+        linked, norm_values = normalise_fibres(j * n + i, tensor.values)
+        # Block k holds B_k (z_k is the bilinear form x^T (B_k @ y)) and
+        # block m the pair indicator; temporaries are freed as soon as used
+        # to keep the build's peak memory low.
+        slices = _stack_slices(norm_values, i, j, k, n, m)
+        del norm_values
+        pair_j, pair_i = np.divmod(linked, n)
+        pairs = sp.csr_matrix((np.ones(linked.size), (pair_i, pair_j)), shape=(n, n))
+        del linked, pair_i, pair_j
+        self._stacked = sp.vstack((slices, pairs), format="csr")
+        self._empty = np.flatnonzero(np.array(self.relation_nnz) == 0)
 
     @property
     def n_linked_pairs(self) -> int:
         """Number of ``(i, j)`` pairs connected by at least one relation."""
-        return self._pair_i.size
+        indptr = self._stacked.indptr
+        return int(indptr[-1] - indptr[self._m * self._n])
 
     @property
     def unlinked_share(self) -> float:
@@ -303,32 +306,36 @@ class RelationTransitionTensor:
         """
         return 1.0 - self.n_linked_pairs / (self._n * self._n)
 
-    @property
-    def relation_nnz(self) -> tuple[int, ...]:
-        """Stored entries per relation slice (``B_k.nnz``).
-
-        :meth:`propagate_many` writes a literal ``0.0`` row for an empty
-        slice instead of evaluating the bilinear form; the sharded fit's
-        coordinator consults these global counts to reproduce that exact
-        branch.
-        """
-        return tuple(int(slice_k.nnz) for slice_k in self._rel_slices)
-
-    def row_blocks(self, start: int, stop: int) -> tuple[sp.csr_matrix, ...]:
-        """Rows ``[start, stop)`` of every relation slice, as CSR blocks."""
-        return tuple(slice_k[start:stop] for slice_k in self._rel_slices)
-
     def pair_rows(self, start: int, stop: int) -> sp.csr_matrix:
         """Rows ``[start, stop)`` of the linked-pair indicator."""
-        return self._pair_indicator[start:stop]
+        offset = self._m * self._n
+        return self._stacked[offset + start:offset + stop]
 
-    def row_nnz(self) -> np.ndarray:
-        """Per-row entry counts over the relation slices + pair indicator."""
-        weights = np.zeros(self._n, dtype=np.int64)
-        for slice_k in self._rel_slices:
-            weights += np.diff(slice_k.indptr)
-        weights += np.diff(self._pair_indicator.indptr)
-        return weights
+    def integrands(self, X: np.ndarray, Y: np.ndarray, stacked=None) -> np.ndarray:
+        """The Eq. 8 integrands ``X * (B_k @ Y)``, block ``m`` the pair indicator's.
+
+        ``stacked=sp.vstack((*row_blocks(start, stop), pair_rows(start,
+        stop)))`` with ``X`` those rows and ``Y`` the full ``(n, q)``
+        input yields rows ``[start, stop)``.  Inputs are not validated.
+        """
+        products = self._block_products(stacked, Y)
+        products *= np.ascontiguousarray(X)
+        return products
+
+    def contract(self, integrands: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Finish Eq. 8 from the full ``(m+1, n, q)`` :meth:`integrands`.
+
+        Row ``k`` is the per-column sum of block ``k`` (``0.0`` for an
+        empty relation), plus the ``1/m`` share of the mass the linked
+        pairs (block ``m``) do not cover.
+        """
+        sums = _column_sums(integrands)
+        result, linked_mass = sums[: self._m], sums[self._m]
+        result[self._empty] = 0.0
+        totals = _column_sums(X) * _column_sums(Y)
+        dangling = np.maximum(totals - linked_mass, 0.0)
+        result += dangling / self._m
+        return result
 
     def propagate(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
         """Compute ``R x-bar_1 x x-bar_2 y`` (the contraction in Eq. 8).
@@ -358,35 +365,26 @@ class RelationTransitionTensor:
         -------
         ``(m, q)`` matrix whose column ``c`` equals
         ``propagate(X[:, c], Y[:, c])``.  Row ``k`` is the batched
-        bilinear form ``X[:, c]^T (B_k @ Y[:, c])`` — one sparse product
-        per relation shared by all columns — plus the unlinked-pair
-        ``1/m`` correction computed the same way from the pair
-        indicator.
+        bilinear form ``X[:, c]^T (B_k @ Y[:, c])`` plus the
+        unlinked-pair ``1/m`` correction computed the same way from the
+        pair indicator — all from one stacked sparse product.
         """
         X = check_array_2d(X, "X", shape=(self._n, None))
         Y = X if Y is None else check_array_2d(Y, "Y", shape=(self._n, X.shape[1]))
-        result = np.empty((self._m, X.shape[1]))
-        for k, slice_k in enumerate(self._rel_slices):
-            if slice_k.nnz == 0:
-                result[k] = 0.0
-                continue
-            result[k] = _column_sums(X * (slice_k @ Y))
-        totals = _column_sums(X) * _column_sums(Y)
-        linked_mass = _column_sums(X * (self._pair_indicator @ Y))
-        dangling = np.maximum(totals - linked_mass, 0.0)
-        result += dangling / self._m
-        return result
+        return self.contract(self.integrands(X, Y), X, Y)
 
     def to_dense(self) -> np.ndarray:
         """Materialise the full ``(n, n, m)`` tensor including dangling fibres.
 
         Intended for tests and tiny examples only.
         """
-        dense = np.full((self._n, self._n, self._m), 1.0 / self._m)
-        dense[self._pair_i, self._pair_j, :] = 0.0
-        for k, slice_k in enumerate(self._rel_slices):
-            coo = slice_k.tocoo()
-            dense[coo.row, coo.col, k] = coo.data
+        n, m = self._n, self._m
+        dense = np.full((n, n, m), 1.0 / m)
+        coo = self._stacked.tocoo()
+        k, i = np.divmod(coo.row, n)
+        linked = k == m
+        dense[i[linked], coo.col[linked], :] = 0.0
+        dense[i[~linked], coo.col[~linked], k[~linked]] = coo.data[~linked]
         return dense
 
 

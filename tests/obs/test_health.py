@@ -268,6 +268,22 @@ class TestTraceChainHealth:
         assert tol == 1e-6
         assert frozen == {0: True, 1: False}
 
+    def test_collect_residual_series_from_iteration_lists(self):
+        events = [
+            {"event": "chain_iteration", "t": 1, "class_index": [0, 1],
+             "residual": [0.5, 0.4], "frozen": [False, False]},
+            {"event": "chain_iteration", "t": 2, "class_index": [0],
+             "residual": [0.1], "frozen": [True]},
+            {"event": "fit", "tol": 1e-6},
+            # Iteration events of traces older than the per-class lists.
+            {"event": "chain_iteration", "t": 1, "phases": {}},
+            {"event": "chain_class", "class_index": 0, "residual": 2.0, "frozen": False},
+            {"event": "fit", "tol": 1e-6},
+        ]
+        (first, second) = collect_residual_series(events)
+        assert first == ({0: [0.5, 0.1], 1: [0.4]}, 1e-6, {0: True, 1: False})
+        assert second == ({0: [2.0]}, 1e-6, {0: False})
+
 
 class TestFormatHealthReport:
     def test_table_and_overall_line(self, hin):

@@ -35,15 +35,19 @@ class TestChainInstrumentation:
     def test_chain_class_reports_residual_and_frozen(self, hin):
         recorder = ListRecorder()
         model = _fit(hin, recorder=recorder)
-        class_events = recorder.events_of("chain_class")
-        assert class_events
-        assert {e["class_index"] for e in class_events} == set(
-            range(hin.n_labels)
-        )
-        # The final event of every class matches its recorded history.
+        # Per-class data rides on the iteration event: no per-class events.
+        assert not recorder.events_of("chain_class")
+        iterations = recorder.events_of("chain_iteration")
+        entries = []
+        for event in iterations:
+            assert len(event["class_index"]) == event["n_active"]
+            entries += zip(event["class_index"], event["residual"], event["frozen"])
+        assert {c for c, _, _ in entries} == set(range(hin.n_labels))
+        # Every class's series matches its recorded history.
         for c, history in enumerate(model.result_.histories):
-            last = [e for e in class_events if e["class_index"] == c][-1]
-            assert last["residual"] == history.residuals[-1]
+            series = [(r, f) for cc, r, f in entries if cc == c]
+            assert [r for r, _ in series] == list(history.residuals)
+            assert series[-1][1] == history.converged
 
     def test_fit_event_summarises_the_run(self, hin):
         recorder = ListRecorder()

@@ -87,6 +87,25 @@ class TestSummarizeTrace:
         assert "feature walk W: dense rank 400 x1, factored rank 121 x2" in text
         assert summary.to_dict()["w_forms"] == summary.w_forms
 
+    def test_frozen_lists_on_iteration_events_match_class_events(self):
+        phases = {"o_propagation": 0.01}
+        folded = [
+            {"event": "chain_iteration", "t": 1, "phases": phases,
+             "class_index": [0, 1, 2], "residual": [0.0, 0.5, 0.0],
+             "frozen": [True, False, True]},
+            {"event": "chain_iteration", "t": 2, "phases": phases,
+             "class_index": [1], "residual": [0.0], "frozen": [True]},
+        ]
+        per_class = [
+            {"event": "chain_iteration", "t": 1, "phases": phases},
+            *({"event": "chain_class", "t": 1, "class_index": c, "frozen": f}
+              for c, f in ((0, True), (1, False), (2, True))),
+            {"event": "chain_iteration", "t": 2, "phases": phases},
+            {"event": "chain_class", "t": 2, "class_index": 1, "frozen": True},
+        ]
+        assert summarize_trace(folded).n_frozen_events == 3
+        assert summarize_trace(per_class).n_frozen_events == 3
+
     def test_probe_without_entry_fields_keeps_min_none(self):
         summary = summarize_trace([{"event": "invariant_probe", "t": 1}])
         assert summary.n_probes == 1

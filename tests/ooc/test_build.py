@@ -31,7 +31,7 @@ class TestBitIdentity:
         build_chunked_operators(store, chunk_size=chunk_size, build_w=False)
         inram = build_operators(worked_example)
         for k in range(store.n_relations):
-            expected = inram.o_tensor._slices[k].tocsc()
+            expected = inram.o_tensor.relation_slice(k).tocsc()
             expected.sort_indices()
             ondisk = ondisk_relation_data(store, "o", k)
             assert np.array_equal(ondisk, expected.data), f"O relation {k}"
@@ -41,8 +41,9 @@ class TestBitIdentity:
         store = GraphStore.save(worked_example, tmp_path / "store")
         build_chunked_operators(store, chunk_size=chunk_size, build_w=False)
         inram = build_operators(worked_example)
+        r_slices = inram.r_tensor.row_blocks(0, store.n_nodes)
         for k in range(store.n_relations):
-            expected = inram.r_tensor._rel_slices[k].tocsc()
+            expected = r_slices[k].tocsc()
             expected.sort_indices()
             ondisk = ondisk_relation_data(store, "r", k)
             assert np.array_equal(ondisk, expected.data), f"R relation {k}"
@@ -276,8 +277,9 @@ class TestRParity:
         fibre_lengths = np.bincount(j * store.n_nodes + i)
         assert fibre_lengths.max() > 1  # some pair is linked by several relations
         inram = RelationTransitionTensor(tensor)
+        r_slices = inram.row_blocks(0, store.n_nodes)
         for k in range(store.n_relations):
-            expected = inram._rel_slices[k].tocsc()
+            expected = r_slices[k].tocsc()
             expected.sort_indices()
             _, indices, indptr = store.relation_arrays(k)
             assert np.array_equal(indices, expected.indices), f"R relation {k}"
@@ -286,7 +288,7 @@ class TestRParity:
             assert ondisk.tobytes() == expected.data.tobytes(), f"R relation {k}"
         pair_indices = np.load(store.operators_dir / "pair.indices.npy")
         pair_indptr = np.load(store.operators_dir / "pair.indptr.npy")
-        assert np.array_equal(pair_indices, inram._pair_i)
-        assert np.array_equal(
-            np.diff(pair_indptr), np.bincount(inram._pair_j, minlength=store.n_nodes)
-        )
+        pairs = inram.pair_rows(0, store.n_nodes).tocsc()
+        pairs.sort_indices()
+        assert np.array_equal(pair_indices, pairs.indices)
+        assert np.array_equal(np.diff(pair_indptr), np.diff(pairs.indptr))

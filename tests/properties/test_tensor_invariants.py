@@ -94,9 +94,9 @@ class TestFibreNormalisation:
         assert np.array_equal(linked, expected_linked)
 
         r_tensor = RelationTransitionTensor(tensor)
-        assert np.array_equal(
-            r_tensor._pair_j * n + r_tensor._pair_i, expected_linked
-        )
+        pairs = r_tensor.pair_rows(0, n).tocoo()
+        assert np.array_equal(np.sort(pairs.col * n + pairs.row), expected_linked)
+        assert r_tensor.n_linked_pairs == expected_linked.size
 
 
 class TestTransitionInvariants:

@@ -397,6 +397,16 @@ def array_nbytes(*objs):
     return total
 
 
+def retained_arrays(operator):
+    """Every dense array or sparse matrix an operator keeps in its slots."""
+    held = (
+        getattr(operator, name)
+        for cls in type(operator).__mro__
+        for name in getattr(cls, "__slots__", ())
+    )
+    return [obj for obj in held if sp.issparse(obj) or isinstance(obj, np.ndarray)]
+
+
 class TestColdBuildMemory:
     def test_retains_little_beyond_its_operators(self):
         # ~30k tensor entries, non-negative features: factored W, so the
@@ -426,13 +436,8 @@ class TestColdBuildMemory:
         o_tensor, r_tensor, w_matrix = ops._o, ops._r, ops._w
         assert isinstance(w_matrix, LowRankMatrix)
         own = array_nbytes(
-            *o_tensor._slices,
-            o_tensor._nd_indicator,
-            o_tensor._nondangling_cols,
-            *r_tensor._rel_slices,
-            r_tensor._pair_indicator,
-            r_tensor._pair_i,
-            r_tensor._pair_j,
+            *retained_arrays(o_tensor),
+            *retained_arrays(r_tensor),
             w_matrix.u,
             w_matrix.vt,
         )
