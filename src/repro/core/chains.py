@@ -20,7 +20,8 @@ iterates live and how the two heavy products are computed:
 :class:`LocalBackend` runs the products in process — for in-memory
 operators and store-backed :class:`~repro.ooc.ChunkedOperators` alike,
 since both expose ``propagate_many`` and ``@``.  The fork pool of
-:mod:`repro.shard` is the other backend.
+:mod:`repro.shard` subclasses it: its workers compute operator parts,
+and the inherited ``x_step`` mixes them with the same statement.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ class LocalBackend:
 
     ``model`` supplies the step weights (``alpha``, ``beta`` and the
     dust-clamped relational weight); ``q`` is the number of chains.
+    :meth:`x_step` is the one Eq. 10 mix; a subclass that computes the
+    products elsewhere overrides :meth:`propagate_o`, :meth:`walk` and
+    :meth:`z_step`.
     """
 
     def __init__(self, model, o_tensor, r_tensor, w_matrix, q: int):
@@ -55,14 +59,22 @@ class LocalBackend:
         x_active = self.X[:, active]
         x_new = self.alpha * self.L[:, active]
         if self.relational_weight > 0.0:
-            x_new = x_new + self.relational_weight * self.o_tensor.propagate_many(
-                x_active, self.Z[:, active]
+            x_new = x_new + self.relational_weight * self.propagate_o(
+                x_active, self.Z[:, active], active
             )
         if timer is not None:
             timer.start("feature_walk")
         if self.beta > 0.0:
-            x_new = x_new + self.beta * (self.w_matrix @ x_active)
+            x_new = x_new + self.beta * self.walk(x_active, active)
         return x_new
+
+    def propagate_o(self, x_active, z_active, active):
+        """``O x-bar_1 x x-bar_3 z`` for the ``active`` columns (Eq. 7)."""
+        return self.o_tensor.propagate_many(x_active, z_active)
+
+    def walk(self, x_active, active):
+        """The feature walk ``W @ x`` for the ``active`` columns."""
+        return self.w_matrix @ x_active
 
     def z_step(self, x_new, active):
         """The unprojected Eq. 8 step ``R(x_new, x_new)``."""

@@ -21,6 +21,8 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import ValidationError
 from repro.obs.recorder import Recorder
 from repro.obs.spans import current_span
@@ -34,8 +36,6 @@ FLUSH_EVENTS = frozenset(
 
 def _jsonable(value):
     """Coerce numpy scalars (and nested containers) to plain JSON types."""
-    import numpy as np
-
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -49,6 +49,24 @@ def _jsonable(value):
     if isinstance(value, np.floating):
         return float(value)
     return value
+
+
+def _json_default(value):
+    """``json.dumps`` hook: the numpy values events carry, as plain JSON types.
+
+    Called only for objects ``json`` cannot encode itself, so a record of
+    plain fields pays nothing.  Dict keys are not visited: every emitted
+    key is already a ``str``.
+    """
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class JsonlTraceRecorder(Recorder):
@@ -87,8 +105,8 @@ class JsonlTraceRecorder(Recorder):
         ctx = current_span()
         if ctx is not None and "span_id" not in fields:
             record["span_id"] = ctx.span_id
-        record.update(_jsonable(fields))
-        self._handle.write(json.dumps(record) + "\n")
+        record.update(fields)
+        self._handle.write(json.dumps(record, default=_json_default) + "\n")
         self.n_events += 1
         self._unflushed += 1
         if self._unflushed >= self.flush_every or event in FLUSH_EVENTS:

@@ -13,14 +13,14 @@ with ``madvise(MADV_DONTNEED)`` so resident memory stays at
 ``O(nnz / n_chunks)`` plus the ``(n, q)`` iterate matrices regardless of
 graph size.
 
-The dangling/unlinked corrections use the same closed forms as the
-in-RAM tensors (``repro.tensor.transition``), including the
-``_column_sums`` per-column reduction, so store-backed fits agree with
-the in-memory path to accumulation-order rounding — argmax-identical on
-every graph the equivalence tests cover.  Bit-identity is *not*
-promised for propagation (the chunked products accumulate in a
-different order); it *is* promised for the normalised operator values
-on disk, which :mod:`repro.ooc.build` pins against the in-RAM build.
+The dangling/unlinked corrections are the in-RAM tensors' closed-form
+helpers (``repro.tensor.transition``), applied by ``finish``, so
+store-backed fits agree with the in-memory path to accumulation-order
+rounding — argmax-identical on every graph the equivalence tests
+cover.  Bit-identity is *not* promised for propagation (the chunked
+products accumulate in a different order); it *is* promised for the
+normalised operator values on disk, which :mod:`repro.ooc.build` pins
+against the in-RAM build.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import mmap
 import numpy as np
 import scipy.sparse as sp
 
-from repro.tensor.transition import _column_sums
+from repro.tensor.transition import _column_sums, _uncovered_mass, _unlinked_mass
 from repro.utils.validation import check_array_2d
 
 #: Default number of CSC columns processed per chunk.
@@ -65,15 +65,16 @@ def _csc_block(data, indices, indptr, j0: int, j1: int, n_rows: int):
 
     Returns ``None`` for an empty block.  Only the (small) local
     ``indptr`` is copied; ``data``/``indices`` stay memmap slices.
+    ``data=None`` is a pattern-only matrix whose values are ones.
     """
     start = int(indptr[j0])
     stop = int(indptr[j1])
     if start == stop:
         return None
     local_indptr = np.asarray(indptr[j0 : j1 + 1], dtype=np.int64) - start
+    values = np.ones(stop - start) if data is None else data[start:stop]
     return sp.csc_matrix(
-        (data[start:stop], indices[start:stop], local_indptr),
-        shape=(n_rows, j1 - j0),
+        (values, indices[start:stop], local_indptr), shape=(n_rows, j1 - j0)
     )
 
 
@@ -83,20 +84,31 @@ def _column_blocks(start: int, stop: int, chunk: int):
         yield j0, min(j0 + chunk, stop)
 
 
-class ChunkedNodeTransition:
-    """Out-of-core ``O`` of Eq. 1: per-relation mmap'd CSC + dangling mask.
+def _add_block_products(out, data, indices, indptr, X, start: int, stop: int,
+                        chunk: int) -> np.ndarray:
+    """``out += A[:, start:stop] @ X[start:stop]``, one column block at a time.
 
-    ``propagate_many(X, Z)`` computes ``sum_k Z[k] * (M_k @ X)`` by
-    streaming each normalised relation slice in column blocks, then adds
-    the analytic uniform ``1/n`` mass of the dangling ``(j, k)`` columns
-    exactly as the in-RAM tensor does.
+    ``A`` is an on-disk CSC given as ``data`` / ``indices`` / ``indptr``
+    (see :func:`_csc_block`); returns ``out``.
+    """
+    for j0, j1 in _column_blocks(start, stop, chunk):
+        block = _csc_block(data, indices, indptr, j0, j1, out.shape[0])
+        if block is not None:
+            out += block @ X[j0:j1]
+    return out
+
+
+class _ChunkedSlices:
+    """Per-relation normalised slices as mmap'd CSC arrays, loaded lazily.
+
+    Each relation's ``data`` lives in the operator cache and its
+    ``indices`` / ``indptr`` in the store (``store_arrays(k)``).
     """
 
-    def __init__(self, data_files, store_arrays, nondangling, *, n: int, m: int,
+    def __init__(self, data_files, store_arrays, *, n: int, m: int,
                  chunk_size: int = DEFAULT_CHUNK_SIZE):
         self._data_files = list(data_files)  # per-relation normalised-data paths
         self._store_arrays = store_arrays    # k -> (indices, indptr) accessor
-        self._nondangling = nondangling      # (m, n) bool memmap
         self._n = int(n)
         self._m = int(m)
         self._chunk = int(chunk_size)
@@ -107,6 +119,11 @@ class ChunkedNodeTransition:
             self._data[k] = np.load(self._data_files[k], mmap_mode="r")
         indices, indptr = self._store_arrays(k)
         return self._data[k], indices, indptr
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Logical tensor shape ``(n, n, m)``."""
+        return (self._n, self._n, self._m)
 
     @property
     def chunk_size(self) -> int:
@@ -125,10 +142,20 @@ class ChunkedNodeTransition:
             weights += np.diff(np.asarray(indptr, dtype=np.int64))
         return weights
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Logical tensor shape ``(n, n, m)``."""
-        return (self._n, self._n, self._m)
+
+class ChunkedNodeTransition(_ChunkedSlices):
+    """Out-of-core ``O`` of Eq. 1: per-relation mmap'd CSC + dangling mask.
+
+    ``propagate_many(X, Z)`` computes ``sum_k Z[k] * (M_k @ X)`` by
+    streaming each normalised relation slice in column blocks, then adds
+    the analytic uniform ``1/n`` mass of the dangling ``(j, k)`` columns
+    exactly as the in-RAM tensor does.
+    """
+
+    def __init__(self, data_files, store_arrays, nondangling, *, n: int, m: int,
+                 chunk_size: int = DEFAULT_CHUNK_SIZE):
+        super().__init__(data_files, store_arrays, n=n, m=m, chunk_size=chunk_size)
+        self._nondangling = nondangling      # (m, n) bool memmap
 
     @property
     def n_dangling(self) -> int:
@@ -174,18 +201,20 @@ class ChunkedNodeTransition:
             release_pages(data, indices, indptr, nd_row)
         return result, covered
 
+    def finish(self, partial, covered, X, Z):
+        """Add the dangling ``1/n`` mass to :meth:`column_partial` output
+        (or its shard-summed parts) in place."""
+        partial += _uncovered_mass(X, Z, covered) / self._n
+        return partial
+
     def propagate_many(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Batched ``O x-bar_1 X x-bar_3 Z`` over the mmap'd slices."""
         X = check_array_2d(X, "X", shape=(self._n, None))
         Z = check_array_2d(Z, "Z", shape=(self._m, X.shape[1]))
-        result, covered = self.column_partial(X, Z, 0, self._n)
-        totals = _column_sums(X) * _column_sums(Z)
-        dangling = np.maximum(totals - _column_sums(Z * covered), 0.0)
-        result += dangling / self._n
-        return result
+        return self.finish(*self.column_partial(X, Z, 0, self._n), X, Z)
 
 
-class ChunkedRelationTransition:
+class ChunkedRelationTransition(_ChunkedSlices):
     """Out-of-core ``R`` of Eq. 2: mmap'd CSC slices + linked-pair pattern.
 
     ``propagate_many(X, Y)`` evaluates the per-relation bilinear forms
@@ -196,21 +225,10 @@ class ChunkedRelationTransition:
 
     def __init__(self, data_files, store_arrays, pair_files, *, n: int, m: int,
                  n_linked_pairs: int, chunk_size: int = DEFAULT_CHUNK_SIZE):
-        self._data_files = list(data_files)
-        self._store_arrays = store_arrays
+        super().__init__(data_files, store_arrays, n=n, m=m, chunk_size=chunk_size)
         self._pair_files = tuple(pair_files)  # (indices_path, indptr_path)
-        self._n = int(n)
-        self._m = int(m)
         self._n_linked = int(n_linked_pairs)
-        self._chunk = int(chunk_size)
-        self._data = [None] * self._m
         self._pairs = None
-
-    def _relation(self, k: int):
-        if self._data[k] is None:
-            self._data[k] = np.load(self._data_files[k], mmap_mode="r")
-        indices, indptr = self._store_arrays(k)
-        return self._data[k], indices, indptr
 
     def _pair_arrays(self):
         if self._pairs is None:
@@ -220,27 +238,12 @@ class ChunkedRelationTransition:
             )
         return self._pairs
 
-    @property
-    def relation_nnz(self) -> tuple[int, ...]:
-        """Stored entries per relation slice (from the data file sizes)."""
-        return tuple(
-            int(self._relation(k)[0].size) for k in range(self._m)
-        )
-
     def column_nnz(self) -> np.ndarray:
         """Per-column entry counts over relation slices + pair pattern."""
-        weights = np.zeros(self._n, dtype=np.int64)
-        for k in range(self._m):
-            _, _, indptr = self._relation(k)
-            weights += np.diff(np.asarray(indptr, dtype=np.int64))
+        weights = super().column_nnz()
         _, pair_indptr = self._pair_arrays()
         weights += np.diff(np.asarray(pair_indptr, dtype=np.int64))
         return weights
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Logical tensor shape ``(n, n, m)``."""
-        return (self._n, self._n, self._m)
 
     @property
     def n_linked_pairs(self) -> int:
@@ -269,26 +272,22 @@ class ChunkedRelationTransition:
             if data.size == 0:
                 continue
             acc[:] = 0.0
-            for j0, j1 in _column_blocks(start, stop, self._chunk):
-                block = _csc_block(data, indices, indptr, j0, j1, self._n)
-                if block is not None:
-                    acc += block @ Y[j0:j1]
+            _add_block_products(acc, data, indices, indptr, Y, start, stop, self._chunk)
             result[k] = _column_sums(X * acc)
             release_pages(data, indices, indptr)
         pair_indices, pair_indptr = self._pair_arrays()
         acc[:] = 0.0
-        for j0, j1 in _column_blocks(start, stop, self._chunk):
-            lo, hi = int(pair_indptr[j0]), int(pair_indptr[j1])
-            if lo == hi:
-                continue
-            local_indptr = np.asarray(pair_indptr[j0 : j1 + 1], dtype=np.int64) - lo
-            block = sp.csc_matrix(
-                (np.ones(hi - lo), pair_indices[lo:hi], local_indptr),
-                shape=(self._n, j1 - j0),
-            )
-            acc += block @ Y[j0:j1]
+        _add_block_products(
+            acc, None, pair_indices, pair_indptr, Y, start, stop, self._chunk
+        )
         release_pages(pair_indices, pair_indptr)
         return result, _column_sums(X * acc)
+
+    def finish(self, partial, linked, X, Y):
+        """Add the unlinked ``1/m`` mass to :meth:`column_partial` output
+        (or its shard-summed parts) in place."""
+        partial += _unlinked_mass(X, Y, linked) / self._m
+        return partial
 
     def propagate_many(
         self, X: np.ndarray, Y: np.ndarray | None = None
@@ -296,11 +295,7 @@ class ChunkedRelationTransition:
         """Batched ``R x-bar_1 X x-bar_2 Y`` over the mmap'd slices."""
         X = check_array_2d(X, "X", shape=(self._n, None))
         Y = X if Y is None else check_array_2d(Y, "Y", shape=(self._n, X.shape[1]))
-        result, linked_mass = self.column_partial(X, Y, 0, self._n)
-        totals = _column_sums(X) * _column_sums(Y)
-        dangling = np.maximum(totals - linked_mass, 0.0)
-        result += dangling / self._m
-        return result
+        return self.finish(*self.column_partial(X, Y, 0, self._n), X, Y)
 
 
 class ChunkedFeatureWalk:
@@ -354,11 +349,9 @@ class ChunkedFeatureWalk:
             release_pages(w)
             return result
         data, indices, indptr = self._load()
-        result = np.zeros_like(X)
-        for j0, j1 in _column_blocks(start, stop, self._chunk):
-            block = _csc_block(data, indices, indptr, j0, j1, self._n)
-            if block is not None:
-                result += block @ X[j0:j1]
+        result = _add_block_products(
+            np.zeros_like(X), data, indices, indptr, X, start, stop, self._chunk
+        )
         release_pages(data, indices, indptr)
         return result
 

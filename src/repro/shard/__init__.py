@@ -5,10 +5,13 @@ Public surface:
 * :func:`plan_shards` / :class:`ShardPlan` / :class:`Shard` — the
   balanced-nnz contiguous partitioner (rows policy for in-memory
   operators, chunk-aligned columns policy for store-backed ones).
-* :class:`ShardBackend` — the fork pool as a backend of the one chain
-  driver (:func:`repro.core.chains.run_chains`), and
-  :func:`run_chains_sharded`, the entry point that runs the driver over
-  it (bit-identical scores under the rows policy for any shard count).
+* :class:`ShardBackend` — the fork pool as a
+  :class:`~repro.core.chains.LocalBackend` subclass: workers compute
+  operator parts into shared buffers, the inherited Eq. 10 mix and
+  the operators' own closed forms finish them; and
+  :func:`run_chains_sharded`, the entry point that runs the one chain
+  driver (:func:`repro.core.chains.run_chains`) over it (bit-identical
+  scores under the rows policy for any shard count).
 * :func:`shard_fallback_reason` — why sharding is unavailable here
   (``None`` when it is): the pools' shared
   :func:`repro.experiments.parallel.serial_fallback_reason`, re-exported;

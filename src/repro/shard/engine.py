@@ -1,39 +1,42 @@
 """The sharded chain backend: fork workers + shared buffers + fixed merge.
 
-:class:`ShardBackend` is a backend of the one chain driver,
-:func:`repro.core.chains.run_chains`: the two heavy per-iteration
-products — the O-propagation / feature-walk x-step and the
-R-contraction z-step — are dispatched shard by shard to fork-based
-workers.  Everything else (Eq. 12 label updates, simplex projections,
-solver proposals, residual bookkeeping, every telemetry event) is the
-driver's, shared with the in-process fit.  :func:`run_chains_sharded`
-is the entry point that runs the driver over the backend.
+:class:`ShardBackend` is a :class:`~repro.core.chains.LocalBackend`
+whose heavy operator products — ``O``'s relation sums, the feature walk
+and ``R``'s integrands — are computed shard by shard by fork-based
+workers.  The Eq. 10 mix, the dangling/unlinked closed forms and
+everything the chain driver :func:`repro.core.chains.run_chains` owns
+(Eq. 12 label updates, simplex projections, solver proposals, every
+telemetry event) run on the coordinator with the in-process fit's own
+statements.  :func:`run_chains_sharded` runs the driver over it.
 
 Transport
 ---------
-The iterate matrices (``x`` / ``z`` / the restart vectors / the fresh
-``x`` halves) live in anonymous ``MAP_SHARED`` mmaps created before the
-fork, so workers read the current iterate and write their output rows
-with zero serialisation; the per-worker command pipes carry only the
-active column list, the step weights and the (tiny) per-relation mass
-vectors.  Workers build their operator row blocks lazily *after* the
-fork — each child pays for its own shards only, and the parent never
-holds a second operator copy.
+The iterates (``x`` / ``z`` and the fresh ``x`` halves) and the
+workers' operator parts live in anonymous ``MAP_SHARED`` mmaps created
+before the fork, so workers read the current iterate and write their
+parts with zero serialisation.  The per-worker command pipes carry only
+the round name and the active column list, and every reply is a bare
+ack.  Workers build their operator row blocks lazily *after* the fork —
+each child pays for its own shards only, and the parent never holds a
+second operator copy.
 
 Determinism
 -----------
-Under the ``"rows"`` policy every worker computes complete output rows
-with the exact serial operation sequence (CSR row blocks reproduce the
-matching rows of the full sparse products bit-for-bit), and every
-column-global reduction — simplex projections, dangling-mass closed
-forms, per-relation column sums — stays on the coordinator using the
-same code the in-memory operators use.  Scores are therefore bit-identical
-for *any* shard count, including 1.  Under the ``"columns"`` policy
-(store-backed chunked operators) each worker contributes a partial
-product — the chunked operators' own ``column_partial`` kernels over
-its column range — merged in fixed shard order: deterministic for a
-given K, and argmax-identical across K — the accumulation-order caveat
-the chunked operators already carry.
+Under the ``"rows"`` policy a worker writes complete rows of ``O``'s
+``relation_sum``, of a sparse ``W @ x`` and of ``R``'s ``integrands``,
+running the operators' own kernels on its rows (CSR row blocks
+reproduce the matching rows of the full sparse products bit-for-bit).
+The coordinator adds ``O``'s column-global dangling mass and finishes
+``R`` with ``contract``, as ``propagate_many`` does.  A dense or
+factored ``W`` is never given to workers (BLAS does not reproduce its
+row blocks bitwise), so the inherited walk runs it whole.  Scores are
+therefore bit-identical for *any* shard count, including 1.  Under the
+``"columns"`` policy (store-backed chunked operators) a worker writes
+the chunked operators' ``column_partial`` outputs for its column range;
+the coordinator sums them in fixed shard order and calls the operators'
+``finish``, as their ``propagate_many`` does.  One shard is therefore
+bit-identical to the serial store-backed fit, and K shards are
+deterministic for a given K and argmax-identical across K.
 
 A worker exception travels back over the pipe as a formatted remote
 traceback and re-raises on the coordinator as :class:`WorkerError`;
@@ -55,14 +58,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.chains import run_chains
+from repro.core.chains import LocalBackend, run_chains
 from repro.errors import ValidationError
 from repro.experiments.parallel import WorkerError, available_workers
 from repro.obs.recorder import get_recorder
 from repro.obs.spans import span
 from repro.shard.plan import ShardPlan, plan_shards
 from repro.solvers.base import PLAIN_SOLVER
-from repro.tensor.transition import _column_sums
 from repro.utils.validation import check_positive_int
 
 
@@ -71,7 +73,7 @@ def _shared_array(shape) -> np.ndarray:
 
     Created before the fork and inherited by every worker, so parent
     and children read and write the same physical pages — the zero-copy
-    transport for the iterate matrices and output rows.
+    transport for the iterate matrices and the workers' operator parts.
     """
     count = int(np.prod(shape))
     buffer = mmap.mmap(-1, max(count * 8, mmap.PAGESIZE))
@@ -80,38 +82,41 @@ def _shared_array(shape) -> np.ndarray:
 
 @dataclass
 class _ShardContext:
-    """Everything a worker needs, inherited through the fork."""
+    """Everything a worker needs, inherited through the fork.
+
+    The part buffers are indexed by node row under the ``"rows"``
+    policy and carry a leading shard axis under ``"columns"``; ``O`` /
+    ``W`` are ``None`` when no worker computes that product.
+    """
 
     policy: str
-    n: int
-    m: int
-    alpha: float
     o_tensor: object
     r_tensor: object
-    w_matrix: object  # None when beta == 0 (never touched then)
+    w_matrix: object
     X: np.ndarray     # (n, q) current x scores (read)
-    L: np.ndarray     # (n, q) restart vectors (read)
     Z: np.ndarray     # (m, q) current z scores (read)
-    XNEW: np.ndarray  # (n, q) fresh x halves (rows: write; r-round: read)
-    P: np.ndarray | None     # (m + 1, n, q) rows-policy R products (write)
-    PART: np.ndarray | None  # (S, n, q) columns-policy partials (write)
+    XNEW: np.ndarray  # (n, q) fresh x halves, the r round's input (read)
+    O: np.ndarray | None  # rows: (n, q) relation sums; columns: (S, n + m, q)
+    W: np.ndarray | None  # rows: (n, q) walk rows; columns: (S, n, q)
+    R: np.ndarray  # rows: (m + 1, n, q) integrands; columns: (S, m + 1, q)
 
 
 class _RowWorker:
-    """Row-policy worker body: complete output rows, serial op order."""
+    """Row-policy worker body: the operators' kernels on the shards' rows."""
 
     def __init__(self, context: _ShardContext, assigned):
         self.ctx = context
         self.assigned = list(assigned)
         self.o_rows = {}
         self.r_rows = {}
-        self.w_blocks = {}
+        self.w_rows = {}
         for shard in self.assigned:
             start, stop = shard.start, shard.stop
             # The operators' own kernels take these stacks of row blocks.
-            self.o_rows[shard.index] = sp.vstack(
-                context.o_tensor.row_blocks(start, stop), format="csr"
-            )
+            if context.O is not None:
+                self.o_rows[shard.index] = sp.vstack(
+                    context.o_tensor.row_blocks(start, stop), format="csr"
+                )
             self.r_rows[shard.index] = sp.vstack(
                 (
                     *context.r_tensor.row_blocks(start, stop),
@@ -119,48 +124,32 @@ class _RowWorker:
                 ),
                 format="csr",
             )
-            if context.w_matrix is not None:  # sparse: dense W stays home
-                self.w_blocks[shard.index] = context.w_matrix[start:stop]
+            if context.W is not None:
+                self.w_rows[shard.index] = context.w_matrix[start:stop]
 
-    def round_ox(self, active, rw, beta, dang):
-        """Rows ``[start, stop)`` of the unprojected Eq. 10 step.
-
-        Replicates the serial statements restricted to the shard's rows:
-        ``alpha * l``, the operator's ``relation_sum`` kernel on the
-        shard's stacked row blocks, the coordinator-supplied dangling
-        mass, and ``beta * (W @ x)``.
-        """
+    def round_ox(self, active):
+        """Rows of ``O``'s ``relation_sum`` into ``O`` and of ``W @ x`` into ``W``."""
         ctx = self.ctx
         x_act = np.ascontiguousarray(ctx.X[:, active])
-        z_act = ctx.Z[:, active] if rw > 0.0 else None
+        z_act = ctx.Z[:, active]
         for shard in self.assigned:
-            start, stop = shard.start, shard.stop
-            out = ctx.alpha * ctx.L[start:stop][:, active]
-            if rw > 0.0:
-                o_loc = ctx.o_tensor.relation_sum(
+            rows = slice(shard.start, shard.stop)
+            if ctx.O is not None:
+                ctx.O[rows, active] = ctx.o_tensor.relation_sum(
                     x_act, z_act, self.o_rows[shard.index]
                 )
-                o_loc += dang / ctx.n
-                out = out + rw * o_loc
-            if beta > 0.0:
-                out = out + beta * (self.w_blocks[shard.index] @ x_act)
-            ctx.XNEW[start:stop][:, active] = out
-        return None
+            if ctx.W is not None:
+                ctx.W[rows, active] = self.w_rows[shard.index] @ x_act
 
     def round_r(self, active):
-        """Rows of the Eq. 8 integrands ``x * (B_k @ x)`` into ``P``.
-
-        The coordinator finishes the contraction with the operator's
-        ``contract``, so nothing here crosses columns.
-        """
+        """Rows of the Eq. 8 integrands ``x * (B_k @ x)`` into ``R``."""
         ctx = self.ctx
         y_act = np.ascontiguousarray(ctx.XNEW[:, active])
         for shard in self.assigned:
             start, stop = shard.start, shard.stop
-            ctx.P[:, start:stop, active] = ctx.r_tensor.integrands(
+            ctx.R[:, start:stop, active] = ctx.r_tensor.integrands(
                 y_act[start:stop], y_act, self.r_rows[shard.index]
             )
-        return None
 
 
 class _ColumnWorker:
@@ -170,54 +159,37 @@ class _ColumnWorker:
         self.ctx = context
         self.assigned = list(assigned)
 
-    def round_ox(self, active, rw, beta, dang):
-        """Partial ``rw * O`` + ``beta * W`` products over the shard's columns.
-
-        Writes the ``(n, q_active)`` partial into ``PART[shard.index]``
-        and returns the per-relation non-dangling coverage the
-        coordinator needs for the closed-form dangling mass.
-        """
-        del dang  # columns policy: the coordinator derives it from coverage
+    def round_ox(self, active):
+        """Per shard, ``O``'s partial stacked on its coverage, and ``W``'s partial."""
         ctx = self.ctx
-        x_act = ctx.X[:, active]
-        covered_by_shard = {}
+        x_act, z_act = ctx.X[:, active], ctx.Z[:, active]
         for shard in self.assigned:
             start, stop = shard.start, shard.stop
-            part = np.zeros((ctx.n, len(active)))
-            if rw > 0.0:
-                o_part, covered_by_shard[shard.index] = (
-                    ctx.o_tensor.column_partial(
-                        x_act, ctx.Z[:, active], start, stop
-                    )
+            if ctx.O is not None:
+                parts = ctx.o_tensor.column_partial(x_act, z_act, start, stop)
+                ctx.O[shard.index][:, active] = np.vstack(parts)
+            if ctx.W is not None:
+                ctx.W[shard.index][:, active] = ctx.w_matrix.column_partial(
+                    x_act, start, stop
                 )
-                part += rw * o_part
-            if beta > 0.0:
-                part += beta * ctx.w_matrix.column_partial(x_act, start, stop)
-            ctx.PART[shard.index][:, active] = part
-        return covered_by_shard
 
     def round_r(self, active):
-        """Partial Eq. 8 reductions over the shard's columns.
-
-        Returns ``{shard.index: (z_partial, linked_partial)}`` — small
-        ``(m, q_active)`` / ``(q_active,)`` arrays the coordinator sums
-        in fixed shard order.
-        """
-        y_act = self.ctx.XNEW[:, active]
-        return {
-            shard.index: self.ctx.r_tensor.column_partial(
-                y_act, y_act, shard.start, shard.stop
-            )
-            for shard in self.assigned
-        }
+        """Per shard, ``R``'s partial stacked on its linked-pair mass."""
+        ctx = self.ctx
+        y_act = ctx.XNEW[:, active]
+        for shard in self.assigned:
+            parts = ctx.r_tensor.column_partial(y_act, y_act, shard.start, shard.stop)
+            ctx.R[shard.index][:, active] = np.vstack(parts)
 
 
 def _worker_main(conn, context: _ShardContext, assigned) -> None:
     """Worker loop: build blocks lazily, answer rounds until ``stop``.
 
-    Any exception — including a failed block build — is shipped back as
-    an ``("err", type, message, traceback)`` reply so the coordinator
-    re-raises it as a :class:`WorkerError` carrying the remote frames.
+    A round's reply is a bare ``("ok",)`` ack: its output is already in
+    the shared part buffers.  Any exception — including a failed block
+    build — is shipped back as an ``("err", type, message, traceback)``
+    reply so the coordinator re-raises it as a :class:`WorkerError`
+    carrying the remote frames.
     """
     worker = None
     while True:
@@ -231,14 +203,10 @@ def _worker_main(conn, context: _ShardContext, assigned) -> None:
             if worker is None:
                 body = _RowWorker if context.policy == "rows" else _ColumnWorker
                 worker = body(context, assigned)
-            if message[0] == "ox":
-                _, active, rw, beta, dang = message
-                payload = worker.round_ox(active, rw, beta, dang)
-            elif message[0] == "r":
-                payload = worker.round_r(message[1])
-            else:
+            if message[0] not in ("ox", "r"):
                 raise ValidationError(f"unknown shard command {message[0]!r}")
-            conn.send(("ok", payload))
+            getattr(worker, f"round_{message[0]}")(message[1])
+            conn.send(("ok",))
         except BaseException as exc:  # noqa: BLE001 - shipped to the parent
             try:
                 conn.send(
@@ -248,15 +216,14 @@ def _worker_main(conn, context: _ShardContext, assigned) -> None:
                 return
 
 
-def _broadcast(conns, message):
-    """Send one command to every worker; collect replies in worker order.
+def _broadcast(conns, message) -> None:
+    """Send one command to every worker and wait for every ack.
 
     Raises :class:`WorkerError` on an error reply (remote traceback in
     the message) or a dead pipe.
     """
     for conn in conns:
         conn.send(message)
-    replies = []
     for index, conn in enumerate(conns):
         try:
             reply = conn.recv()
@@ -271,43 +238,27 @@ def _broadcast(conns, message):
                 f"shard worker {index} failed during {message[0]!r}: "
                 f"{name}: {text}\n--- remote traceback ---\n{remote_tb}"
             )
-        replies.append(reply[1])
-    return replies
 
 
-def _merge_shard_payloads(replies) -> dict:
-    """Fold per-worker ``{shard.index: value}`` replies into one mapping."""
-    merged = {}
-    for reply in replies:
-        if reply:
-            merged.update(reply)
-    return merged
-
-
-class ShardBackend:
-    """The rows/columns fork pool as a :func:`~repro.core.chains.run_chains` backend.
+class ShardBackend(LocalBackend):
+    """The rows/columns fork pool as a :class:`~repro.core.chains.LocalBackend`.
 
     The constructor plans the shards and allocates the iterate buffers
-    (``X`` / ``Z`` / ``L`` plus the worker output buffers) as shared
-    mmaps; entering the context forks the workers inside a
-    ``shard_pool`` span and emits one ``shard_dispatch`` per shard, and
-    leaving it stops and reaps them.  Each step broadcasts one round to
-    the workers and merges their output on the coordinator in fixed
-    shard order; :meth:`end_iteration` reports the round trip as a
-    ``boundary_exchange`` event.
+    and the workers' part buffers as shared mmaps; entering the context
+    forks the workers inside a ``shard_pool`` span and emits one
+    ``shard_dispatch`` per shard, and leaving it stops and reaps them.
+    Each step runs one worker round, then finishes the parts with the
+    inherited statements; :meth:`end_iteration` reports the round trips
+    as a ``boundary_exchange`` event.
     """
 
     def __init__(self, model, o_tensor, r_tensor, w_matrix, q: int, *,
                  shards: int, workers: int | None = None, recorder=None):
+        super().__init__(model, o_tensor, r_tensor, w_matrix, q)
         self.rec = get_recorder() if recorder is None else recorder
-        n, m = o_tensor.shape[0], r_tensor.shape[2]
-        self.alpha, self.beta = model.alpha, model.beta
-        self.relational_weight = model._relational_weight
-        self.o_tensor, self.r_tensor, self.w_matrix = o_tensor, r_tensor, w_matrix
         # The planner only sees W when workers apply its row blocks
-        # (sparse W).  A dense or factored W is walked by the
-        # coordinator, so it neither weighs a shard nor widens a halo;
-        # the columns policy never plans over W at all.
+        # (sparse W), so a dense or factored W neither weighs a shard
+        # nor widens a halo; the columns policy never plans over W.
         self.plan = plan_shards(
             o_tensor,
             r_tensor,
@@ -318,25 +269,25 @@ class ShardBackend:
             workers = check_positive_int(workers, "workers")
         self.n_workers = min(self.plan.n_shards, workers or available_workers())
         self.rows = self.plan.policy == "rows"
-        # A dense (or factored) feature-walk GEMM is the one product
-        # whose row blocks BLAS does not reproduce bit-for-bit, so under
-        # the rows policy the coordinator keeps it whole (the statement
-        # LocalBackend runs); sparse W row blocks are exact and stay
-        # sharded.
-        self.parent_walk = (
-            self.rows and self.beta > 0.0 and not sp.issparse(w_matrix)
-        )
-        self.worker_beta = 0.0 if self.parent_walk else self.beta
+        n, m = self.X.shape[0], self.Z.shape[0]
+        self.X, self.Z = _shared_array((n, q)), _shared_array((m, q))
+        # BLAS does not reproduce row blocks of a dense or factored walk
+        # bit for bit, so under the rows policy only a sparse W goes to
+        # the workers; any other W is walked whole by the inherited walk.
+        workers_walk = self.beta > 0.0 and (not self.rows or sp.issparse(w_matrix))
+        if self.rows:
+            o_shape, w_shape, r_shape = (n, q), (n, q), (m + 1, n, q)
+        else:
+            s = self.plan.n_shards
+            o_shape, w_shape, r_shape = (s, n + m, q), (s, n, q), (s, m + 1, q)
         self.context = _ShardContext(
-            policy=self.plan.policy, n=n, m=m, alpha=self.alpha,
-            o_tensor=o_tensor, r_tensor=r_tensor,
-            w_matrix=w_matrix if self.worker_beta > 0.0 else None,
-            X=_shared_array((n, q)), L=_shared_array((n, q)),
-            Z=_shared_array((m, q)), XNEW=_shared_array((n, q)),
-            P=_shared_array((m + 1, n, q)) if self.rows else None,
-            PART=None if self.rows else _shared_array((self.plan.n_shards, n, q)),
+            policy=self.plan.policy,
+            o_tensor=o_tensor, r_tensor=r_tensor, w_matrix=w_matrix,
+            X=self.X, Z=self.Z, XNEW=_shared_array((n, q)),
+            O=_shared_array(o_shape) if self.relational_weight > 0.0 else None,
+            W=_shared_array(w_shape) if workers_walk else None,
+            R=_shared_array(r_shape),
         )
-        self.X, self.Z, self.L = self.context.X, self.context.Z, self.context.L
         self.conns, self.procs = [], []
         self.exchange_seconds = 0.0
 
@@ -397,71 +348,50 @@ class ShardBackend:
         for conn in self.conns:
             conn.close()
 
-    def x_step(self, active, timer):
-        """One ``"ox"`` round, merged into the unprojected Eq. 10 step.
-
-        Rows policy: workers write finished rows into ``XNEW`` (the
-        coordinator adds a dense or factored walk).  Columns policy: the
-        coordinator sums the shard partials in shard order and adds the
-        dangling mass from the returned coverage.
-        """
-        X, Z, rw = self.X, self.Z, self.relational_weight
-        dang = (
-            self.o_tensor.dangling_mass(X[:, active], Z[:, active])
-            if self.rows and rw > 0.0
-            else None
-        )
+    def _round(self, command: str, active) -> float:
+        """Broadcast one round to the workers; returns its wall seconds."""
         started = time.perf_counter()
-        replies = _broadcast(
-            self.conns, ("ox", list(active), rw, self.worker_beta, dang)
-        )
-        self.exchange_seconds = time.perf_counter() - started
-        if timer is not None:
-            timer.start("feature_walk")
+        _broadcast(self.conns, (command, list(active)))
+        return time.perf_counter() - started
+
+    def _gather(self, parts, active) -> np.ndarray:
+        """A part buffer's ``active`` columns; column shards summed in shard order."""
         if self.rows:
-            x_new = self.context.XNEW[:, active]
-            if self.parent_walk:
-                x_new = x_new + self.beta * (self.w_matrix @ X[:, active])
-            return x_new
-        x_new = self.alpha * self.L[:, active]
-        for shard in self.plan.shards:
-            x_new += self.context.PART[shard.index][:, active]
-        if rw > 0.0:
-            covered_map = _merge_shard_payloads(replies)
-            covered = np.zeros((Z.shape[0], len(active)))
-            for shard in self.plan.shards:
-                covered += covered_map[shard.index]
-            x_act = X[:, active]
-            z_act = Z[:, active]
-            totals = _column_sums(x_act) * _column_sums(z_act)
-            dangling = np.maximum(totals - _column_sums(z_act * covered), 0.0)
-            x_new += rw * (dangling / X.shape[0])
-        return x_new
+            return parts[..., active]
+        total = parts[0][..., active]
+        for part in parts[1:]:
+            total += part[..., active]
+        return total
+
+    def x_step(self, active, timer):
+        """One ``"ox"`` round, then the inherited Eq. 10 mix."""
+        self.exchange_seconds = self._round("ox", active)
+        return super().x_step(active, timer)
+
+    def propagate_o(self, x_active, z_active, active):
+        """The workers' ``O`` parts plus the column-global dangling mass."""
+        n = self.X.shape[0]
+        o = self._gather(self.context.O, active)
+        if self.rows:
+            o += self.o_tensor.dangling_mass(x_active, z_active) / n
+            return o
+        return self.o_tensor.finish(o[:n], o[n:], x_active, z_active)
+
+    def walk(self, x_active, active):
+        """The workers' ``W @ x`` parts, or the whole walk when workers skip it."""
+        if self.context.W is None:
+            return super().walk(x_active, active)
+        return self._gather(self.context.W, active)
 
     def z_step(self, x_new, active):
-        """One ``"r"`` round, merged into the unprojected Eq. 8 step."""
-        m = self.Z.shape[0]
+        """One ``"r"`` round, finished into the unprojected Eq. 8 step."""
         self.context.XNEW[:, active] = x_new
-        started = time.perf_counter()
-        replies = _broadcast(self.conns, ("r", list(active)))
-        self.exchange_seconds += time.perf_counter() - started
+        self.exchange_seconds += self._round("r", active)
+        r = self._gather(self.context.R, active)
         if self.rows:
-            return self.r_tensor.contract(
-                self.context.P[:, :, active], x_new, x_new
-            )
-        # Empty relations come back as zero rows from every shard.
-        payloads = _merge_shard_payloads(replies)
-        z_new = np.zeros((m, len(active)))
-        linked_mass = np.zeros(len(active))
-        for shard in self.plan.shards:
-            zp, lp = payloads[shard.index]
-            z_new += zp
-            linked_mass += lp
-        column_totals = _column_sums(x_new)
-        totals = column_totals * column_totals
-        dangling = np.maximum(totals - linked_mass, 0.0)
-        z_new += dangling / m
-        return z_new
+            return self.r_tensor.contract(r, x_new, x_new)
+        m = self.Z.shape[0]
+        return self.r_tensor.finish(r[:m], r[m], x_new, x_new)
 
     def end_iteration(self, recorder, t: int, n_active: int) -> None:
         """Emit this iteration's ``boundary_exchange`` event."""
@@ -505,11 +435,10 @@ def run_chains_sharded(
     :func:`~repro.experiments.parallel.serial_fallback_reason` first.
     """
     q = np.shape(label_matrix)[1]
-    backend = ShardBackend(
+    with ShardBackend(
         model, o_tensor, r_tensor, w_matrix, q,
         shards=shards, workers=workers, recorder=recorder,
-    )
-    with backend:
+    ) as backend:
         X, Z, histories = run_chains(
             model, backend, label_matrix, starts=starts, recorder=recorder,
             solver=solver,

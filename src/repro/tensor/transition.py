@@ -66,6 +66,20 @@ def _column_sums(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _uncovered_mass(X: np.ndarray, Z: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """The mass ``O``'s uniform ``1/n`` fibres carry, per column, before
+    the ``1/n``: ``max(colsum(X) * colsum(Z) - colsum(Z * covered), 0)``,
+    ``covered`` being ``X``'s ``(m, q)`` mass on non-dangling columns."""
+    totals = _column_sums(X) * _column_sums(Z)
+    return np.maximum(totals - _column_sums(Z * covered), 0.0)
+
+
+def _unlinked_mass(X: np.ndarray, Y: np.ndarray, linked: np.ndarray) -> np.ndarray:
+    """The mass ``R``'s unlinked pairs carry, per column, before the ``1/m``:
+    ``max(colsum(X) * colsum(Y) - linked, 0)``."""
+    return np.maximum(_column_sums(X) * _column_sums(Y) - linked, 0.0)
+
+
 def _stack_slices(values, i, j, k, n: int, m: int) -> sp.csr_matrix:
     """The ``(m*n, n)`` stack with ``values`` at rows ``k*n + i``, columns ``j``.
 
@@ -182,18 +196,11 @@ class NodeTransitionTensor(_StackedSlices):
         return self._stacked[k * self._n:(k + 1) * self._n]
 
     def dangling_mass(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """The per-column uncovered mass the uniform ``1/n`` fibres carry.
-
-        Exactly the correction term :meth:`propagate_many` adds (before
-        the ``1/n`` scaling): ``max(colsum(X) * colsum(Z) -
-        colsum(Z * (nd @ X)), 0)``.  Exposed so the sharded fit's
-        coordinator can compute the global scalar part of the
-        propagation itself — it is a column-global reduction that must
-        not be split across shards if bit-identity is to hold.
-        """
-        totals = _column_sums(X) * _column_sums(Z)
-        covered = _column_sums(Z * (self._nd_indicator @ X))
-        return np.maximum(totals - covered, 0.0)
+        """The per-column uncovered mass :meth:`propagate_many` adds (before
+        the ``1/n`` scaling).  Exposed so the sharded fit's coordinator can
+        finish the workers' :meth:`relation_sum` rows with it: a
+        column-global reduction, not split across shards."""
+        return _uncovered_mass(X, Z, self._nd_indicator @ X)
 
     def relation_sum(self, X: np.ndarray, Z: np.ndarray, stacked=None) -> np.ndarray:
         """The sparse part ``sum_k Z[k] * (M_k @ X)``, blocks added in ``k`` order.
@@ -332,9 +339,7 @@ class RelationTransitionTensor(_StackedSlices):
         sums = _column_sums(integrands)
         result, linked_mass = sums[: self._m], sums[self._m]
         result[self._empty] = 0.0
-        totals = _column_sums(X) * _column_sums(Y)
-        dangling = np.maximum(totals - linked_mass, 0.0)
-        result += dangling / self._m
+        result += _unlinked_mass(X, Y, linked_mass) / self._m
         return result
 
     def propagate(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.obs import JsonlTraceRecorder, read_trace
+from repro.obs.trace import _json_default
 
 
 class TestJsonlTraceRecorder:
@@ -129,6 +130,81 @@ class TestJsonable:
         (event,) = read_trace(path)
         assert type(event["f32"]) is float and event["f32"] == 0.25
         assert type(event["i64"]) is int and event["i64"] == -7
+
+
+def reference_jsonable(value):
+    """The recursive pre-pass the sink once ran on every record, kept as
+    the reference its ``json.dumps`` default hook must reproduce."""
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+NUMPY_SCALARS = [
+    np.dtype(code).type(value)
+    for code, value in [
+        ("int8", -3), ("int16", 300), ("int32", -70000), ("int64", 2**40),
+        ("uint8", 200), ("uint16", 60000), ("uint32", 2**31), ("uint64", 2**63),
+        ("float16", 0.1), ("float32", 1 / 3), ("float64", 2 / 3),
+        ("longdouble", 0.7), ("bool", True), ("bool", False),
+    ]
+]
+
+REPRESENTATIVE_RECORDS = [
+    {"scalars": NUMPY_SCALARS},
+    {"zero_d": np.array(1.25), "zero_d_int": np.array(7, dtype=np.int32)},
+    {
+        "matrix": np.arange(6, dtype=float).reshape(2, 3) / 7,
+        "flags": np.array([[True, False]]),
+        "ints": np.arange(4, dtype=np.uint16),
+    },
+    {
+        "nested": {"a": [np.float32(0.5), (np.int64(3), {"b": np.bool_(True)})]},
+        "tuple_field": (np.float64(1.5), 2, [np.bool_(False), None, "x"]),
+    },
+    {  # the shape of a chain_iteration event
+        "t": 3,
+        "n_active": 2,
+        "phases": {"label_update": 1e-05, "o_propagation": np.float64(0.0123)},
+        "class_index": [0, np.int64(2)],
+        "residual": [np.float64(1e-9), 3.5e-7],
+        "frozen": [np.bool_(True), False],
+    },
+    {"special": [float("nan"), np.float64("inf"), -np.float32("inf")]},
+]
+
+
+class TestJsonDefaultHook:
+    @pytest.mark.parametrize("record", REPRESENTATIVE_RECORDS)
+    def test_encodes_like_the_recursive_prepass(self, record):
+        assert json.dumps(record, default=_json_default) == json.dumps(
+            reference_jsonable(record)
+        )
+
+    @pytest.mark.parametrize("record", REPRESENTATIVE_RECORDS)
+    def test_sink_lines_match_the_reference(self, tmp_path, record):
+        path = tmp_path / "trace.jsonl"
+        with JsonlTraceRecorder(path) as recorder:
+            recorder.emit("fit", **record)
+        line = path.read_text(encoding="utf-8").splitlines()[0]
+        ts = json.loads(line)["ts"]
+        assert line == json.dumps(
+            reference_jsonable({"event": "fit", "ts": ts, **record})
+        )
+
+    def test_unknown_objects_still_raise(self):
+        with pytest.raises(TypeError):
+            json.dumps({"x": object()}, default=_json_default)
 
 
 class TestReadTrace:

@@ -11,12 +11,13 @@ bit-identical.
 import numpy as np
 import pytest
 
+from repro.core import TMark
 from repro.datasets import make_worked_example
 from repro.datasets.synthetic import RelationSpec, make_synthetic_hin
 from repro.experiments.parallel import fork_available
 from repro.ooc import GraphStore, fit_from_store
 from repro.ooc.build import build_chunked_operators
-from repro.shard import plan_shards
+from repro.shard import plan_shards, run_chains_sharded
 from repro.stream import StreamingSession
 from repro.stream.delta import GraphDelta
 
@@ -87,6 +88,52 @@ class TestStoreBackedFit:
             store, alpha=0.8, gamma=0.5, chunk_size=2, shards=2
         )
         assert np.array_equal(serial.predict(), sharded.predict())
+
+
+class TestColumnsDeterminism:
+    """The columns policy mixes Eq. 10 once, after summing shard parts."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.4], ids=["no-walk", "walk"])
+    def test_single_shard_bitwise_serial(self, tmp_path, synthetic_hin, gamma):
+        # One column shard is the serial chunked walk: summing a single
+        # partial and finishing it must reproduce propagate_many exactly.
+        store = GraphStore.save(synthetic_hin, tmp_path / "store")
+        serial = fit_from_store(store, alpha=0.8, gamma=gamma, chunk_size=8)
+        model = TMark(alpha=0.8, gamma=gamma)
+        operators = build_chunked_operators(
+            store, chunk_size=8, build_w=model.beta > 0
+        )
+        scores, relations, _ = run_chains_sharded(
+            model,
+            operators.o_tensor,
+            operators.r_tensor,
+            operators.w_matrix,
+            store.label_matrix,
+            shards=1,
+            workers=1,
+        )
+        assert scores.tobytes() == serial.result_.node_scores.tobytes()
+        assert relations.tobytes() == serial.result_.relation_scores.tobytes()
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_repeat_runs_bitwise(self, tmp_path, synthetic_hin, shards):
+        # "Deterministic per K": the fixed shard-order merge repeats exactly.
+        store = GraphStore.save(synthetic_hin, tmp_path / "store")
+        operators = build_chunked_operators(store, chunk_size=8, build_w=False)
+        plan = plan_shards(operators.o_tensor, operators.r_tensor, None, shards)
+        assert plan.n_shards == shards
+        first, second = (
+            fit_from_store(
+                store, alpha=0.8, gamma=0.4, chunk_size=8,
+                shards=shards, workers=2,
+            )
+            for _ in range(2)
+        )
+        for attr in ("node_scores", "relation_scores"):
+            assert (
+                getattr(first.result_, attr).tobytes()
+                == getattr(second.result_, attr).tobytes()
+            )
 
 
 class TestStreaming:
