@@ -100,7 +100,7 @@ def test_kernel_batched_vs_looped_fit(benchmark):
 
     Timed on a 12-class synthetic HIN (n=800, m=3, dense feature walk):
     the looped reference advances one class chain at a time via
-    ``_run_chain`` while the batched path advances all q columns in
+    the tests' ``run_chain`` while the batched path advances all q columns in
     lockstep through ``propagate_many``.  Both consume the same cached
     operators, so the comparison isolates the kernel layer.  Best-of-4
     timing damps scheduler noise.
@@ -109,6 +109,7 @@ def test_kernel_batched_vs_looped_fit(benchmark):
 
     from repro.core.tmark import build_operators
     from tests.conftest import small_labeled_hin
+    from tests.core.test_tmark_batched import run_chain
 
     n, q = 800, 12
     hin = small_labeled_hin(seed=1, n=n, q=q, m=3)
@@ -129,7 +130,8 @@ def test_kernel_batched_vs_looped_fit(benchmark):
     def looped_fit():
         model = TMark(**kwargs)
         for c in range(q):
-            model._run_chain(
+            run_chain(
+                model,
                 operators.o_tensor,
                 operators.r_tensor,
                 operators.w_matrix,

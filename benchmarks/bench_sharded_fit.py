@@ -2,8 +2,8 @@
 
 :meth:`TMark.fit` with ``shards=K, workers=N`` dispatches the
 per-iteration O-propagation / R-contraction products to fork workers
-(:mod:`repro.shard`).  Under the ``"rows"`` policy every worker computes
-complete output rows with the exact serial operation sequence, so the
+(:mod:`repro.shard`).  Every worker computes complete output rows
+with the exact serial operation sequence, so the
 sharded fit is *bit-identical* to the serial one — sharding buys
 wall-clock only.  This bench pins both halves of that promise on a
 ``q = 8`` synthetic workload (~30k nodes, ~900k links):

@@ -19,7 +19,7 @@ iterates live and how the two heavy products are computed:
 
 :class:`LocalBackend` runs the products in process — for in-memory
 operators and store-backed :class:`~repro.ooc.ChunkedOperators` alike,
-since both expose ``propagate_many`` and ``@``.  The fork pool of
+since the latter are the same tensors over memory-mapped stacks.  The fork pool of
 :mod:`repro.shard` subclasses it: its workers compute operator parts,
 and the inherited ``x_step`` mixes them with the same statement.
 """
@@ -108,8 +108,8 @@ def run_chains(
     once per iteration instead of once per class.  Columns whose
     residual falls below ``tol`` are frozen — early-converging classes
     stop paying for slow ones — and each class keeps its own
-    :class:`ChainHistory` with exactly the entries the sequential
-    per-class loop (``TMark._run_chain``) would record.
+    :class:`ChainHistory` with exactly the entries a sequential
+    per-class loop of Algorithm 1 would record.
 
     ``model`` supplies the chain hyper-parameters (``tol`` /
     ``max_iter`` / label-update settings); ``starts`` optionally

@@ -36,11 +36,7 @@ import numpy as np
 from repro.core.chains import LocalBackend, run_chains
 from repro.core.convergence import ChainHistory
 from repro.core.features import feature_walk_matrix, walk_matrix_form
-from repro.core.labels import (
-    THRESHOLD_MODES,
-    initial_label_vector,
-    updated_label_vector,
-)
+from repro.core.labels import THRESHOLD_MODES
 from repro.errors import NotFittedError, ValidationError
 from repro.hin.graph import HIN
 from repro.obs.health import health_from_history
@@ -48,7 +44,6 @@ from repro.obs.recorder import get_recorder
 from repro.obs.spans import annotate_span, span
 from repro.solvers.base import PLAIN_SOLVER, check_solver
 from repro.tensor.transition import build_transition_tensors
-from repro.utils.simplex import project_to_simplex, uniform_distribution
 from repro.utils.validation import (
     check_fraction,
     check_positive_int,
@@ -75,7 +70,7 @@ class TMarkOperators:
 
     ``w_matrix`` is whatever :func:`repro.core.features.feature_walk_matrix`
     picked: an exact rank-``(d + 1)``
-    :class:`~repro.solvers.lowrank.LowRankMatrix` for cosine on
+    :class:`~repro.core.features.LowRankMatrix` for cosine on
     non-negative features when that is cheaper to apply, a CSR matrix
     with ``similarity_top_k``, and the dense Eq. 9 array otherwise.  The
     chain runners only ever compute ``w_matrix @ X``.
@@ -462,10 +457,8 @@ class TMark:
             result free of per-node strings — the only sane choice at
             millions of nodes).
         warm_start, starts, recorder, solver, shards, workers:
-            As in :meth:`fit`.  Chunked store-backed operators shard
-            along their on-disk column chunks (argmax-identical across
-            shard counts); in-memory operators shard along rows
-            (bit-identical).
+            As in :meth:`fit`.  In-memory and store-backed operators
+            both shard along rows, bit-identical for any shard count.
 
         Returns
         -------
@@ -650,52 +643,6 @@ class TMark:
         """
         weight = 1.0 - self.alpha - self.beta
         return 0.0 if weight < RELATIONAL_WEIGHT_EPS else weight
-
-    def _run_chain(self, o_tensor, r_tensor, w_matrix, class_mask, *, start=None):
-        """One per-class chain of Algorithm 1; returns ``(x, z, history)``.
-
-        The sequential reference the chain driver
-        (:func:`repro.core.chains.run_chains`) is checked against: both
-        share the same propagation kernels (``propagate`` delegates to
-        ``propagate_many``), so their outputs agree bit-for-bit.
-        ``start`` optionally provides a warm ``(x0, z0)`` pair.
-        """
-        m = r_tensor.shape[2]
-        alpha, beta = self.alpha, self.beta
-        relational_weight = self._relational_weight
-
-        label_vec = initial_label_vector(class_mask)
-        if start is None:
-            x = label_vec.copy()
-            z = uniform_distribution(m)
-        else:
-            x = project_to_simplex(np.asarray(start[0], dtype=float))
-            z = project_to_simplex(np.asarray(start[1], dtype=float))
-        history = ChainHistory(tol=self.tol, n_anchors=int(class_mask.sum()))
-        for t in range(1, self.max_iter + 1):
-            if self.update_labels and t > 2:
-                label_vec, n_accepted = updated_label_vector(
-                    class_mask,
-                    x,
-                    self.label_threshold,
-                    mode=self.threshold_mode,
-                    return_accepted=True,
-                )
-                history.accepted_history.append(n_accepted)
-            x_new = alpha * label_vec
-            if relational_weight > 0.0:
-                x_new = x_new + relational_weight * o_tensor.propagate(x, z)
-            if beta > 0.0:
-                x_new = x_new + beta * (w_matrix @ x)
-            x_new = project_to_simplex(np.asarray(x_new).ravel())
-            z_new = project_to_simplex(r_tensor.propagate(x_new, x_new))
-            rho = history.record(x_new, x, z_new, z)
-            x, z = x_new, z_new
-            if rho < self.tol:
-                break
-        if not history.converged:
-            history.exhausted = True
-        return x, z, history
 
     # ------------------------------------------------------------------
     # Prediction

@@ -534,7 +534,7 @@ def run_example(
     example HIN is saved into (or validated against) the
     :class:`~repro.ooc.store.GraphStore` at that directory and fitted
     with :func:`~repro.ooc.fit.fit_from_store` — the CI smoke that the
-    store-backed path stays argmax-identical to the in-memory one.
+    store-backed path converges like the in-memory one.
 
     ``shards`` runs the fit sharded across fork workers (see
     :mod:`repro.shard`) — the CI shard-invariance smoke compares this

@@ -10,13 +10,15 @@ pieces, following DGL graphbolt's on-disk CSC design:
   manifest and a bit-identical round trip to the in-RAM
   :class:`~repro.hin.graph.HIN` (:mod:`repro.ooc.store`);
 * :func:`build_chunked_operators` — column-block construction of the
-  normalised operators straight onto disk, touching ``O(nnz/chunk)``
-  resident memory and emitting per-chunk ``operator_build`` events
+  normalised operators straight onto disk, in the in-memory tensors'
+  stacked-CSR layout, touching ``O(n * m)`` resident memory plus one
+  block and emitting per-chunk ``operator_build`` events
   (:mod:`repro.ooc.build`);
-* :class:`ChunkedOperators` + :func:`fit_from_store` — streaming
-  propagation adapters that let :meth:`TMark.fit_operators` run plain
-  or accelerated chains over mmap'd slices, argmax-identical to the
-  in-memory path (:mod:`repro.ooc.operators`, :mod:`repro.ooc.fit`).
+* :class:`ChunkedOperators` + :func:`fit_from_store` — the in-memory
+  tensors over the memory-mapped stacks, walked in row blocks, so
+  :meth:`TMark.fit_operators` runs plain or accelerated chains
+  byte-identical to the in-memory path (:mod:`repro.ooc.operators`,
+  :mod:`repro.ooc.fit`).
 
 :func:`generate_ooc_store` (:mod:`repro.ooc.synth`) builds million-node
 synthetic stores for the scale benchmarks without ever materialising
@@ -32,9 +34,9 @@ from repro.ooc.fit import fit_from_store
 from repro.ooc.operators import (
     DEFAULT_CHUNK_SIZE,
     ChunkedFeatureWalk,
-    ChunkedNodeTransition,
     ChunkedOperators,
-    ChunkedRelationTransition,
+    StoredNodeTransition,
+    StoredRelationTransition,
     release_pages,
 )
 from repro.ooc.store import (
@@ -48,8 +50,8 @@ from repro.ooc.synth import generate_ooc_store
 __all__ = [
     "GraphStore",
     "ChunkedOperators",
-    "ChunkedNodeTransition",
-    "ChunkedRelationTransition",
+    "StoredNodeTransition",
+    "StoredRelationTransition",
     "ChunkedFeatureWalk",
     "build_chunked_operators",
     "fit_from_store",

@@ -1,35 +1,41 @@
 """Chunked construction of the ``(O, R, W)`` operators on disk.
 
-Generalises the column-block strategy of
-:func:`repro.core.features.topk_cosine_transition_matrix` to the two
-transition tensors: every normalisation pass walks a store's per-relation
-CSC arrays in blocks of ``chunk_size`` columns, so resident memory is
-``O(nnz / n_chunks)`` instead of the materialised operator — the build
+Every pass walks a store's per-relation CSC arrays in blocks of
+``chunk_size`` columns, so resident memory is ``O(n * m)`` plus one
+block and memmap pages instead of the materialised operator — the build
 that makes million-node stores fittable on one box.
 
-The written values are **bit-identical** to the in-RAM build:
+The cache holds the in-memory layout, **byte-identical** to the in-RAM
+build's ``_stacked`` arrays of
+:class:`~repro.tensor.transition.NodeTransitionTensor` /
+:class:`~repro.tensor.transition.RelationTransitionTensor`:
 
 * ``O`` — the per-``(j, k)`` column sums accumulate the same values in
   the same order as ``SparseTensor3.mode1_column_sums`` (the store's CSC
   concatenation *is* the coalesced COO order), and the normalisation is
-  the same multiply-by-reciprocal the CSC ``@ diags(scale)`` performs;
+  the same multiply-by-reciprocal;
 * ``R`` — both builds call the shared fibre kernel
   :func:`repro.tensor.sptensor.normalise_fibres`; a column block holds
   every entry of its ``(i, j)`` fibres in the coalesced k-major order,
   so the per-block sums are the in-RAM build's sums addition for
-  addition, while only the block — not the whole tensor — is resident;
+  addition, and the kernel's sorted linked-pair ids give the
+  linked-pair indicator in the same pass;
+* the normalised values land in CSC order; one transpose pass per
+  operator (:func:`_write_stack`) turns them into the row stack (row
+  ``k*n + i`` = row ``i`` of slice ``k``; ``R``'s block ``m`` the pair
+  indicator).  Column blocks arrive in ascending ``j``, so every row
+  comes out column-sorted, as scipy's CSR is, whatever ``chunk_size``;
 * ``W`` — small stores reuse the dense Eq. 9 code verbatim; larger
-  stores require ``similarity_top_k`` and go through the (already
-  chunked) top-k cosine path.
+  stores require ``similarity_top_k`` and write the (already chunked)
+  top-k cosine CSR.
 
-Artifacts land in ``<store>/operators/``: ``o.rel<k>.data.npy`` and
-``r.rel<k>.data.npy`` share the raw store's ``indices``/``indptr`` (the
-sparsity pattern is unchanged by normalisation), ``o.nondangling.npy``
-is the ``(m, n)`` non-dangling column mask, ``pair.indices.npy`` /
-``pair.indptr.npy`` hold the linked-pair CSC pattern, and
-``operators.json`` records the build parameters plus the store
+Artifacts land in ``<store>/operators/``: ``o.{indptr,indices,data}.npy``
+and ``r.{indptr,indices,data}.npy`` (the two stacks),
+``o.nondangling.npy`` (the ``(m, n)`` non-dangling column mask),
+``w.npy`` (dense) or ``w.{indptr,indices,data}.npy`` (top-k), and
+``operators.json``, which records the build parameters plus the store
 fingerprint so a stale cache is detected and rebuilt.  One
-``operator_build`` obs event is emitted per chunk.
+``operator_build`` obs event is emitted per normalisation chunk.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.features import (
     SIMILARITY_METRICS,
@@ -51,9 +58,10 @@ from repro.obs.spans import span
 from repro.ooc.operators import (
     DEFAULT_CHUNK_SIZE,
     ChunkedFeatureWalk,
-    ChunkedNodeTransition,
     ChunkedOperators,
-    ChunkedRelationTransition,
+    StoredNodeTransition,
+    StoredRelationTransition,
+    load_csr,
     release_pages,
 )
 from repro.ooc.store import GraphStore
@@ -61,7 +69,7 @@ from repro.tensor.sptensor import normalise_fibres
 from repro.utils.validation import check_positive_int
 
 #: Version of the on-disk operator-cache layout.
-OPERATORS_FORMAT_VERSION = 1
+OPERATORS_FORMAT_VERSION = 2
 
 #: The cache manifest inside ``<store>/operators/``.
 OPERATORS_MANIFEST = "operators.json"
@@ -82,28 +90,93 @@ def _write_manifest(ops_dir: Path, manifest: dict) -> None:
     tmp.replace(ops_dir / OPERATORS_MANIFEST)
 
 
-def _build_o(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> int:
-    """Normalise every relation slice column-block-wise; returns n_dangling."""
+def _values_memmap(ops_dir: Path, name: str, size: int) -> np.memmap:
+    """A new float64 ``.npy`` memmap of ``size`` values in ``ops_dir``."""
+    return np.lib.format.open_memmap(
+        ops_dir / name, mode="w+", dtype=np.float64, shape=(size,)
+    )
+
+
+def _column_blocks(indptr, n: int, chunk_size: int):
+    """``(chunk, j0, j1, start, stop)`` column blocks of one CSC and their
+    entry ranges."""
+    for chunk_idx, j0 in enumerate(range(0, n, chunk_size)):
+        j1 = min(j0 + chunk_size, n)
+        yield chunk_idx, j0, j1, int(indptr[j0]), int(indptr[j1])
+
+
+def _block_columns(indptr, j0: int, j1: int) -> np.ndarray:
+    """The column id of every entry of columns ``[j0, j1)``."""
+    counts = np.diff(np.asarray(indptr[j0 : j1 + 1], dtype=np.int64))
+    return np.repeat(np.arange(j0, j1, dtype=np.int64), counts)
+
+
+def _write_stack(ops_dir: Path, prefix: str, parts, n: int, chunk_size: int) -> None:
+    """Transpose CSC parts into the row stack ``<prefix>.{indptr,indices,data}.npy``.
+
+    ``parts`` holds one ``(values, indices, indptr)`` CSC per block of
+    the stack; row ``b*n + i`` of the stack is row ``i`` of part ``b``.
+    A first pass counts each stacked row's entries (``indptr``), a
+    second appends every column block's ``(j, value)`` entries to their
+    rows; blocks arrive in ascending ``j``, so each row comes out
+    column-sorted.  Memory is the ``O(n * len(parts))`` row cursor plus
+    one block.
+    """
+    counts = np.zeros(len(parts) * n, dtype=np.int64)
+    for b, (_, indices, indptr) in enumerate(parts):
+        for _, _, _, start, stop in _column_blocks(indptr, n, chunk_size):
+            np.add.at(counts, b * n + np.asarray(indices[start:stop], np.int64), 1)
+    nnz = int(counts.sum())
+    # The index dtype scipy's CSR conversion picks for the in-RAM stack.
+    index_dtype = np.int64 if max(counts.size, nnz) >= 2**31 else np.int32
+    indptr_out = np.zeros(counts.size + 1, dtype=index_dtype)
+    np.cumsum(counts, out=indptr_out[1:])
+    del counts
+    np.save(ops_dir / f"{prefix}.indptr.npy", indptr_out)
+    cursor = indptr_out[:-1].astype(np.int64)
+    del indptr_out
+    indices_out = np.lib.format.open_memmap(
+        ops_dir / f"{prefix}.indices.npy", mode="w+", dtype=index_dtype, shape=(nnz,)
+    )
+    data_out = _values_memmap(ops_dir, f"{prefix}.data.npy", nnz)
+    for b, (values, indices, indptr) in enumerate(parts):
+        for _, j0, j1, start, stop in _column_blocks(indptr, n, chunk_size):
+            if start == stop:
+                continue
+            # scipy's CSC -> CSR conversion is a counting sort that keeps
+            # each row's entries in column order.
+            block = sp.csc_matrix(
+                (values[start:stop], indices[start:stop], indptr[j0:j1 + 1] - start),
+                shape=(n, j1 - j0),
+            ).tocsr()
+            counts = np.diff(block.indptr)
+            rows = np.flatnonzero(counts)
+            lengths = counts[rows]
+            offsets = cursor[b * n + rows] - block.indptr[rows]
+            dest = np.repeat(offsets, lengths) + np.arange(block.nnz)
+            cursor[b * n + rows] += lengths
+            indices_out[dest] = block.indices + j0
+            data_out[dest] = block.data
+            release_pages(indices_out, data_out)
+        release_pages(values, indices, indptr)
+    for out in (indices_out, data_out):
+        out.flush()
+
+
+def _build_o(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> None:
+    """Normalise every relation slice column-block-wise, then write the stack."""
     n, m = store.n_nodes, store.n_relations
     nondangling = np.zeros((m, n), dtype=bool)
     emit = rec.enabled
+    parts = []
     for k in range(m):
         data, indices, indptr = store.relation_arrays(k)
-        out = np.lib.format.open_memmap(
-            ops_dir / f"o.rel{k}.data.npy",
-            mode="w+",
-            dtype=np.float64,
-            shape=(int(data.size),),
-        )
-        for chunk_idx, j0 in enumerate(range(0, n, chunk_size)):
+        out = _values_memmap(ops_dir, f"o.rel{k}.csc.npy", int(data.size))
+        for chunk_idx, j0, j1, start, stop in _column_blocks(indptr, n, chunk_size):
             started = time.perf_counter() if emit else 0.0
-            j1 = min(j0 + chunk_size, n)
-            start, stop = int(indptr[j0]), int(indptr[j1])
             if start != stop:
                 values = np.asarray(data[start:stop])
-                counts = np.asarray(indptr[j0 : j1 + 1], dtype=np.int64)
-                counts = np.diff(counts)
-                local_j = np.repeat(np.arange(j1 - j0), counts)
+                local_j = _block_columns(indptr, j0, j1) - j0
                 col_sums = np.bincount(
                     local_j, weights=values, minlength=j1 - j0
                 )
@@ -124,14 +197,16 @@ def _build_o(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> int:
                     feature_seconds=0.0,
                 )
         out.flush()
-        del out
-        release_pages(data, indices, indptr)
+        release_pages(data, indices, indptr, out)
+        parts.append((out, indices, indptr))
     np.save(ops_dir / "o.nondangling.npy", nondangling)
-    return int(n * m - nondangling.sum())
+    _write_stack(ops_dir, "o", parts, n, chunk_size)
+    for k in range(m):
+        (ops_dir / f"o.rel{k}.csc.npy").unlink()
 
 
-def _build_r(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> int:
-    """Fibre-normalise across relations column-block-wise; returns pair count.
+def _build_r(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> None:
+    """Fibre-normalise across relations column-block-wise, then write the stack.
 
     A column block loads the matching slice of *every* relation at once
     (the ``(i, j)`` fibre sums run over ``k``), normalises the block's
@@ -146,12 +221,7 @@ def _build_r(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> int:
     index_dtype = np.int32 if store.manifest["index_dtype"] == "int32" else np.int64
     relations = [store.relation_arrays(k) for k in range(m)]
     outs = [
-        np.lib.format.open_memmap(
-            ops_dir / f"r.rel{k}.data.npy",
-            mode="w+",
-            dtype=np.float64,
-            shape=(int(relations[k][0].size),),
-        )
+        _values_memmap(ops_dir, f"r.rel{k}.csc.npy", int(relations[k][0].size))
         for k in range(m)
     ]
     pair_rows: list[np.ndarray] = []
@@ -167,9 +237,8 @@ def _build_r(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> int:
             spans.append((start, stop))
             if start == stop:
                 continue
-            counts = np.diff(np.asarray(indptr[j0 : j1 + 1], dtype=np.int64))
             i_parts.append(np.asarray(indices[start:stop], dtype=np.int64))
-            j_parts.append(np.repeat(np.arange(j1 - j0, dtype=np.int64), counts))
+            j_parts.append(_block_columns(indptr, j0, j1) - j0)
             v_parts.append(np.asarray(data[start:stop]))
         block_nnz = sum(stop - start for start, stop in spans)
         if block_nnz:
@@ -199,16 +268,15 @@ def _build_r(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> int:
             )
     for k, out in enumerate(outs):
         out.flush()
-        release_pages(*relations[k])
-    del outs
-    pair_indices = (
-        np.concatenate(pair_rows) if pair_rows else np.empty(0, index_dtype)
-    )
+        release_pages(*relations[k], out)
     pair_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(pair_counts, out=pair_indptr[1:])
-    np.save(ops_dir / "pair.indices.npy", pair_indices)
-    np.save(ops_dir / "pair.indptr.npy", pair_indptr.astype(index_dtype))
-    return int(pair_indices.size)
+    pairs = np.concatenate(pair_rows) if pair_rows else np.empty(0, index_dtype)
+    parts = [(out, ind, ptr) for out, (_, ind, ptr) in zip(outs, relations)]
+    parts.append((np.broadcast_to(1.0, pairs.shape), pairs, pair_indptr))
+    _write_stack(ops_dir, "r", parts, n, chunk_size)
+    for k in range(m):
+        (ops_dir / f"r.rel{k}.csc.npy").unlink()
 
 
 def _build_w(
@@ -244,12 +312,10 @@ def _build_w(
             store.features,
             similarity_top_k,
             chunk_size=min(chunk_size, MAX_W_SIMILARITY_CHUNK),
-        ).tocsc()
-        w.sort_indices()
-        np.save(ops_dir / "w.data.npy", w.data.astype(np.float64, copy=False))
-        np.save(ops_dir / "w.indices.npy", w.indices.astype(np.int64))
-        np.save(ops_dir / "w.indptr.npy", w.indptr.astype(np.int64))
-        mode = "csc"
+        )
+        for name in ("data", "indices", "indptr"):
+            np.save(ops_dir / f"w.{name}.npy", getattr(w, name))
+        mode = "csr"
         nnz = int(w.nnz)
     if emit:
         rec.emit(
@@ -290,56 +356,28 @@ def _cache_usable(ops_dir: Path, store: GraphStore, similarity_top_k,
     return manifest
 
 
-def _assemble(store: GraphStore, ops_dir: Path, manifest: dict,
-              chunk_size: int) -> ChunkedOperators:
+def _assemble(store: GraphStore, ops_dir: Path, w_mode: str, chunk_size: int,
+              similarity_top_k, similarity_metric: str) -> ChunkedOperators:
     n, m = store.n_nodes, store.n_relations
-
-    def store_arrays(k: int):
-        _, indices, indptr = store.relation_arrays(k)
-        return indices, indptr
-
-    o_tensor = ChunkedNodeTransition(
-        [ops_dir / f"o.rel{k}.data.npy" for k in range(m)],
-        store_arrays,
-        np.load(ops_dir / "o.nondangling.npy", mmap_mode="r"),
-        n=n,
-        m=m,
-        chunk_size=chunk_size,
-    )
-    r_tensor = ChunkedRelationTransition(
-        [ops_dir / f"r.rel{k}.data.npy" for k in range(m)],
-        store_arrays,
-        (ops_dir / "pair.indices.npy", ops_dir / "pair.indptr.npy"),
-        n=n,
-        m=m,
-        n_linked_pairs=int(manifest["n_linked_pairs"]),
-        chunk_size=chunk_size,
-    )
-    w_mode = manifest["w_mode"]
     if w_mode == "none":
         w_matrix = None
     elif w_mode == "dense":
-        w_matrix = ChunkedFeatureWalk(
-            "dense", (ops_dir / "w.npy",), n=n, chunk_size=chunk_size
-        )
+        w_matrix = np.load(ops_dir / "w.npy", mmap_mode="r")
     else:
-        w_matrix = ChunkedFeatureWalk(
-            "csc",
-            (
-                ops_dir / "w.data.npy",
-                ops_dir / "w.indices.npy",
-                ops_dir / "w.indptr.npy",
-            ),
-            n=n,
-            chunk_size=chunk_size,
-        )
+        w_matrix = ChunkedFeatureWalk(load_csr(ops_dir, "w", n, n), chunk_size)
     return ChunkedOperators(
-        o_tensor=o_tensor,
-        r_tensor=r_tensor,
+        o_tensor=StoredNodeTransition(
+            load_csr(ops_dir, "o", m * n, n),
+            np.load(ops_dir / "o.nondangling.npy"),
+            chunk_size,
+        ),
+        r_tensor=StoredRelationTransition(
+            load_csr(ops_dir, "r", (m + 1) * n, n), m, chunk_size
+        ),
         w_matrix=w_matrix,
         shape=(n, m),
-        similarity_top_k=manifest["similarity_top_k"],
-        similarity_metric=manifest["similarity_metric"],
+        similarity_top_k=similarity_top_k,
+        similarity_metric=similarity_metric,
         chunk_size=chunk_size,
         directory=ops_dir,
     )
@@ -365,8 +403,9 @@ def build_chunked_operators(
         The ``W`` settings — must match the :class:`TMark` model the
         operators will serve (``fit_operators`` enforces this).
     chunk_size:
-        Columns per block for both the build passes and the returned
-        adapters' propagation products.
+        Columns per block for the build passes and rows per block for
+        the returned operators' products.  The cache does not depend on
+        it.
     build_w:
         ``False`` skips the feature-walk matrix entirely — the right
         call for ``gamma=0`` fits (``W`` is never touched) and the only
@@ -380,7 +419,9 @@ def build_chunked_operators(
     Returns
     -------
     A :class:`~repro.ooc.operators.ChunkedOperators` whose products
-    stream over the on-disk arrays.
+    stream over the on-disk arrays.  Without ``build_w`` it carries no
+    ``W`` and the requested similarity settings, whatever ``W`` the
+    cache holds.
     """
     if not isinstance(store, GraphStore):
         raise ValidationError(
@@ -401,7 +442,10 @@ def build_chunked_operators(
             ops_dir, store, similarity_top_k, similarity_metric, build_w
         )
         if cached is not None:
-            return _assemble(store, ops_dir, cached, chunk_size)
+            return _assemble(
+                store, ops_dir, cached["w_mode"] if build_w else "none",
+                chunk_size, similarity_top_k, similarity_metric,
+            )
     ops_dir.mkdir(parents=True, exist_ok=True)
     with span(
         "build_chunked_operators",
@@ -410,9 +454,9 @@ def build_chunked_operators(
         chunk_size=chunk_size,
     ):
         with span("build_o", recorder=rec):
-            n_dangling = _build_o(store, ops_dir, chunk_size, rec)
+            _build_o(store, ops_dir, chunk_size, rec)
         with span("build_r", recorder=rec):
-            n_linked_pairs = _build_r(store, ops_dir, chunk_size, rec)
+            _build_r(store, ops_dir, chunk_size, rec)
         if build_w:
             with span("build_w", recorder=rec):
                 w_mode = _build_w(
@@ -430,12 +474,11 @@ def build_chunked_operators(
         "store_fingerprint": store.store_fingerprint(),
         "similarity_top_k": similarity_top_k,
         "similarity_metric": similarity_metric,
-        "chunk_size": chunk_size,
         "w_mode": w_mode,
-        "n_dangling": n_dangling,
-        "n_linked_pairs": n_linked_pairs,
     }
     _write_manifest(ops_dir, manifest)
     if rec.enabled:
         rec.count("chunked_operator_builds")
-    return _assemble(store, ops_dir, manifest, chunk_size)
+    return _assemble(
+        store, ops_dir, w_mode, chunk_size, similarity_top_k, similarity_metric
+    )

@@ -56,7 +56,8 @@ def fit_from_store(
         store's — the masked-split entry point (the stored label matrix
         usually carries *all* known labels).
     chunk_size:
-        Columns per block for operator construction and propagation.
+        Columns per block for operator construction, rows per block for
+        propagation.
     solver:
         Per-fit solver override (one of :data:`repro.solvers.SOLVER_NAMES`), as in
         :meth:`TMark.fit`.
@@ -72,19 +73,19 @@ def fit_from_store(
         or ``"never"``.
     shards, workers:
         Run the per-iteration propagation sharded across fork workers
-        (see :mod:`repro.shard`).  Store-backed shards are contiguous
-        column ranges aligned to the operator cache's on-disk chunks —
-        shards map 1:1 onto chunk runs, so a multi-million-node store
-        streams multi-core with the same bounded residency per worker.
-        Partial products merge in fixed shard order: deterministic for
-        a given shard count, argmax-identical across counts.
+        (see :mod:`repro.shard`).  Each worker streams its contiguous
+        row range in ``chunk_size``-row blocks, so a multi-million-node
+        store runs multi-core with one block resident per worker.
+        Scores are byte-identical for any shard count.
 
     Returns
     -------
-    The fitted model; ``model.result_`` holds the stationary scores.
-    ``W`` is only built when the model's ``beta`` is positive — a
-    ``gamma=0`` fit never touches the feature matrix, which is what
-    makes million-node fits feasible without ``similarity_top_k``.
+    The fitted model; ``model.result_`` holds the stationary scores,
+    byte-identical to :meth:`TMark.fit_operators` over the in-memory
+    operators with the same ``W``.  ``W`` is only built when the
+    model's ``beta`` is positive — a ``gamma=0`` fit never touches the
+    feature matrix, which is what makes million-node fits feasible
+    without ``similarity_top_k``.
     """
     if isinstance(store, (str, Path)):
         store = GraphStore.open(store)

@@ -3,15 +3,15 @@
 Public surface:
 
 * :func:`plan_shards` / :class:`ShardPlan` / :class:`Shard` — the
-  balanced-nnz contiguous partitioner (rows policy for in-memory
-  operators, chunk-aligned columns policy for store-backed ones).
+  balanced-nnz contiguous row partitioner, for in-memory and
+  store-backed operators alike.
 * :class:`ShardBackend` — the fork pool as a
   :class:`~repro.core.chains.LocalBackend` subclass: workers compute
   operator parts into shared buffers, the inherited Eq. 10 mix and
   the operators' own closed forms finish them; and
   :func:`run_chains_sharded`, the entry point that runs the one chain
   driver (:func:`repro.core.chains.run_chains`) over it (bit-identical
-  scores under the rows policy for any shard count).
+  scores for any shard count).
 * :func:`shard_fallback_reason` — why sharding is unavailable here
   (``None`` when it is): the pools' shared
   :func:`repro.experiments.parallel.serial_fallback_reason`, re-exported;
@@ -25,10 +25,9 @@ workers=N)``, :func:`repro.ooc.fit_from_store`,
 
 from repro.experiments.parallel import serial_fallback_reason as shard_fallback_reason
 from repro.shard.engine import ShardBackend, run_chains_sharded
-from repro.shard.plan import SHARD_POLICIES, Shard, ShardPlan, plan_shards
+from repro.shard.plan import Shard, ShardPlan, plan_shards
 
 __all__ = [
-    "SHARD_POLICIES",
     "Shard",
     "ShardBackend",
     "ShardPlan",

@@ -16,27 +16,25 @@ workers' operator parts live in anonymous ``MAP_SHARED`` mmaps created
 before the fork, so workers read the current iterate and write their
 parts with zero serialisation.  The per-worker command pipes carry only
 the round name and the active column list, and every reply is a bare
-ack.  Workers build their operator row blocks lazily *after* the fork —
+ack.  Workers cut their operator row blocks lazily *after* the fork —
 each child pays for its own shards only, and the parent never holds a
-second operator copy.
+second operator copy.  In-memory operators are cut once per shard and
+kept; store-backed ones (:mod:`repro.ooc`) are streamed in
+``chunk_size``-row blocks every round, so a worker holds one block's
+pages, not its whole share.
 
 Determinism
 -----------
-Under the ``"rows"`` policy a worker writes complete rows of ``O``'s
-``relation_sum``, of a sparse ``W @ x`` and of ``R``'s ``integrands``,
-running the operators' own kernels on its rows (CSR row blocks
-reproduce the matching rows of the full sparse products bit-for-bit).
-The coordinator adds ``O``'s column-global dangling mass and finishes
-``R`` with ``contract``, as ``propagate_many`` does.  A dense or
-factored ``W`` is never given to workers (BLAS does not reproduce its
-row blocks bitwise), so the inherited walk runs it whole.  Scores are
-therefore bit-identical for *any* shard count, including 1.  Under the
-``"columns"`` policy (store-backed chunked operators) a worker writes
-the chunked operators' ``column_partial`` outputs for its column range;
-the coordinator sums them in fixed shard order and calls the operators'
-``finish``, as their ``propagate_many`` does.  One shard is therefore
-bit-identical to the serial store-backed fit, and K shards are
-deterministic for a given K and argmax-identical across K.
+A worker writes complete rows of ``O``'s ``relation_sum``, of a sparse
+``W @ x`` and of ``R``'s ``integrands``, running the operators' own
+kernels on its rows (CSR row blocks reproduce the matching rows of the
+full sparse products bit-for-bit, whatever the block size).  The
+coordinator adds ``O``'s column-global dangling mass and finishes ``R``
+with ``contract``, as ``propagate_many`` does.  A dense or factored
+``W`` is never given to workers (BLAS does not reproduce its row blocks
+bitwise), so the inherited walk runs it whole.  Scores are therefore
+bit-identical for *any* shard count, including 1, in memory and store
+backed alike.
 
 A worker exception travels back over the pipe as a formatted remote
 traceback and re-raises on the coordinator as :class:`WorkerError`;
@@ -84,48 +82,49 @@ def _shared_array(shape) -> np.ndarray:
 class _ShardContext:
     """Everything a worker needs, inherited through the fork.
 
-    The part buffers are indexed by node row under the ``"rows"``
-    policy and carry a leading shard axis under ``"columns"``; ``O`` /
-    ``W`` are ``None`` when no worker computes that product.
+    The part buffers are indexed by node row; ``O`` / ``W`` are ``None``
+    when no worker computes that product.
     """
 
-    policy: str
     o_tensor: object
     r_tensor: object
     w_matrix: object
     X: np.ndarray     # (n, q) current x scores (read)
     Z: np.ndarray     # (m, q) current z scores (read)
     XNEW: np.ndarray  # (n, q) fresh x halves, the r round's input (read)
-    O: np.ndarray | None  # rows: (n, q) relation sums; columns: (S, n + m, q)
-    W: np.ndarray | None  # rows: (n, q) walk rows; columns: (S, n, q)
-    R: np.ndarray  # rows: (m + 1, n, q) integrands; columns: (S, m + 1, q)
+    O: np.ndarray | None  # (n, q) relation sums
+    W: np.ndarray | None  # (n, q) walk rows
+    R: np.ndarray  # (m + 1, n, q) integrands
 
 
 class _RowWorker:
-    """Row-policy worker body: the operators' kernels on the shards' rows."""
+    """Worker body: the operators' kernels on its shards' rows."""
 
     def __init__(self, context: _ShardContext, assigned):
         self.ctx = context
         self.assigned = list(assigned)
-        self.o_rows = {}
-        self.r_rows = {}
-        self.w_rows = {}
-        for shard in self.assigned:
+        self.kept = {}
+
+    def _blocks(self, name: str, operator, shard):
+        """``(start, stop, rows)`` blocks covering ``shard``'s rows.
+
+        A store-backed operator streams them ``chunk_size`` rows at a
+        time; an in-memory one is cut into one block on first use and
+        kept.  ``rows`` is the kernels' ``stacked=`` argument for
+        ``O`` / ``R`` and the row slice of a sparse ``W``.
+        """
+        if hasattr(operator, "row_walk"):
+            return operator.row_walk(shard.start, shard.stop)
+        key = (name, shard.index)
+        if key not in self.kept:
             start, stop = shard.start, shard.stop
-            # The operators' own kernels take these stacks of row blocks.
-            if context.O is not None:
-                self.o_rows[shard.index] = sp.vstack(
-                    context.o_tensor.row_blocks(start, stop), format="csr"
-                )
-            self.r_rows[shard.index] = sp.vstack(
-                (
-                    *context.r_tensor.row_blocks(start, stop),
-                    context.r_tensor.pair_rows(start, stop),
-                ),
-                format="csr",
+            rows = (
+                operator[start:stop]
+                if sp.issparse(operator)
+                else operator.row_stack(start, stop)
             )
-            if context.W is not None:
-                self.w_rows[shard.index] = context.w_matrix[start:stop]
+            self.kept[key] = ((start, stop, rows),)
+        return self.kept[key]
 
     def round_ox(self, active):
         """Rows of ``O``'s ``relation_sum`` into ``O`` and of ``W @ x`` into ``W``."""
@@ -133,53 +132,24 @@ class _RowWorker:
         x_act = np.ascontiguousarray(ctx.X[:, active])
         z_act = ctx.Z[:, active]
         for shard in self.assigned:
-            rows = slice(shard.start, shard.stop)
             if ctx.O is not None:
-                ctx.O[rows, active] = ctx.o_tensor.relation_sum(
-                    x_act, z_act, self.o_rows[shard.index]
-                )
+                for start, stop, rows in self._blocks("o", ctx.o_tensor, shard):
+                    ctx.O[start:stop, active] = ctx.o_tensor.relation_sum(
+                        x_act, z_act, rows
+                    )
             if ctx.W is not None:
-                ctx.W[rows, active] = self.w_rows[shard.index] @ x_act
+                for start, stop, rows in self._blocks("w", ctx.w_matrix, shard):
+                    ctx.W[start:stop, active] = rows @ x_act
 
     def round_r(self, active):
         """Rows of the Eq. 8 integrands ``x * (B_k @ x)`` into ``R``."""
         ctx = self.ctx
         y_act = np.ascontiguousarray(ctx.XNEW[:, active])
         for shard in self.assigned:
-            start, stop = shard.start, shard.stop
-            ctx.R[:, start:stop, active] = ctx.r_tensor.integrands(
-                y_act[start:stop], y_act, self.r_rows[shard.index]
-            )
-
-
-class _ColumnWorker:
-    """Column-policy worker body: the chunked kernels over a column range."""
-
-    def __init__(self, context: _ShardContext, assigned):
-        self.ctx = context
-        self.assigned = list(assigned)
-
-    def round_ox(self, active):
-        """Per shard, ``O``'s partial stacked on its coverage, and ``W``'s partial."""
-        ctx = self.ctx
-        x_act, z_act = ctx.X[:, active], ctx.Z[:, active]
-        for shard in self.assigned:
-            start, stop = shard.start, shard.stop
-            if ctx.O is not None:
-                parts = ctx.o_tensor.column_partial(x_act, z_act, start, stop)
-                ctx.O[shard.index][:, active] = np.vstack(parts)
-            if ctx.W is not None:
-                ctx.W[shard.index][:, active] = ctx.w_matrix.column_partial(
-                    x_act, start, stop
+            for start, stop, rows in self._blocks("r", ctx.r_tensor, shard):
+                ctx.R[:, start:stop, active] = ctx.r_tensor.integrands(
+                    y_act[start:stop], y_act, rows
                 )
-
-    def round_r(self, active):
-        """Per shard, ``R``'s partial stacked on its linked-pair mass."""
-        ctx = self.ctx
-        y_act = ctx.XNEW[:, active]
-        for shard in self.assigned:
-            parts = ctx.r_tensor.column_partial(y_act, y_act, shard.start, shard.stop)
-            ctx.R[shard.index][:, active] = np.vstack(parts)
 
 
 def _worker_main(conn, context: _ShardContext, assigned) -> None:
@@ -201,8 +171,7 @@ def _worker_main(conn, context: _ShardContext, assigned) -> None:
             return
         try:
             if worker is None:
-                body = _RowWorker if context.policy == "rows" else _ColumnWorker
-                worker = body(context, assigned)
+                worker = _RowWorker(context, assigned)
             if message[0] not in ("ox", "r"):
                 raise ValidationError(f"unknown shard command {message[0]!r}")
             getattr(worker, f"round_{message[0]}")(message[1])
@@ -241,7 +210,7 @@ def _broadcast(conns, message) -> None:
 
 
 class ShardBackend(LocalBackend):
-    """The rows/columns fork pool as a :class:`~repro.core.chains.LocalBackend`.
+    """The row-sharded fork pool as a :class:`~repro.core.chains.LocalBackend`.
 
     The constructor plans the shards and allocates the iterate buffers
     and the workers' part buffers as shared mmaps; entering the context
@@ -256,37 +225,29 @@ class ShardBackend(LocalBackend):
                  shards: int, workers: int | None = None, recorder=None):
         super().__init__(model, o_tensor, r_tensor, w_matrix, q)
         self.rec = get_recorder() if recorder is None else recorder
-        # The planner only sees W when workers apply its row blocks
-        # (sparse W), so a dense or factored W neither weighs a shard
-        # nor widens a halo; the columns policy never plans over W.
+        # BLAS does not reproduce row blocks of a dense or factored walk
+        # bit for bit, so only a sparse W (in memory, or the store's
+        # memory-mapped CSR) goes to the workers; any other W is walked
+        # whole by the inherited walk, and neither weighs a shard nor
+        # widens a halo.
+        sparse_w = (
+            w_matrix if sp.issparse(w_matrix) else getattr(w_matrix, "matrix", None)
+        )
+        workers_walk = self.beta > 0.0 and sparse_w is not None
         self.plan = plan_shards(
-            o_tensor,
-            r_tensor,
-            w_matrix if self.beta > 0.0 and sp.issparse(w_matrix) else None,
-            shards,
+            o_tensor, r_tensor, sparse_w if workers_walk else None, shards
         )
         if workers is not None:
             workers = check_positive_int(workers, "workers")
         self.n_workers = min(self.plan.n_shards, workers or available_workers())
-        self.rows = self.plan.policy == "rows"
         n, m = self.X.shape[0], self.Z.shape[0]
         self.X, self.Z = _shared_array((n, q)), _shared_array((m, q))
-        # BLAS does not reproduce row blocks of a dense or factored walk
-        # bit for bit, so under the rows policy only a sparse W goes to
-        # the workers; any other W is walked whole by the inherited walk.
-        workers_walk = self.beta > 0.0 and (not self.rows or sp.issparse(w_matrix))
-        if self.rows:
-            o_shape, w_shape, r_shape = (n, q), (n, q), (m + 1, n, q)
-        else:
-            s = self.plan.n_shards
-            o_shape, w_shape, r_shape = (s, n + m, q), (s, n, q), (s, m + 1, q)
         self.context = _ShardContext(
-            policy=self.plan.policy,
             o_tensor=o_tensor, r_tensor=r_tensor, w_matrix=w_matrix,
             X=self.X, Z=self.Z, XNEW=_shared_array((n, q)),
-            O=_shared_array(o_shape) if self.relational_weight > 0.0 else None,
-            W=_shared_array(w_shape) if workers_walk else None,
-            R=_shared_array(r_shape),
+            O=_shared_array((n, q)) if self.relational_weight > 0.0 else None,
+            W=_shared_array((n, q)) if workers_walk else None,
+            R=_shared_array((m + 1, n, q)),
         )
         self.conns, self.procs = [], []
         self.exchange_seconds = 0.0
@@ -295,7 +256,7 @@ class ShardBackend(LocalBackend):
         plan = self.plan
         with ExitStack() as stack:
             stack.enter_context(span(
-                "shard_pool", recorder=self.rec, policy=plan.policy,
+                "shard_pool", recorder=self.rec,
                 n_shards=plan.n_shards, workers=self.n_workers,
             ))
             stack.callback(self._stop_workers)
@@ -324,7 +285,6 @@ class ShardBackend(LocalBackend):
                         nnz=shard.nnz,
                         halo_rows=shard.halo_size,
                         worker=shard.index % self.n_workers,
-                        policy=plan.policy,
                     )
                 self.rec.count("shard_dispatches", plan.n_shards)
             self._stack = stack.pop_all()
@@ -354,44 +314,30 @@ class ShardBackend(LocalBackend):
         _broadcast(self.conns, (command, list(active)))
         return time.perf_counter() - started
 
-    def _gather(self, parts, active) -> np.ndarray:
-        """A part buffer's ``active`` columns; column shards summed in shard order."""
-        if self.rows:
-            return parts[..., active]
-        total = parts[0][..., active]
-        for part in parts[1:]:
-            total += part[..., active]
-        return total
-
     def x_step(self, active, timer):
         """One ``"ox"`` round, then the inherited Eq. 10 mix."""
         self.exchange_seconds = self._round("ox", active)
         return super().x_step(active, timer)
 
     def propagate_o(self, x_active, z_active, active):
-        """The workers' ``O`` parts plus the column-global dangling mass."""
-        n = self.X.shape[0]
-        o = self._gather(self.context.O, active)
-        if self.rows:
-            o += self.o_tensor.dangling_mass(x_active, z_active) / n
-            return o
-        return self.o_tensor.finish(o[:n], o[n:], x_active, z_active)
+        """The workers' ``O`` rows plus the column-global dangling mass."""
+        o = self.context.O[:, active]
+        o += self.o_tensor.dangling_mass(x_active, z_active) / self.X.shape[0]
+        return o
 
     def walk(self, x_active, active):
-        """The workers' ``W @ x`` parts, or the whole walk when workers skip it."""
+        """The workers' ``W @ x`` rows, or the whole walk when workers skip it."""
         if self.context.W is None:
             return super().walk(x_active, active)
-        return self._gather(self.context.W, active)
+        # In the C layout of a sparse product, which the x-step and its
+        # probe column sums inherit.
+        return np.ascontiguousarray(self.context.W[:, active])
 
     def z_step(self, x_new, active):
         """One ``"r"`` round, finished into the unprojected Eq. 8 step."""
         self.context.XNEW[:, active] = x_new
         self.exchange_seconds += self._round("r", active)
-        r = self._gather(self.context.R, active)
-        if self.rows:
-            return self.r_tensor.contract(r, x_new, x_new)
-        m = self.Z.shape[0]
-        return self.r_tensor.finish(r[:m], r[m], x_new, x_new)
+        return self.r_tensor.contract(self.context.R[..., active], x_new, x_new)
 
     def end_iteration(self, recorder, t: int, n_active: int) -> None:
         """Emit this iteration's ``boundary_exchange`` event."""
@@ -400,7 +346,6 @@ class ShardBackend(LocalBackend):
             "boundary_exchange",
             t=t,
             n_active=n_active,
-            policy=plan.policy,
             halo_rows=plan.halo_total,
             bytes_exchanged=8
             * n_active

@@ -27,10 +27,7 @@ once per iteration per class:
   chain's empirical decay rate through the
   :mod:`repro.obs.health` estimators and switches a slow chain (rate
   near 1) onto Anderson while leaving healthy chains on the cheap plain
-  step;
-* :mod:`~repro.solvers.lowrank` — a randomized-SVD factorized path for
-  the dense-ish ``W`` feature operator with an a-priori bound on the
-  induced prediction error.
+  step.
 
 Every accelerator carries the same two guarantees:
 
@@ -57,13 +54,6 @@ from repro.solvers.base import (
     make_solver,
     safeguard_proposal,
 )
-from repro.solvers.lowrank import (
-    LowRankMatrix,
-    compress_matrix,
-    compress_operators,
-    prediction_error_bound,
-    randomized_svd,
-)
 
 __all__ = [
     "SOLVER_NAMES",
@@ -74,9 +64,4 @@ __all__ = [
     "safeguard_proposal",
     "AndersonAccelerator",
     "AdaptiveAccelerator",
-    "LowRankMatrix",
-    "randomized_svd",
-    "compress_matrix",
-    "compress_operators",
-    "prediction_error_bound",
 ]

@@ -32,10 +32,11 @@ order — no ``(n * m)``-sized Kronecker temporary — and ``R x-bar_1 x
 x-bar_2 y`` multiplies each block by ``x`` and takes per-column sums.
 A CSR row's product depends only on that row's entries, so this is
 bit-for-bit the one-product-per-slice computation, and a stack of any
-row range gives those rows exactly: the sharded fit's row workers run
-the same kernels on their row blocks.  ``propagate`` delegates to
-``propagate_many`` on a single column, so the looped and batched paths
-are the same floating-point computation.
+row range (``row_stack``) gives those rows exactly: the sharded
+fit's workers and the store-backed operators of :mod:`repro.ooc`, which
+hold the same stack memory-mapped, run the same kernels on row blocks.
+``propagate`` delegates to ``propagate_many`` on a single column, so the
+looped and batched paths are the same floating-point computation.
 """
 
 from __future__ import annotations
@@ -125,6 +126,29 @@ class _StackedSlices:
             self._stacked[k * n + start:k * n + stop] for k in range(self._m)
         )
 
+    def row_stack(self, start: int, stop: int) -> sp.csr_matrix:
+        """Rows ``[start, stop)`` of every block, stacked into one CSR.
+
+        The ``stacked=`` argument of :meth:`NodeTransitionTensor.relation_sum`
+        and :meth:`RelationTransitionTensor.integrands` (``R``'s
+        linked-pair rows come last, as its block ``m``).  Each block's
+        rows are one contiguous run of the stack's entries, copied once.
+        """
+        stacked, n = self._stacked, self._n
+        indptr = stacked.indptr
+        runs = [(b + start, b + stop) for b in range(0, stacked.shape[0], n)]
+        counts = np.concatenate([np.diff(indptr[a:z + 1]) for a, z in runs])
+        rows_ptr = np.zeros(counts.size + 1, dtype=indptr.dtype)
+        np.cumsum(counts, out=rows_ptr[1:])
+
+        def entries(array):
+            return np.concatenate([array[indptr[a]:indptr[z]] for a, z in runs])
+
+        return sp.csr_matrix(
+            (entries(stacked.data), entries(stacked.indices), rows_ptr),
+            shape=(counts.size, n),
+        )
+
     def row_nnz(self) -> np.ndarray:
         """Per-row entry counts over every block: the shard planner's row weights."""
         counts = np.diff(self._stacked.indptr).reshape(-1, self._n)
@@ -148,12 +172,10 @@ class NodeTransitionTensor(_StackedSlices):
     ``(j, k)`` columns used to vectorise the uniform correction.
     """
 
-    __slots__ = ("_nonempty", "_nondangling_cols", "_nd_indicator")
+    __slots__ = ("_nonempty", "_nd_indicator")
 
     def __init__(self, tensor: SparseTensor3):
         n, _, m = tensor.shape
-        self._n = n
-        self._m = m
         i, j, k = tensor.coords
         col_sums = tensor.mode1_column_sums()
         nondangling = col_sums > 0
@@ -161,18 +183,29 @@ class NodeTransitionTensor(_StackedSlices):
         scale = np.ones_like(col_sums)
         scale[nondangling] = 1.0 / col_sums[nondangling]
         values = tensor.values * scale[k * n + j]
-        self._stacked = _stack_slices(values, i, j, k, n, m)
+        self._adopt(_stack_slices(values, i, j, k, n, m), nondangling.reshape(m, n))
+
+    def _adopt(self, stacked, nondangling: np.ndarray) -> None:
+        """Take a normalised ``(m*n, n)`` stack and its ``(m, n)`` non-dangling mask."""
+        self._m, self._n = nondangling.shape
+        self._stacked = stacked
         self._nonempty = np.flatnonzero(self.relation_nnz)
-        self._nondangling_cols = np.flatnonzero(nondangling)
-        k_nd, j_nd = np.divmod(self._nondangling_cols, n)
+        k, j = np.nonzero(nondangling)
         self._nd_indicator = sp.csr_matrix(
-            (np.ones(self._nondangling_cols.size), (k_nd, j_nd)), shape=(m, n)
+            (np.ones(k.size), (k, j)), shape=nondangling.shape
         )
+
+    @property
+    def _nondangling_cols(self) -> np.ndarray:
+        """Sorted flat ``k*n + j`` ids of the non-dangling columns."""
+        indicator = self._nd_indicator
+        k = np.repeat(np.arange(self._m), np.diff(indicator.indptr))
+        return k * self._n + indicator.indices
 
     @property
     def n_dangling(self) -> int:
         """Number of dangling ``(j, k)`` columns (uniform 1/n fibres)."""
-        return self._n * self._m - self._nondangling_cols.size
+        return self._n * self._m - self._nd_indicator.nnz
 
     @property
     def dangling_share(self) -> float:
@@ -205,8 +238,8 @@ class NodeTransitionTensor(_StackedSlices):
     def relation_sum(self, X: np.ndarray, Z: np.ndarray, stacked=None) -> np.ndarray:
         """The sparse part ``sum_k Z[k] * (M_k @ X)``, blocks added in ``k`` order.
 
-        ``stacked=sp.vstack(row_blocks(start, stop))`` yields rows
-        ``[start, stop)`` bit-for-bit from the full ``X``.  Inputs are not
+        ``stacked=self.row_stack(start, stop)`` yields rows ``[start,
+        stop)`` bit-for-bit from the full ``X``.  Inputs are not
         validated.
         """
         products = self._block_products(stacked, X)
@@ -258,11 +291,8 @@ class NodeTransitionTensor(_StackedSlices):
         coo = self._stacked.tocoo()
         k, i = np.divmod(coo.row, n)
         dense[i, coo.col, k] = coo.data
-        dangling = np.ones(n * self._m, dtype=bool)
-        dangling[self._nondangling_cols] = False
-        for col in np.flatnonzero(dangling):
-            k, j = divmod(col, n)
-            dense[:, j, k] = 1.0 / n
+        k, j = np.nonzero(self._nd_indicator.toarray() == 0)
+        dense[:, j, k] = 1.0 / n
         return dense
 
 
@@ -280,8 +310,6 @@ class RelationTransitionTensor(_StackedSlices):
 
     def __init__(self, tensor: SparseTensor3):
         n, _, m = tensor.shape
-        self._n = n
-        self._m = m
         i, j, k = tensor.coords
         linked, norm_values = normalise_fibres(j * n + i, tensor.values)
         # Block k holds B_k (z_k is the bilinear form x^T (B_k @ y)) and
@@ -292,7 +320,12 @@ class RelationTransitionTensor(_StackedSlices):
         pair_j, pair_i = np.divmod(linked, n)
         pairs = sp.csr_matrix((np.ones(linked.size), (pair_i, pair_j)), shape=(n, n))
         del linked, pair_i, pair_j
-        self._stacked = sp.vstack((slices, pairs), format="csr")
+        self._adopt(sp.vstack((slices, pairs), format="csr"), m)
+
+    def _adopt(self, stacked, m: int) -> None:
+        """Take a normalised ``((m+1)*n, n)`` stack, pair indicator last."""
+        self._n, self._m = stacked.shape[1], m
+        self._stacked = stacked
         self._empty = np.flatnonzero(np.array(self.relation_nnz) == 0)
 
     @property
@@ -321,9 +354,9 @@ class RelationTransitionTensor(_StackedSlices):
     def integrands(self, X: np.ndarray, Y: np.ndarray, stacked=None) -> np.ndarray:
         """The Eq. 8 integrands ``X * (B_k @ Y)``, block ``m`` the pair indicator's.
 
-        ``stacked=sp.vstack((*row_blocks(start, stop), pair_rows(start,
-        stop)))`` with ``X`` those rows and ``Y`` the full ``(n, q)``
-        input yields rows ``[start, stop)``.  Inputs are not validated.
+        ``stacked=self.row_stack(start, stop)`` with ``X`` those rows
+        and ``Y`` the full ``(n, q)`` input yields rows ``[start, stop)``.
+        Inputs are not validated.
         """
         products = self._block_products(stacked, Y)
         products *= np.ascontiguousarray(X)

@@ -1,7 +1,7 @@
 """Batched T-Mark fit vs the sequential per-class reference.
 
 ``TMark.fit`` advances all class chains in lockstep through the batched
-kernels; ``TMark._run_chain`` is the sequential Algorithm 1 loop kept as
+kernels; :func:`run_chain` is the sequential Algorithm 1 loop kept as
 the reference.  Because the kernels are bitwise column-independent, the
 two paths agree exactly whenever the feature walk uses a sparse ``W``
 (``similarity_top_k``) or no feature walk at all.  With a dense ``W``
@@ -14,13 +14,63 @@ still match exactly.
 import numpy as np
 import pytest
 
+from repro.core.convergence import ChainHistory
+from repro.core.labels import initial_label_vector, updated_label_vector
 from repro.core.tmark import TMark, build_operators
 from repro.datasets import make_worked_example
+from repro.utils.simplex import project_to_simplex, uniform_distribution
 from tests.conftest import small_labeled_hin
 
 
+def run_chain(model, o_tensor, r_tensor, w_matrix, class_mask, *, start=None):
+    """One per-class chain of Algorithm 1; returns ``(x, z, history)``.
+
+    The sequential reference the chain driver
+    (:func:`repro.core.chains.run_chains`) is checked against: both
+    share the same propagation kernels (``propagate`` delegates to
+    ``propagate_many``), so their outputs agree bit-for-bit.
+    ``start`` optionally provides a warm ``(x0, z0)`` pair.
+    """
+    m = r_tensor.shape[2]
+    alpha, beta = model.alpha, model.beta
+    relational_weight = model._relational_weight
+
+    label_vec = initial_label_vector(class_mask)
+    if start is None:
+        x = label_vec.copy()
+        z = uniform_distribution(m)
+    else:
+        x = project_to_simplex(np.asarray(start[0], dtype=float))
+        z = project_to_simplex(np.asarray(start[1], dtype=float))
+    history = ChainHistory(tol=model.tol, n_anchors=int(class_mask.sum()))
+    for t in range(1, model.max_iter + 1):
+        if model.update_labels and t > 2:
+            label_vec, n_accepted = updated_label_vector(
+                class_mask,
+                x,
+                model.label_threshold,
+                mode=model.threshold_mode,
+                return_accepted=True,
+            )
+            history.accepted_history.append(n_accepted)
+        x_new = alpha * label_vec
+        if relational_weight > 0.0:
+            x_new = x_new + relational_weight * o_tensor.propagate(x, z)
+        if beta > 0.0:
+            x_new = x_new + beta * (w_matrix @ x)
+        x_new = project_to_simplex(np.asarray(x_new).ravel())
+        z_new = project_to_simplex(r_tensor.propagate(x_new, x_new))
+        rho = history.record(x_new, x, z_new, z)
+        x, z = x_new, z_new
+        if rho < model.tol:
+            break
+    if not history.converged:
+        history.exhausted = True
+    return x, z, history
+
+
 def sequential_reference(hin, model_kwargs):
-    """Run Algorithm 1 class by class via ``_run_chain``."""
+    """Run Algorithm 1 class by class via :func:`run_chain`."""
     model = TMark(**model_kwargs)
     operators = build_operators(
         hin,
@@ -31,7 +81,8 @@ def sequential_reference(hin, model_kwargs):
     columns = []
     for c in range(label_matrix.shape[1]):
         columns.append(
-            model._run_chain(
+            run_chain(
+                model,
                 operators.o_tensor,
                 operators.r_tensor,
                 operators.w_matrix,

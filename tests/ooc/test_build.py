@@ -1,25 +1,44 @@
 """Tests for chunked operator construction (bit-identity, cache, W policy)."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.features import feature_transition_matrix
 from repro.core.tmark import build_operators
 from repro.errors import ValidationError
+from repro.hin.graph import HIN
 from repro.obs.recorder import ListRecorder, use_recorder
 from repro.ooc import (
+    ChunkedFeatureWalk,
     GraphStore,
     build_chunked_operators,
     generate_ooc_store,
 )
 from repro.ooc.build import MAX_DENSE_W_NODES, OPERATORS_MANIFEST
-from repro.tensor.transition import RelationTransitionTensor
+from repro.ooc.operators import load_csr
+from repro.tensor.transition import NodeTransitionTensor, RelationTransitionTensor
 
 from tests.ooc.test_store import sample_hin
+from tests.properties.test_tensor_invariants import sparse_relation_tensors
+
+
+def ondisk_stack(store, prefix: str):
+    """The cached ``O`` (``"o"``) or ``R`` (``"r"``) row stack."""
+    n, m = store.n_nodes, store.n_relations
+    n_blocks = m + 1 if prefix == "r" else m
+    return load_csr(store.operators_dir, prefix, n_blocks * n, n)
 
 
 def ondisk_relation_data(store, prefix: str, k: int) -> np.ndarray:
-    return np.load(store.operators_dir / f"{prefix}.rel{k}.data.npy")
+    """Relation ``k``'s normalised values from the cached stack, in CSC order."""
+    n = store.n_nodes
+    block = ondisk_stack(store, prefix)[k * n : (k + 1) * n].tocsc()
+    block.sort_indices()
+    return block.data
 
 
 class TestBitIdentity:
@@ -53,13 +72,7 @@ class TestBitIdentity:
         for chunk_size in (1, 3, 64):
             store = GraphStore.save(worked_example, tmp_path / f"s{chunk_size}")
             build_chunked_operators(store, chunk_size=chunk_size, build_w=False)
-            digests.append(
-                tuple(
-                    ondisk_relation_data(store, prefix, k).tobytes()
-                    for prefix in ("o", "r")
-                    for k in range(store.n_relations)
-                )
-            )
+            digests.append(cache_bytes(store))
         assert digests[0] == digests[1] == digests[2]
 
     def test_dangling_and_pair_counts_match_inram(self, tmp_path, worked_example):
@@ -101,12 +114,12 @@ class TestBitIdentity:
     def test_topk_w_matches_inram_topk(self, tmp_path, worked_example, rng):
         store = GraphStore.save(worked_example, tmp_path / "store")
         ops = build_chunked_operators(store, similarity_top_k=2, chunk_size=2)
-        assert ops.w_matrix.mode == "csc"
+        assert isinstance(ops.w_matrix, ChunkedFeatureWalk)
         from repro.core.features import topk_cosine_transition_matrix
 
         expected = topk_cosine_transition_matrix(worked_example.features, 2)
         X = rng.random((store.n_nodes, 2))
-        assert np.allclose(ops.w_matrix @ X, expected @ X)
+        assert (ops.w_matrix @ X).tobytes() == (expected @ X).tobytes()
 
 
 class TestZeroLinkRelations:
@@ -286,9 +299,56 @@ class TestRParity:
             assert np.array_equal(indptr, expected.indptr), f"R relation {k}"
             ondisk = ondisk_relation_data(store, "r", k)
             assert ondisk.tobytes() == expected.data.tobytes(), f"R relation {k}"
-        pair_indices = np.load(store.operators_dir / "pair.indices.npy")
-        pair_indptr = np.load(store.operators_dir / "pair.indptr.npy")
-        pairs = inram.pair_rows(0, store.n_nodes).tocsc()
-        pairs.sort_indices()
-        assert np.array_equal(pair_indices, pairs.indices)
-        assert np.array_equal(np.diff(pair_indptr), np.diff(pairs.indptr))
+        n, m = store.n_nodes, store.n_relations
+        pairs = ondisk_stack(store, "r")[m * n :]
+        expected_pairs = inram.pair_rows(0, n)
+        assert np.array_equal(pairs.indices, expected_pairs.indices)
+        assert np.array_equal(pairs.indptr, expected_pairs.indptr)
+        assert np.array_equal(pairs.data, expected_pairs.data)
+
+
+def cache_bytes(store) -> dict:
+    """Every ``.npy`` file of a store's operator cache, by name."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(store.operators_dir.glob("*.npy"))
+    }
+
+
+def tensor_hin(tensor) -> HIN:
+    """A minimal HIN around an adjacency tensor (one feature, one class)."""
+    n, _, m = tensor.shape
+    return HIN(
+        tensor,
+        [f"rel{k}" for k in range(m)],
+        np.ones((n, 1)),
+        np.zeros((n, 1), dtype=bool),
+        ["a"],
+    )
+
+
+class TestStackProperty:
+    """The cache holds the in-RAM ``_stacked`` arrays, whatever the chunk."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(sparse_relation_tensors())
+    def test_cached_stacks_equal_inram_bytewise(self, tensor):
+        hin = tensor_hin(tensor)
+        n = hin.n_nodes
+        expected = {
+            "o": NodeTransitionTensor(hin.tensor)._stacked,
+            "r": RelationTransitionTensor(hin.tensor)._stacked,
+        }
+        caches = []
+        for chunk_size in (1, 7, n):
+            with tempfile.TemporaryDirectory() as tmp:
+                store = GraphStore.save(hin, Path(tmp) / "store")
+                build_chunked_operators(store, chunk_size=chunk_size, build_w=False)
+                for prefix, stack in expected.items():
+                    for name in ("indptr", "indices", "data"):
+                        got = np.load(store.operators_dir / f"{prefix}.{name}.npy")
+                        want = getattr(stack, name)
+                        assert got.dtype == want.dtype, (prefix, name)
+                        assert got.tobytes() == want.tobytes(), (prefix, name)
+                caches.append(cache_bytes(store))
+        assert caches[0] == caches[1] == caches[2]

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import TMark
+from repro.core.features import topk_cosine_transition_matrix
+from repro.core.tmark import TMarkOperators, build_operators
 from repro.datasets.synthetic import RelationSpec, make_synthetic_hin
 from repro.errors import ValidationError
+from repro.experiments.parallel import fork_available
+from repro.obs import ListRecorder
 from repro.ooc import GraphStore, fit_from_store
 
 
@@ -100,6 +104,90 @@ class TestEquivalence:
         fitted = fit_from_store(tmp_path / "store", model)
         assert fitted is model
         assert fitted.result_ is not None
+
+
+def fitted_bytes(model, recorder):
+    """Scores and ``invariant_probe`` events of a fit, span ids dropped."""
+    probes = [
+        {key: value for key, value in event.items() if key != "span_id"}
+        for event in recorder.events_of("invariant_probe")
+    ]
+    assert probes
+    result = model.result_
+    return result.node_scores.tobytes(), result.relation_scores.tobytes(), probes
+
+
+SHARDS = [
+    None,
+    pytest.param(
+        2, marks=pytest.mark.skipif(not fork_available(), reason="needs fork")
+    ),
+    pytest.param(
+        3, marks=pytest.mark.skipif(not fork_available(), reason="needs fork")
+    ),
+]
+
+
+class TestByteIdentity:
+    """A store-backed fit is the in-memory fit over the same ``W``, byte
+    for byte, serial or sharded, at any ``chunk_size``."""
+
+    def assert_store_matches(self, store, params, reference, shards):
+        for chunk_size in (1, 7, store.n_nodes):
+            recorder = ListRecorder()
+            model = fit_from_store(
+                store, chunk_size=chunk_size, shards=shards, recorder=recorder,
+                **params,
+            )
+            assert fitted_bytes(model, recorder) == reference, chunk_size
+
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_no_walk_equals_fit(self, tmp_path, synthetic_hin, shards):
+        hin = masked(synthetic_hin)
+        store = GraphStore.save(hin, tmp_path / "store")
+        params = dict(alpha=0.8, gamma=0.0)
+        recorder = ListRecorder()
+        reference = fitted_bytes(TMark(**params).fit(hin, recorder=recorder), recorder)
+        self.assert_store_matches(store, params, reference, shards)
+
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_topk_walk_equals_fit_operators(self, tmp_path, synthetic_hin, shards):
+        hin = masked(synthetic_hin)
+        store = GraphStore.save(hin, tmp_path / "store")
+        params = dict(alpha=0.7, gamma=0.3, similarity_top_k=5)
+        in_memory = build_operators(hin)
+        operators = TMarkOperators(
+            o_tensor=in_memory.o_tensor,
+            r_tensor=in_memory.r_tensor,
+            w_matrix=topk_cosine_transition_matrix(hin.features, 5),
+            shape=in_memory.shape,
+            similarity_top_k=5,
+            similarity_metric="cosine",
+        )
+        recorder = ListRecorder()
+        model = TMark(**params).fit_operators(
+            operators, hin.label_matrix, recorder=recorder
+        )
+        reference = fitted_bytes(model, recorder)
+        self.assert_store_matches(store, params, reference, shards)
+
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_dense_walk_equals_fit(self, tmp_path, worked_example, shards):
+        store = GraphStore.save(worked_example, tmp_path / "store")
+        params = dict(alpha=0.8, gamma=0.5)
+        recorder = ListRecorder()
+        model = TMark(**params).fit(worked_example, recorder=recorder)
+        reference = fitted_bytes(model, recorder)
+        self.assert_store_matches(store, params, reference, shards)
+
+
+class TestCacheReuse:
+    def test_no_walk_fit_after_topk_build(self, tmp_path, synthetic_hin):
+        # A gamma=0 fit reuses a top-k cache's O/R without its W settings.
+        store = GraphStore.save(masked(synthetic_hin), tmp_path / "store")
+        fit_from_store(store, alpha=0.8, gamma=0.3, similarity_top_k=5)
+        model = fit_from_store(store, alpha=0.8, gamma=0.0)
+        assert model.result_ is not None
 
 
 class TestResultMetadata:

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import make_dblp
 from repro.core.features import (
+    LowRankMatrix,
     factored_cosine_transition_matrix,
     feature_transition_matrix,
     feature_walk_form,
@@ -23,7 +24,6 @@ from repro.core.features import (
 )
 from repro.core.tmark import build_operators
 from repro.obs import ListRecorder
-from repro.solvers.lowrank import LowRankMatrix
 
 
 @st.composite

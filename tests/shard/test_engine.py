@@ -1,7 +1,7 @@
 """Tests for the sharded chain runner (repro.shard.engine).
 
-The contract under test: ``shards=K`` buys wall-clock only — under the
-rows policy the stationary scores are bit-identical to the serial fit
+The contract under test: ``shards=K`` buys wall-clock only — the
+stationary scores are bit-identical to the serial fit
 for *any* shard count (including warm starts and every gamma branch),
 accelerated solvers stay argmax-identical, worker failures surface the
 remote traceback as :class:`WorkerError` instead of hanging the fit, and
@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core import TMark
+from repro.core.features import LowRankMatrix
 from repro.datasets import make_worked_example
 from repro.experiments.parallel import WorkerError, fork_available
 from repro.hin.builder import HINBuilder
 from repro.obs import ListRecorder
 from repro.shard import run_chains_sharded, shard_fallback_reason
-from repro.solvers.lowrank import LowRankMatrix
 from tests.conftest import small_labeled_hin
 
 pytestmark = pytest.mark.skipif(
@@ -161,7 +161,6 @@ class TestTelemetry:
         assert len(dispatches) >= 2
         assert {d["index"] for d in dispatches} == set(range(len(dispatches)))
         for dispatch in dispatches:
-            assert dispatch["policy"] == "rows"
             assert 0 <= dispatch["start"] < dispatch["stop"] <= hin.n_nodes
             assert dispatch["worker"] < 2
         exchanges = recorder.events_of("boundary_exchange")
@@ -170,7 +169,6 @@ class TestTelemetry:
         )
         assert len(exchanges) == iterations
         for exchange in exchanges:
-            assert exchange["policy"] == "rows"
             assert exchange["bytes_exchanged"] > 0
             assert exchange["seconds"] >= 0.0
         spans = [
@@ -257,10 +255,10 @@ class _ExplodingTensor:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def row_blocks(self, start, stop):
+    def row_stack(self, start, stop):
         if os.getpid() != self._parent_pid:
             raise RuntimeError("operator exploded in the worker")
-        return self._inner.row_blocks(start, stop)
+        return self._inner.row_stack(start, stop)
 
 
 class TestFailurePropagation:

@@ -3,9 +3,8 @@
 The contract under test: every entry point that grew a ``shards``
 parameter — ``fit_from_store``, ``StreamingSession`` refits and the
 ``run example`` experiment — produces the same answer as its serial
-twin.  Store-backed shards use the ``"columns"`` policy (chunk-aligned
-partial products, argmax-identical); the in-memory surfaces stay
-bit-identical.
+twin, bit for bit: store-backed operators shard by rows exactly like
+in-memory ones.
 """
 
 import numpy as np
@@ -37,23 +36,6 @@ def synthetic_hin():
         ],
         seed=11,
     )
-
-
-class TestColumnsPlan:
-    def test_store_operators_get_column_policy(self, tmp_path, synthetic_hin):
-        store = GraphStore.save(synthetic_hin, tmp_path / "store")
-        operators = build_chunked_operators(
-            store, chunk_size=8, build_w=False
-        )
-        plan = plan_shards(operators.o_tensor, operators.r_tensor, None, 3)
-        assert plan.policy == "columns"
-        assert plan.boundaries[0] == 0
-        assert plan.boundaries[-1] == store.n_nodes
-        for shard in plan.shards:
-            assert shard.halo_size == 0  # columns consume the full iterate
-        # Inner boundaries align to whole mmap chunks when possible.
-        for boundary in plan.boundaries[1:-1]:
-            assert boundary % 8 == 0
 
 
 class TestStoreBackedFit:
@@ -91,12 +73,15 @@ class TestStoreBackedFit:
 
 
 class TestColumnsDeterminism:
-    """The columns policy mixes Eq. 10 once, after summing shard parts."""
+    """Store-backed shard runs repeat bitwise and one shard is the serial fit.
+
+    (Named for the column shards store-backed fits once used; they now
+    shard by rows like in-memory fits.)
+    """
 
     @pytest.mark.parametrize("gamma", [0.0, 0.4], ids=["no-walk", "walk"])
     def test_single_shard_bitwise_serial(self, tmp_path, synthetic_hin, gamma):
-        # One column shard is the serial chunked walk: summing a single
-        # partial and finishing it must reproduce propagate_many exactly.
+        # One row shard streams the same row blocks as the serial walk.
         store = GraphStore.save(synthetic_hin, tmp_path / "store")
         serial = fit_from_store(store, alpha=0.8, gamma=gamma, chunk_size=8)
         model = TMark(alpha=0.8, gamma=gamma)
@@ -117,7 +102,7 @@ class TestColumnsDeterminism:
 
     @pytest.mark.parametrize("shards", [2, 3])
     def test_repeat_runs_bitwise(self, tmp_path, synthetic_hin, shards):
-        # "Deterministic per K": the fixed shard-order merge repeats exactly.
+        # Row shards write disjoint rows, so repeated runs agree exactly.
         store = GraphStore.save(synthetic_hin, tmp_path / "store")
         operators = build_chunked_operators(store, chunk_size=8, build_w=False)
         plan = plan_shards(operators.o_tensor, operators.r_tensor, None, shards)

@@ -1,7 +1,7 @@
 """Tests for shard planning (repro.shard.plan).
 
 The contract under test: a plan covers the node axis with contiguous,
-non-overlapping, non-empty ranges in index order; the halo of a rows
+non-overlapping, non-empty ranges in index order; the halo of a
 shard is exactly the out-of-range node set its operator blocks read; and
 degenerate requests (more shards than nodes, unknown operator kinds)
 degrade or fail loudly instead of producing broken partitions.
@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from repro.core.features import feature_transition_matrix
 from repro.errors import ValidationError
-from repro.shard import SHARD_POLICIES, plan_shards
+from repro.shard import plan_shards
 from repro.tensor.transition import build_transition_tensors
 from tests.conftest import small_labeled_hin
 
@@ -28,14 +28,10 @@ def operators():
 
 
 class TestRowsPolicy:
-    def test_policies_constant(self):
-        assert SHARD_POLICIES == ("rows", "columns")
-
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
     def test_covers_node_axis_contiguously(self, operators, k):
         o_tensor, r_tensor, _, w_sparse = operators
         plan = plan_shards(o_tensor, r_tensor, w_sparse, k)
-        assert plan.policy == "rows"
         assert plan.n == o_tensor.shape[0]
         assert 1 <= plan.n_shards <= k
         assert plan.boundaries[0] == 0

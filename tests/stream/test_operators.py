@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.features import LowRankMatrix
 from repro.core.tmark import TMark, build_operators
 from repro.errors import ValidationError
 from repro.hin.graph import HIN
 from repro.obs import ListRecorder
-from repro.solvers.lowrank import LowRankMatrix
 from repro.stream.delta import GraphDelta, apply_batch
 from repro.stream.operators import IncrementalOperators
 from repro.stream.workload import synthetic_delta_log
