@@ -22,7 +22,11 @@ from repro.core.features import (
     topk_cosine_transition_matrix,
 )
 from repro.core.har import HAR, HARResult
-from repro.core.labels import initial_label_vector, updated_label_vector
+from repro.core.labels import (
+    initial_label_vector,
+    updated_label_matrix,
+    updated_label_vector,
+)
 from repro.core.multirank import MultiRank, MultiRankResult
 from repro.core.persistence import load_result, save_result
 from repro.core.tensorrrcc import TensorRrCc
@@ -48,4 +52,5 @@ __all__ = [
     "topk_cosine_transition_matrix",
     "initial_label_vector",
     "updated_label_vector",
+    "updated_label_matrix",
 ]

@@ -2,7 +2,13 @@
 
 :func:`run_chains` owns the iteration — the Eq. 12 restart update, the
 simplex projections, the solver proposals, residual bookkeeping, column
-freezing and every telemetry event.  A *backend* owns only where the
+freezing and every telemetry event.  The Eq. 12 update
+(:func:`~repro.core.labels.updated_label_matrix`), both projections
+(:func:`~repro.utils.simplex.project_columns_to_simplex`) and the
+residuals run once per iteration over the whole active block, each
+column bit-for-bit its per-class reference: every sum over nodes
+reduces a C-contiguous row of an ``(a, n)`` block, the 1-D summation
+order, never axis 0 of a C ``(n, a)`` block.  A *backend* owns only where the
 iterates live and how the two heavy products are computed:
 
 * ``X`` / ``Z`` / ``L`` — the ``(n, q)`` node scores, ``(m, q)``
@@ -31,10 +37,10 @@ import time
 import numpy as np
 
 from repro.core.convergence import ChainHistory
-from repro.core.labels import initial_label_vector, updated_label_vector
+from repro.core.labels import initial_label_vector, updated_label_matrix
 from repro.obs.recorder import CHAIN_PHASES, PhaseTimer, get_recorder
 from repro.solvers.base import PLAIN_SOLVER, make_solver, propose_safeguarded
-from repro.utils.simplex import project_to_simplex, uniform_distribution
+from repro.utils.simplex import project_columns_to_simplex, uniform_distribution
 
 
 class LocalBackend:
@@ -97,6 +103,18 @@ def _emit_solver_restart(rec, t, c, accelerator, reason, **timing) -> None:
     rec.count("solver_restarts")
 
 
+def _l1_rows(new_rows, old_rows):
+    """``||new_rows[i] - old_rows[i]||_1`` per row, each a 1-D sum.
+
+    The differences are laid out as C-contiguous rows, so every row sum
+    is the pairwise reduction :meth:`ChainHistory.record` runs on one
+    column pair.
+    """
+    delta = np.subtract(new_rows, old_rows, order="C")
+    np.abs(delta, out=delta)
+    return delta.sum(axis=1)
+
+
 def run_chains(
     model, backend, label_matrix, *, starts=None, recorder=None,
     solver: str = PLAIN_SOLVER,
@@ -153,18 +171,14 @@ def run_chains(
     m = Z.shape[0]
 
     masks = [label_matrix[:, c] for c in range(q)]
+    label_rows = np.ascontiguousarray(label_matrix.T)
     L[:] = np.column_stack([initial_label_vector(mask) for mask in masks])
     if starts is None:
         X[:] = L
         Z[:] = np.repeat(uniform_distribution(m)[:, None], q, axis=1)
     else:
         for target, start in zip((X, Z), starts):
-            target[:] = np.column_stack(
-                [
-                    project_to_simplex(np.asarray(start[:, c], dtype=float))
-                    for c in range(q)
-                ]
-            )
+            target[:] = project_columns_to_simplex(start)
     histories = [
         ChainHistory(tol=model.tol, n_anchors=int(mask.sum())) for mask in masks
     ]
@@ -179,6 +193,10 @@ def run_chains(
         r_unlinked_share = float(backend.r_tensor.unlinked_share)
     timer = None
     active = list(range(q))
+    # The active columns of X as C-contiguous rows, carried from one
+    # iteration to the next: the Eq. 12 update and the residuals read
+    # them instead of gathering strided columns of X.
+    x_rows = np.ascontiguousarray(X.T)
     for t in range(1, model.max_iter + 1):
         if not active:
             break
@@ -186,30 +204,33 @@ def run_chains(
             timer = PhaseTimer(CHAIN_PHASES)
             timer.start("label_update")
         if model.update_labels and t > 2:
-            for c in active:
-                vector, n_accepted = updated_label_vector(
-                    masks[c],
-                    X[:, c],
-                    model.label_threshold,
-                    mode=model.threshold_mode,
-                    return_accepted=True,
-                )
-                if use_solver and not np.array_equal(vector, L[:, c]):
+            vectors, n_accepted = updated_label_matrix(
+                label_rows[active].T,
+                x_rows.T,
+                model.label_threshold,
+                mode=model.threshold_mode,
+            )
+            if use_solver:
+                moved = np.any(vectors != L[:, active], axis=0)
+            for idx, c in enumerate(active):
+                if use_solver and moved[idx]:
                     # The restart vector moved (Eq. 12 accepted new
                     # nodes): the map being accelerated changed, so the
                     # solver's iterate history is stale.
                     solvers[c].map_changed()
                     if timed:
                         _emit_solver_restart(rec, t, c, solvers[c], "label_update")
-                L[:, c] = vector
-                histories[c].accepted_history.append(n_accepted)
+                histories[c].accepted_history.append(int(n_accepted[idx]))
+            L[:, active] = vectors
         if timed:
             timer.start("o_propagation")
         x_new = backend.x_step(active, timer)
         if timed:
             timer.start("projection")
-        for idx in range(len(active)):
-            x_new[:, idx] = project_to_simplex(x_new[:, idx])
+        # Projected as contiguous rows, then written back in the x-step's
+        # own layout, which the z-step and the probe column sums read.
+        x_new_rows = project_columns_to_simplex(x_new).T
+        x_new[...] = x_new_rows.T
         if use_solver:
             if timed:
                 # Pause the phase clock: proposal time is reported on the
@@ -222,8 +243,8 @@ def run_chains(
                 step_started = time.perf_counter() if timed else 0.0
                 outcome, safe = propose_safeguarded(
                     accelerator,
-                    X[:, c].copy(),
-                    x_new[:, idx].copy(),
+                    x_rows[idx].copy(),
+                    x_new_rows[idx].copy(),
                     t=t,
                     residuals=histories[c].residuals,
                 )
@@ -236,7 +257,7 @@ def run_chains(
                             seconds=time.perf_counter() - step_started,
                         )
                 else:
-                    x_new[:, idx] = safe
+                    x_new[:, idx] = x_new_rows[idx] = safe
                     if timed:
                         rec.emit(
                             "solver_step",
@@ -251,14 +272,15 @@ def run_chains(
         z_new = backend.z_step(x_new, active)
         if timed:
             timer.start("projection")
-        still_active = []
-        for idx, c in enumerate(active):
-            z_col = project_to_simplex(z_new[:, idx])
-            rho = histories[c].record(x_new[:, idx], X[:, c], z_col, Z[:, c])
-            X[:, c] = x_new[:, idx]
-            Z[:, c] = z_col
-            if rho >= model.tol:
-                still_active.append(c)
+        z_rows = project_columns_to_simplex(z_new).T
+        rhos = _l1_rows(x_new_rows, x_rows) + _l1_rows(z_rows, Z[:, active].T)
+        X[:, active] = x_new
+        Z[:, active] = z_rows.T
+        for c, rho in zip(active, rhos.tolist()):
+            histories[c].record_residual(rho)
+        moving = rhos >= model.tol
+        still_active = [c for c, keep in zip(active, moving) if keep]
+        x_rows = x_new_rows if moving.all() else x_new_rows[moving]
         if timed:
             timer.stop()
             backend.end_iteration(rec, t, len(active))

@@ -64,6 +64,10 @@ class ChainHistory:
             np.abs(np.asarray(x_new) - np.asarray(x_old)).sum()
             + np.abs(np.asarray(z_new) - np.asarray(z_old)).sum()
         )
+        return self.record_residual(rho)
+
+    def record_residual(self, rho: float) -> float:
+        """Append and return an already computed residual ``rho``."""
         self.residuals.append(rho)
         self.converged = rho < self.tol
         return rho

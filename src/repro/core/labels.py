@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import ShapeError, ValidationError
 from repro.utils.validation import check_array_1d, check_probability
 
 #: Supported interpretations of the Eq. 12 threshold.
@@ -118,3 +118,56 @@ def updated_label_vector(
     if return_accepted:
         return vector, n_l - int(mask.sum())
     return vector
+
+
+def updated_label_matrix(
+    label_matrix: np.ndarray,
+    X: np.ndarray,
+    threshold: float,
+    *,
+    mode: str = "relative",
+):
+    """:func:`updated_label_vector` for every column at once.
+
+    ``label_matrix`` is the ``(n, a)`` boolean mask of labeled training
+    nodes per class and ``X`` the matching ``(n, a)`` node
+    distributions.  Returns ``(vectors, n_accepted)``: the ``(n, a)``
+    Eq. 12 restart vectors and the ``(a,)`` integer counts of accepted
+    *unlabeled* nodes, column ``c`` bit-for-bit
+    ``updated_label_vector(label_matrix[:, c], X[:, c], threshold,
+    mode=mode, return_accepted=True)``.  The chain driver calls this
+    once per iteration, so only ``X``'s finiteness is checked here;
+    ``threshold`` must already be a validated probability (``TMark``
+    checks it at construction).
+    """
+    masks = np.asarray(label_matrix, dtype=bool)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape != masks.shape or X.shape[0] == 0:
+        raise ShapeError(
+            f"X must match the (n, a) label matrix {masks.shape}, got {X.shape}"
+        )
+    # One C-contiguous row per class: every reduction below runs along
+    # memory (an F-ordered input transposes without a copy).
+    rows = np.ascontiguousarray(X.T)
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("X contains non-finite values")
+    anchors = np.ascontiguousarray(masks.T)
+    candidates = ~anchors
+    if mode == "relative":
+        # Maxima are exact in any order; a class without candidates
+        # gets the 1-D path's 0.0 (its cutoff then tests no node).
+        candidate_max = np.where(candidates, rows, -np.inf).max(axis=1)
+        candidate_max[~candidates.any(axis=1)] = 0.0
+        cutoff = (threshold * candidate_max)[:, None]
+    elif mode == "absolute":
+        cutoff = threshold
+    else:
+        raise ValidationError(f"mode must be one of {THRESHOLD_MODES}, got {mode!r}")
+    accepted = candidates & (rows > cutoff)
+    n_accepted = np.count_nonzero(accepted, axis=1)
+    accepted |= anchors
+    n_l = np.count_nonzero(accepted, axis=1)
+    vectors = accepted * (1.0 / np.maximum(n_l, 1))[:, None]
+    # Degenerate classes (nothing labeled, nothing confident) stay uniform.
+    vectors[n_l == 0] = 1.0 / X.shape[0]
+    return vectors.T, n_accepted

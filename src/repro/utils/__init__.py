@@ -4,6 +4,7 @@ from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.simplex import (
     is_distribution,
     normalize_distribution,
+    project_columns_to_simplex,
     project_to_simplex,
     uniform_distribution,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "is_distribution",
     "normalize_distribution",
     "project_to_simplex",
+    "project_columns_to_simplex",
     "uniform_distribution",
     "check_array_1d",
     "check_array_2d",

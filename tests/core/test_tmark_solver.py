@@ -3,9 +3,12 @@
 Covers the three bugfix satellites of the solver PR: silent ``max_iter``
 exhaustion, bad warm ``starts``, and the non-finite
 ``projected_iterations`` crash — plus the solver trace events the
-accelerated paths emit.
+accelerated paths emit, and golden digests that pin the chain driver's
+output and timing-free events bit for bit.
 """
 
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -185,3 +188,84 @@ class TestSolverEvents:
         restarts = recorder.events_of("solver_restart")
         reasons = {e["reason"] for e in restarts}
         assert reasons <= {"label_update", "safeguard"}
+
+
+def _fit_digest(model, hin) -> str:
+    """sha256 over everything a fit computes that carries no wall-clock time."""
+    recorder = ListRecorder()
+    model.fit(hin, recorder=recorder)
+    result = model.result_
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(result.node_scores).tobytes())
+    digest.update(np.ascontiguousarray(result.relation_scores).tobytes())
+    for history in result.histories:
+        digest.update(np.asarray(history.residuals, dtype=float).tobytes())
+        digest.update(np.asarray(history.accepted_history, dtype=np.int64).tobytes())
+    for event in recorder.events:
+        if event["event"] not in ("invariant_probe", "solver_step", "solver_restart"):
+            continue
+        fields = {k: v for k, v in event.items() if k not in ("seconds", "span_id")}
+        digest.update(json.dumps(fields, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenDigests:
+    """Bit-identity pins for the lockstep chain driver's bookkeeping.
+
+    Each digest covers the node/relation scores, every class's residual
+    and Eq. 12 acceptance history, and the timing-free
+    ``invariant_probe`` / ``solver_step`` / ``solver_restart`` events of
+    a fit with the restart update on.  The configs avoid a dense ``W``
+    (``gamma=0`` or a top-k sparse ``W``) so no GEMM's blocking can move
+    a bit; any change to the order of the Eq. 12 / projection / residual
+    floating-point operations, or to the memory layout a probe reduces
+    over, changes a digest.
+    """
+
+    @pytest.fixture(scope="class")
+    def partial_hin(self):
+        full = small_labeled_hin(seed=7, n=60, q=3, m=2)
+        mask = np.zeros(full.n_nodes, dtype=bool)
+        mask[::3] = True
+        return full.masked(mask)
+
+    @pytest.mark.parametrize(
+        "params, digest",
+        [
+            (
+                dict(alpha=0.6, gamma=0.0, label_threshold=0.5),
+                "d474b659c6139f70c3d3d9fd149ea34bdc0f5eb07e77d9b061051ca4ecfeee86",
+            ),
+            (
+                dict(alpha=0.6, gamma=0.0, solver="anderson"),
+                "a1f355265bfa7645179286afabee7226121f6ab4a1820f4afa191902fe01bea8",
+            ),
+            (
+                dict(alpha=0.6, gamma=0.4, similarity_top_k=5, label_threshold=0.5),
+                "fa017abfdc5f6dae5d91b9778661320807bf7f9252fad2cef485f64c58580c70",
+            ),
+            (
+                dict(alpha=0.6, gamma=0.4, similarity_top_k=5, solver="anderson"),
+                "25d26427541550eca52ff11ed1f76e2650b464b4de4bcb03146f2b1c5bb6883b",
+            ),
+            (
+                dict(
+                    alpha=0.6, gamma=0.0, threshold_mode="absolute",
+                    label_threshold=0.02,
+                ),
+                "e808412de41514a541e8d0f4aebd421881cfa1afb78a2ad64a76676991d811a5",
+            ),
+            (
+                # Absolute-mode acceptances move the restart vector
+                # mid-run: pins the label_update solver_restart events.
+                dict(
+                    alpha=0.6, gamma=0.0, threshold_mode="absolute",
+                    label_threshold=0.02, solver="anderson",
+                ),
+                "8f4b5bf9552ca82e5d3f659220fd499ba837d35441f7c87f5ee2eec074156d7c",
+            ),
+        ],
+    )
+    def test_fit_digest(self, partial_hin, params, digest):
+        model = TMark(update_labels=True, max_iter=200, **params)
+        assert _fit_digest(model, partial_hin) == digest
