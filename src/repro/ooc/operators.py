@@ -98,6 +98,11 @@ class StoredNodeTransition(_StoredStack, NodeTransitionTensor):
         self._adopt(stacked, nondangling)
         self.chunk_size = int(chunk_size)
 
+    def _whole_stack_index(self) -> None:
+        """None: each row block is indexed as it is walked (``row_stack``),
+        so no whole-stack index is ever held in RAM."""
+        return None
+
     def propagate_many(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """:meth:`NodeTransitionTensor.propagate_many`, its relation sum
         computed one row block at a time."""

@@ -12,12 +12,35 @@
   observes) an in-flight update.
 * **One updater thread** owns the streaming session exclusively.  Delta
   batches accepted by ``POST /update`` are queued to it; for each batch
-  it journals the deltas through a :class:`~repro.stream.DeltaLog`
-  (durably, before touching the model when a journal path is
-  configured), applies them (operator patch + warm reconverge,
-  optionally under a :mod:`repro.solvers` accelerator), builds a fresh
-  snapshot and installs it with one atomic assignment
+  it journals the deltas (when a journal path is configured), applies
+  them (operator patch + warm reconverge, optionally under a
+  :mod:`repro.solvers` accelerator), builds a fresh snapshot and
+  installs it with one atomic assignment
   (:meth:`~repro.serve.handlers.ServingState.swap`).
+
+What a ``202`` promises
+-----------------------
+``POST /update`` answers ``202`` with a ticket once the batch is
+validated and queued — not yet journaled or applied.  Batches are
+applied in ticket order, and the updater appends each one to the
+journal with :meth:`~repro.stream.DeltaLog.append_batch` (deltas,
+commit marker, ``fsync``) *before* it touches the model.  So:
+
+* every snapshot the daemon has served is covered by the journal: the
+  batches behind snapshot version ``v`` are the journal's first ``v``
+  committed batches (counting from the daemon's start);
+* a crash loses only queued batches and at most the one batch being
+  written; ``DeltaLog.load(journal, recover=True)`` returns exactly
+  the committed batches, and replaying them on the seed graph rebuilds
+  the graph the daemon had reached (or was about to reach);
+* a ticket's batch is durable at the latest when the served snapshot
+  version (``tmark_updates_applied_total`` on ``/metrics``) reaches the
+  ticket number; ``flush()`` waits for that in process;
+* a batch the updater fails to apply is already journaled; the updater
+  stops there and refuses later ``/update`` calls.
+
+An existing journal is extended, not replaced, and must end at a batch
+boundary (see :meth:`~repro.stream.DeltaLog.append_batch`).
 
 The daemon binds ``port=0`` to a free ephemeral port by default, which
 is what the tests and the serving benchmark use.
@@ -58,10 +81,10 @@ class PredictionDaemon:
         Optional :mod:`repro.solvers` solver name used for every
         background reconvergence.
     journal:
-        Optional path; accepted delta batches are appended to a
-        :class:`~repro.stream.DeltaLog` and re-saved there *before*
+        Optional path of a :class:`~repro.stream.DeltaLog` journal;
+        each accepted batch is appended and ``fsync``-ed there *before*
         the model is updated, so a crash mid-reconverge loses no
-        accepted deltas.
+        applied deltas (see "What a ``202`` promises" above).
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` backing
         ``/metrics`` (a fresh one by default).
@@ -109,7 +132,6 @@ class PredictionDaemon:
         self._session = session
         self._solver = solver
         self._journal_path = journal
-        self._log = DeltaLog()
         self.state = h.ServingState(
             Snapshot.from_session(session, version=0),
             registry=registry,
@@ -244,11 +266,9 @@ class PredictionDaemon:
         # flight ring.  The session recorder also folds delta_apply /
         # reconverge events into the /metrics registry.
         with span("update", recorder=rec, ticket=ticket, n_deltas=len(batch)):
-            # Journal first: an accepted batch survives a crash mid-update.
-            self._log.extend(batch)
-            self._log.commit()
+            # Journal first: an applied batch survives a crash mid-update.
             if self._journal_path is not None:
-                self._log.save(self._journal_path)
+                DeltaLog.append_batch(self._journal_path, batch)
             update = self._session.apply(batch, solver=self._solver, recorder=rec)
             snapshot = Snapshot.from_session(
                 self._session, version=self.state.snapshot.version + 1

@@ -297,10 +297,11 @@ def handle_update(state: ServingState, payload) -> tuple[int, dict]:
 
     Payload: ``{"deltas": [<GraphDelta.to_dict() payload>, ...]}``.
     Deltas are validated here (400 on the first malformed one) and
-    handed to the daemon's updater thread, which journals them through
-    the session's :class:`~repro.stream.DeltaLog`, reconverges, and
-    swaps in the new snapshot.  Responds 202: the update is *accepted*,
-    not yet visible — poll ``snapshot_version`` to observe the swap.
+    handed to the daemon's updater thread, which appends them to the
+    journal (:meth:`~repro.stream.DeltaLog.append_batch`), reconverges,
+    and swaps in the new snapshot.  Responds 202: the update is
+    *accepted*, not yet durable or visible — poll ``snapshot_version``
+    to observe the swap (see :mod:`repro.serve.daemon`).
     """
     if state.enqueue_update is None:
         return 503, {"error": "daemon is not accepting updates"}

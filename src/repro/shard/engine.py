@@ -38,7 +38,12 @@ backed alike.
 
 A worker exception travels back over the pipe as a formatted remote
 traceback and re-raises on the coordinator as :class:`WorkerError`;
-a dead worker (closed pipe) raises the same.  On platforms without
+a dead worker (closed pipe or exited process) raises the same, and so
+does a worker that has not replied within :data:`ROUND_DEADLINE_SECONDS`
+of the round's start.  The coordinator waits in :data:`POLL_SECONDS`
+slices, checking each worker process between them, and terminates the
+pool before the error propagates, so one stalled worker cannot hang a
+fit.  On platforms without
 ``fork`` — or inside an existing pool worker — callers consult
 :func:`repro.experiments.parallel.serial_fallback_reason` and run the
 serial path instead.
@@ -64,6 +69,14 @@ from repro.obs.spans import span
 from repro.shard.plan import ShardPlan, plan_shards
 from repro.solvers.base import PLAIN_SOLVER
 from repro.utils.validation import check_positive_int
+
+#: Longest the coordinator waits for all of one round's replies.  A round
+#: is one operator pass over a worker's rows, so this is far above any
+#: healthy round; reaching it means a worker is stalled.
+ROUND_DEADLINE_SECONDS = 600.0
+
+#: Wait slice between the coordinator's worker liveness checks.
+POLL_SECONDS = 0.1
 
 
 def _shared_array(shape) -> np.ndarray:
@@ -185,27 +198,50 @@ def _worker_main(conn, context: _ShardContext, assigned) -> None:
                 return
 
 
-def _broadcast(conns, message) -> None:
+def _await_reply(conn, proc, what: str, deadline: float):
+    """One worker's reply, polled in slices until ``deadline`` (monotonic).
+
+    Raises :class:`WorkerError` when the worker's process has exited or
+    its pipe closed without a reply, or when the deadline passes.
+    """
+    while True:
+        remaining = deadline - time.monotonic()
+        if conn.poll(min(POLL_SECONDS, max(remaining, 0.0))):
+            break
+        if not proc.is_alive():
+            raise WorkerError(
+                f"{what}: the worker exited (code {proc.exitcode}) before replying"
+            )
+        if remaining <= 0.0:
+            raise WorkerError(
+                f"{what}: no reply within {ROUND_DEADLINE_SECONDS:g} s (worker stalled)"
+            )
+    try:
+        return conn.recv()
+    except (EOFError, OSError):
+        raise WorkerError(
+            f"{what}: the worker died (pipe closed before replying)"
+        ) from None
+
+
+def _broadcast(conns, procs, message, round_no: int) -> None:
     """Send one command to every worker and wait for every ack.
 
-    Raises :class:`WorkerError` on an error reply (remote traceback in
-    the message) or a dead pipe.
+    Raises :class:`WorkerError`, naming the worker and the round, on an
+    error reply (remote traceback in the message), a dead worker or a
+    round that outlives :data:`ROUND_DEADLINE_SECONDS`.
     """
     for conn in conns:
         conn.send(message)
-    for index, conn in enumerate(conns):
-        try:
-            reply = conn.recv()
-        except (EOFError, OSError):
-            raise WorkerError(
-                f"shard worker {index} died during {message[0]!r} "
-                "(pipe closed before replying)"
-            ) from None
+    deadline = time.monotonic() + ROUND_DEADLINE_SECONDS
+    for index, (conn, proc) in enumerate(zip(conns, procs)):
+        what = f"shard worker {index}, round {round_no} ({message[0]!r})"
+        reply = _await_reply(conn, proc, what, deadline)
         if reply[0] == "err":
             _, name, text, remote_tb = reply
             raise WorkerError(
-                f"shard worker {index} failed during {message[0]!r}: "
-                f"{name}: {text}\n--- remote traceback ---\n{remote_tb}"
+                f"{what} failed: {name}: {text}\n"
+                f"--- remote traceback ---\n{remote_tb}"
             )
 
 
@@ -251,6 +287,7 @@ class ShardBackend(LocalBackend):
         )
         self.conns, self.procs = [], []
         self.exchange_seconds = 0.0
+        self.n_rounds = 0
 
     def __enter__(self):
         plan = self.plan
@@ -301,17 +338,29 @@ class ShardBackend(LocalBackend):
                 pass
         for proc in self.procs:
             proc.join(timeout=10)
-        for proc in self.procs:
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5)
+        self._terminate_workers()
         for conn in self.conns:
             conn.close()
 
+    def _terminate_workers(self) -> None:
+        for proc in self.procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5)
+
     def _round(self, command: str, active) -> float:
-        """Broadcast one round to the workers; returns its wall seconds."""
+        """Broadcast one round to the workers; returns its wall seconds.
+
+        A failed round terminates the pool at once: a stalled worker
+        would not answer the ``stop`` that leaving the context sends.
+        """
         started = time.perf_counter()
-        _broadcast(self.conns, (command, list(active)))
+        self.n_rounds += 1
+        try:
+            _broadcast(self.conns, self.procs, (command, list(active)), self.n_rounds)
+        except WorkerError:
+            self._terminate_workers()
+            raise
         return time.perf_counter() - started
 
     def x_step(self, active, timer):

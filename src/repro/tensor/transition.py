@@ -26,20 +26,37 @@ Each tensor keeps its ``m`` per-relation ``(n, n)`` CSR slices as *one*
 vertically stacked CSR matrix (row ``k*n + i`` is row ``i`` of slice
 ``k``; ``R`` appends its linked-pair indicator as block ``m``), so a
 contraction is a single sparse product with one C-contiguous copy of
-the input block, whatever ``m`` is.  ``O x-bar_1 x x-bar_3 z`` then
-scales each ``(n, q)`` block by ``z_k`` and sums the blocks in ``k``
-order — no ``(n * m)``-sized Kronecker temporary — and ``R x-bar_1 x
-x-bar_2 y`` multiplies each block by ``x`` and takes per-column sums.
-A CSR row's product depends only on that row's entries, so this is
-bit-for-bit the one-product-per-slice computation, and a stack of any
-row range (``row_stack``) gives those rows exactly: the sharded
-fit's workers and the store-backed operators of :mod:`repro.ooc`, which
-hold the same stack memory-mapped, run the same kernels on row blocks.
-``propagate`` delegates to ``propagate_many`` on a single column, so the
-looped and batched paths are the same floating-point computation.
+the input block, whatever ``m`` is — no ``(n * m)``-sized Kronecker
+temporary.
+
+``O x-bar_1 x x-bar_3 z`` runs over the stack's *live* rows only (rows
+with at least one entry; with many link types and few links per node
+most ``(k, i)`` rows are empty).  :func:`live_rows` indexes them once
+per stack: a CSR of those rows sharing the stack's entries, their count
+per block and a 0/1 ``gather`` matrix with one entry per live row.
+:meth:`NodeTransitionTensor.relation_sum` is then ``p = rows @ X``,
+``p *= Z`` repeated per live row of each block (one contiguous
+multiply) and ``gather @ p``.  This is exact: each live row's product
+and scaling are the same operations as over the full stack, the gather
+adds a node's live rows into zeros in stack order, which is ``k``
+order, and every skipped row would have added an exact ``+0.0`` (a
+finite sum that starts at ``+0.0`` is never ``-0.0``).  ``R x-bar_1 x
+x-bar_2 y`` multiplies every block by ``x`` and takes per-column sums;
+those need the zero rows, so ``R`` keeps the full stack.
+
+A CSR row's product depends only on that row's entries, so a stack of
+any row range (``row_stack``; for ``O``, the :class:`LiveRows` of those
+rows) gives those rows exactly: the sharded fit's workers and the
+store-backed operators of :mod:`repro.ooc`, which hold the same stack
+memory-mapped and index one row block at a time, run the same kernels
+on row blocks.  ``propagate`` delegates to ``propagate_many`` on a
+single column, so the looped and batched paths are the same
+floating-point computation.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,6 +110,53 @@ def _stack_slices(values, i, j, k, n: int, m: int) -> sp.csr_matrix:
     return sp.csr_matrix((values, (rows, j.astype(rows.dtype))), shape=(m * n, n))
 
 
+class LiveRows(NamedTuple):
+    """The live rows of an ``O`` stack, the operand of ``O``'s relation sum.
+
+    A *live* row holds at least one entry.  ``rows`` is the CSR of those
+    rows in stack order (it shares the stack's ``data`` / ``indices``),
+    ``counts[k]`` the number of them in block ``k``, and ``gather`` the
+    ``(block_rows, L)`` 0/1 CSC matrix that adds live row ``t`` into
+    node row ``live[t] % block_rows``.
+    """
+
+    rows: sp.csr_matrix
+    counts: np.ndarray
+    gather: sp.csc_matrix
+
+
+def live_rows(stacked: sp.csr_matrix, n_blocks: int) -> LiveRows:
+    """The :class:`LiveRows` of ``stacked``, ``n_blocks`` equal row blocks.
+
+    Vectorised and sort-free: the live rows' CSR takes the stack's
+    ``indptr`` at those rows plus its last entry (the rows between two
+    live rows are empty, so each live row ends where the next begins),
+    the per-block counts are a search of the block starts in the sorted
+    live rows, and the gather has one entry per column, already in CSC
+    order.
+    """
+    indptr = stacked.indptr
+    # A boolean mask: np.flatnonzero is ~5x slower on integer input.
+    live = np.flatnonzero(indptr[1:] != indptr[:-1])
+    block_rows = stacked.shape[0] // n_blocks
+    rows_ptr = np.empty(live.size + 1, dtype=indptr.dtype)
+    rows_ptr[:-1] = indptr[live]
+    rows_ptr[-1] = indptr[-1]
+    rows = sp.csr_matrix(
+        (stacked.data, stacked.indices, rows_ptr),
+        shape=(live.size, stacked.shape[1]),
+        copy=False,
+    )
+    starts = np.arange(n_blocks) * block_rows
+    counts = np.diff(np.searchsorted(live, np.append(starts, stacked.shape[0])))
+    node = live - np.repeat(starts, counts)
+    gather = sp.csc_matrix(
+        (np.ones(live.size), node, np.arange(live.size + 1)),
+        shape=(block_rows, live.size),
+    )
+    return LiveRows(rows, counts, gather)
+
+
 class _StackedSlices:
     """Relation slices kept as one vertically stacked CSR matrix.
 
@@ -129,10 +193,10 @@ class _StackedSlices:
     def row_stack(self, start: int, stop: int) -> sp.csr_matrix:
         """Rows ``[start, stop)`` of every block, stacked into one CSR.
 
-        The ``stacked=`` argument of :meth:`NodeTransitionTensor.relation_sum`
-        and :meth:`RelationTransitionTensor.integrands` (``R``'s
-        linked-pair rows come last, as its block ``m``).  Each block's
-        rows are one contiguous run of the stack's entries, copied once.
+        The ``stacked=`` argument of :meth:`RelationTransitionTensor.integrands`
+        (``R``'s linked-pair rows come last, as its block ``m``); ``O``
+        indexes its live rows.  Each block's rows are one contiguous run
+        of the stack's entries, copied once.
         """
         stacked, n = self._stacked, self._n
         indptr = stacked.indptr
@@ -154,25 +218,17 @@ class _StackedSlices:
         counts = np.diff(self._stacked.indptr).reshape(-1, self._n)
         return counts.sum(axis=0, dtype=np.int64)
 
-    def _block_products(self, stacked, dense: np.ndarray) -> np.ndarray:
-        """``stacked @ dense`` as ``(blocks, rows, q)``, ``stacked`` being
-        the whole stack (``None``) or a stack of the blocks' rows
-        ``[start, stop)``; ``dense`` is copied once into C order."""
-        stacked = self._stacked if stacked is None else stacked
-        n_blocks = self._stacked.shape[0] // self._n
-        products = stacked @ np.ascontiguousarray(dense)
-        return products.reshape(n_blocks, -1, dense.shape[1])
-
 
 class NodeTransitionTensor(_StackedSlices):
     """The node-transition tensor ``O`` of Eq. 1, with implicit dangling mass.
 
     Stores the normalised slices ``M_k`` stacked into one ``(m*n, n)``
-    CSR matrix, plus an ``(m, n)`` indicator of the non-dangling
-    ``(j, k)`` columns used to vectorise the uniform correction.
+    CSR matrix with its :class:`LiveRows` index, plus an ``(m, n)``
+    indicator of the non-dangling ``(j, k)`` columns used to vectorise
+    the uniform correction.
     """
 
-    __slots__ = ("_nonempty", "_nd_indicator")
+    __slots__ = ("_live", "_nd_indicator")
 
     def __init__(self, tensor: SparseTensor3):
         n, _, m = tensor.shape
@@ -189,11 +245,23 @@ class NodeTransitionTensor(_StackedSlices):
         """Take a normalised ``(m*n, n)`` stack and its ``(m, n)`` non-dangling mask."""
         self._m, self._n = nondangling.shape
         self._stacked = stacked
-        self._nonempty = np.flatnonzero(self.relation_nnz)
+        self._live = self._whole_stack_index()
         k, j = np.nonzero(nondangling)
         self._nd_indicator = sp.csr_matrix(
             (np.ones(k.size), (k, j)), shape=nondangling.shape
         )
+
+    def _whole_stack_index(self) -> LiveRows | None:
+        """The :class:`LiveRows` of the whole stack, :meth:`relation_sum`'s default."""
+        return live_rows(self._stacked, self._m)
+
+    def row_stack(self, start: int, stop: int) -> LiveRows:
+        """The :class:`LiveRows` of rows ``[start, stop)`` of every block.
+
+        The ``stacked=`` argument of :meth:`relation_sum`; the rows are
+        copied once (:meth:`_StackedSlices.row_stack`) and indexed.
+        """
+        return live_rows(super().row_stack(start, stop), self._m)
 
     @property
     def _nondangling_cols(self) -> np.ndarray:
@@ -238,15 +306,17 @@ class NodeTransitionTensor(_StackedSlices):
     def relation_sum(self, X: np.ndarray, Z: np.ndarray, stacked=None) -> np.ndarray:
         """The sparse part ``sum_k Z[k] * (M_k @ X)``, blocks added in ``k`` order.
 
-        ``stacked=self.row_stack(start, stop)`` yields rows ``[start,
-        stop)`` bit-for-bit from the full ``X``.  Inputs are not
-        validated.
+        Only the live rows are multiplied, scaled and added: ``p = rows
+        @ X``, ``p *= Z`` repeated per live row of each block, then
+        ``gather @ p`` adds each node's live rows in stack (``k``) order
+        into zeros.  ``stacked=self.row_stack(start, stop)`` yields rows
+        ``[start, stop)`` bit-for-bit from the full ``X``.  Inputs are
+        not validated.
         """
-        products = self._block_products(stacked, X)
-        products *= Z[:, None, :]
-        total = np.zeros(products.shape[1:])
-        for k in self._nonempty:
-            total += products[k]
+        rows, counts, gather = self._live if stacked is None else stacked
+        products = rows @ np.ascontiguousarray(X)
+        products *= np.repeat(Z, counts, axis=0)
+        total = gather @ products
         # In the caller's layout, which the x-step and its probe column sums
         # inherit; total holds no -0.0, so the copy equals zeros + total.
         result = np.empty_like(X, shape=total.shape)
@@ -358,7 +428,9 @@ class RelationTransitionTensor(_StackedSlices):
         and ``Y`` the full ``(n, q)`` input yields rows ``[start, stop)``.
         Inputs are not validated.
         """
-        products = self._block_products(stacked, Y)
+        stacked = self._stacked if stacked is None else stacked
+        products = stacked @ np.ascontiguousarray(Y)
+        products = products.reshape(self._m + 1, -1, Y.shape[1])
         products *= np.ascontiguousarray(X)
         return products
 

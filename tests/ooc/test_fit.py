@@ -26,6 +26,17 @@ def synthetic_hin():
     )
 
 
+@pytest.fixture
+def many_relation_hin():
+    """The benchmark's ``dense_fit`` shape, scaled down: 20 link types."""
+    return make_synthetic_hin(
+        120,
+        ["a", "b", "c", "d"],
+        [RelationSpec(f"r{k}", n_links=12, homophily=0.5) for k in range(20)],
+        seed=23,
+    )
+
+
 def masked(hin, fraction=0.5, seed=0):
     from repro.ml.splits import stratified_fraction_split
 
@@ -169,6 +180,17 @@ class TestByteIdentity:
             operators, hin.label_matrix, recorder=recorder
         )
         reference = fitted_bytes(model, recorder)
+        self.assert_store_matches(store, params, reference, shards)
+
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_many_relations_equals_fit(self, tmp_path, many_relation_hin, shards):
+        # 20 link types with few links each: most (k, i) rows of O's stack
+        # are empty, and each row block indexes its own live rows.
+        hin = masked(many_relation_hin)
+        store = GraphStore.save(hin, tmp_path / "store")
+        params = dict(alpha=0.8, gamma=0.0)
+        recorder = ListRecorder()
+        reference = fitted_bytes(TMark(**params).fit(hin, recorder=recorder), recorder)
         self.assert_store_matches(store, params, reference, shards)
 
     @pytest.mark.parametrize("shards", SHARDS)

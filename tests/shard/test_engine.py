@@ -10,6 +10,7 @@ and unchanged results.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.core import TMark
 from repro.core.features import LowRankMatrix
 from repro.datasets import make_worked_example
+from repro.datasets.synthetic import RelationSpec, make_synthetic_hin
 from repro.experiments.parallel import WorkerError, fork_available
 from repro.hin.builder import HINBuilder
 from repro.obs import ListRecorder
@@ -63,6 +65,20 @@ class TestBitIdentity:
         sharded = fitted(
             hin, gamma=gamma, top_k=top_k, shards=shards, workers=2
         )
+        assert_same_scores(serial, sharded)
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_many_relations_identical(self, shards):
+        # The benchmark's dense_fit shape, scaled down: 20 link types, so
+        # most (k, i) rows of O's stack are empty in every shard.
+        hin = make_synthetic_hin(
+            120,
+            ["a", "b", "c", "d"],
+            [RelationSpec(f"r{k}", n_links=12, homophily=0.5) for k in range(20)],
+            seed=23,
+        ).masked(np.arange(120) % 5 == 0)
+        serial = fitted(hin, gamma=0.5)
+        sharded = fitted(hin, gamma=0.5, shards=shards, workers=2)
         assert_same_scores(serial, sharded)
 
     def test_single_shard_runs_serial(self, hin):
@@ -261,6 +277,22 @@ class _ExplodingTensor:
         return self._inner.row_stack(start, stop)
 
 
+class _StallingTensor:
+    """Delegates to a real tensor, but its relation sum hangs in any forked child."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self._parent_pid = os.getpid()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def relation_sum(self, *args):
+        if os.getpid() != self._parent_pid:
+            time.sleep(120)
+        return self._inner.relation_sum(*args)
+
+
 class TestFailurePropagation:
     def test_worker_exception_raises_workererror(self, hin):
         model = TMark(alpha=0.8, gamma=0.0, max_iter=80)
@@ -279,6 +311,45 @@ class TestFailurePropagation:
         assert "operator exploded in the worker" in message
         assert "remote traceback" in message
         assert "RuntimeError" in message
+
+
+    def test_stalled_worker_raises_within_the_deadline(self, hin, monkeypatch):
+        import repro.shard.engine as engine
+
+        monkeypatch.setattr(engine, "ROUND_DEADLINE_SECONDS", 0.5)
+        model = TMark(alpha=0.8, gamma=0.0, max_iter=80)
+        o_tensor, r_tensor, w_matrix = model_operators(hin, model)
+        started = time.monotonic()
+        with pytest.raises(WorkerError) as excinfo:
+            run_chains_sharded(
+                model,
+                _StallingTensor(o_tensor),
+                r_tensor,
+                w_matrix,
+                hin.label_matrix,
+                shards=2,
+                workers=2,
+            )
+        assert time.monotonic() - started < 10.0
+        message = str(excinfo.value)
+        assert "shard worker 0, round 1 ('ox')" in message
+        assert "stalled" in message
+
+    def test_exited_worker_raises(self, hin):
+        model = TMark(alpha=0.8, gamma=0.0, max_iter=80)
+        o_tensor, r_tensor, w_matrix = model_operators(hin, model)
+
+        class _ExitingTensor(_StallingTensor):
+            def relation_sum(self, *args):
+                if os.getpid() != self._parent_pid:
+                    os._exit(3)
+                return self._inner.relation_sum(*args)
+
+        with pytest.raises(WorkerError, match="round 1 .*(exited|died)"):
+            run_chains_sharded(
+                model, _ExitingTensor(o_tensor), r_tensor, w_matrix,
+                hin.label_matrix, shards=2, workers=2,
+            )
 
 
 def model_operators(hin, model):

@@ -1,5 +1,8 @@
 """Tests for DeltaLog save/load/replay and the synthetic workload."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,3 +131,135 @@ class TestSyntheticWorkload:
         loaded = DeltaLog.load(log.save(tmp_path / "journal.jsonl"))
         assert loaded == log
         assert loaded.replay(hin).tensor == log.replay(hin).tensor
+
+
+def committed_batches():
+    """``sample_log``'s batches, all committed, plus one with a unicode name."""
+    batches = [list(batch) for batch in sample_log().batches()]
+    batches.append([GraphDelta.add_node("ü-node", features=[0.5, 1.5])])
+    return batches
+
+
+def parses(line: bytes) -> bool:
+    """Whether a journal line is empty or complete JSON."""
+    try:
+        return not line or json.loads(line) is not None
+    except json.JSONDecodeError:
+        return False
+
+
+def appended_journal(path, batches):
+    for batch in batches:
+        DeltaLog.append_batch(path, batch)
+    return path
+
+
+class TestAppendBatch:
+    def test_each_append_equals_save_bytewise(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        log = DeltaLog()
+        for batch in committed_batches():
+            DeltaLog.append_batch(path, batch)
+            log.extend(batch)
+            log.commit()
+            assert path.read_bytes() == log.save(tmp_path / "saved.jsonl").read_bytes()
+        assert DeltaLog.load(path) == log
+
+    def test_empty_batch_writes_no_marker(self, tmp_path):
+        path = DeltaLog.append_batch(tmp_path / "journal.jsonl", [])
+        saved = DeltaLog().save(tmp_path / "saved.jsonl")
+        assert path.read_bytes() == saved.read_bytes()
+        DeltaLog.append_batch(path, [])
+        assert DeltaLog.load(path, recover=True).n_batches == 0
+
+    def test_extends_a_saved_journal(self, tmp_path):
+        log = DeltaLog()
+        log.extend(committed_batches()[0])
+        log.commit()
+        path = log.save(tmp_path / "journal.jsonl")
+        DeltaLog.append_batch(path, committed_batches()[1])
+        assert DeltaLog.load(path).n_batches == 2
+
+    @pytest.mark.parametrize("cut", [1, 5])
+    def test_refuses_a_torn_or_uncommitted_tail(self, tmp_path, cut):
+        path = appended_journal(tmp_path / "journal.jsonl", committed_batches())
+        path.write_bytes(path.read_bytes()[:-cut])
+        before = path.read_bytes()
+        with pytest.raises(ValidationError, match="batch boundary"):
+            DeltaLog.append_batch(path, [GraphDelta.set_label("u", [])])
+        assert path.read_bytes() == before
+        # A saved trailing uncommitted batch is refused the same way.
+        sample_log().save(path)
+        with pytest.raises(ValidationError, match="batch boundary"):
+            DeltaLog.append_batch(path, [GraphDelta.set_label("u", [])])
+
+
+class TestRecover:
+    """Cut the journal at every byte offset inside its last batch."""
+
+    def test_every_cut_in_the_last_batch(self, tmp_path):
+        batches = committed_batches()
+        full = appended_journal(tmp_path / "full.jsonl", batches).read_bytes()
+        prefix = appended_journal(tmp_path / "prefix.jsonl", batches[:-1])
+        prefix_log = DeltaLog.load(prefix)
+        start = len(prefix.read_bytes())
+        path = tmp_path / "cut.jsonl"
+        for offset in range(start, len(full)):
+            path.write_bytes(full[:offset])
+            if offset == start:
+                recovered = DeltaLog.load(path, recover=True)
+            else:
+                with pytest.warns(RuntimeWarning, match="uncommitted journal tail"):
+                    recovered = DeltaLog.load(path, recover=True)
+            assert recovered == prefix_log, offset
+            # Strict load keeps its documented behaviour: a cut after a
+            # complete line loads (trailing deltas read as committed) and
+            # a cut inside a line is a malformed line.
+            if parses(full[:offset].split(b"\n")[-1]):
+                strict = DeltaLog.load(path)
+                assert strict.batches()[: len(batches) - 1] == prefix_log.batches()
+            else:
+                with pytest.raises(ValidationError, match="invalid JSON"):
+                    DeltaLog.load(path)
+        full_log = DeltaLog.load(tmp_path / "full.jsonl", recover=True)
+        assert full_log.n_batches == len(batches)
+
+    def test_recovered_journal_accepts_appends(self, tmp_path):
+        batches = committed_batches()
+        path = appended_journal(tmp_path / "journal.jsonl", batches)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.warns(RuntimeWarning):
+            DeltaLog.load(path, recover=True).save(path)
+        DeltaLog.append_batch(path, batches[-1])
+        assert DeltaLog.load(path) == DeltaLog.load(
+            appended_journal(tmp_path / "clean.jsonl", batches)
+        )
+
+    def test_torn_header_recovers_empty(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        DeltaLog.append_batch(path, committed_batches()[0])
+        header = path.read_bytes().split(b"\n")[0]
+        for offset in range(len(header) + 1):
+            path.write_bytes(header[:offset])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert len(DeltaLog.load(path, recover=True)) == 0
+            if offset == len(header):
+                assert len(DeltaLog.load(path)) == 0
+            else:
+                with pytest.raises(ValidationError):
+                    DeltaLog.load(path)
+
+    def test_corruption_before_a_commit_still_raises(self, tmp_path):
+        path = appended_journal(tmp_path / "journal.jsonl", committed_batches())
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = b"{not json"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValidationError, match="invalid JSON"):
+            DeltaLog.load(path, recover=True)
+
+    def test_not_a_journal_still_raises(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"op": "commit"}\n')
+        with pytest.raises(ValidationError, match="not a"):
+            DeltaLog.load(path, recover=True)

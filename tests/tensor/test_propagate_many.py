@@ -11,6 +11,7 @@ how many columns ride along in the batch.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ShapeError
@@ -254,9 +255,9 @@ class TestStackedKernelsMatchPerSliceLoop:
         assert same_bytes(r_tensor.propagate_many(X, Y), per_slice_r(r_tensor, X, Y))
 
     def test_reverse_order_accumulation_is_caught(self):
-        # The k-order of the O accumulation is part of the contract: a
-        # kernel summing the same blocks in reverse order rounds
-        # differently, and the bytewise comparison notices.
+        # The order in which a node's live rows are added is part of the
+        # contract: a gather adding them in reverse rounds differently,
+        # and the bytewise comparison notices.
         rng = np.random.default_rng(3)
         tensor = random_sparse_tensor(rng, n=40, m=20, density=0.05)
         o_tensor = NodeTransitionTensor(tensor)
@@ -264,5 +265,96 @@ class TestStackedKernelsMatchPerSliceLoop:
         Z = laid_out(rng, 20, 4, "fancy")
         expected = per_slice_o(o_tensor, X, Z)
         assert same_bytes(o_tensor.propagate_many(X, Z), expected)
-        o_tensor._nonempty = o_tensor._nonempty[::-1]
+        live = o_tensor._live
+        o_tensor._live = live._replace(gather=reversed_rows(live.gather))
         assert not same_bytes(o_tensor.propagate_many(X, Z), expected)
+
+
+def reversed_rows(gather):
+    """``gather`` as a CSR whose rows list their entries in reverse order,
+    so ``gather @ p`` adds each node's live rows last to first."""
+    csr = gather.tocsr()
+    order = np.concatenate([
+        np.arange(stop - 1, start - 1, -1)
+        for start, stop in zip(csr.indptr[:-1], csr.indptr[1:])
+    ])
+    return sp.csr_matrix(
+        (csr.data[order], csr.indices[order], csr.indptr), shape=csr.shape
+    )
+
+
+@st.composite
+def sparse_relation_cases(draw):
+    """Stacks at the extremes of liveness, with ``(X, Z)`` in any layout.
+
+    ``"sparse"``: up to 40 relations and at most one link per source
+    node, so nearly every ``(k, i)`` row is empty.  ``"full"``: every
+    node has an in-link in every relation, so every row is live.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["sparse", "full"]))
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 40 if kind == "sparse" else 6))
+    q = draw(st.integers(1, 5))
+    layout = draw(st.sampled_from(["C", "F", "fancy"]))
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        j = rng.choice(n, size=draw(st.integers(0, n)), replace=False)
+        i = rng.integers(0, n, size=j.size)
+        k = rng.integers(0, m, size=j.size)
+    else:
+        i = np.tile(np.arange(n), m)
+        j = rng.integers(0, n, size=n * m)
+        k = np.repeat(np.arange(m), n)
+    values = rng.uniform(0.1, 2.0, size=i.size)
+    tensor = SparseTensor3(i, j, k, values, shape=(n, n, m))
+    return tensor, laid_out(rng, n, q, layout), laid_out(rng, m, q, layout)
+
+
+class TestLiveRowKernel:
+    """The live-row relation sum at the extremes, and on row blocks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_relation_cases())
+    def test_matches_per_slice_bytewise(self, case):
+        tensor, X, Z = case
+        o_tensor = NodeTransitionTensor(tensor)
+        got, expected = o_tensor.propagate_many(X, Z), per_slice_o(o_tensor, X, Z)
+        assert same_bytes(got, expected)
+        assert got.strides == expected.strides
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(stacked_cases(), sparse_relation_cases()), st.data())
+    def test_row_stack_blocks_match_whole_stack(self, case, data):
+        tensor, X, Z = case
+        o_tensor = NodeTransitionTensor(tensor)
+        n = tensor.shape[0]
+        whole = o_tensor.relation_sum(X, Z)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+        bounds = [0, *cuts, n]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            block = o_tensor.relation_sum(X, Z, o_tensor.row_stack(start, stop))
+            assert same_bytes(block, whole[start:stop])
+
+    def test_index_keeps_only_live_rows(self):
+        # Links only in relation 1 (rows 0 and 2) and relation 3 (row 0).
+        tensor = SparseTensor3(
+            np.array([0, 2, 0]), np.array([1, 1, 2]), np.array([1, 1, 3]),
+            np.ones(3), shape=(3, 3, 4),
+        )
+        rows, counts, gather = NodeTransitionTensor(tensor)._live
+        assert rows.shape == (3, 3)
+        assert counts.tolist() == [0, 2, 0, 1]
+        assert gather.shape == (3, 3)
+        assert gather.toarray().tolist() == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]
+
+    def test_empty_tensor_gives_zero_sparse_part(self):
+        tensor = SparseTensor3(
+            np.empty(0, int), np.empty(0, int), np.empty(0, int), np.empty(0),
+            shape=(4, 4, 3),
+        )
+        o_tensor = NodeTransitionTensor(tensor)
+        X, Z = random_stack(np.random.default_rng(0), 4, 2), np.full((3, 2), 1 / 3)
+        assert o_tensor._live.rows.shape == (0, 4)
+        assert np.array_equal(o_tensor.relation_sum(X, Z), np.zeros((4, 2)))
+        assert np.allclose(o_tensor.propagate_many(X, Z), 0.25)
