@@ -18,11 +18,14 @@ Practical details the paper leaves implicit, resolved here:
 * for cosine on non-negative features (the paper's bag-of-words setting)
   no clipping happens, so Eq. 9 factors exactly through the
   row-normalised features ``F̂``: ``W = F̂ F̂ᵀ D⁻¹`` plus a uniform term
-  for featureless columns, with ``D = diag(F̂ (F̂ᵀ 1))``.
-  :func:`feature_walk_matrix` picks that rank-``(d + 1)``
-  :class:`LowRankMatrix` whenever it is cheaper
-  to apply than the dense matrix, and :func:`feature_transition_matrix`
-  stays the dense reference.
+  for featureless columns, with ``D = diag(F̂ (F̂ᵀ 1))``.  One shared
+  factor applies it: ``W X = F̂ (F̂ᵀ D⁻¹ X) + (1/n) 1 1_zeroᵀ X``, where
+  ``1_zero`` marks the featureless nodes, so the rank-``(d + 1)``
+  :class:`LowRankMatrix` stores ``F̂`` once (``n d`` floats, not the
+  ``2 n (d + 1)`` of two separate factors).
+  :func:`feature_walk_matrix` picks it whenever it is cheaper to apply
+  than the dense matrix, and :func:`feature_transition_matrix` stays
+  the dense reference.
 """
 
 from __future__ import annotations
@@ -38,44 +41,59 @@ from repro.utils.validation import check_positive_int
 
 @dataclass(frozen=True)
 class LowRankMatrix:
-    """A factored matrix ``U @ Vt`` that quacks like its dense product.
+    """Eq. 9's cosine ``W`` as one shared factor, applied as ``W @ X``.
 
-    Supports the one operation the chain runner needs — ``self @ X`` —
-    at ``O(n r q)`` instead of ``O(n^2 q)``.  The factors are dense
-    arrays or scipy sparse matrices (the exact cosine ``W`` of sparse
-    features, :func:`repro.core.features.factored_cosine_transition_matrix`,
-    keeps them sparse).
+    ``W = F̂ F̂ᵀ D⁻¹ + (1/n) 1 1_zeroᵀ`` is held as the unit-row features
+    ``F̂`` (``unit``, ``(n, d)``), the inverse column sums ``D⁻¹``
+    (``col_scale``, zero on featureless columns) and the featureless
+    mask ``1_zero`` (``featureless``).  Both GEMMs of
+    ``W X = F̂ (F̂ᵀ (D⁻¹ X)) + (1/n) 1 (1_zeroᵀ X)`` read the same
+    ``F̂``, the second while it is still in cache, so ``W`` takes about
+    ``n d`` floats and one product costs ``O(n d q)`` instead of
+    ``O(n^2 q)``.  ``unit`` is a dense array or a scipy sparse matrix
+    (sparse features keep a sparse ``F̂``).  Built by
+    :func:`factored_cosine_transition_matrix`.
     """
 
-    u: np.ndarray
-    vt: np.ndarray
+    unit: np.ndarray
+    col_scale: np.ndarray
+    featureless: np.ndarray
 
     def __post_init__(self):
-        if self.u.ndim != 2 or self.vt.ndim != 2:
-            raise ValidationError("LowRankMatrix factors must be 2-D")
-        if self.u.shape[1] != self.vt.shape[0]:
-            raise ValidationError(
-                f"factor shapes {self.u.shape} and {self.vt.shape} "
-                "do not chain"
-            )
+        if self.unit.ndim != 2:
+            raise ValidationError("LowRankMatrix unit rows must be 2-D")
+        n = self.unit.shape[0]
+        for name in ("col_scale", "featureless"):
+            shape = np.shape(getattr(self, name))
+            if shape != (n,):
+                raise ValidationError(f"{name} has shape {shape}, expected ({n},)")
 
     @property
     def shape(self) -> tuple[int, int]:
-        """The shape of the implied dense product ``U @ Vt``."""
-        return (self.u.shape[0], self.vt.shape[1])
+        """The shape ``(n, n)`` of the implied dense ``W``."""
+        n = self.unit.shape[0]
+        return (n, n)
 
     @property
     def rank(self) -> int:
-        """The factorization rank (inner dimension of ``U @ Vt``)."""
-        return self.u.shape[1]
+        """The inner dimension ``d + 1`` of one ``W @ X`` product."""
+        return self.unit.shape[1] + 1
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        return self.u @ (self.vt @ other)
+        # D⁻¹ scales the rows of a 1-D or 2-D operand; the transposes
+        # keep an F-ordered operand F-ordered.
+        scaled = (self.col_scale * other.T).T
+        walked = self.unit @ (self.unit.T @ scaled)
+        if self.featureless.any():
+            walked += (self.featureless @ other) / self.unit.shape[0]
+        return walked
 
     def dense(self) -> np.ndarray:
-        """Materialise the dense product (tests and small matrices only)."""
-        product = self.u @ self.vt
-        return product.toarray() if sp.issparse(product) else product
+        """Materialise the dense ``W`` (tests and small matrices only)."""
+        unit = self.unit.toarray() if sp.issparse(self.unit) else self.unit
+        product = unit @ (unit.T * self.col_scale)
+        product[:, self.featureless] += 1.0 / self.unit.shape[0]
+        return product
 
 
 def unit_feature_rows(features):
@@ -339,43 +357,28 @@ def factored_cosine_transition_matrix(features) -> LowRankMatrix:
 
     For non-negative ``F̂`` every cosine is already non-negative, so
     Eq. 9 is ``W = F̂ F̂ᵀ D⁻¹`` on featured columns, with column sums
-    ``D = F̂ (F̂ᵀ 1)``, and uniform ``1/n`` on featureless ones.  Both
-    parts fit one rank-``(d + 1)`` product ``U Vᵀ``:
-    ``U = [F̂ | 1/n]`` and ``Vᵀ = [(F̂ D⁻¹)ᵀ ; 1_zeroᵀ]``, where
-    ``1_zero`` marks the featureless nodes.  Sparse features give sparse
-    factors.
+    ``D = F̂ (F̂ᵀ 1)``, and uniform ``1/n`` on featureless ones:
+    ``W = F̂ F̂ᵀ D⁻¹ + (1/n) 1 1_zeroᵀ``, where ``1_zero`` marks the
+    featureless nodes.  The :class:`LowRankMatrix` keeps ``F̂`` once,
+    plus the ``n``-vectors ``D⁻¹`` and ``1_zero``; sparse features keep
+    a sparse ``F̂``.
 
     ``W @ X`` costs ``O(n d q)`` instead of ``O(n^2 q)`` and ``W`` takes
-    ``n (d + 1)`` floats instead of ``n^2``; the values match
+    about ``n d`` floats instead of ``n^2``; the values match
     :func:`feature_transition_matrix` up to float rounding.  The caller
     guarantees the features have no negative entry (see
     :func:`feature_walk_form`).
     """
     unit, _ = unit_feature_rows(features)
-    n, d = unit.shape
     if sp.issparse(unit):
         totals = np.asarray(unit.sum(axis=0)).ravel()
     else:
         totals = unit.sum(axis=0)
     col_sums = np.asarray(unit @ totals).ravel()
     featured = col_sums > 0
-    scale = np.zeros(n)
-    scale[featured] = 1.0 / col_sums[featured]
-    featureless = (~featured).astype(float)
-    if sp.issparse(unit):
-        u = sp.hstack([unit, sp.csr_matrix(np.full((n, 1), 1.0 / n))], format="csr")
-        vt = sp.vstack(
-            [(sp.diags(scale) @ unit).T, sp.csr_matrix(featureless[None, :])],
-            format="csr",
-        )
-        return LowRankMatrix(u, vt)
-    u = np.empty((n, d + 1))
-    u[:, :d] = unit
-    u[:, d] = 1.0 / n
-    vt = np.empty((d + 1, n))
-    vt[:d] = (unit * scale[:, None]).T
-    vt[d] = featureless
-    return LowRankMatrix(u, vt)
+    col_scale = np.zeros(unit.shape[0])
+    col_scale[featured] = 1.0 / col_sums[featured]
+    return LowRankMatrix(unit, col_scale, ~featured)
 
 
 def feature_walk_form(

@@ -11,14 +11,13 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from repro.experiments.harness import GridResult
 from repro.experiments.report import ExperimentReport
+from repro.obs.trace import _json_default
 
 
-def _jsonable(value):
-    """Recursively convert report data to JSON-safe structures."""
+def _report_default(value):
+    """``json.dumps`` hook: grids as plain dicts, numpy values as JSON types."""
     if isinstance(value, GridResult):
         return {
             "fractions": list(value.fractions),
@@ -31,19 +30,7 @@ def _jsonable(value):
                 for name, cells in value.cells.items()
             },
         }
-    if isinstance(value, dict):
-        return {str(key): _jsonable(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(val) for val in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+    return _json_default(value)
 
 
 def report_to_json(report: ExperimentReport) -> str:
@@ -52,9 +39,9 @@ def report_to_json(report: ExperimentReport) -> str:
         "experiment_id": report.experiment_id,
         "title": report.title,
         "text": report.text,
-        "data": _jsonable(report.data),
+        "data": report.data,
     }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, default=_report_default)
 
 
 def grid_to_csv(grid: GridResult, path) -> Path:

@@ -174,6 +174,11 @@ class DeltaLog:
         ``batches`` treat it as committed anyway).  This keeps saved
         journals genuinely append-only: extending a journal and saving
         again reproduces the earlier file as a byte prefix.
+
+        The save is atomic: the bytes go to a temporary file in the same
+        directory, which is ``fsync``-ed and renamed over ``path``, and
+        then the directory is ``fsync``-ed.  A crash mid-save leaves the
+        old journal intact (plus, at worst, a stray temporary file).
         """
         path = Path(path)
         lines = [_HEADER_LINE]
@@ -183,7 +188,19 @@ class DeltaLog:
             lines.append(_COMMIT_LINE)
             start = stop
         lines.extend(_delta_line(delta) for delta in self._deltas[start:])
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tmp = path.with_name(path.name + ".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            try:
+                _write_all(fd, ("\n".join(lines) + "\n").encode("utf-8"))
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        _fsync_directory(path.parent)
         return path
 
     @staticmethod

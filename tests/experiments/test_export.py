@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments.export import grid_to_csv, report_to_json, save_report
@@ -37,14 +38,49 @@ class TestReportToJson:
         assert payload["data"]["grid"]["cells"]["T-Mark"][0]["mean"] == 0.9
 
     def test_numpy_values_converted(self):
-        import numpy as np
-
         report = ExperimentReport(
             "x", "t", "", data={"arr": np.arange(3), "f": np.float64(1.5)}
         )
         payload = json.loads(report_to_json(report))
         assert payload["data"]["arr"] == [0, 1, 2]
         assert payload["data"]["f"] == 1.5
+
+
+def reference_jsonable(value):
+    """A recursive pre-pass to JSON-safe values, the reference encoding."""
+    if isinstance(value, dict):
+        return {str(key): reference_jsonable(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(val) for val in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+class TestReportBytes:
+    def test_hook_encodes_like_a_recursive_prepass(self, grid):
+        data = {
+            "grid": grid,
+            "rankings": {"a": [("x", np.float64(0.25)), ("y", 0.5)]},
+            "counts": {"n": np.int64(3), "ok": np.bool_(True), "f": np.float32(0.5)},
+            "curve": np.linspace(0.0, 1.0, 4),
+            "nested": [{"nan": float("nan"), "none": None}, (1, "two")],
+        }
+        report = ExperimentReport("bytes", "t", "text", data=data)
+        grid_dict = json.loads(report_to_json(report))["data"]["grid"]
+        expected = {
+            "experiment_id": "bytes",
+            "title": "t",
+            "text": "text",
+            "data": reference_jsonable({**data, "grid": grid_dict}),
+        }
+        assert report_to_json(report) == json.dumps(expected, indent=2)
 
 
 class TestGridToCsv:

@@ -2,7 +2,8 @@
 
 For non-negative features Eq. 9 factors exactly as
 ``W = F̂ F̂ᵀ D⁻¹`` plus a uniform term for featureless columns
-(:func:`repro.core.features.factored_cosine_transition_matrix`).  The
+(:func:`repro.core.features.factored_cosine_transition_matrix`), applied
+through the one shared factor ``F̂``.  The
 selector :func:`repro.core.features.feature_walk_matrix` must pick it
 only when it is exact and cheaper, and hand back the dense Eq. 9
 reference unchanged otherwise.
@@ -22,7 +23,7 @@ from repro.core.features import (
     feature_walk_matrix,
     walk_matrix_form,
 )
-from repro.core.tmark import build_operators
+from repro.core.tmark import TMark, build_operators
 from repro.obs import ListRecorder
 
 
@@ -79,7 +80,8 @@ class TestFactoredMatchesReference:
     def test_sparse_features_keep_sparse_factors(self):
         features = sp.random(50, 8, density=0.2, random_state=3, format="csr")
         low = factored_cosine_transition_matrix(features)
-        assert sp.issparse(low.u) and sp.issparse(low.vt)
+        assert sp.issparse(low.unit) and low.unit.shape == (50, 8)
+        assert low.col_scale.shape == low.featureless.shape == (50,)
         assert low.rank == 9
 
 
@@ -147,3 +149,20 @@ class TestGoldenGraphRunsFactored:
         assert operators.w_matrix.rank == 121
         (event,) = recorder.events_of("operator_build")
         assert (event["w_form"], event["w_rank"]) == ("factored", 121)
+
+    def test_traced_fit_equals_untraced(self):
+        hin = make_dblp(seed=0)
+        mask = np.zeros(hin.n_nodes, dtype=bool)
+        mask[::4] = True
+        operators = build_operators(hin)
+        traced = TMark(alpha=0.8, gamma=0.6).fit(
+            hin.masked(mask), operators=operators, recorder=ListRecorder()
+        )
+        untraced = TMark(alpha=0.8, gamma=0.6).fit(
+            hin.masked(mask), operators=operators
+        )
+        for attr in ("node_scores", "relation_scores"):
+            assert (
+                getattr(traced.result_, attr).tobytes()
+                == getattr(untraced.result_, attr).tobytes()
+            )

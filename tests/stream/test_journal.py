@@ -1,12 +1,14 @@
 """Tests for DeltaLog save/load/replay and the synthetic workload."""
 
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.stream import journal
 from repro.stream.delta import GraphDelta, apply_batch
 from repro.stream.journal import DeltaLog
 from repro.stream.workload import synthetic_delta_log
@@ -85,6 +87,22 @@ class TestDeltaLog:
         log.commit()
         after = log.save(tmp_path / "b.jsonl").read_text()
         assert after.startswith(before)
+
+    def test_failed_save_keeps_the_old_journal(self, tmp_path, monkeypatch):
+        path = appended_journal(tmp_path / "journal.jsonl", committed_batches())
+        before = path.read_bytes()
+
+        def torn_write(fd, payload):
+            os.write(fd, payload[: len(payload) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(journal, "_write_all", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            sample_log().save(path)
+        assert path.read_bytes() == before
+        loaded = DeltaLog.load(path).batches()
+        assert [list(batch) for batch in loaded] == committed_batches()
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_replay_matches_batchwise_apply(self):
         hin = small_hin()

@@ -438,8 +438,9 @@ class TestColdBuildMemory:
         own = array_nbytes(
             *retained_arrays(o_tensor),
             *retained_arrays(r_tensor),
-            w_matrix.u,
-            w_matrix.vt,
+            w_matrix.unit,
+            w_matrix.col_scale,
+            w_matrix.featureless,
         )
         # Everything retained beyond the operator arrays themselves is
         # bookkeeping; per-column or per-fibre side stores would be a
