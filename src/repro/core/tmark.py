@@ -104,7 +104,9 @@ def build_operators(
     ``build_operators`` span carry ``w_form`` (``"dense"``,
     ``"factored"`` or ``"sparse"``) and ``w_rank``, the inner dimension
     of one ``W @ X`` product (see
-    :func:`repro.core.features.walk_matrix_form`).
+    :func:`repro.core.features.walk_matrix_form`), and ``r_layout``
+    (``"rows"`` or ``"columns"``), how ``R``'s Eq. 8 product walks its
+    stack (see :func:`repro.tensor.transition.product_operand`).
     """
     rec = get_recorder() if recorder is None else recorder
     with span("build_operators", recorder=rec, n_nodes=hin.n_nodes) as build_span:
@@ -117,7 +119,8 @@ def build_operators(
         if rec.enabled:
             feature_done = time.perf_counter()
             w_form, w_rank = walk_matrix_form(w_matrix)
-            annotate_span(build_span, w_form=w_form, w_rank=w_rank)
+            r_layout = r_tensor.layout
+            annotate_span(build_span, w_form=w_form, w_rank=w_rank, r_layout=r_layout)
             rec.emit(
                 "operator_build",
                 n_nodes=hin.n_nodes,
@@ -126,6 +129,7 @@ def build_operators(
                 similarity_metric=similarity_metric,
                 w_form=w_form,
                 w_rank=w_rank,
+                r_layout=r_layout,
                 transition_seconds=transition_done - started,
                 feature_seconds=feature_done - transition_done,
             )

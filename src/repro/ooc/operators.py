@@ -13,7 +13,9 @@ tensors (and that CSR) over memory-mapped arrays; only
 the output, releasing the block's pages with ``madvise(MADV_DONTNEED)``.
 Resident memory stays at one block plus the ``(n, q)`` iterates (and
 ``R``'s ``(m+1, n, q)`` integrands, whose column sums run over all
-rows) regardless of graph size.
+rows) regardless of graph size.  ``R``'s blocks are always multiplied
+by rows: the in-memory ``R``'s CSC copy of a mostly empty stack is
+never made here.
 
 A CSR row's product depends only on that row's entries, and the closed
 forms (``dangling_mass``, ``contract``) are the in-memory tensors' own,
@@ -112,7 +114,7 @@ class StoredNodeTransition(_StoredStack, NodeTransitionTensor):
         result = np.empty_like(X)
         for a, b, stack in self.row_walk(0, self._n):
             result[a:b] = self.relation_sum(x, Z, stack)
-        result += self.dangling_mass(X, Z) / self._n
+        result += self.dangling_mass(X, Z, x) / self._n
         return result
 
 
@@ -126,6 +128,11 @@ class StoredRelationTransition(_StoredStack, RelationTransitionTensor):
         self._adopt(stacked, m)
         self.chunk_size = int(chunk_size)
 
+    def _product_operand(self, stacked):
+        """``stacked`` itself: the stack stays out of core, and a CSC copy
+        of each walked block would cost ``O(n)`` per block."""
+        return stacked
+
     def propagate_many(
         self, X: np.ndarray, Y: np.ndarray | None = None
     ) -> np.ndarray:
@@ -134,9 +141,10 @@ class StoredRelationTransition(_StoredStack, RelationTransitionTensor):
         X = check_array_2d(X, "X", shape=(self._n, None))
         Y = X if Y is None else check_array_2d(Y, "Y", shape=(self._n, X.shape[1]))
         y = np.ascontiguousarray(Y)
+        x = y if X is Y else X
         integrands = np.empty((self._m + 1, self._n, X.shape[1]))
         for a, b, stack in self.row_walk(0, self._n):
-            integrands[:, a:b] = self.integrands(X[a:b], y, stack)
+            integrands[:, a:b] = self.integrands(x[a:b], y, stack)
         return self.contract(integrands, X, Y)
 
 

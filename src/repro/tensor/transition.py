@@ -36,22 +36,35 @@ per stack: a CSR of those rows sharing the stack's entries, their count
 per block and a 0/1 ``gather`` matrix with one entry per live row.
 :meth:`NodeTransitionTensor.relation_sum` is then ``p = rows @ X``,
 ``p *= Z`` repeated per live row of each block (one contiguous
-multiply) and ``gather @ p``.  This is exact: each live row's product
-and scaling are the same operations as over the full stack, the gather
-adds a node's live rows into zeros in stack order, which is ``k``
-order, and every skipped row would have added an exact ``+0.0`` (a
-finite sum that starts at ``+0.0`` is never ``-0.0``).  ``R x-bar_1 x
-x-bar_2 y`` multiplies every block by ``x`` and takes per-column sums;
-those need the zero rows, so ``R`` keeps the full stack.
+multiply) and ``gather @ p``; when every row is live it scales the
+``(m, n, q)`` blocks by ``Z`` and adds them in ``k`` order instead.
+This is exact: each live row's product and scaling are the same
+operations as over the full stack, both adds start from ``+0.0`` and go
+in ``k`` order, and every skipped row would have added an exact
+``+0.0`` (a finite sum that starts at ``+0.0`` is never ``-0.0``).
+
+``R x-bar_1 x x-bar_2 y`` multiplies every block by ``x`` and takes
+per-column sums; those need the zero rows, so ``R``'s product writes
+the full ``((m+1)*n, q)`` stack.  How it walks the stack depends on how
+many rows are live (:func:`product_operand`): below half live it
+multiplies through a CSC copy of the stack, a pass over the ``n``
+columns and the stored entries instead of over every ``(m+1)*n`` row.
+The bytes are the same: a CSC product adds row ``i``'s terms in
+ascending column order starting from ``+0.0``, which is what the CSR
+product does on a row whose indices are sorted, so the copy is only
+made from a sorted stack.  Heavier stacks stay on rows, where the CSR
+pass is faster.
 
 A CSR row's product depends only on that row's entries, so a stack of
 any row range (``row_stack``; for ``O``, the :class:`LiveRows` of those
-rows) gives those rows exactly: the sharded fit's workers and the
-store-backed operators of :mod:`repro.ooc`, which hold the same stack
-memory-mapped and index one row block at a time, run the same kernels
-on row blocks.  ``propagate`` delegates to ``propagate_many`` on a
-single column, so the looped and batched paths are the same
-floating-point computation.
+rows, for ``R``, that block's :func:`product_operand`) gives those rows
+exactly: the sharded fit's workers and the store-backed operators of
+:mod:`repro.ooc`, which hold the same stack memory-mapped and index one
+row block at a time, run the same kernels on row blocks.  A
+store-backed ``R`` never makes the CSC copy: the stack stays out of
+core, and a copy per walked block would cost ``O(n)`` each.
+``propagate`` delegates to ``propagate_many`` on a single column, so
+the looped and batched paths are the same floating-point computation.
 """
 
 from __future__ import annotations
@@ -94,8 +107,11 @@ def _uncovered_mass(X: np.ndarray, Z: np.ndarray, covered: np.ndarray) -> np.nda
 
 def _unlinked_mass(X: np.ndarray, Y: np.ndarray, linked: np.ndarray) -> np.ndarray:
     """The mass ``R``'s unlinked pairs carry, per column, before the ``1/m``:
-    ``max(colsum(X) * colsum(Y) - linked, 0)``."""
-    return np.maximum(_column_sums(X) * _column_sums(Y) - linked, 0.0)
+    ``max(colsum(X) * colsum(Y) - linked, 0)``, ``X``'s sums taken once
+    when ``Y`` is ``X``."""
+    x_sums = _column_sums(X)
+    y_sums = x_sums if Y is X else _column_sums(Y)
+    return np.maximum(x_sums * y_sums - linked, 0.0)
 
 
 def _stack_slices(values, i, j, k, n: int, m: int) -> sp.csr_matrix:
@@ -123,6 +139,11 @@ class LiveRows(NamedTuple):
     rows: sp.csr_matrix
     counts: np.ndarray
     gather: sp.csc_matrix
+
+    @property
+    def all_live(self) -> bool:
+        """Whether every row of every block is live (no row was skipped)."""
+        return self.rows.shape[0] == self.counts.size * self.gather.shape[0]
 
 
 def live_rows(stacked: sp.csr_matrix, n_blocks: int) -> LiveRows:
@@ -155,6 +176,27 @@ def live_rows(stacked: sp.csr_matrix, n_blocks: int) -> LiveRows:
         shape=(block_rows, live.size),
     )
     return LiveRows(rows, counts, gather)
+
+
+def live_share(stacked: sp.csr_matrix) -> float:
+    """Share of ``stacked``'s rows that hold at least one entry."""
+    indptr = stacked.indptr
+    return np.count_nonzero(indptr[1:] != indptr[:-1]) / max(stacked.shape[0], 1)
+
+
+def product_operand(stacked: sp.csr_matrix) -> sp.csr_matrix | sp.csc_matrix:
+    """The matrix ``R``'s integrands multiply ``Y`` through, for ``stacked``.
+
+    A CSC copy of ``stacked`` when fewer than half of its rows hold an
+    entry and its indices are sorted, else ``stacked`` itself.  The CSC
+    product visits only the columns and the stored entries, and adds
+    row ``i``'s terms in ascending column order from ``+0.0`` — what the
+    CSR product does on sorted rows — so both give the same bytes.  On
+    an unsorted stack the orders differ, so it stays on rows.
+    """
+    if live_share(stacked) < 0.5 and stacked.has_sorted_indices:
+        return stacked.tocsc()
+    return stacked
 
 
 class _StackedSlices:
@@ -212,6 +254,11 @@ class _StackedSlices:
             (entries(stacked.data), entries(stacked.indices), rows_ptr),
             shape=(counts.size, n),
         )
+
+    @property
+    def live_share(self) -> float:
+        """Share of the stack's rows that hold an entry (:func:`live_share`)."""
+        return live_share(self._stacked)
 
     def row_nnz(self) -> np.ndarray:
         """Per-row entry counts over every block: the shard planner's row weights."""
@@ -296,12 +343,16 @@ class NodeTransitionTensor(_StackedSlices):
             raise ValidationError(f"relation index {k} out of range [0, {self._m})")
         return self._stacked[k * self._n:(k + 1) * self._n]
 
-    def dangling_mass(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def dangling_mass(
+        self, X: np.ndarray, Z: np.ndarray, x: np.ndarray | None = None
+    ) -> np.ndarray:
         """The per-column uncovered mass :meth:`propagate_many` adds (before
         the ``1/n`` scaling).  Exposed so the sharded fit's coordinator can
         finish the workers' :meth:`relation_sum` rows with it: a
-        column-global reduction, not split across shards."""
-        return _uncovered_mass(X, Z, self._nd_indicator @ X)
+        column-global reduction, not split across shards.  ``x``, if
+        given, is ``X`` C-contiguous, the copy the product then reads
+        (scipy would copy an F-ordered ``X`` again)."""
+        return _uncovered_mass(X, Z, self._nd_indicator @ (X if x is None else x))
 
     def relation_sum(self, X: np.ndarray, Z: np.ndarray, stacked=None) -> np.ndarray:
         """The sparse part ``sum_k Z[k] * (M_k @ X)``, blocks added in ``k`` order.
@@ -309,19 +360,25 @@ class NodeTransitionTensor(_StackedSlices):
         Only the live rows are multiplied, scaled and added: ``p = rows
         @ X``, ``p *= Z`` repeated per live row of each block, then
         ``gather @ p`` adds each node's live rows in stack (``k``) order
-        into zeros.  ``stacked=self.row_stack(start, stop)`` yields rows
-        ``[start, stop)`` bit-for-bit from the full ``X``.  Inputs are
-        not validated.
+        into zeros.  When every row is live, ``p``'s ``(m, rows, q)``
+        blocks are scaled by ``Z`` and added in ``k`` order from
+        ``+0.0`` instead, the same operations without the repeat and
+        the gather.  ``stacked=self.row_stack(start, stop)`` yields rows
+        ``[start, stop)`` bit-for-bit from the full ``X``.  Returns a
+        fresh C-contiguous array; inputs are not validated.
         """
-        rows, counts, gather = self._live if stacked is None else stacked
-        products = rows @ np.ascontiguousarray(X)
-        products *= np.repeat(Z, counts, axis=0)
-        total = gather @ products
-        # In the caller's layout, which the x-step and its probe column sums
-        # inherit; total holds no -0.0, so the copy equals zeros + total.
-        result = np.empty_like(X, shape=total.shape)
-        result[...] = total
-        return result
+        live = self._live if stacked is None else stacked
+        products = live.rows @ np.ascontiguousarray(X)
+        if not live.all_live:
+            products *= np.repeat(Z, live.counts, axis=0)
+            return live.gather @ products
+        blocks = products.reshape(Z.shape[0], live.gather.shape[0], Z.shape[1])
+        blocks *= Z[:, None, :]
+        # 0 + p_0, as the gather adds it: a -0.0 becomes +0.0.
+        total = blocks[0] + 0.0
+        for block in blocks[1:]:
+            total += block
+        return total
 
     def propagate(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Compute ``O x-bar_1 x x-bar_3 z`` (the contraction in Eq. 7/10).
@@ -347,8 +404,12 @@ class NodeTransitionTensor(_StackedSlices):
         """
         X = check_array_2d(X, "X", shape=(self._n, None))
         Z = check_array_2d(Z, "Z", shape=(self._m, X.shape[1]))
-        result = self.relation_sum(X, Z)
-        result += self.dangling_mass(X, Z) / self._n
+        x = np.ascontiguousarray(X)
+        # In the caller's layout, which the x-step and its probe column sums
+        # inherit; the relation sum holds no -0.0, so this is zeros + sum.
+        result = np.empty_like(X)
+        result[...] = self.relation_sum(x, Z)
+        result += self.dangling_mass(X, Z, x) / self._n
         return result
 
     def to_dense(self) -> np.ndarray:
@@ -373,10 +434,11 @@ class RelationTransitionTensor(_StackedSlices):
     an ``(n, n)`` indicator of the linked ``(i, j)`` pairs as one
     ``((m+1)*n, n)`` stack, so the per-relation reductions and the
     uniform ``1/m`` correction for unlinked pairs share one sparse
-    product — no ``(nnz, q)`` gather temporary.
+    product — no ``(nnz, q)`` gather temporary.  The product runs
+    through the stack's :func:`product_operand`, kept next to it.
     """
 
-    __slots__ = ("_empty",)
+    __slots__ = ("_empty", "_operand")
 
     def __init__(self, tensor: SparseTensor3):
         n, _, m = tensor.shape
@@ -396,7 +458,23 @@ class RelationTransitionTensor(_StackedSlices):
         """Take a normalised ``((m+1)*n, n)`` stack, pair indicator last."""
         self._n, self._m = stacked.shape[1], m
         self._stacked = stacked
+        self._operand = self._product_operand(stacked)
         self._empty = np.flatnonzero(np.array(self.relation_nnz) == 0)
+
+    def _product_operand(self, stacked):
+        """:func:`product_operand` of ``stacked``, the whole stack or a row block."""
+        return product_operand(stacked)
+
+    @property
+    def layout(self) -> str:
+        """How the whole-stack product walks the stack: ``"columns"`` when
+        it runs through a CSC copy, else ``"rows"``."""
+        return "columns" if self._operand.format == "csc" else "rows"
+
+    def row_stack(self, start: int, stop: int):
+        """Rows ``[start, stop)`` of every block, as :meth:`integrands`'s
+        ``stacked=`` argument: that row block's :func:`product_operand`."""
+        return self._product_operand(super().row_stack(start, stop))
 
     @property
     def n_linked_pairs(self) -> int:
@@ -426,12 +504,14 @@ class RelationTransitionTensor(_StackedSlices):
 
         ``stacked=self.row_stack(start, stop)`` with ``X`` those rows
         and ``Y`` the full ``(n, q)`` input yields rows ``[start, stop)``.
+        One C-contiguous copy serves both operands when ``X`` is ``Y``.
         Inputs are not validated.
         """
-        stacked = self._stacked if stacked is None else stacked
-        products = stacked @ np.ascontiguousarray(Y)
+        stacked = self._operand if stacked is None else stacked
+        y = np.ascontiguousarray(Y)
+        products = stacked @ y
         products = products.reshape(self._m + 1, -1, Y.shape[1])
-        products *= np.ascontiguousarray(X)
+        products *= y if X is Y else np.ascontiguousarray(X)
         return products
 
     def contract(self, integrands: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

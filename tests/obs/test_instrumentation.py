@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import TMark
 from repro.core.tmark import build_operators
+from repro.datasets.synthetic import RelationSpec, make_synthetic_hin
 from repro.hin.graph import HIN
 from repro.obs import CHAIN_PHASES, ListRecorder, use_recorder
 from tests.conftest import small_labeled_hin
@@ -91,6 +92,23 @@ class TestChainInstrumentation:
             ]
             for record in (event, build_span):
                 assert (record["w_form"], record["w_rank"]) == (form, rank)
+
+    def test_operator_build_reports_r_layout(self, hin):
+        many_relations = make_synthetic_hin(
+            120,
+            ["a", "b", "c", "d"],
+            [RelationSpec(f"r{k}", n_links=12, homophily=0.5) for k in range(20)],
+            seed=23,
+        )
+        for graph, layout in ((hin, "rows"), (many_relations, "columns")):
+            recorder = ListRecorder()
+            operators = build_operators(graph, recorder=recorder)
+            assert operators.r_tensor.layout == layout
+            (event,) = recorder.events_of("operator_build")
+            (build_span,) = [
+                e for e in recorder.events_of("span") if e["name"] == "build_operators"
+            ]
+            assert event["r_layout"] == build_span["r_layout"] == layout
 
     def test_counters_accumulate(self, hin):
         recorder = ListRecorder()

@@ -185,8 +185,10 @@ class TestByteIdentity:
     @pytest.mark.parametrize("shards", SHARDS)
     def test_many_relations_equals_fit(self, tmp_path, many_relation_hin, shards):
         # 20 link types with few links each: most (k, i) rows of O's stack
-        # are empty, and each row block indexes its own live rows.
+        # are empty, and each row block indexes its own live rows.  The
+        # in-memory R multiplies by columns, the store-backed one by rows.
         hin = masked(many_relation_hin)
+        assert build_operators(hin).r_tensor.layout == "columns"
         store = GraphStore.save(hin, tmp_path / "store")
         params = dict(alpha=0.8, gamma=0.0)
         recorder = ListRecorder()
@@ -201,6 +203,21 @@ class TestByteIdentity:
         model = TMark(**params).fit(worked_example, recorder=recorder)
         reference = fitted_bytes(model, recorder)
         self.assert_store_matches(store, params, reference, shards)
+
+
+class TestColumnPassStaysInMemory:
+    def test_store_backed_r_never_builds_the_copy(self, tmp_path, many_relation_hin):
+        from repro.ooc import build_chunked_operators
+
+        in_memory = build_operators(many_relation_hin).r_tensor
+        assert in_memory.live_share < 0.5 and in_memory.layout == "columns"
+        store = GraphStore.open(
+            GraphStore.save(many_relation_hin, tmp_path / "store").directory
+        )
+        r_tensor = build_chunked_operators(store, chunk_size=16, build_w=False).r_tensor
+        assert r_tensor.layout == "rows"
+        for _, _, block in r_tensor.row_walk(0, store.n_nodes):
+            assert block.format == "csr"
 
 
 class TestCacheReuse:

@@ -20,7 +20,12 @@ from repro.tensor.products import (
     dense_mode13_product_many,
 )
 from repro.tensor.sptensor import SparseTensor3
-from repro.tensor.transition import NodeTransitionTensor, RelationTransitionTensor
+from repro.tensor.transition import (
+    NodeTransitionTensor,
+    RelationTransitionTensor,
+    live_share,
+    product_operand,
+)
 from tests.conftest import random_sparse_tensor
 
 
@@ -40,6 +45,37 @@ def random_stack(rng, rows, cols):
     stack = rng.uniform(0.01, 1.0, size=(rows, cols))
     return stack / stack.sum(axis=0)
 
+
+def rule_tensor(kind, rng, n=30):
+    """A tensor whose ``R`` stack sits on a chosen side of the column-pass rule.
+
+    ``"mostly_empty"``: 12 relations and about one link per node, so
+    most ``(k, i)`` rows are empty (column pass).  ``"empty_relation"``:
+    the same with the first and last relation unused.  ``"all_live"``:
+    every node has an in-link in each of 3 relations (row pass).
+    """
+    if kind == "all_live":
+        m = 3
+        i = np.tile(np.arange(n), m)
+        j = rng.integers(0, n, size=n * m)
+        k = np.repeat(np.arange(m), n)
+    else:
+        m = 12
+        used = np.arange(1, m - 1) if kind == "empty_relation" else np.arange(m)
+        i = rng.integers(0, n, size=n)
+        j = rng.integers(0, n, size=n)
+        k = rng.choice(used, size=n)
+    keep = np.unique(k * n * n + j * n + i, return_index=True)[1]
+    values = rng.uniform(0.1, 2.0, size=keep.size)
+    return SparseTensor3(i[keep], j[keep], k[keep], values, shape=(n, n, m))
+
+
+#: The side of the rule each :func:`rule_tensor` kind lands on.
+RULE_LAYOUTS = {
+    "mostly_empty": "columns",
+    "empty_relation": "columns",
+    "all_live": "rows",
+}
 
 TENSOR_FACTORIES = {
     "generic": lambda rng: random_sparse_tensor(
@@ -132,6 +168,24 @@ class TestRelationTransitionMany:
         result = r_tensor.propagate_many(X, X)
         assert np.all(result >= 0)
         assert np.allclose(result.sum(axis=0), 1.0)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 8])
+    @pytest.mark.parametrize("kind", sorted(RULE_LAYOUTS))
+    def test_rule_stacks_match_single_bitwise(self, kind, q):
+        rng = np.random.default_rng(q)
+        r_tensor = RelationTransitionTensor(rule_tensor(kind, rng))
+        assert r_tensor.layout == RULE_LAYOUTS[kind]
+        assert (r_tensor.live_share < 0.5) == (r_tensor.layout == "columns")
+        n = r_tensor.shape[0]
+        X = np.asfortranarray(random_stack(rng, n, q))
+        Y = random_stack(rng, n, q)
+        for batched, second in ((r_tensor.propagate_many(X, Y), Y),
+                                (r_tensor.propagate_many(X), X)):
+            for c in range(q):
+                single = r_tensor.propagate(X[:, c].copy(), second[:, c].copy())
+                assert np.array_equal(batched[:, c], single)
+        expected = dense_mode12_product_many(r_tensor.to_dense(), X, Y)
+        assert np.allclose(r_tensor.propagate_many(X, Y), expected)
 
     def test_rejects_mismatched_shapes(self, tiny_tensor):
         r_tensor = RelationTransitionTensor(tiny_tensor)
@@ -254,6 +308,20 @@ class TestStackedKernelsMatchPerSliceLoop:
         assert same_bytes(r_tensor.propagate_many(X), per_slice_r(r_tensor, X, X))
         assert same_bytes(r_tensor.propagate_many(X, Y), per_slice_r(r_tensor, X, Y))
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 8])
+    @pytest.mark.parametrize("kind", sorted(RULE_LAYOUTS))
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["C", "F", "fancy"]))
+    def test_r_rule_stacks_match_per_slice_bytewise(self, kind, q, seed, layout):
+        rng = np.random.default_rng(seed)
+        r_tensor = RelationTransitionTensor(rule_tensor(kind, rng))
+        assert r_tensor.layout == RULE_LAYOUTS[kind]
+        n = r_tensor.shape[0]
+        X = laid_out(rng, n, q, layout)
+        Y = X[::-1].copy()
+        assert same_bytes(r_tensor.propagate_many(X), per_slice_r(r_tensor, X, X))
+        assert same_bytes(r_tensor.propagate_many(X, Y), per_slice_r(r_tensor, X, Y))
+
     def test_reverse_order_accumulation_is_caught(self):
         # The order in which a node's live rows are added is part of the
         # contract: a gather adding them in reverse rounds differently,
@@ -358,3 +426,92 @@ class TestLiveRowKernel:
         assert o_tensor._live.rows.shape == (0, 4)
         assert np.array_equal(o_tensor.relation_sum(X, Z), np.zeros((4, 2)))
         assert np.allclose(o_tensor.propagate_many(X, Z), 0.25)
+
+    def test_all_live_stack_adds_blocks_like_the_gather(self):
+        # Every (k, i) row live: the relation sum scales and adds the blocks
+        # instead of gathering, and must give the gather's bytes, also
+        # where a scaled row is -0.0 (the gather adds it to +0.0).
+        rng = np.random.default_rng(7)
+        n, m, q = 12, 4, 3
+        i = np.tile(np.arange(n), m)
+        j = rng.integers(0, n, size=n * m)
+        k = np.repeat(np.arange(m), n)
+        tensor = SparseTensor3(i, j, k, rng.uniform(0.1, 2.0, n * m), shape=(n, n, m))
+        o_tensor = NodeTransitionTensor(tensor)
+        assert o_tensor._live.all_live
+        X = laid_out(rng, n, q, "fancy")
+        Z = laid_out(rng, m, q, "F")
+        Z[:, 1] = -0.0
+        rows, counts, gather = o_tensor._live
+        products = rows @ np.ascontiguousarray(X)
+        products *= np.repeat(Z, counts, axis=0)
+        gathered = gather @ products
+        got = o_tensor.relation_sum(X, Z)
+        assert same_bytes(got, gathered)
+        assert not np.signbit(got).any()
+        assert same_bytes(o_tensor.propagate_many(X, Z), per_slice_o(o_tensor, X, Z))
+
+    def test_sparse_stack_is_not_all_live(self):
+        rng = np.random.default_rng(1)
+        o_tensor = NodeTransitionTensor(rule_tensor("mostly_empty", rng))
+        assert not o_tensor._live.all_live
+        assert o_tensor.row_stack(0, 0).all_live  # no rows, none skipped
+
+
+def sorted_stack(rows, cols, entries):
+    """A CSR of ``(row, col, value)`` entries, each row's columns ascending."""
+    r, c, v = zip(*entries)
+    return sp.csr_matrix((v, (r, c)), shape=(rows, cols))
+
+
+class TestColumnPass:
+    """``R``'s product runs through a CSC copy only where the rule allows."""
+
+    def test_copy_only_below_half_live(self):
+        half = sorted_stack(4, 3, [(0, 1, 1.0), (2, 0, 2.0), (2, 2, 3.0)])
+        assert live_share(half) == 0.5
+        assert product_operand(half) is half
+        below = sorted_stack(4, 3, [(2, 0, 2.0), (2, 2, 3.0)])
+        operand = product_operand(below)
+        assert operand.format == "csc"
+        assert np.array_equal(operand.toarray(), below.toarray())
+
+    def test_unsorted_stack_stays_on_rows(self):
+        # Row 0 lists its columns 2, 1, 0: the CSR product adds 1.0 first
+        # and loses both 1e-16 terms, a column pass would add them first.
+        indptr = np.array([0, 3, 3, 3, 3, 3, 3])
+        stacked = sp.csr_matrix(
+            (np.array([1.0, 1e-16, 1e-16]), np.array([2, 1, 0]), indptr),
+            shape=(6, 3),
+        )
+        assert live_share(stacked) < 0.5
+        assert not stacked.has_sorted_indices
+        Y = np.ones((3, 1))
+        assert not same_bytes(stacked.tocsc() @ Y, stacked @ Y)
+        assert product_operand(stacked) is stacked
+        r_tensor = object.__new__(RelationTransitionTensor)
+        r_tensor._adopt(stacked, 1)
+        assert r_tensor.layout == "rows"
+        X = np.ones((3, 1))
+        expected = (stacked @ Y).reshape(2, 3, 1) * X
+        assert same_bytes(r_tensor.integrands(X, Y), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(RULE_LAYOUTS)), st.integers(0, 2**32 - 1), st.data())
+    def test_row_stack_blocks_match_whole_stack(self, kind, seed, data):
+        rng = np.random.default_rng(seed)
+        r_tensor = RelationTransitionTensor(rule_tensor(kind, rng))
+        n = r_tensor.shape[0]
+        X = laid_out(rng, n, 3, "fancy")
+        whole = r_tensor.integrands(X, X)
+        cuts = sorted(data.draw(st.lists(st.integers(1, n - 1), max_size=4)))
+        bounds = [0, *cuts, n]
+        y = np.ascontiguousarray(X)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if start == stop:
+                continue
+            block = r_tensor.row_stack(start, stop)
+            expected_format = "csc" if live_share(block.tocsr()) < 0.5 else "csr"
+            assert block.format == expected_format
+            got = r_tensor.integrands(y[start:stop], y, block)
+            assert same_bytes(got, whole[:, start:stop])
