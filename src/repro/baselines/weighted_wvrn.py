@@ -102,14 +102,4 @@ class WeightedWvRN(CollectiveClassifier):
         i, j, k = hin.tensor.coords
         values = hin.tensor.values * weights[k]
         reweighted = SparseTensor3(i, j, k, values, shape=hin.tensor.shape)
-        weighted_hin = HIN(
-            reweighted,
-            hin.relation_names,
-            hin.features,
-            hin.label_matrix,
-            hin.label_names,
-            node_names=hin.node_names,
-            multilabel=hin.multilabel,
-            metadata=hin.metadata,
-        )
-        return self._wvrn.fit_predict(weighted_hin, rng=rng)
+        return self._wvrn.fit_predict(hin.derive(tensor=reweighted), rng=rng)

@@ -68,16 +68,7 @@ def inject_noise_relation(
         new_values,
         shape=(hin.n_nodes, hin.n_nodes, hin.n_relations + 1),
     )
-    return HIN(
-        tensor,
-        list(hin.relation_names) + [name],
-        hin.features,
-        hin.label_matrix,
-        hin.label_names,
-        node_names=hin.node_names,
-        multilabel=hin.multilabel,
-        metadata=hin.metadata,
-    )
+    return hin.derive(tensor=tensor, relation_names=[*hin.relation_names, name])
 
 
 def run_sensitivity(

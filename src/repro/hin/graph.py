@@ -13,7 +13,9 @@ experiments.  A row of all ``False`` means *unknown*.
 
 from __future__ import annotations
 
-from typing import Sequence
+import copy
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,71 +63,32 @@ class HIN:
         multilabel: bool = False,
         metadata: dict | None = None,
     ):
-        if not isinstance(tensor, SparseTensor3):
-            raise ValidationError(
-                f"tensor must be a SparseTensor3, got {type(tensor).__name__}"
-            )
+        tensor = _checked_tensor(tensor)
         n, _, m = tensor.shape
-
-        relation_names = [str(r) for r in relation_names]
-        if len(relation_names) != m:
-            raise ShapeError(
-                f"expected {m} relation names (tensor has {m} relations), "
-                f"got {len(relation_names)}"
-            )
-        if len(set(relation_names)) != m:
-            raise ValidationError("relation names must be distinct")
-
-        if sp.issparse(features):
-            features = sp.csr_matrix(features, dtype=float)
-            if features.nnz and not np.all(np.isfinite(features.data)):
-                raise ValidationError("features contain non-finite values")
-        else:
-            features = np.asarray(features, dtype=float)
-            if features.ndim != 2:
-                raise ShapeError(f"features must be 2-D, got shape {features.shape}")
-            if features.size and not np.all(np.isfinite(features)):
-                raise ValidationError("features contain non-finite values")
+        relation_names = _name_tuple(
+            relation_names, m, "relation", f" (tensor has {m} relations)"
+        )
+        features = _checked_features(features)
         if features.shape[0] != n:
             raise ShapeError(
                 f"features has {features.shape[0]} rows, expected {n} (one per node)"
             )
-
-        label_matrix = np.asarray(label_matrix, dtype=bool)
-        if label_matrix.ndim != 2 or label_matrix.shape[0] != n:
-            raise ShapeError(
-                f"label_matrix must be (n, q) = ({n}, q), got {label_matrix.shape}"
-            )
+        label_matrix = _checked_labels(label_matrix, n, multilabel)
         q = label_matrix.shape[1]
-        label_names = [str(c) for c in label_names]
-        if len(label_names) != q:
-            raise ShapeError(
-                f"expected {q} label names (label_matrix has {q} columns), "
-                f"got {len(label_names)}"
-            )
-        if len(set(label_names)) != q:
-            raise ValidationError("label names must be distinct")
-        if not multilabel and np.any(label_matrix.sum(axis=1) > 1):
-            raise ValidationError(
-                "label_matrix has rows with multiple labels; pass multilabel=True"
-            )
-
+        label_names = _name_tuple(
+            label_names, q, "label", f" (label_matrix has {q} columns)"
+        )
         if node_names is None:
-            node_names = [f"node_{idx}" for idx in range(n)]
+            node_names = tuple(f"node_{idx}" for idx in range(n))
         else:
-            node_names = [str(v) for v in node_names]
-            if len(node_names) != n:
-                raise ShapeError(f"expected {n} node names, got {len(node_names)}")
-            if len(set(node_names)) != n:
-                raise ValidationError("node names must be distinct")
+            node_names = _name_tuple(node_names, n, "node")
 
         self._tensor = tensor
-        self._relation_names = tuple(relation_names)
+        self._relation_names = relation_names
         self._features = features
         self._label_matrix = label_matrix
-        self._label_matrix.setflags(write=False)
-        self._label_names = tuple(label_names)
-        self._node_names = tuple(node_names)
+        self._label_names = label_names
+        self._node_names = node_names
         self._multilabel = bool(multilabel)
         self.metadata = dict(metadata or {})
         self._node_index = {name: idx for idx, name in enumerate(node_names)}
@@ -181,6 +144,11 @@ class HIN:
     def node_names(self) -> tuple[str, ...]:
         """Names of the ``n`` nodes."""
         return self._node_names
+
+    @property
+    def node_positions(self) -> Mapping[str, int]:
+        """Read-only ``node name -> index`` mapping (shared by derived HINs)."""
+        return MappingProxyType(self._node_index)
 
     @property
     def features(self):
@@ -248,33 +216,113 @@ class HIN:
     # ------------------------------------------------------------------
     # Derived HINs
     # ------------------------------------------------------------------
-    def with_labels(self, label_matrix: np.ndarray) -> "HIN":
-        """Return a copy of this HIN with a different label matrix.
+    def derive(
+        self,
+        *,
+        tensor: SparseTensor3 | None = None,
+        relation_names: Sequence[str] | None = None,
+        features=None,
+        feature_rows=None,
+        label_matrix=None,
+        new_node_names: Sequence[str] = (),
+    ) -> "HIN":
+        """Return a HIN that shares this one's validated state but for what is passed.
 
-        Used by the experiment harness to mask test labels: structure,
-        features and names are shared, only supervision changes.
+        The one derivation path behind :meth:`with_labels`,
+        :meth:`masked`, :meth:`with_relations`, meta-path composition and
+        the streaming layer's post-batch graph.  Whatever is not passed
+        is carried over by reference, neither copied nor checked again:
+        the tensor, the features, the node / relation / label name
+        tuples and the name -> index mappings.  Only what changes is
+        checked:
+
+        * ``label_matrix``: shape ``(n, q)`` and the single-label rule;
+          stored read-only.
+        * ``tensor``: a :class:`SparseTensor3` over the ``n`` nodes.
+          It may change the number of relations only together with
+          ``relation_names``, which must be that many distinct names.
+        * ``features``: 2-D with one row per node.  Only the rows listed
+          in ``feature_rows`` are checked finite (all rows when
+          ``None``), so a caller that patches a few rows of validated
+          features pays for those rows.
+        * ``new_node_names``: appended after this HIN's nodes, distinct
+          from them and from each other, in a copied name -> index
+          mapping (this HIN's is never mutated).  Adding nodes takes a
+          tensor, features and a label matrix over the grown node set.
+
+        ``metadata`` is the derived HIN's own shallow copy.
         """
-        return HIN(
-            self._tensor,
-            self._relation_names,
-            self._features,
-            label_matrix,
-            self._label_names,
-            node_names=self._node_names,
-            multilabel=self._multilabel,
-            metadata=self.metadata,
-        )
+        child = copy.copy(self)
+        child.metadata = dict(self.metadata)
+        n = self.n_nodes
+        if new_node_names:
+            index = dict(self._node_index)
+            added = tuple(str(name) for name in new_node_names)
+            for name in added:
+                if name in index:
+                    raise ValidationError(f"duplicate node name: {name!r}")
+                index[name] = len(index)
+            child._node_names = self._node_names + added
+            child._node_index = index
+            n += len(added)
+        if tensor is not None:
+            child._tensor = _checked_tensor(tensor)
+        if relation_names is not None:
+            child._relation_names = _name_tuple(
+                relation_names,
+                child._tensor.n_relations,
+                "relation",
+                f" (tensor has {child._tensor.n_relations} relations)",
+            )
+            child._relation_index = {
+                name: idx for idx, name in enumerate(child._relation_names)
+            }
+        if features is not None:
+            child._features = _checked_features(features, feature_rows)
+        if label_matrix is not None:
+            label_matrix = _checked_labels(label_matrix, n, self._multilabel)
+            if label_matrix.shape[1] != self.n_labels:
+                raise ShapeError(
+                    f"label_matrix must be (n, q) = ({n}, {self.n_labels}), "
+                    f"got {label_matrix.shape}"
+                )
+            child._label_matrix = label_matrix
+        if child._tensor.n_relations != len(child._relation_names):
+            raise ShapeError(
+                f"tensor has {child._tensor.n_relations} relations but the HIN "
+                f"has {len(child._relation_names)} relation names; pass "
+                "relation_names with the tensor"
+            )
+        for what, rows in (
+            ("tensor", child._tensor.n_nodes),
+            ("features", child._features.shape[0]),
+            ("label_matrix", child._label_matrix.shape[0]),
+        ):
+            if rows != n:
+                raise ShapeError(f"{what} has {rows} rows, expected {n} (one per node)")
+        return child
+
+    def with_labels(self, label_matrix: np.ndarray) -> "HIN":
+        """Return a HIN with a different ``(n, q)`` label matrix.
+
+        Used by the experiment harness to mask test labels.  The view
+        shares the tensor, features, names and name -> index mappings
+        with this HIN by reference (see :meth:`derive`); only the new
+        matrix is checked (shape, the single-label rule) and stored
+        read-only, so a view costs about its label matrix.
+        """
+        return self.derive(label_matrix=label_matrix)
 
     def masked(self, train_mask: np.ndarray) -> "HIN":
-        """Return a copy keeping labels only where ``train_mask`` is True."""
+        """Return a view keeping labels only where ``train_mask`` is True."""
         train_mask = np.asarray(train_mask, dtype=bool)
         if train_mask.shape != (self.n_nodes,):
             raise ShapeError(
                 f"train_mask must have shape ({self.n_nodes},), got {train_mask.shape}"
             )
-        masked = self._label_matrix.copy()
-        masked[~train_mask] = False
-        return self.with_labels(masked)
+        return self.with_labels(
+            np.logical_and(self._label_matrix, train_mask[:, None], order="C")
+        )
 
     def with_relations(self, relation_indices: Sequence[int], names=None) -> "HIN":
         """Return a copy restricted to a subset of link types.
@@ -294,16 +342,7 @@ class HIN:
         tensor = SparseTensor3.from_slices(slices, n=self.n_nodes)
         if names is None:
             names = [self._relation_names[k] for k in indices]
-        return HIN(
-            tensor,
-            names,
-            self._features,
-            self._label_matrix,
-            self._label_names,
-            node_names=self._node_names,
-            multilabel=self._multilabel,
-            metadata=self.metadata,
-        )
+        return self.derive(tensor=tensor, relation_names=names)
 
     def __repr__(self) -> str:
         kind = "multi-label" if self._multilabel else "single-label"
@@ -312,3 +351,51 @@ class HIN:
             f"n_labels={self.n_labels}, n_features={self.n_features}, {kind}, "
             f"nnz={self._tensor.nnz})"
         )
+
+
+def _checked_tensor(tensor) -> SparseTensor3:
+    if not isinstance(tensor, SparseTensor3):
+        raise ValidationError(
+            f"tensor must be a SparseTensor3, got {type(tensor).__name__}"
+        )
+    return tensor
+
+
+def _name_tuple(names, count: int, kind: str, source: str = "") -> tuple[str, ...]:
+    """``count`` distinct names as a tuple of ``str``."""
+    names = tuple(str(name) for name in names)
+    if len(names) != count:
+        raise ShapeError(f"expected {count} {kind} names{source}, got {len(names)}")
+    if len(set(names)) != count:
+        raise ValidationError(f"{kind} names must be distinct")
+    return names
+
+
+def _checked_features(features, rows=None):
+    """A float feature matrix (dense 2-D or CSR), finite on ``rows`` (default all)."""
+    if sp.issparse(features):
+        features = sp.csr_matrix(features, dtype=float)
+        values = features.data if rows is None else features[rows].data
+    else:
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2:
+            raise ShapeError(f"features must be 2-D, got shape {features.shape}")
+        values = features if rows is None else features[rows]
+    if values.size and not np.all(np.isfinite(values)):
+        raise ValidationError("features contain non-finite values")
+    return features
+
+
+def _checked_labels(label_matrix, n: int, multilabel: bool) -> np.ndarray:
+    """An ``(n, q)`` read-only boolean label matrix obeying the single-label rule."""
+    label_matrix = np.asarray(label_matrix, dtype=bool)
+    if label_matrix.ndim != 2 or label_matrix.shape[0] != n:
+        raise ShapeError(
+            f"label_matrix must be (n, q) = ({n}, q), got {label_matrix.shape}"
+        )
+    if not multilabel and np.any(label_matrix.sum(axis=1) > 1):
+        raise ValidationError(
+            "label_matrix has rows with multiple labels; pass multilabel=True"
+        )
+    label_matrix.setflags(write=False)
+    return label_matrix

@@ -96,13 +96,4 @@ def with_metapath_relations(
         slices.append(compose_relations(hin, path, binary=binary))
         names.append(name)
     tensor = SparseTensor3.from_slices(slices, n=hin.n_nodes)
-    return HIN(
-        tensor,
-        names,
-        hin.features,
-        hin.label_matrix,
-        hin.label_names,
-        node_names=hin.node_names,
-        multilabel=hin.multilabel,
-        metadata=hin.metadata,
-    )
+    return hin.derive(tensor=tensor, relation_names=names)

@@ -17,11 +17,18 @@ Two guards keep the verdict stable on noisy wall-clocks:
 Count metrics (iterations, fits, frozen events, ...) use the relative
 threshold only; they are deterministic for a fixed workload, so any
 growth is signal.
+
+When both traces hold several fits, the times that belong to a fit
+(:data:`PER_FIT_FIELDS` and the chain phases) compare the *median* over
+fits instead of the total, so one slow fit (a first-call warm-up, a
+preempted iteration) does not decide the verdict.  Noise that slows a
+whole process still does.  Counts stay totals.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 from repro.obs.summary import TraceSummary, summarize_trace
@@ -41,6 +48,9 @@ TIME_FIELDS = (
     "patch_seconds",
     "reconverge_seconds",
 )
+
+#: Time fields that belong to one fit (compared as per-fit medians).
+PER_FIT_FIELDS = ("fit_seconds", "operator_seconds")
 
 #: ``TraceSummary`` attributes compared as counts.
 COUNT_FIELDS = (
@@ -77,6 +87,8 @@ class TraceDiff:
     threshold: float
     time_floor: float
     entries: list[TraceDiffEntry] = field(default_factory=list)
+    #: ``(old, new)`` fit counts when fit times are per-fit medians.
+    per_fit: tuple[int, int] | None = None
 
     @property
     def regressions(self) -> list[TraceDiffEntry]:
@@ -131,6 +143,18 @@ def _entry(
     )
 
 
+def _fit_medians(summary: TraceSummary) -> dict[str, float] | None:
+    """Median over fits of each per-fit time (``None`` below two fits)."""
+    records = summary.per_fit
+    if len(records) < 2:
+        return None
+    keys = set().union(*records)
+    return {
+        key: statistics.median(record.get(key, 0.0) for record in records)
+        for key in keys
+    }
+
+
 def diff_summaries(
     old: TraceSummary,
     new: TraceSummary,
@@ -143,30 +167,44 @@ def diff_summaries(
     Compares every chain phase total, the :data:`TIME_FIELDS` wall
     clocks, and the :data:`COUNT_FIELDS` counts.  A dimension regresses
     when ``new`` exceeds ``old * (1 + threshold)`` — plus the absolute
-    time floor for wall clocks — and improves symmetrically.
+    time floor for wall clocks — and improves symmetrically.  When both
+    summaries carry two or more per-fit records, the phases and
+    :data:`PER_FIT_FIELDS` compare per-fit medians instead of totals.
     """
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     diff = TraceDiff(threshold=float(threshold), time_floor=float(time_floor))
+    old_medians, new_medians = _fit_medians(old), _fit_medians(new)
+    if old_medians is not None and new_medians is not None:
+        diff.per_fit = (len(old.per_fit), len(new.per_fit))
+
+    def pick(medians, key: str, total: float) -> float:
+        return total if diff.per_fit is None else medians.get(key, 0.0)
+
     phase_names = sorted(set(old.phase_totals) | set(new.phase_totals))
     for name in phase_names:
+        key = f"phase:{name}"
         diff.entries.append(
             _entry(
-                f"phase:{name}",
+                key,
                 "time",
-                old.phase_totals.get(name, 0.0),
-                new.phase_totals.get(name, 0.0),
+                pick(old_medians, key, old.phase_totals.get(name, 0.0)),
+                pick(new_medians, key, new.phase_totals.get(name, 0.0)),
                 threshold=threshold,
                 time_floor=time_floor,
             )
         )
     for name in TIME_FIELDS:
+        old_value, new_value = getattr(old, name), getattr(new, name)
+        if name in PER_FIT_FIELDS:
+            old_value = pick(old_medians, name, old_value)
+            new_value = pick(new_medians, name, new_value)
         diff.entries.append(
             _entry(
                 name,
                 "time",
-                getattr(old, name),
-                getattr(new, name),
+                old_value,
+                new_value,
                 threshold=threshold,
                 time_floor=time_floor,
             )
@@ -213,10 +251,14 @@ def format_trace_diff(diff: TraceDiff) -> str:
     lines = [
         f"trace diff — threshold {diff.threshold:.0%}, "
         f"time floor {diff.time_floor * 1e3:g} ms",
-        "",
-        header,
-        "-" * len(header),
     ]
+    if diff.per_fit is not None:
+        old_fits, new_fits = diff.per_fit
+        lines.append(
+            f"phases and {', '.join(PER_FIT_FIELDS)}: per-fit medians "
+            f"({old_fits} vs {new_fits} fits)"
+        )
+    lines += ["", header, "-" * len(header)]
     for entry in diff.entries:
         if entry.kind == "time":
             old_text, new_text = f"{entry.old:12.4f}", f"{entry.new:12.4f}"

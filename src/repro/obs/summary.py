@@ -58,6 +58,10 @@ class TraceSummary:
     max_rss_bytes: int = 0
     n_requests: int = 0
     request_seconds: float = 0.0
+    #: One record per ``fit`` event: its ``fit_seconds``, plus the
+    #: ``operator_seconds`` and ``phase:<name>`` times traced since the
+    #: previous fit event (what ``trace-diff`` takes per-fit medians of).
+    per_fit: list = field(default_factory=list)
 
     @property
     def phase_seconds(self) -> float:
@@ -94,6 +98,7 @@ class TraceSummary:
 def summarize_trace(events) -> TraceSummary:
     """Fold a sequence of trace event dicts into a :class:`TraceSummary`."""
     summary = TraceSummary(phase_totals={name: 0.0 for name in CHAIN_PHASES})
+    window: dict[str, float] = {}
     for event in events:
         kind = event.get("event", "?")
         summary.n_events += 1
@@ -104,6 +109,8 @@ def summarize_trace(events) -> TraceSummary:
                 summary.phase_totals[name] = (
                     summary.phase_totals.get(name, 0.0) + float(seconds)
                 )
+                key = f"phase:{name}"
+                window[key] = window.get(key, 0.0) + float(seconds)
             summary.n_frozen_events += sum(map(bool, event.get("frozen", ())))
         elif kind == "chain_class":  # one event per class in older traces
             if event.get("frozen"):
@@ -111,10 +118,14 @@ def summarize_trace(events) -> TraceSummary:
         elif kind == "fit":
             summary.n_fits += 1
             summary.fit_seconds += float(event.get("seconds", 0.0))
+            window["fit_seconds"] = float(event.get("seconds", 0.0))
+            summary.per_fit.append(window)
+            window = {}
         elif kind == "operator_build":
-            summary.operator_seconds += float(
-                event.get("transition_seconds", 0.0)
-            ) + float(event.get("feature_seconds", 0.0))
+            seconds = float(event.get("transition_seconds", 0.0))
+            seconds += float(event.get("feature_seconds", 0.0))
+            summary.operator_seconds += seconds
+            window["operator_seconds"] = window.get("operator_seconds", 0.0) + seconds
             if "w_form" in event:
                 form = f"{event['w_form']} rank {event.get('w_rank', '?')}"
                 summary.w_forms[form] = summary.w_forms.get(form, 0) + 1

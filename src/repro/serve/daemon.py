@@ -28,7 +28,7 @@ commit marker, ``fsync``) *before* it touches the model.  So:
 
 * every snapshot the daemon has served is covered by the journal: the
   batches behind snapshot version ``v`` are the journal's first ``v``
-  committed batches (counting from the daemon's start);
+  committed batches;
 * a crash loses only queued batches and at most the one batch being
   written; ``DeltaLog.load(journal, recover=True)`` returns exactly
   the committed batches, and replaying them on the seed graph rebuilds
@@ -39,8 +39,15 @@ commit marker, ``fsync``) *before* it touches the model.  So:
 * a batch the updater fails to apply is already journaled; the updater
   stops there and refuses later ``/update`` calls.
 
-An existing journal is extended, not replaced, and must end at a batch
-boundary (see :meth:`~repro.stream.DeltaLog.append_batch`).
+The daemon serves its session's graph as version 0, so it refuses a
+journal that already holds a committed batch: extending it would list
+batches the served graph never saw, and replaying the journal on the
+seed graph would no longer give the served graph.  Replay such a
+journal on its seed graph first (``python -m repro.experiments stream
+--journal PATH --save-hin OUT``, or
+:meth:`~repro.stream.DeltaLog.replay`) and serve ``OUT`` with a fresh
+journal.  An existing journal without a committed
+batch (a bare header) is extended.
 
 The daemon binds ``port=0`` to a free ephemeral port by default, which
 is what the tests and the serving benchmark use.
@@ -49,9 +56,11 @@ is what the tests and the serving benchmark use.
 from __future__ import annotations
 
 import json
+import os
 import queue
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
@@ -84,7 +93,9 @@ class PredictionDaemon:
         Optional path of a :class:`~repro.stream.DeltaLog` journal;
         each accepted batch is appended and ``fsync``-ed there *before*
         the model is updated, so a crash mid-reconverge loses no
-        applied deltas (see "What a ``202`` promises" above).
+        applied deltas (see "What a ``202`` promises" above).  A
+        journal that already holds a committed batch is refused with a
+        :class:`~repro.errors.ValidationError`.
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` backing
         ``/metrics`` (a fresh one by default).
@@ -129,6 +140,8 @@ class PredictionDaemon:
             raise ValidationError(
                 "session has no fitted result; call session.fit() before serving"
             )
+        if journal is not None:
+            _check_fresh_journal(journal)
         self._session = session
         self._solver = solver
         self._journal_path = journal
@@ -286,6 +299,23 @@ class PredictionDaemon:
         )
         if not update.converged:
             registry.counter("tmark_unconverged_reconverges_total").inc()
+
+
+def _check_fresh_journal(path) -> None:
+    """Refuse a journal whose committed batches the served graph never saw."""
+    if not os.path.exists(path):
+        return
+    with warnings.catch_warnings():
+        # A torn tail is not the question here; append_batch refuses it.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        committed = DeltaLog.load(path, recover=True).n_batches
+    if committed:
+        raise ValidationError(
+            f"journal {path} already holds {committed} committed batch(es) "
+            "that this daemon's graph has not seen; replay it on its seed "
+            f"graph first with `python -m repro.experiments stream --journal "
+            f"{path} --save-hin OUT` and serve OUT with a fresh journal"
+        )
 
 
 def _make_handler(state: h.ServingState):

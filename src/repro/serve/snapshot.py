@@ -20,6 +20,7 @@ observes either the old state or the new one — never a mix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -70,19 +71,22 @@ class Snapshot:
     relation_scores: np.ndarray
     labels: tuple[str, ...]
     health: dict = field(default_factory=dict)
-    _node_index: dict = field(default_factory=dict, repr=False)
+    _node_index: Mapping[str, int] = field(default_factory=dict, repr=False)
     _topk_indices: np.ndarray | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_result(cls, result, *, version: int = 0) -> "Snapshot":
+    def from_result(cls, result, *, version: int = 0, node_index=None) -> "Snapshot":
         """Freeze a fitted :class:`~repro.core.tmark.TMarkResult`.
 
         The result must carry ``node_names`` (persistence format 2) —
         a snapshot without node identity cannot answer name-keyed
-        queries.
+        queries.  ``node_index`` is an existing read-only
+        ``name -> row`` mapping for those names (a HIN's
+        :attr:`~repro.hin.graph.HIN.node_positions`); one is built when
+        it is not given.
         """
         if result.node_names is None:
             raise ValidationError(
@@ -115,7 +119,11 @@ class Snapshot:
             relation_scores=_frozen(result.relation_scores),
             labels=labels,
             health=health,
-            _node_index={name: i for i, name in enumerate(result.node_names)},
+            _node_index=(
+                {name: i for i, name in enumerate(result.node_names)}
+                if node_index is None
+                else node_index
+            ),
             _topk_indices=np.ascontiguousarray(order.T),
         )
 
@@ -127,14 +135,20 @@ class Snapshot:
             raise ValidationError(
                 "session has no fitted result; call session.fit() first"
             )
-        node_names = result.node_names
-        if node_names is None:
+        hin = session.hin
+        if result.node_names is None:
             # A live session knows its graph; borrow the node identity
             # the result would have carried if persisted under format 2.
             from dataclasses import replace
 
-            result = replace(result, node_names=tuple(session.hin.node_names))
-        return cls.from_result(result, version=version)
+            result = replace(result, node_names=hin.node_names)
+        # The graph's own name -> index mapping serves the snapshot when
+        # the result is aligned with it (the usual case after an update),
+        # so an update does not rebuild an n-entry dict.
+        node_index = (
+            hin.node_positions if tuple(result.node_names) == hin.node_names else None
+        )
+        return cls.from_result(result, version=version, node_index=node_index)
 
     # ------------------------------------------------------------------
     # State
@@ -172,32 +186,34 @@ class Snapshot:
         label.
         """
         names = list(names)
-        unknown = [n for n in names if n not in self._node_index]
+        index = self._node_index
+        unknown = [n for n in names if n not in index]
         if unknown:
             raise ValidationError(
                 f"unknown node(s): {', '.join(map(str, unknown[:5]))}"
                 + (f" (+{len(unknown) - 5} more)" if len(unknown) > 5 else "")
             )
-        results = []
-        for name in names:
-            row = self.node_scores[self._node_index[name]]
-            total = float(row.sum())
-            confidence = row / total if total > 0.0 else np.full_like(row, 1.0 / row.size)
-            results.append(
-                {
-                    "node": name,
-                    "label": self.labels[self._node_index[name]],
-                    "scores": {
-                        label: float(row[c])
-                        for c, label in enumerate(self.label_names)
-                    },
-                    "confidence": {
-                        label: float(confidence[c])
-                        for c, label in enumerate(self.label_names)
-                    },
-                }
+        rows = [index[name] for name in names]
+        # One gather, then whole-array sums and divisions: ``sum(axis=1)``
+        # on the C-ordered block adds each row pairwise exactly as
+        # ``row.sum()`` does, so every float is the per-row one.
+        scores = self.node_scores[rows]
+        totals = scores.sum(axis=1)
+        live = totals > 0.0
+        confidence = np.full_like(scores, 1.0 / scores.shape[1])
+        confidence[live] = scores[live] / totals[live, None]
+        label_names = self.label_names
+        return [
+            {
+                "node": name,
+                "label": self.labels[row],
+                "scores": dict(zip(label_names, score_row)),
+                "confidence": dict(zip(label_names, confidence_row)),
+            }
+            for name, row, score_row, confidence_row in zip(
+                names, rows, scores.tolist(), confidence.tolist()
             )
-        return results
+        ]
 
     def topk(self, label, k: int = 10) -> list[dict]:
         """The ``k`` highest-scoring nodes for ``label`` (name + score)."""

@@ -314,7 +314,9 @@ def resolve_batch(hin: HIN, deltas) -> ResolvedBatch:
     batch = as_batch(deltas)
     n_old = hin.n_nodes
     d = hin.n_features
-    node_index = {name: idx for idx, name in enumerate(hin.node_names)}
+    node_index = hin.node_positions
+    # Nodes added by this batch, indexed from ``n_old`` on.
+    added_index: dict[str, int] = {}
     label_index = {name: idx for idx, name in enumerate(hin.label_names)}
     relation_index = {name: idx for idx, name in enumerate(hin.relation_names)}
 
@@ -334,10 +336,10 @@ def resolve_batch(hin: HIN, deltas) -> ResolvedBatch:
     pending_at: dict[tuple[int, int, int], list[int]] = {}
 
     def resolve_node(name: str, op: str) -> int:
-        try:
-            return node_index[name]
-        except KeyError:
-            raise ValidationError(f"unknown node {name!r} in {op} delta") from None
+        idx = node_index.get(name, added_index.get(name))
+        if idx is None:
+            raise ValidationError(f"unknown node {name!r} in {op} delta")
+        return idx
 
     def resolve_labels(labels, name: str):
         indices = set()
@@ -364,11 +366,11 @@ def resolve_batch(hin: HIN, deltas) -> ResolvedBatch:
 
     for delta in batch:
         if delta.op == "add_node":
-            if delta.name in node_index:
+            if delta.name in node_index or delta.name in added_index:
                 raise ValidationError(f"duplicate node name: {delta.name!r}")
             feats = check_features(delta.features, delta.name)
             labels = resolve_labels(delta.labels, delta.name)
-            node_index[delta.name] = len(node_index)
+            added_index[delta.name] = n_old + len(added_index)
             resolved.new_nodes.append((delta.name, feats, labels))
         elif delta.op in ("add_link", "remove_link"):
             src = resolve_node(delta.source, delta.op)
@@ -447,13 +449,66 @@ def apply_batch(hin: HIN, deltas) -> HIN:
 
 
 def materialize_batch(hin: HIN, resolved: ResolvedBatch) -> HIN:
-    """Build the post-batch HIN from a :class:`ResolvedBatch`."""
-    n_old, n_new = resolved.n_old, resolved.n_new
-    m = hin.n_relations
-    d = hin.n_features
+    """Build the post-batch HIN from a :class:`ResolvedBatch`.
 
-    i0, j0, k0 = hin.tensor.coords
-    values0 = hin.tensor.values
+    The result is a :meth:`HIN.derive` of ``hin``: it shares the names,
+    the name -> index mapping (copied only to append added nodes) and
+    every one of tensor, features and label matrix the batch leaves as
+    it was; only the written feature rows are checked again.
+    """
+    n_old, n_new = resolved.n_old, resolved.n_new
+    d = hin.n_features
+    if not resolved.link_ops and n_new == n_old:
+        tensor = None
+    else:
+        tensor = _edited_tensor(hin.tensor, resolved)
+    # Only the rows the batch writes need checking; the rest were
+    # validated when ``hin`` was built.
+    feature_rows = [idx for idx, _ in resolved.feature_ops] + list(range(n_old, n_new))
+    if not resolved.touches_features:
+        features = None
+    elif sp.issparse(hin.features):
+        features = sp.lil_matrix((n_new, d), dtype=float)
+        features[:n_old] = hin.features
+        for offset, (_, feats, _) in enumerate(resolved.new_nodes):
+            features[n_old + offset] = feats
+        for idx, feats in resolved.feature_ops:
+            features[idx] = feats
+        features = features.tocsr()
+    else:
+        base = np.asarray(hin.features, dtype=float)
+        new_rows = [feats[None, :] for _, feats, _ in resolved.new_nodes]
+        features = np.vstack([base] + new_rows) if new_rows else base.copy()
+        for idx, feats in resolved.feature_ops:
+            features[idx] = feats
+
+    if resolved.touches_labels or resolved.new_nodes:
+        label_matrix = np.zeros((n_new, hin.n_labels), dtype=bool)
+        label_matrix[:n_old] = hin.label_matrix
+        for offset, (_, _, labels) in enumerate(resolved.new_nodes):
+            for c in labels:
+                label_matrix[n_old + offset, c] = True
+        for idx, labels in resolved.label_ops:
+            label_matrix[idx] = False
+            for c in labels:
+                label_matrix[idx, c] = True
+    else:
+        label_matrix = None
+
+    return hin.derive(
+        tensor=tensor,
+        features=features,
+        feature_rows=feature_rows,
+        label_matrix=label_matrix,
+        new_node_names=[name for name, _, _ in resolved.new_nodes],
+    )
+
+
+def _edited_tensor(tensor0: SparseTensor3, resolved: ResolvedBatch) -> SparseTensor3:
+    """``tensor0`` without the batch's removed entries, plus its added ones."""
+    n_old, n_new = resolved.n_old, resolved.n_new
+    i0, j0, k0 = tensor0.coords
+    values0 = tensor0.values
     if resolved.removed_existing:
         removal_flat = np.array(
             [(k * n_old + j) * n_old + i for i, j, k in resolved.removed_existing],
@@ -469,49 +524,10 @@ def materialize_batch(hin: HIN, resolved: ResolvedBatch) -> HIN:
     else:
         add_i = add_j = add_k = np.empty(0, dtype=np.int64)
         add_w = np.empty(0, dtype=float)
-    tensor = SparseTensor3(
+    return SparseTensor3(
         np.concatenate([i0[keep], add_i]),
         np.concatenate([j0[keep], add_j]),
         np.concatenate([k0[keep], add_k]),
         np.concatenate([values0[keep], add_w]),
-        shape=(n_new, n_new, m),
-    )
-
-    if sp.issparse(hin.features):
-        features = sp.lil_matrix((n_new, d), dtype=float)
-        features[:n_old] = hin.features
-        for offset, (_, feats, _) in enumerate(resolved.new_nodes):
-            features[n_old + offset] = feats
-        for idx, feats in resolved.feature_ops:
-            features[idx] = feats
-        features = features.tocsr()
-    elif resolved.touches_features:
-        base = np.asarray(hin.features, dtype=float)
-        new_rows = [feats[None, :] for _, feats, _ in resolved.new_nodes]
-        features = np.vstack([base] + new_rows) if new_rows else base.copy()
-        for idx, feats in resolved.feature_ops:
-            features[idx] = feats
-    else:
-        features = hin.features
-
-    label_matrix = np.zeros((n_new, hin.n_labels), dtype=bool)
-    label_matrix[:n_old] = hin.label_matrix
-    for offset, (_, _, labels) in enumerate(resolved.new_nodes):
-        for c in labels:
-            label_matrix[n_old + offset, c] = True
-    for idx, labels in resolved.label_ops:
-        label_matrix[idx] = False
-        for c in labels:
-            label_matrix[idx, c] = True
-
-    node_names = list(hin.node_names) + [name for name, _, _ in resolved.new_nodes]
-    return HIN(
-        tensor,
-        hin.relation_names,
-        features,
-        label_matrix,
-        hin.label_names,
-        node_names=node_names,
-        multilabel=hin.multilabel,
-        metadata=hin.metadata,
+        shape=(n_new, n_new, tensor0.n_relations),
     )

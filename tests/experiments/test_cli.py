@@ -194,6 +194,15 @@ class TestTraceDiffCommand:
         assert main(["trace-diff", str(old), str(new), "--threshold", "0.5"]) == 0
         assert main(["trace-diff", str(old), str(new), "--threshold", "0.1"]) == 3
 
+    def test_example_trace_is_diffed_by_per_fit_medians(self, capsys, example_trace):
+        from repro.experiments.runners import EXAMPLE_FITS
+
+        assert EXAMPLE_FITS >= 5
+        capsys.readouterr()
+        assert main(["trace-diff", str(example_trace), str(example_trace)]) == 0
+        out = capsys.readouterr().out
+        assert f"per-fit medians ({EXAMPLE_FITS} vs {EXAMPLE_FITS} fits)" in out
+
     def test_missing_file_exits_one(self, capsys, tmp_path, example_trace):
         missing = tmp_path / "nope.jsonl"
         assert main(["trace-diff", str(example_trace), str(missing)]) == 1

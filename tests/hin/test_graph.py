@@ -155,3 +155,138 @@ class TestDerivedHins:
     def test_metadata_propagates(self):
         hin = make_hin()
         assert hin.masked(np.ones(3, bool)).metadata["origin"] == "test"
+
+
+class TestDerivation:
+    """A derived HIN carries its parent's validated state by reference."""
+
+    def test_view_shares_structure_names_and_indexes(self):
+        hin = make_hin()
+        view = hin.masked(np.array([True, False, True]))
+        assert view.tensor is hin.tensor
+        assert view.features is hin.features
+        assert view.node_names is hin.node_names
+        assert view.relation_names is hin.relation_names
+        assert view.label_names is hin.label_names
+        assert view._node_index is hin._node_index
+        assert view._relation_index is hin._relation_index
+        assert view.label_matrix is not hin.label_matrix
+
+    def test_with_labels_rejects_wrong_shape(self):
+        hin = make_hin()
+        for shape in ((3, 3), (2, 2), (3,)):
+            with pytest.raises(ShapeError):
+                hin.with_labels(np.zeros(shape, dtype=bool))
+
+    def test_with_labels_rejects_multilabel_rows_when_single(self):
+        with pytest.raises(ValidationError):
+            make_hin().with_labels(np.array([[1, 1], [0, 0], [0, 0]], dtype=bool))
+        both = np.array([[1, 1], [0, 0], [0, 0]], dtype=bool)
+        assert make_hin(multilabel=True).with_labels(both).label_matrix[0].all()
+
+    def test_view_labels_read_only_and_metadata_own_copy(self):
+        hin = make_hin()
+        view = hin.masked(np.ones(3, dtype=bool))
+        with pytest.raises(ValueError):
+            view.label_matrix[2, 0] = True
+        view.metadata["origin"] = "changed"
+        assert hin.metadata["origin"] == "test"
+
+    def test_with_relations_reindexes_relations_only(self):
+        hin = make_hin()
+        sub = hin.with_relations([1], names=["only"])
+        assert sub.relation_index("only") == 0
+        assert sub.node_names is hin.node_names
+        assert sub.label_matrix is hin.label_matrix
+        with pytest.raises(ValidationError):
+            sub.relation_index("r1")
+        with pytest.raises(ShapeError):
+            hin.with_relations([0, 1], names=["x"])
+        with pytest.raises(ValidationError):
+            hin.with_relations([0, 1], names=["x", "x"])
+
+    def test_derive_checks_what_changes(self):
+        hin = make_hin()
+        with pytest.raises(ShapeError):  # more relations without names
+            hin.derive(tensor=SparseTensor3([], [], [], shape=(3, 3, 3)))
+        with pytest.raises(ShapeError):  # nodes added, old tensor kept
+            hin.derive(new_node_names=["n3"], label_matrix=np.zeros((4, 2), bool))
+        with pytest.raises(ValidationError):
+            hin.derive(
+                tensor=SparseTensor3([], [], [], shape=(4, 4, 2)),
+                features=np.eye(4, 3),
+                label_matrix=np.zeros((4, 2), bool),
+                new_node_names=["n0"],
+            )
+        bad = np.eye(3)
+        bad[2, 0] = np.nan
+        with pytest.raises(ValidationError):
+            hin.derive(features=bad)
+        # Rows outside ``feature_rows`` were validated before and are
+        # not re-read.
+        assert hin.derive(features=bad, feature_rows=[0, 1]).features is bad
+
+    def test_derive_appends_nodes_to_a_copied_index(self):
+        hin = make_hin()
+        grown = hin.derive(
+            tensor=SparseTensor3([0], [3], [0], shape=(4, 4, 2)),
+            features=np.eye(4, 3),
+            label_matrix=np.zeros((4, 2), bool),
+            new_node_names=["n3"],
+        )
+        assert grown.node_names == ("n0", "n1", "n2", "n3")
+        assert grown.node_index("n3") == 3
+        assert dict(grown.node_positions) == {"n0": 0, "n1": 1, "n2": 2, "n3": 3}
+        assert "n3" not in hin.node_positions
+
+    def test_fit_on_view_equals_fit_on_independent_hin(self):
+        from repro.core.tmark import TMark
+        from repro.datasets import make_dblp
+
+        hin = make_dblp(n_authors=120, seed=0)
+        mask = np.zeros(hin.n_nodes, dtype=bool)
+        mask[::3] = True
+        view = hin.masked(mask)
+        independent = HIN(
+            SparseTensor3(
+                *(np.array(c) for c in hin.tensor.coords),
+                np.array(hin.tensor.values),
+                shape=hin.tensor.shape,
+            ),
+            list(hin.relation_names),
+            np.array(hin.features_dense()),
+            hin.label_matrix & mask[:, None],
+            list(hin.label_names),
+            node_names=list(hin.node_names),
+        )
+        fits = [TMark(alpha=0.8, gamma=0.6).fit(g).result_ for g in (view, independent)]
+        for attr in ("node_scores", "relation_scores"):
+            assert getattr(fits[0], attr).tobytes() == getattr(fits[1], attr).tobytes()
+
+    def test_masked_view_retains_about_its_label_matrix(self):
+        import tracemalloc
+
+        n, q = 10_000, 8
+        rng = np.random.default_rng(0)
+        labels = np.zeros((n, q), dtype=bool)
+        labels[np.arange(n), rng.integers(0, q, n)] = True
+        src = rng.integers(0, n, 3 * n)
+        hin = HIN(
+            SparseTensor3(rng.integers(0, n, 3 * n), src, src % 2, shape=(n, n, 2)),
+            ["r0", "r1"],
+            rng.random((n, 16)),
+            labels,
+            [f"c{c}" for c in range(q)],
+        )
+        mask = rng.random(n) < 0.1
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            view = hin.masked(mask)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert view.label_matrix.nbytes == n * q
+        # The label matrix (80 KB) plus a small constant; a view that
+        # rebuilt every name, set and index kept ~640 KB.
+        assert retained <= 90_000, retained

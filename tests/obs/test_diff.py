@@ -124,6 +124,54 @@ class TestDiffTraces:
         assert "fit_seconds" in names and "phase:propagate" in names
 
 
+class TestPerFitMedians:
+    @staticmethod
+    def _events(fit_times, operator_seconds=0.002):
+        events = []
+        for seconds in fit_times:
+            events += [
+                {"event": "operator_build", "transition_seconds": operator_seconds},
+                {"event": "chain_iteration", "phases": {"propagate": seconds / 2}},
+                {"event": "chain_iteration", "phases": {"propagate": seconds / 2}},
+                {"event": "fit", "seconds": seconds},
+            ]
+        return events
+
+    def test_summary_records_each_fit_window(self):
+        from repro.obs import summarize_trace
+
+        summary = summarize_trace(self._events([0.01, 0.03]))
+        assert summary.per_fit == [
+            {"operator_seconds": 0.002, "phase:propagate": 0.01, "fit_seconds": 0.01},
+            {"operator_seconds": 0.002, "phase:propagate": 0.03, "fit_seconds": 0.03},
+        ]
+
+    def test_one_slow_fit_does_not_move_the_median(self):
+        steady = self._events([0.010] * 5)
+        blip = self._events([0.010] * 4 + [0.050])
+        diff = diff_traces(steady, blip)
+        assert diff.passed and diff.per_fit == (5, 5)
+        entry = next(e for e in diff.entries if e.name == "fit_seconds")
+        assert entry.old == entry.new == pytest.approx(0.010)
+        assert "per-fit medians (5 vs 5 fits)" in format_trace_diff(diff)
+
+    def test_slower_fits_still_regress(self):
+        diff = diff_traces(self._events([0.010] * 5), self._events([0.020] * 5))
+        names = {e.name for e in diff.regressions}
+        assert names == {"fit_seconds", "phase:propagate"}
+
+    def test_counts_and_other_times_stay_totals(self):
+        diff = diff_traces(self._events([0.010] * 5), self._events([0.010] * 5))
+        entry = next(e for e in diff.entries if e.name == "n_fits")
+        assert entry.old == entry.new == 5
+
+    def test_single_fit_traces_compare_totals(self):
+        diff = diff_traces(self._events([0.010]), self._events([0.010] * 5))
+        assert diff.per_fit is None
+        names = {e.name for e in diff.regressions}
+        assert {"fit_seconds", "n_fits"} <= names
+
+
 class TestFormatTraceDiff:
     def test_pass_report(self):
         text = format_trace_diff(diff_summaries(summary(), summary()))

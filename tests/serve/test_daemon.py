@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.tmark import TMark
 from repro.datasets import make_worked_example
+from repro.errors import ValidationError
 from repro.serve import PredictionDaemon
 from repro.stream import DeltaLog, GraphDelta, StreamingSession
 
@@ -133,6 +134,26 @@ class TestJournaling:
         log = DeltaLog.load(journal)
         assert len(log) == 2 and log.n_batches == 2
         assert [d.op for d in log] == ["set_label", "set_label"]
+
+    def test_journal_with_committed_batches_is_refused(self, tmp_path):
+        journal = tmp_path / "serving.jsonl"
+        DeltaLog.append_batch(journal, [GraphDelta.set_label("p2", ["CV"])])
+        before = journal.read_bytes()
+        with pytest.raises(ValidationError, match="replay it"):
+            PredictionDaemon(_fitted_session(), journal=journal)
+        assert journal.read_bytes() == before
+
+    def test_journal_without_committed_batches_is_extended(self, tmp_path):
+        journal = tmp_path / "serving.jsonl"
+        DeltaLog.append_batch(journal, [])  # a bare header
+        daemon = PredictionDaemon(_fitted_session(), journal=journal).start()
+        try:
+            delta = GraphDelta.set_label("p2", ["CV"]).to_dict()
+            assert _post(daemon.url, "/update", {"deltas": [delta]})[0] == 202
+            daemon.flush()
+        finally:
+            daemon.stop()
+        assert DeltaLog.load(journal).n_batches == 1
 
 
 class TestConcurrency:

@@ -84,6 +84,66 @@ class TestClassify:
             snapshot.classify(["ghost"])
 
 
+def _classify_per_row(snapshot, names):
+    """Reference: one row at a time, numpy scalars converted per element."""
+    results = []
+    for name in names:
+        idx = snapshot._node_index[name]
+        row = snapshot.node_scores[idx]
+        total = float(row.sum())
+        confidence = row / total if total > 0.0 else np.full_like(row, 1.0 / row.size)
+        results.append(
+            {
+                "node": name,
+                "label": snapshot.labels[idx],
+                "scores": {
+                    label: float(row[c]) for c, label in enumerate(snapshot.label_names)
+                },
+                "confidence": {
+                    label: float(confidence[c])
+                    for c, label in enumerate(snapshot.label_names)
+                },
+            }
+        )
+    return results
+
+
+class TestClassifyBytes:
+    @pytest.mark.parametrize("q", [1, 3, 8, 13])
+    def test_reply_bytes_equal_per_row_reference(self, q):
+        import json
+
+        rng = np.random.default_rng(q)
+        n = 300
+        scores = rng.random((n, q)) ** 3
+        scores[7] = 0.0  # an all-zero row takes the uniform confidence
+        scores /= scores.sum(axis=0)
+        scores.setflags(write=False)
+        names = tuple(f"v{i}" for i in range(n))
+        snapshot = Snapshot(
+            version=0,
+            node_names=names,
+            label_names=tuple(f"c{c}" for c in range(q)),
+            relation_names=("r",),
+            node_scores=scores,
+            relation_scores=np.ones((1, q)),
+            labels=tuple(f"c{c}" for c in np.argmax(scores, axis=1)),
+            _node_index={name: i for i, name in enumerate(names)},
+        )
+        request = [names[i] for i in rng.permutation(n)[:128]] + ["v7", "v7"]
+        for asked in (request, list(names), []):
+            got = json.dumps(snapshot.classify(asked)).encode()
+            want = json.dumps(_classify_per_row(snapshot, asked)).encode()
+            assert got == want
+
+    def test_from_session_reads_the_graph_index(self, session):
+        from types import MappingProxyType
+
+        snapshot = Snapshot.from_session(session)
+        assert isinstance(snapshot._node_index, MappingProxyType)
+        assert dict(snapshot._node_index) == dict(session.hin.node_positions)
+
+
 class TestRankings:
     def test_topk_matches_full_argsort(self, snapshot):
         for label in snapshot.label_names:

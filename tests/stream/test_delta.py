@@ -312,3 +312,79 @@ class TestResolvedBatch:
         assert len(resolved.link_ops) == 1
         out = apply_batch(hin, [GraphDelta.add_link("u", "u", "r1", weight=1.5)])
         assert out.tensor.to_dense()[0, 0, 0] == 1.5
+
+
+def _assert_same_hin(out, expected):
+    assert out.node_names == expected.node_names
+    assert dict(out.node_positions) == dict(expected.node_positions)
+    assert out.relation_names == expected.relation_names
+    assert out.label_names == expected.label_names
+    assert out.label_matrix.tobytes() == expected.label_matrix.tobytes()
+    assert out.features_dense().tobytes() == expected.features_dense().tobytes()
+    assert out.tensor.shape == expected.tensor.shape
+    for got, want in zip(out.tensor.coords, expected.tensor.coords):
+        assert np.array_equal(got, want)
+    assert out.tensor.values.tobytes() == expected.tensor.values.tobytes()
+
+
+class TestMaterializeBatch:
+    """The post-batch graph is a derivation of the pre-batch one that
+    equals a graph built from scratch."""
+
+    @pytest.mark.parametrize("sparse_features", [False, True])
+    def test_with_new_nodes_equals_fresh_build(self, sparse_features):
+        hin = small_hin(sparse_features=sparse_features)
+        out = apply_batch(
+            hin,
+            [
+                GraphDelta.add_node("x", features=[0.5, 0.5], labels=["a"]),
+                GraphDelta.add_link("x", "u", "r1"),
+                GraphDelta.set_label("w", ["b"]),
+                GraphDelta.update_features("v", [2.0, 0.0]),
+            ],
+        )
+        builder = HINBuilder(["a", "b"])
+        builder.add_node("u", features=[1.0, 0.0], labels=["a"])
+        builder.add_node("v", features=[2.0, 0.0], labels=["b"])
+        builder.add_node("w", features=[1.0, 1.0], labels=["b"])
+        builder.add_node("x", features=[0.5, 0.5], labels=["a"])
+        builder.add_link("u", "v", "r1")
+        builder.add_link("v", "w", "r2", directed=True)
+        builder.add_relation("r3")
+        builder.add_link("x", "u", "r1")
+        _assert_same_hin(out, builder.build())
+        assert out.relation_names is hin.relation_names
+        assert out.label_names is hin.label_names
+        # The parent's index is copied, never grown in place.
+        assert len(hin.node_positions) == 3 and "x" not in hin.node_positions
+
+    def test_without_new_nodes_equals_fresh_build_and_shares_names(self):
+        hin = small_hin()
+        out = apply_batch(
+            hin,
+            [
+                GraphDelta.set_label("w", ["a"]),
+                GraphDelta.update_features("u", [3.0, 3.0]),
+                GraphDelta.remove_link("u", "v", "r1"),
+            ],
+        )
+        builder = HINBuilder(["a", "b"])
+        builder.add_node("u", features=[3.0, 3.0], labels=["a"])
+        builder.add_node("v", features=[0.0, 1.0], labels=["b"])
+        builder.add_node("w", features=[1.0, 1.0], labels=["a"])
+        builder.add_relation("r1")
+        builder.add_link("v", "w", "r2", directed=True)
+        builder.add_relation("r3")
+        _assert_same_hin(out, builder.build())
+        assert out.node_names is hin.node_names
+        assert out._node_index is hin._node_index
+
+    def test_untouched_parts_are_shared(self):
+        hin = small_hin()
+        relabelled = apply_batch(hin, [GraphDelta.set_label("w", ["a"])])
+        assert relabelled.tensor is hin.tensor
+        assert relabelled.features is hin.features
+        linked = apply_batch(hin, [GraphDelta.add_link("u", "w", "r3")])
+        assert linked.features is hin.features
+        assert linked.label_matrix is hin.label_matrix
+        assert not linked.label_matrix.flags.writeable
