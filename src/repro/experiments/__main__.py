@@ -51,7 +51,7 @@ daemons.  ``store`` manages the out-of-core tier (:mod:`repro.ooc`): ``build``
 converts a HIN into a memory-mapped :class:`~repro.ooc.store.GraphStore`
 directory, ``synth`` generates a synthetic store directly on disk, and
 ``inspect`` prints (and with ``--verify`` re-hashes) a store's manifest
-— exit 5 for unreadable inputs.  ``run ... --store DIR`` routes a
+— exit 5 for unreadable inputs or a target directory that is not a store.  ``run ... --store DIR`` routes a
 supporting experiment through the store-backed fit path.
 """
 
@@ -444,24 +444,32 @@ def _store_cli(args) -> int:
         except (OSError, ValueError, KeyError, ValidationError) as exc:
             print(f"cannot load source graph: {exc}")
             return 5
-        store = GraphStore.save(hin, args.directory)
+        try:
+            store = GraphStore.save(hin, args.directory)
+        except ValidationError as exc:
+            print(f"cannot write store: {exc}")
+            return 5
         print(
             f"[store: {store.n_nodes} nodes, {store.n_relations} relations, "
             f"{store.nnz} links -> {args.directory}]"
         )
         return 0
     if args.store_command == "synth":
-        store = generate_ooc_store(
-            args.directory,
-            n_nodes=args.nodes,
-            n_links=args.links,
-            n_relations=args.relations,
-            n_labels=args.labels,
-            n_features=args.features,
-            labeled_fraction=args.labeled_fraction,
-            homophily=args.homophily,
-            seed=args.seed,
-        )
+        try:
+            store = generate_ooc_store(
+                args.directory,
+                n_nodes=args.nodes,
+                n_links=args.links,
+                n_relations=args.relations,
+                n_labels=args.labels,
+                n_features=args.features,
+                labeled_fraction=args.labeled_fraction,
+                homophily=args.homophily,
+                seed=args.seed,
+            )
+        except ValidationError as exc:
+            print(f"cannot write store: {exc}")
+            return 5
         print(
             f"[store: {store.n_nodes} nodes, {store.n_relations} relations, "
             f"{store.nnz} links -> {args.directory}]"

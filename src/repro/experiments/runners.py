@@ -553,13 +553,12 @@ def run_example(
 
     hin = make_worked_example()
     if store is not None:
-        import os
-
+        from repro.errors import ValidationError
         from repro.ooc import GraphStore, fit_from_store
 
-        if os.path.exists(os.path.join(store, "manifest.json")):
+        try:
             graph_store = GraphStore.open(store)
-        else:
+        except ValidationError:
             graph_store = GraphStore.save(hin, store)
         for _ in range(EXAMPLE_FITS):
             model = fit_from_store(

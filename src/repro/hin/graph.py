@@ -237,7 +237,7 @@ class HIN:
         checked:
 
         * ``label_matrix``: shape ``(n, q)`` and the single-label rule;
-          stored read-only.
+          stored as a read-only copy.
         * ``tensor``: a :class:`SparseTensor3` over the ``n`` nodes.
           It may change the number of relations only together with
           ``relation_names``, which must be that many distinct names.
@@ -308,8 +308,8 @@ class HIN:
         Used by the experiment harness to mask test labels.  The view
         shares the tensor, features, names and name -> index mappings
         with this HIN by reference (see :meth:`derive`); only the new
-        matrix is checked (shape, the single-label rule) and stored
-        read-only, so a view costs about its label matrix.
+        matrix is checked (shape, the single-label rule) and stored as a
+        read-only copy, so a view costs about its label matrix.
         """
         return self.derive(label_matrix=label_matrix)
 
@@ -387,8 +387,8 @@ def _checked_features(features, rows=None):
 
 
 def _checked_labels(label_matrix, n: int, multilabel: bool) -> np.ndarray:
-    """An ``(n, q)`` read-only boolean label matrix obeying the single-label rule."""
-    label_matrix = np.asarray(label_matrix, dtype=bool)
+    """A read-only boolean ``(n, q)`` label-matrix copy obeying the single-label rule."""
+    label_matrix = np.array(label_matrix, dtype=bool)
     if label_matrix.ndim != 2 or label_matrix.shape[0] != n:
         raise ShapeError(
             f"label_matrix must be (n, q) = ({n}, q), got {label_matrix.shape}"

@@ -33,16 +33,15 @@ Artifacts land in ``<store>/operators/``: ``o.{indptr,indices,data}.npy``
 and ``r.{indptr,indices,data}.npy`` (the two stacks),
 ``o.nondangling.npy`` (the ``(m, n)`` non-dangling column mask),
 ``w.npy`` (dense) or ``w.{indptr,indices,data}.npy`` (top-k), and
-``operators.json``, which records the build parameters plus the store
-fingerprint so a stale cache is detected and rebuilt.  One
-``operator_build`` obs event is emitted per normalisation chunk.
+``operators.json``, which records the build parameters, the store
+fingerprint and every file's size, so a stale or torn cache is detected
+and rebuilt (:mod:`repro.ooc.publish` swaps each build in whole).  One
+``operator_build`` obs event per chunk.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,12 +63,13 @@ from repro.ooc.operators import (
     load_csr,
     release_pages,
 )
+from repro.ooc.publish import StagedDirectory, read_manifest
 from repro.ooc.store import GraphStore
 from repro.tensor.sptensor import normalise_fibres
 from repro.utils.validation import check_positive_int
 
-#: Version of the on-disk operator-cache layout.
-OPERATORS_FORMAT_VERSION = 2
+#: Version of the on-disk operator-cache layout (3: published whole, with sizes).
+OPERATORS_FORMAT_VERSION = 3
 
 #: The cache manifest inside ``<store>/operators/``.
 OPERATORS_MANIFEST = "operators.json"
@@ -82,19 +82,6 @@ MAX_DENSE_W_NODES = 8192
 #: Column-block cap for the top-k cosine similarity pass (each block
 #: materialises an ``(n, block)`` similarity panel).
 MAX_W_SIMILARITY_CHUNK = 2048
-
-
-def _write_manifest(ops_dir: Path, manifest: dict) -> None:
-    tmp = ops_dir / (OPERATORS_MANIFEST + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    tmp.replace(ops_dir / OPERATORS_MANIFEST)
-
-
-def _values_memmap(ops_dir: Path, name: str, size: int) -> np.memmap:
-    """A new float64 ``.npy`` memmap of ``size`` values in ``ops_dir``."""
-    return np.lib.format.open_memmap(
-        ops_dir / name, mode="w+", dtype=np.float64, shape=(size,)
-    )
 
 
 def _column_blocks(indptr, n: int, chunk_size: int):
@@ -111,7 +98,7 @@ def _block_columns(indptr, j0: int, j1: int) -> np.ndarray:
     return np.repeat(np.arange(j0, j1, dtype=np.int64), counts)
 
 
-def _write_stack(ops_dir: Path, prefix: str, parts, n: int, chunk_size: int) -> None:
+def _write_stack(stage, prefix: str, parts, n: int, chunk_size: int) -> None:
     """Transpose CSC parts into the row stack ``<prefix>.{indptr,indices,data}.npy``.
 
     ``parts`` holds one ``(values, indices, indptr)`` CSC per block of
@@ -132,13 +119,11 @@ def _write_stack(ops_dir: Path, prefix: str, parts, n: int, chunk_size: int) -> 
     indptr_out = np.zeros(counts.size + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr_out[1:])
     del counts
-    np.save(ops_dir / f"{prefix}.indptr.npy", indptr_out)
+    stage.save(f"{prefix}.indptr.npy", indptr_out)
     cursor = indptr_out[:-1].astype(np.int64)
     del indptr_out
-    indices_out = np.lib.format.open_memmap(
-        ops_dir / f"{prefix}.indices.npy", mode="w+", dtype=index_dtype, shape=(nnz,)
-    )
-    data_out = _values_memmap(ops_dir, f"{prefix}.data.npy", nnz)
+    indices_out = stage.memmap(f"{prefix}.indices.npy", index_dtype, (nnz,))
+    data_out = stage.memmap(f"{prefix}.data.npy", np.float64, (nnz,))
     for b, (values, indices, indptr) in enumerate(parts):
         for _, j0, j1, start, stop in _column_blocks(indptr, n, chunk_size):
             if start == stop:
@@ -163,7 +148,7 @@ def _write_stack(ops_dir: Path, prefix: str, parts, n: int, chunk_size: int) -> 
         out.flush()
 
 
-def _build_o(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> None:
+def _build_o(store: GraphStore, stage, chunk_size: int, rec) -> None:
     """Normalise every relation slice column-block-wise, then write the stack."""
     n, m = store.n_nodes, store.n_relations
     nondangling = np.zeros((m, n), dtype=bool)
@@ -171,7 +156,7 @@ def _build_o(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> None:
     parts = []
     for k in range(m):
         data, indices, indptr = store.relation_arrays(k)
-        out = _values_memmap(ops_dir, f"o.rel{k}.csc.npy", int(data.size))
+        out = stage.scratch(f"o.rel{k}.csc.npy", np.float64, (int(data.size),))
         for chunk_idx, j0, j1, start, stop in _column_blocks(indptr, n, chunk_size):
             started = time.perf_counter() if emit else 0.0
             if start != stop:
@@ -199,13 +184,11 @@ def _build_o(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> None:
         out.flush()
         release_pages(data, indices, indptr, out)
         parts.append((out, indices, indptr))
-    np.save(ops_dir / "o.nondangling.npy", nondangling)
-    _write_stack(ops_dir, "o", parts, n, chunk_size)
-    for k in range(m):
-        (ops_dir / f"o.rel{k}.csc.npy").unlink()
+    stage.save("o.nondangling.npy", nondangling)
+    _write_stack(stage, "o", parts, n, chunk_size)
 
 
-def _build_r(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> None:
+def _build_r(store: GraphStore, stage, chunk_size: int, rec) -> None:
     """Fibre-normalise across relations column-block-wise, then write the stack.
 
     A column block loads the matching slice of *every* relation at once
@@ -221,7 +204,7 @@ def _build_r(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> None:
     index_dtype = np.int32 if store.manifest["index_dtype"] == "int32" else np.int64
     relations = [store.relation_arrays(k) for k in range(m)]
     outs = [
-        _values_memmap(ops_dir, f"r.rel{k}.csc.npy", int(relations[k][0].size))
+        stage.scratch(f"r.rel{k}.csc.npy", np.float64, (int(relations[k][0].size),))
         for k in range(m)
     ]
     pair_rows: list[np.ndarray] = []
@@ -274,14 +257,12 @@ def _build_r(store: GraphStore, ops_dir: Path, chunk_size: int, rec) -> None:
     pairs = np.concatenate(pair_rows) if pair_rows else np.empty(0, index_dtype)
     parts = [(out, ind, ptr) for out, (_, ind, ptr) in zip(outs, relations)]
     parts.append((np.broadcast_to(1.0, pairs.shape), pairs, pair_indptr))
-    _write_stack(ops_dir, "r", parts, n, chunk_size)
-    for k in range(m):
-        (ops_dir / f"r.rel{k}.csc.npy").unlink()
+    _write_stack(stage, "r", parts, n, chunk_size)
 
 
 def _build_w(
     store: GraphStore,
-    ops_dir: Path,
+    stage,
     chunk_size: int,
     similarity_top_k,
     similarity_metric: str,
@@ -299,7 +280,7 @@ def _build_w(
                 f"to skip the feature walk (dense limit: {MAX_DENSE_W_NODES})"
             )
         w = feature_transition_matrix(store.features, metric=similarity_metric)
-        np.save(ops_dir / "w.npy", np.asarray(w, dtype=np.float64))
+        stage.save("w.npy", np.asarray(w, dtype=np.float64))
         mode = "dense"
         nnz = n * n
     else:
@@ -314,7 +295,7 @@ def _build_w(
             chunk_size=min(chunk_size, MAX_W_SIMILARITY_CHUNK),
         )
         for name in ("data", "indices", "indptr"):
-            np.save(ops_dir / f"w.{name}.npy", getattr(w, name))
+            stage.save(f"w.{name}.npy", getattr(w, name))
         mode = "csr"
         nnz = int(w.nnz)
     if emit:
@@ -331,17 +312,12 @@ def _build_w(
     return mode
 
 
-def _cache_usable(ops_dir: Path, store: GraphStore, similarity_top_k,
+def _cache_usable(ops_dir, store: GraphStore, similarity_top_k,
                   similarity_metric: str, need_w: bool) -> dict | None:
     """The cached manifest if it matches this build request, else None."""
-    manifest_path = ops_dir / OPERATORS_MANIFEST
-    if not manifest_path.exists():
-        return None
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        return None
-    if manifest.get("format_version") != OPERATORS_FORMAT_VERSION:
+        manifest = read_manifest(ops_dir, OPERATORS_MANIFEST, OPERATORS_FORMAT_VERSION)
+    except ValidationError:
         return None
     if manifest.get("store_fingerprint") != store.store_fingerprint():
         return None
@@ -356,7 +332,7 @@ def _cache_usable(ops_dir: Path, store: GraphStore, similarity_top_k,
     return manifest
 
 
-def _assemble(store: GraphStore, ops_dir: Path, w_mode: str, chunk_size: int,
+def _assemble(store: GraphStore, ops_dir, w_mode: str, chunk_size: int,
               similarity_top_k, similarity_metric: str) -> ChunkedOperators:
     n, m = store.n_nodes, store.n_relations
     if w_mode == "none":
@@ -446,22 +422,22 @@ def build_chunked_operators(
                 store, ops_dir, cached["w_mode"] if build_w else "none",
                 chunk_size, similarity_top_k, similarity_metric,
             )
-    ops_dir.mkdir(parents=True, exist_ok=True)
-    with span(
+    stage = StagedDirectory(ops_dir, OPERATORS_MANIFEST, loose_arrays=True)
+    with stage, span(
         "build_chunked_operators",
         recorder=rec,
         n_nodes=store.n_nodes,
         chunk_size=chunk_size,
     ):
         with span("build_o", recorder=rec):
-            _build_o(store, ops_dir, chunk_size, rec)
+            _build_o(store, stage, chunk_size, rec)
         with span("build_r", recorder=rec):
-            _build_r(store, ops_dir, chunk_size, rec)
+            _build_r(store, stage, chunk_size, rec)
         if build_w:
             with span("build_w", recorder=rec):
                 w_mode = _build_w(
                     store,
-                    ops_dir,
+                    stage,
                     chunk_size,
                     similarity_top_k,
                     similarity_metric,
@@ -469,14 +445,16 @@ def build_chunked_operators(
                 )
         else:
             w_mode = "none"
-    manifest = {
-        "format_version": OPERATORS_FORMAT_VERSION,
-        "store_fingerprint": store.store_fingerprint(),
-        "similarity_top_k": similarity_top_k,
-        "similarity_metric": similarity_metric,
-        "w_mode": w_mode,
-    }
-    _write_manifest(ops_dir, manifest)
+        stage.publish(
+            {
+                "format_version": OPERATORS_FORMAT_VERSION,
+                "store_fingerprint": store.store_fingerprint(),
+                "similarity_top_k": similarity_top_k,
+                "similarity_metric": similarity_metric,
+                "w_mode": w_mode,
+            },
+            digests=False,  # sizes catch a torn cache; nothing reads digests
+        )
     if rec.enabled:
         rec.count("chunked_operator_builds")
     return _assemble(

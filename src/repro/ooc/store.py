@@ -11,7 +11,7 @@ stream column blocks without ever holding a whole relation in RAM.
 
 Layout of a store directory::
 
-    manifest.json            format version, shapes, names, sha256 per file
+    manifest.json            format version, shapes, names, sha256 + size per file
     rel<k>.data.npy          CSC values of relation k   (float64)
     rel<k>.indices.npy       CSC row indices            (int32 or int64)
     rel<k>.indptr.npy        CSC column pointers        (same dtype)
@@ -21,8 +21,8 @@ Layout of a store directory::
     node_names.npy           only when names differ from the "node_<i>" default
     operators/               chunked-operator cache (see repro.ooc.build)
 
-The manifest records a sha256 fingerprint of every array file;
-``GraphStore.open(path, verify=True)`` re-hashes them and raises
+The manifest records the size and sha256 of every array file (see
+:mod:`repro.ooc.publish`); ``open(path, verify=True)`` re-hashes them and raises
 :class:`~repro.errors.ValidationError` on any mismatch, and stores saved
 from an in-RAM :class:`~repro.hin.graph.HIN` additionally carry the
 parallel layer's :func:`~repro.experiments.parallel.graph_fingerprint`.
@@ -35,7 +35,6 @@ canonicalises to, and no float arithmetic touches the values.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +44,7 @@ from repro.errors import ValidationError
 from repro.hin.graph import HIN
 from repro.hin.io import jsonable_metadata
 from repro.obs.recorder import get_recorder
+from repro.ooc.publish import StagedDirectory, read_manifest
 from repro.tensor.sptensor import SparseTensor3
 
 #: On-disk format version; bumped on any layout change.
@@ -55,18 +55,6 @@ MANIFEST_NAME = "manifest.json"
 
 #: Subdirectory holding the chunked-operator cache (repro.ooc.build).
 OPERATORS_DIRNAME = "operators"
-
-
-def _sha256_file(path: Path, chunk_bytes: int = 1 << 22) -> str:
-    """Streaming sha256 of one file (constant memory)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(chunk_bytes)
-            if not block:
-                break
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _index_dtype(n_nodes: int, max_nnz: int):
@@ -89,10 +77,10 @@ class GraphStore:
     def __init__(self, directory: Path, manifest: dict):
         self._dir = Path(directory)
         self._manifest = manifest
-        self._rel_arrays: dict[int, tuple] = {}
-        self._features = None
-        self._labels = None
-        self._node_names_arr = None
+        self._arrays = {
+            name: np.load(self._dir / name, mmap_mode="r")
+            for name in manifest["files"]
+        }
 
     # ------------------------------------------------------------------
     # Construction
@@ -101,68 +89,59 @@ class GraphStore:
     def save(cls, hin: HIN, directory, *, recorder=None) -> "GraphStore":
         """Write ``hin`` to ``directory`` and return the opened store.
 
-        The directory is created if missing.  An existing manifest is
-        overwritten (the store is rebuilt in place); unknown extra files
-        are left untouched.  Emits one ``store_save`` obs event.
+        The store is swapped in whole (:mod:`repro.ooc.publish`): an
+        existing store is replaced with its operator cache, which the
+        next fit rebuilds; a directory that is not a store is refused
+        with :class:`ValidationError` and left untouched.  Emits one
+        ``store_save`` obs event.
         """
         if not isinstance(hin, HIN):
             raise ValidationError(f"expected a HIN, got {type(hin).__name__}")
-        rec = get_recorder() if recorder is None else recorder
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        n, m = hin.n_nodes, hin.n_relations
-        idx_dtype = _index_dtype(n, hin.tensor.nnz)
-        files: dict[str, str] = {}
-        relation_nnz: list[int] = []
-
-        def _write(name: str, array: np.ndarray) -> None:
-            path = directory / name
-            np.save(path, array)
-            files[name] = _sha256_file(path)
-
-        for k in range(m):
-            csc = hin.tensor.relation_slice(k).tocsc()
-            csc.sort_indices()
-            relation_nnz.append(int(csc.nnz))
-            _write(f"rel{k}.data.npy", csc.data.astype(np.float64, copy=False))
-            _write(f"rel{k}.indices.npy", csc.indices.astype(idx_dtype))
-            _write(f"rel{k}.indptr.npy", csc.indptr.astype(idx_dtype))
-
-        features_sparse = bool(sp.issparse(hin.features))
-        if features_sparse:
-            feats = sp.csr_matrix(hin.features)
-            _write("features.data.npy", feats.data.astype(np.float64, copy=False))
-            _write("features.indices.npy", feats.indices.astype(idx_dtype))
-            _write("features.indptr.npy", feats.indptr.astype(idx_dtype))
-        else:
-            _write("features.npy", np.asarray(hin.features, dtype=np.float64))
-        _write("labels.npy", np.asarray(hin.label_matrix, dtype=bool))
-
-        default_names = tuple(f"node_{i}" for i in range(n)) == hin.node_names
-        if not default_names:
-            _write("node_names.npy", np.asarray(hin.node_names, dtype=np.str_))
-
         from repro.experiments.parallel import graph_fingerprint
 
-        manifest = {
-            "format_version": STORE_FORMAT_VERSION,
-            "n_nodes": n,
-            "n_relations": m,
-            "n_labels": hin.n_labels,
-            "n_features": hin.n_features,
-            "relation_names": list(hin.relation_names),
-            "label_names": list(hin.label_names),
-            "node_names": "default" if default_names else "stored",
-            "multilabel": hin.multilabel,
-            "metadata": jsonable_metadata(hin.metadata),
-            "features": "csr" if features_sparse else "dense",
-            "index_dtype": np.dtype(idx_dtype).name,
-            "nnz": int(hin.tensor.nnz),
-            "relation_nnz": relation_nnz,
-            "graph_fingerprint": graph_fingerprint(hin),
-            "files": files,
-        }
-        write_manifest(directory, manifest)
+        rec = get_recorder() if recorder is None else recorder
+        n, m = hin.n_nodes, hin.n_relations
+        idx_dtype = _index_dtype(n, hin.tensor.nnz)
+        relation_nnz: list[int] = []
+        default_names = tuple(f"node_{i}" for i in range(n)) == hin.node_names
+        features_sparse = bool(sp.issparse(hin.features))
+        with StagedDirectory(
+            directory, MANIFEST_NAME, subdirs=(OPERATORS_DIRNAME,)
+        ) as stage:
+            for k in range(m):
+                csc = hin.tensor.relation_slice(k).tocsc()
+                csc.sort_indices()
+                relation_nnz.append(int(csc.nnz))
+                stage.save(f"rel{k}.data.npy", np.asarray(csc.data, np.float64))
+                stage.save(f"rel{k}.indices.npy", csc.indices.astype(idx_dtype))
+                stage.save(f"rel{k}.indptr.npy", csc.indptr.astype(idx_dtype))
+            if features_sparse:
+                feats = sp.csr_matrix(hin.features)
+                stage.save("features.data.npy", np.asarray(feats.data, np.float64))
+                stage.save("features.indices.npy", feats.indices.astype(idx_dtype))
+                stage.save("features.indptr.npy", feats.indptr.astype(idx_dtype))
+            else:
+                stage.save("features.npy", np.asarray(hin.features, dtype=np.float64))
+            stage.save("labels.npy", np.asarray(hin.label_matrix, dtype=bool))
+            if not default_names:
+                stage.save("node_names.npy", np.asarray(hin.node_names, dtype=np.str_))
+            stage.publish({
+                "format_version": STORE_FORMAT_VERSION,
+                "n_nodes": n,
+                "n_relations": m,
+                "n_labels": hin.n_labels,
+                "n_features": hin.n_features,
+                "relation_names": list(hin.relation_names),
+                "label_names": list(hin.label_names),
+                "node_names": "default" if default_names else "stored",
+                "multilabel": hin.multilabel,
+                "metadata": jsonable_metadata(hin.metadata),
+                "features": "csr" if features_sparse else "dense",
+                "index_dtype": np.dtype(idx_dtype).name,
+                "nnz": int(hin.tensor.nnz),
+                "relation_nnz": relation_nnz,
+                "graph_fingerprint": graph_fingerprint(hin),
+            })
         if rec.enabled:
             rec.emit(
                 "store_save",
@@ -170,7 +149,7 @@ class GraphStore:
                 n_nodes=n,
                 n_relations=m,
                 nnz=int(hin.tensor.nnz),
-                n_files=len(files),
+                n_files=len(stage.names),
             )
             rec.count("store_saves")
         return cls.open(directory)
@@ -179,40 +158,17 @@ class GraphStore:
     def open(cls, directory, *, verify: bool = False) -> "GraphStore":
         """Memory-map the store at ``directory``.
 
+        Maps (and checks the size of) every array now, so the store reads
+        one version even if the directory is replaced later.
         ``verify=True`` re-hashes every array file against the manifest's
         sha256 fingerprints (streaming, constant memory) and raises
         :class:`ValidationError` naming the first mismatching file —
         the integrity gate for stores that travelled between machines.
         Emits one ``store_open`` obs event.
         """
-        directory = Path(directory)
-        manifest_path = directory / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise ValidationError(f"no graph store at {directory} (missing manifest)")
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"corrupt store manifest at {manifest_path}: {exc}")
-        version = manifest.get("format_version")
-        if version != STORE_FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported graph-store format version: {version!r} "
-                f"(this build reads version {STORE_FORMAT_VERSION})"
-            )
-        for name in manifest.get("files", {}):
-            if not (directory / name).exists():
-                raise ValidationError(
-                    f"graph store at {directory} is missing array file {name!r}"
-                )
-        if verify:
-            for name, expected in manifest["files"].items():
-                actual = _sha256_file(directory / name)
-                if actual != expected:
-                    raise ValidationError(
-                        f"graph-store fingerprint mismatch for {name!r}: "
-                        f"manifest says {expected[:12]}…, file hashes "
-                        f"{actual[:12]}… — the store was modified after save"
-                    )
+        manifest = read_manifest(
+            directory, MANIFEST_NAME, STORE_FORMAT_VERSION, verify=verify
+        )
         store = cls(directory, manifest)
         rec = get_recorder()
         if rec.enabled:
@@ -302,7 +258,7 @@ class GraphStore:
                 f"node index {idx} out of range [0, {self.n_nodes})"
             )
         if self.has_stored_node_names:
-            return str(self._node_names()[idx])
+            return str(self._arrays["node_names.npy"][idx])
         return f"node_{idx}"
 
     def node_names(self) -> tuple[str, ...]:
@@ -313,33 +269,23 @@ class GraphStore:
         ``node_names=None`` through to :class:`TMarkResult` instead.
         """
         if self.has_stored_node_names:
-            return tuple(str(v) for v in self._node_names())
+            return tuple(str(v) for v in self._arrays["node_names.npy"])
         return tuple(f"node_{i}" for i in range(self.n_nodes))
-
-    def _node_names(self) -> np.ndarray:
-        if self._node_names_arr is None:
-            self._node_names_arr = np.load(self._dir / "node_names.npy")
-        return self._node_names_arr
 
     # ------------------------------------------------------------------
     # Memory-mapped array surface
     # ------------------------------------------------------------------
-    def _mmap(self, name: str) -> np.memmap:
-        return np.load(self._dir / name, mmap_mode="r")
-
     def relation_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The mmap'd ``(data, indices, indptr)`` CSC triple of relation ``k``."""
         if not 0 <= k < self.n_relations:
             raise ValidationError(
                 f"relation index {k} out of range [0, {self.n_relations})"
             )
-        if k not in self._rel_arrays:
-            self._rel_arrays[k] = (
-                self._mmap(f"rel{k}.data.npy"),
-                self._mmap(f"rel{k}.indices.npy"),
-                self._mmap(f"rel{k}.indptr.npy"),
-            )
-        return self._rel_arrays[k]
+        return self._triple(f"rel{k}")
+
+    def _triple(self, prefix: str) -> tuple:
+        parts = ("data", "indices", "indptr")
+        return tuple(self._arrays[f"{prefix}.{part}.npy"] for part in parts)
 
     def relation_csc(self, k: int) -> sp.csc_matrix:
         """Relation ``k``'s adjacency slice as an mmap-backed CSC matrix."""
@@ -351,26 +297,16 @@ class GraphStore:
     @property
     def label_matrix(self) -> np.ndarray:
         """The mmap'd ``(n, q)`` boolean label matrix (read-only)."""
-        if self._labels is None:
-            self._labels = self._mmap("labels.npy")
-        return self._labels
+        return self._arrays["labels.npy"]
 
     @property
     def features(self):
         """The feature matrix: mmap'd dense array or CSR over mmap'd parts."""
-        if self._features is None:
-            if self._manifest["features"] == "dense":
-                self._features = self._mmap("features.npy")
-            else:
-                self._features = sp.csr_matrix(
-                    (
-                        self._mmap("features.data.npy"),
-                        self._mmap("features.indices.npy"),
-                        self._mmap("features.indptr.npy"),
-                    ),
-                    shape=(self.n_nodes, self.n_features),
-                )
-        return self._features
+        if self._manifest["features"] == "dense":
+            return self._arrays["features.npy"]
+        return sp.csr_matrix(
+            self._triple("features"), shape=(self.n_nodes, self.n_features)
+        )
 
     @property
     def operators_dir(self) -> Path:
@@ -419,14 +355,8 @@ class GraphStore:
         )
         features = self.features
         if sp.issparse(features):
-            features = sp.csr_matrix(
-                (
-                    np.array(features.data),
-                    np.array(features.indices),
-                    np.array(features.indptr),
-                ),
-                shape=features.shape,
-            )
+            parts = tuple(np.array(a) for a in self._triple("features"))
+            features = sp.csr_matrix(parts, shape=features.shape)
         else:
             features = np.array(features)
         node_names = self.node_names() if self.has_stored_node_names else None
@@ -434,7 +364,7 @@ class GraphStore:
             tensor,
             self.relation_names,
             features,
-            np.array(self.label_matrix),
+            self.label_matrix,
             self.label_names,
             node_names=node_names,
             multilabel=self.multilabel,
@@ -448,12 +378,3 @@ class GraphStore:
             f"nnz={self.nnz})"
         )
 
-
-def write_manifest(directory, manifest: dict) -> Path:
-    """Atomically write a store manifest (tmp file + rename)."""
-    directory = Path(directory)
-    path = directory / MANIFEST_NAME
-    tmp = directory / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    tmp.replace(path)
-    return path

@@ -21,17 +21,16 @@ checks at any scale.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.ooc.publish import StagedDirectory
 from repro.ooc.store import (
+    MANIFEST_NAME,
+    OPERATORS_DIRNAME,
     STORE_FORMAT_VERSION,
     GraphStore,
     _index_dtype,
-    _sha256_file,
-    write_manifest,
 )
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_fraction, check_positive_int
@@ -58,7 +57,8 @@ def generate_ooc_store(
     Parameters
     ----------
     directory:
-        Target store directory (created if missing).
+        Target store directory (created, or replaced whole if it is a
+        store; anything else is refused: see :mod:`repro.ooc.publish`).
     n_nodes, n_links:
         Node count and *approximate* total link count across relations
         (self-loops and duplicate links are dropped, so the realised
@@ -96,105 +96,91 @@ def generate_ooc_store(
     if q > n:
         raise ValidationError(f"n_labels={q} exceeds n_nodes={n}")
     rng = ensure_rng(seed)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str] = {}
+    with StagedDirectory(
+        directory, MANIFEST_NAME, subdirs=(OPERATORS_DIRNAME,)
+    ) as stage:
+        # Latent classes: guarantee every class occupied so per-class chains
+        # always have a non-empty anchor pool at any labeled_fraction.
+        y = rng.integers(0, q, size=n, dtype=np.int64)
+        y[:q] = np.arange(q)
+        class_order = np.argsort(y, kind="stable")
+        class_counts = np.bincount(y, minlength=q)
+        class_offsets = np.zeros(q + 1, dtype=np.int64)
+        np.cumsum(class_counts, out=class_offsets[1:])
 
-    def _write(name: str, array: np.ndarray) -> None:
-        path = directory / name
-        np.save(path, array)
-        files[name] = _sha256_file(path)
+        # Links: vectorised homophilous sampling per relation.
+        per_relation = max(total_links // m, 1)
+        idx_dtype = _index_dtype(n, total_links)
+        relation_nnz: list[int] = []
+        for k in range(m):
+            src = rng.integers(0, n, size=per_relation, dtype=np.int64)
+            dst = rng.integers(0, n, size=per_relation, dtype=np.int64)
+            same_class = rng.random(per_relation) < homophily
+            if np.any(same_class):
+                src_classes = y[src[same_class]]
+                offsets = rng.integers(
+                    0, class_counts[src_classes], dtype=np.int64
+                )
+                dst[same_class] = class_order[class_offsets[src_classes] + offsets]
+            keep = src != dst
+            src, dst = src[keep], dst[keep]
+            # Deduplicate (source, target) pairs; flat id sorted source-major
+            # == CSC column-major order, so the unique ids *are* the CSC.
+            pair_ids = np.unique(src * n + dst)
+            col, row = np.divmod(pair_ids, n)
+            counts = np.bincount(col, minlength=n)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            stage.save(f"rel{k}.data.npy", np.ones(row.size, dtype=np.float64))
+            stage.save(f"rel{k}.indices.npy", row.astype(idx_dtype))
+            stage.save(f"rel{k}.indptr.npy", indptr.astype(idx_dtype))
+            relation_nnz.append(int(row.size))
 
-    # Latent classes: guarantee every class occupied so per-class chains
-    # always have a non-empty anchor pool at any labeled_fraction.
-    y = rng.integers(0, q, size=n, dtype=np.int64)
-    y[:q] = np.arange(q)
-    class_order = np.argsort(y, kind="stable")
-    class_counts = np.bincount(y, minlength=q)
-    class_offsets = np.zeros(q + 1, dtype=np.int64)
-    np.cumsum(class_counts, out=class_offsets[1:])
+        # Features: noisy class signature, written in row chunks so the
+        # resident block stays bounded at any n.
+        signature = rng.random((q, d)) + np.eye(q, d) * 2.0
+        features = stage.memmap("features.npy", np.float64, (n, d))
+        for r0 in range(0, n, FEATURE_CHUNK_ROWS):
+            r1 = min(r0 + FEATURE_CHUNK_ROWS, n)
+            block = signature[y[r0:r1]]
+            if feature_noise > 0:
+                block = block + feature_noise * rng.random((r1 - r0, d))
+            features[r0:r1] = block
+        features.flush()
+        del features
 
-    # Links: vectorised homophilous sampling per relation.
-    per_relation = max(total_links // m, 1)
-    idx_dtype = _index_dtype(n, total_links)
-    relation_nnz: list[int] = []
-    nnz = 0
-    for k in range(m):
-        src = rng.integers(0, n, size=per_relation, dtype=np.int64)
-        dst = rng.integers(0, n, size=per_relation, dtype=np.int64)
-        same_class = rng.random(per_relation) < homophily
-        if np.any(same_class):
-            src_classes = y[src[same_class]]
-            offsets = rng.integers(
-                0, class_counts[src_classes], dtype=np.int64
-            )
-            dst[same_class] = class_order[class_offsets[src_classes] + offsets]
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        # Deduplicate (source, target) pairs; flat id sorted source-major
-        # == CSC column-major order, so the unique ids *are* the CSC.
-        pair_ids = np.unique(src * n + dst)
-        col, row = np.divmod(pair_ids, n)
-        counts = np.bincount(col, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        _write(f"rel{k}.data.npy", np.ones(row.size, dtype=np.float64))
-        _write(f"rel{k}.indices.npy", row.astype(idx_dtype))
-        _write(f"rel{k}.indptr.npy", indptr.astype(idx_dtype))
-        relation_nnz.append(int(row.size))
-        nnz += int(row.size)
+        # Supervision: reveal a labeled_fraction of classes (at least one
+        # anchor per class — the first q nodes cover every class).
+        labels = np.zeros((n, q), dtype=bool)
+        labeled = rng.random(n) < labeled_fraction
+        labeled[:q] = True
+        rows = np.flatnonzero(labeled)
+        labels[rows, y[rows]] = True
+        stage.save("labels.npy", labels)
+        stage.save("ground_truth.npy", y)
 
-    # Features: noisy class signature, written in row chunks so the
-    # resident block stays bounded at any n.
-    signature = rng.random((q, d)) + np.eye(q, d) * 2.0
-    features_path = directory / "features.npy"
-    features = np.lib.format.open_memmap(
-        features_path, mode="w+", dtype=np.float64, shape=(n, d)
-    )
-    for r0 in range(0, n, FEATURE_CHUNK_ROWS):
-        r1 = min(r0 + FEATURE_CHUNK_ROWS, n)
-        block = signature[y[r0:r1]]
-        if feature_noise > 0:
-            block = block + feature_noise * rng.random((r1 - r0, d))
-        features[r0:r1] = block
-    features.flush()
-    del features
-    files["features.npy"] = _sha256_file(features_path)
-
-    # Supervision: reveal a labeled_fraction of classes (at least one
-    # anchor per class — the first q nodes cover every class).
-    labels = np.zeros((n, q), dtype=bool)
-    labeled = rng.random(n) < labeled_fraction
-    labeled[:q] = True
-    rows = np.flatnonzero(labeled)
-    labels[rows, y[rows]] = True
-    _write("labels.npy", labels)
-    _write("ground_truth.npy", y)
-
-    manifest = {
-        "format_version": STORE_FORMAT_VERSION,
-        "n_nodes": n,
-        "n_relations": m,
-        "n_labels": q,
-        "n_features": d,
-        "relation_names": [f"relation_{k}" for k in range(m)],
-        "label_names": [f"class_{c}" for c in range(q)],
-        "node_names": "default",
-        "multilabel": False,
-        "metadata": {
-            "generator": "ooc",
-            "seed": int(seed) if np.isscalar(seed) else None,
-            "homophily": homophily,
-            "labeled_fraction": labeled_fraction,
-            "feature_noise": float(feature_noise),
-            "requested_links": total_links,
-        },
-        "features": "dense",
-        "index_dtype": np.dtype(idx_dtype).name,
-        "nnz": nnz,
-        "relation_nnz": relation_nnz,
-        "graph_fingerprint": None,
-        "files": files,
-    }
-    write_manifest(directory, manifest)
+        stage.publish({
+            "format_version": STORE_FORMAT_VERSION,
+            "n_nodes": n,
+            "n_relations": m,
+            "n_labels": q,
+            "n_features": d,
+            "relation_names": [f"relation_{k}" for k in range(m)],
+            "label_names": [f"class_{c}" for c in range(q)],
+            "node_names": "default",
+            "multilabel": False,
+            "metadata": {
+                "generator": "ooc",
+                "seed": int(seed) if np.isscalar(seed) else None,
+                "homophily": homophily,
+                "labeled_fraction": labeled_fraction,
+                "feature_noise": float(feature_noise),
+                "requested_links": total_links,
+            },
+            "features": "dense",
+            "index_dtype": np.dtype(idx_dtype).name,
+            "nnz": sum(relation_nnz),
+            "relation_nnz": relation_nnz,
+            "graph_fingerprint": None,
+        })
     return GraphStore.open(directory)

@@ -320,12 +320,15 @@ def resolve_batch(hin: HIN, deltas) -> ResolvedBatch:
     label_index = {name: idx for idx, name in enumerate(hin.label_names)}
     relation_index = {name: idx for idx, name in enumerate(hin.relation_names)}
 
-    i0, j0, k0 = hin.tensor.coords
-    existing_flat = (k0 * n_old + j0) * n_old + i0  # already sorted ascending
+    existing_flat = None  # the entries' flat ids, built on the first removal
 
     def entry_exists(i: int, j: int, k: int) -> bool:
+        nonlocal existing_flat
         if i >= n_old or j >= n_old:
             return False
+        if existing_flat is None:
+            i0, j0, k0 = hin.tensor.coords
+            existing_flat = (k0 * n_old + j0) * n_old + i0  # already sorted
         flat = (k * n_old + j) * n_old + i
         pos = np.searchsorted(existing_flat, flat)
         return bool(pos < existing_flat.size and existing_flat[pos] == flat)
@@ -468,13 +471,14 @@ def materialize_batch(hin: HIN, resolved: ResolvedBatch) -> HIN:
     if not resolved.touches_features:
         features = None
     elif sp.issparse(hin.features):
-        features = sp.lil_matrix((n_new, d), dtype=float)
-        features[:n_old] = hin.features
-        for offset, (_, feats, _) in enumerate(resolved.new_nodes):
-            features[n_old + offset] = feats
-        for idx, feats in resolved.feature_ops:
-            features[idx] = feats
-        features = features.tocsr()
+        # Row r is row source[r] of [old; added; written rows]; last write wins.
+        written = [f for _, f, _ in resolved.new_nodes]
+        written += [f for _, f in resolved.feature_ops]
+        source = np.arange(n_new)
+        for offset, (idx, _) in enumerate(resolved.feature_ops):
+            source[idx] = n_new + offset
+        block = sp.csr_matrix(np.reshape(written, (-1, d)))
+        features = sp.vstack([hin.features, block], format="csr", dtype=float)[source]
     else:
         base = np.asarray(hin.features, dtype=float)
         new_rows = [feats[None, :] for _, feats, _ in resolved.new_nodes]

@@ -192,6 +192,20 @@ class TestDerivation:
         view.metadata["origin"] = "changed"
         assert hin.metadata["origin"] == "test"
 
+    def test_caller_label_array_stays_writeable_and_detached(self):
+        hin = make_hin()
+        for make in (
+            hin.with_labels,
+            lambda a: HIN(hin.tensor, hin.relation_names, hin.features, a, ["a", "b"]),
+        ):
+            labels = np.zeros((3, 2), dtype=bool)
+            labels[0, 1] = True
+            derived = make(labels)
+            assert labels.flags.writeable
+            labels[2, 0] = True
+            assert np.array_equal(derived.y, [1, -1, -1])
+            assert not derived.label_matrix.flags.writeable
+
     def test_with_relations_reindexes_relations_only(self):
         hin = make_hin()
         sub = hin.with_relations([1], names=["only"])

@@ -12,8 +12,10 @@ from repro.stream.delta import (
     GraphDelta,
     apply_batch,
     as_batch,
+    materialize_batch,
     resolve_batch,
 )
+from repro.tensor.sptensor import SparseTensor3
 
 
 def small_hin(*, multilabel=False, sparse_features=False):
@@ -378,6 +380,41 @@ class TestMaterializeBatch:
         _assert_same_hin(out, builder.build())
         assert out.node_names is hin.node_names
         assert out._node_index is hin._node_index
+
+    def test_sparse_features_equal_row_by_row_lil_rebuild(self):
+        rng = np.random.default_rng(3)
+        base = small_hin()
+        n, d = 40, 6
+        features = sp.random(n, d, density=0.3, format="csr", random_state=5)
+        hin = HIN(
+            SparseTensor3([0, 1], [1, 2], [0, 1], shape=(n, n, base.n_relations)),
+            base.relation_names,
+            features,
+            np.zeros((n, 2), dtype=bool),
+            base.label_names,
+        )
+        sparse_row = np.where(rng.random(d) < 0.5, rng.random(d), 0.0)
+        batch = [
+            GraphDelta.add_node("x", features=rng.random(d)),
+            GraphDelta.update_features("node_3", sparse_row),
+            GraphDelta.add_node("y", features=np.zeros(d)),
+            GraphDelta.update_features("node_3", rng.random(d)),
+            GraphDelta.update_features("x", sparse_row),
+            GraphDelta.update_features("node_39", np.zeros(d)),
+            GraphDelta.update_features("node_0", rng.random(d)),
+        ]
+        resolved = resolve_batch(hin, batch)
+        # The reference: the row-by-row lil rebuild, later writes winning.
+        expected = sp.lil_matrix((resolved.n_new, d), dtype=float)
+        expected[:n] = hin.features
+        for offset, (_, feats, _) in enumerate(resolved.new_nodes):
+            expected[n + offset] = feats
+        for idx, feats in resolved.feature_ops:
+            expected[idx] = feats
+        expected = expected.tocsr()
+        got = materialize_batch(hin, resolved).features
+        assert sp.isspmatrix_csr(got) and got.shape == expected.shape
+        assert (got != expected).nnz == 0
 
     def test_untouched_parts_are_shared(self):
         hin = small_hin()
