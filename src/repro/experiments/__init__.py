@@ -29,7 +29,6 @@ from repro.experiments.parallel import (
     WorkerError,
     available_workers,
     graph_fingerprint,
-    run_grid_parallel,
 )
 from repro.experiments.registry import (
     ExperimentReport,
@@ -50,7 +49,6 @@ __all__ = [
     "WorkerError",
     "available_workers",
     "graph_fingerprint",
-    "run_grid_parallel",
     "method_roster",
     "tmark_params",
     "PAPER_GRIDS",

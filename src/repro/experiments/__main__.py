@@ -321,24 +321,31 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_one(experiment_id: str, args) -> None:
     experiment = get_experiment(experiment_id)
     kwargs = {"scale": args.scale, "seed": args.seed}
-    # Only the grid experiments take trial counts / fast switches.
     import inspect
 
-    signature = inspect.signature(experiment.runner)
-    if "n_trials" in signature.parameters:
-        kwargs["n_trials"] = args.trials
-    if "fast" in signature.parameters:
-        kwargs["fast"] = not args.full
-    if "with_std" in signature.parameters and getattr(args, "std", False):
-        kwargs["with_std"] = True
-    if "workers" in signature.parameters:
-        kwargs["workers"] = getattr(args, "workers", 1)
-    if "solver" in signature.parameters and getattr(args, "solver", None):
-        kwargs["solver"] = args.solver
-    if "store" in signature.parameters and getattr(args, "store", None):
-        kwargs["store"] = args.store
-    if "shards" in signature.parameters and getattr(args, "shards", None):
-        kwargs["shards"] = args.shards
+    parameters = inspect.signature(experiment.runner).parameters
+    # (flag, runner parameter, value, whether the flag was moved off its
+    # default).  --trials, --full and --workers reach every runner that
+    # takes them; the others only when given.  A given flag the runner
+    # does not take is reported rather than dropped silently.
+    options = (
+        ("--trials", "n_trials", args.trials, args.trials != 3),
+        ("--full", "fast", not args.full, args.full),
+        ("--std", "with_std", True, args.std),
+        ("--workers", "workers", args.workers, args.workers != 1),
+        ("--solver", "solver", args.solver, bool(args.solver)),
+        ("--store", "store", args.store, bool(args.store)),
+        ("--shards", "shards", args.shards, bool(args.shards)),
+    )
+    for flag, parameter, value, given in options:
+        if parameter not in parameters:
+            if given:
+                print(
+                    f"[{flag} ignored: {experiment_id!r} does not take it]",
+                    file=sys.stderr,
+                )
+        elif given or parameter in ("n_trials", "fast", "workers"):
+            kwargs[parameter] = value
     from repro.obs import span
 
     started = time.perf_counter()

@@ -7,12 +7,21 @@ Macro-F1 for ACM).  :func:`run_grid` implements exactly that —
 method x fraction with repeated stratified trials — on top of the common
 ``fit_predict(hin, rng) -> scores`` interface shared by T-Mark and all
 baselines.
+
+:func:`run_grid` is the only grid loop.  It validates once, builds one
+:class:`~repro.experiments.parallel.CellSpec` per cell and takes each
+cell's result from one of two backends: :func:`evaluate_cell` in this
+process, or the fork pool of :mod:`repro.experiments.parallel`, which
+runs the same :func:`evaluate_cell` in a worker.  One assembly loop then
+records the cells and emits ``grid_cell`` for both.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,11 +29,13 @@ import numpy as np
 
 from repro.core.tmark import TMark, build_operators
 from repro.errors import ValidationError
-from repro.solvers.base import check_solver
+from repro.experiments.parallel import CellSpec, cells_on_pool, serial_fallback_reason
 from repro.hin.graph import HIN
 from repro.ml.metrics import accuracy, macro_f1, multilabel_macro_f1
 from repro.ml.splits import multilabel_fraction_split, stratified_fraction_split
+from repro.obs.metrics import MetricsRecorder
 from repro.obs.recorder import get_recorder, use_recorder
+from repro.solvers.base import check_solver
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_positive_int
 
@@ -141,67 +152,6 @@ def shared_tmark_operators(hin: HIN, model: TMark, pool: dict):
     return operators
 
 
-def run_single_trial(
-    hin: HIN,
-    method_factory: Callable[[], object],
-    fraction: float,
-    *,
-    trial: int,
-    split_rng: np.random.Generator,
-    method_rng: np.random.Generator,
-    metric: str = "accuracy",
-    operator_pool: dict | None = None,
-    recorder=None,
-    method_name: str | None = None,
-) -> float:
-    """One split -> fit -> score trial of :func:`evaluate_method`.
-
-    The exact body of the serial trial loop, factored out so the
-    process-pool path (:mod:`repro.experiments.parallel`) runs the
-    byte-identical code per trial.  ``split_rng`` / ``method_rng`` are
-    the two generators ``evaluate_method`` spawns per trial; ``trial``
-    is only carried onto the emitted ``trial`` event.
-    """
-    rec = get_recorder() if recorder is None else recorder
-    trial_started = time.perf_counter() if rec.enabled else 0.0
-    if metric == "multilabel_macro_f1":
-        mask = multilabel_fraction_split(hin.label_matrix, fraction, rng=split_rng)
-    else:
-        mask = stratified_fraction_split(hin.y, fraction, rng=split_rng)
-    train_hin = hin.masked(mask)
-    model = method_factory()
-    with use_recorder(rec):
-        if operator_pool is not None and isinstance(model, TMark):
-            operators = shared_tmark_operators(hin, model, operator_pool)
-            scores = model.fit_predict(
-                train_hin, rng=method_rng, operators=operators
-            )
-        else:
-            scores = model.fit_predict(train_hin, rng=method_rng)
-    test = ~mask
-    if metric == "multilabel_macro_f1":
-        predicted = scores_to_multilabel(scores, train_hin.label_matrix)
-        value = multilabel_macro_f1(hin.label_matrix[test], predicted[test])
-    elif metric == "macro_f1":
-        predicted = scores_to_predictions(scores)
-        value = macro_f1(hin.y[test], predicted[test], n_classes=hin.n_labels)
-    else:
-        predicted = scores_to_predictions(scores)
-        value = accuracy(hin.y[test], predicted[test])
-    if rec.enabled:
-        rec.emit(
-            "trial",
-            method=method_name,
-            fraction=float(fraction),
-            trial=trial,
-            metric=metric,
-            value=float(value),
-            seconds=time.perf_counter() - trial_started,
-        )
-        rec.count("trials")
-    return float(value)
-
-
 def evaluate_method(
     hin: HIN,
     method_factory: Callable[[], object],
@@ -213,7 +163,6 @@ def evaluate_method(
     operator_pool: dict | None = None,
     recorder=None,
     method_name: str | None = None,
-    workers: int = 1,
     solver: str | None = None,
 ) -> CellResult:
     """Mean/std metric of one method at one label fraction.
@@ -228,7 +177,9 @@ def evaluate_method(
     fraction:
         Training label fraction.
     n_trials:
-        Independent random splits (the paper uses 10).
+        Independent random splits (the paper uses 10).  Trial ``t``
+        draws its split from the ``2t``-th and its method RNG from the
+        ``2t + 1``-th generator of ``spawn_rngs(seed, 2 * n_trials)``.
     metric:
         ``"accuracy"`` (single-label argmax) or
         ``"multilabel_macro_f1"`` (prior-matched decisions).
@@ -246,12 +197,6 @@ def evaluate_method(
     method_name:
         Optional display name carried on the emitted ``trial`` events
         (``run_grid`` passes the roster name).
-    workers:
-        Process-pool width for the trial loop; the default 1 is the
-        serial path.  With ``workers > 1`` the trials are dispatched to
-        :func:`repro.experiments.parallel.run_trials_parallel` — every
-        trial keeps its own pre-spawned RNG pair, so the values (and
-        hence mean/std) are bit-identical to the serial loop.
     solver:
         Optional fixed-point solver name applied to every T-Mark model
         the factory produces (see :func:`with_solver`); ``None`` keeps
@@ -263,42 +208,52 @@ def evaluate_method(
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     check_positive_int(n_trials, "n_trials")
-    check_positive_int(workers, "workers")
     if solver is not None:
         method_factory = with_solver(method_factory, solver)
     rec = get_recorder() if recorder is None else recorder
     rngs = spawn_rngs(seed, 2 * n_trials)
-    values = None
-    if workers != 1:
-        from repro.experiments.parallel import run_trials_parallel
-
-        values = run_trials_parallel(
-            hin,
-            method_factory,
-            fraction,
-            rngs=rngs,
-            metric=metric,
-            share_operators=operator_pool is not None,
-            recorder=rec,
-            method_name=method_name,
-            workers=workers,
-        )
-    if values is None:
-        values = [
-            run_single_trial(
-                hin,
-                method_factory,
-                fraction,
-                trial=trial,
-                split_rng=rngs[2 * trial],
-                method_rng=rngs[2 * trial + 1],
-                metric=metric,
-                operator_pool=operator_pool,
-                recorder=rec,
-                method_name=method_name,
+    values = []
+    for trial in range(n_trials):
+        trial_started = time.perf_counter() if rec.enabled else 0.0
+        if metric == "multilabel_macro_f1":
+            mask = multilabel_fraction_split(
+                hin.label_matrix, fraction, rng=rngs[2 * trial]
             )
-            for trial in range(n_trials)
-        ]
+        else:
+            mask = stratified_fraction_split(hin.y, fraction, rng=rngs[2 * trial])
+        train_hin = hin.masked(mask)
+        model = method_factory()
+        method_rng = rngs[2 * trial + 1]
+        with use_recorder(rec):
+            if operator_pool is not None and isinstance(model, TMark):
+                operators = shared_tmark_operators(hin, model, operator_pool)
+                scores = model.fit_predict(
+                    train_hin, rng=method_rng, operators=operators
+                )
+            else:
+                scores = model.fit_predict(train_hin, rng=method_rng)
+        test = ~mask
+        if metric == "multilabel_macro_f1":
+            predicted = scores_to_multilabel(scores, train_hin.label_matrix)
+            value = multilabel_macro_f1(hin.label_matrix[test], predicted[test])
+        elif metric == "macro_f1":
+            predicted = scores_to_predictions(scores)
+            value = macro_f1(hin.y[test], predicted[test], n_classes=hin.n_labels)
+        else:
+            predicted = scores_to_predictions(scores)
+            value = accuracy(hin.y[test], predicted[test])
+        if rec.enabled:
+            rec.emit(
+                "trial",
+                method=method_name,
+                fraction=float(fraction),
+                trial=trial,
+                metric=metric,
+                value=float(value),
+                seconds=time.perf_counter() - trial_started,
+            )
+            rec.count("trials")
+        values.append(float(value))
     values = np.asarray(values)
     std = float(values.std(ddof=1)) if n_trials > 1 else 0.0
     return CellResult(mean=float(values.mean()), std=std, n_trials=n_trials)
@@ -341,6 +296,46 @@ def _grid_base_entropy(seed) -> int:
     )
 
 
+def evaluate_cell(
+    hin: HIN,
+    method_factory: Callable[[], object],
+    spec: CellSpec,
+    *,
+    operator_pool: dict | None,
+    recorder,
+) -> CellResult:
+    """One grid cell: :func:`evaluate_method` under the cell's own seed.
+
+    Both of :func:`run_grid`'s backends run a cell through this function,
+    in process or in a pool worker, so a cell draws the same splits
+    wherever it runs.
+    """
+    return evaluate_method(
+        hin,
+        method_factory,
+        spec.fraction,
+        n_trials=spec.n_trials,
+        seed=np.random.default_rng(
+            cell_seed_sequence(spec.base_entropy, spec.method, spec.fraction)
+        ),
+        metric=spec.metric,
+        operator_pool=operator_pool,
+        recorder=recorder,
+        method_name=spec.method,
+    )
+
+
+def _cells_in_process(hin, factories, specs, operator_pool, recorder):
+    """Yield ``(spec, CellResult, seconds)`` per spec, run in this process."""
+    for spec in specs:
+        started = time.perf_counter() if recorder.enabled else 0.0
+        cell = evaluate_cell(
+            hin, factories[spec.method], spec,
+            operator_pool=operator_pool, recorder=recorder,
+        )
+        yield spec, cell, time.perf_counter() - started
+
+
 def run_grid(
     hin: HIN,
     methods: Sequence[tuple[str, Callable[[], object]]],
@@ -357,8 +352,8 @@ def run_grid(
 ) -> GridResult:
     """Run the full method x fraction grid of one paper table.
 
-    ``methods`` is a sequence of ``(name, factory)`` pairs.  Each cell's
-    RNG stream is derived deterministically from
+    ``methods`` is a sequence of ``(name, factory)`` pairs with distinct
+    names.  Each cell's RNG stream is derived deterministically from
     ``(seed, method_name, fraction)`` via
     :func:`cell_seed_sequence` — never from the cell's position — so the
     grid is reproducible, cells are genuinely independent, and a cell's
@@ -378,79 +373,95 @@ def run_grid(
     ``metrics`` optionally passes a
     :class:`~repro.obs.metrics.MetricsRegistry`: the whole grid's
     telemetry — every cell, trial, fit and chain event — is folded into
-    its instruments via a :class:`~repro.obs.metrics.MetricsRecorder`
-    that forwards to ``recorder``, so one registry aggregates across
-    cells (and, via ``MetricsRegistry.merge``, across grids).
+    its instruments via a :class:`~repro.obs.metrics.MetricsRecorder`,
+    so one registry aggregates across cells (and, via
+    ``MetricsRegistry.merge``, across grids).
 
-    ``workers`` selects the execution layer: the default 1 runs the
-    serial loop below; ``workers > 1`` dispatches the cells to the
-    process pool of :func:`repro.experiments.parallel.run_grid_parallel`
-    with bit-identical cell results — the per-cell seeding above is
-    position-independent precisely so cells may run anywhere.
+    ``workers`` only chooses where the cells run: the default 1 runs
+    them in this process; ``workers > 1`` runs them on the fork pool of
+    :func:`repro.experiments.parallel.cells_on_pool`, with bit-identical
+    cell results — the per-cell seeding above is position-independent
+    precisely so cells may run anywhere.  Where no pool can be built
+    (:func:`~repro.experiments.parallel.serial_fallback_reason`) the
+    cells run in process after a :class:`RuntimeWarning`.
 
     ``solver`` optionally selects a fixed-point solver for every T-Mark
     model in the roster (see :func:`with_solver`).  Factories are
-    wrapped *before* dispatch, so serial and parallel grids accelerate
-    identically — the pool workers inherit the wrapped factories.
+    wrapped before the cells run, so pool workers inherit the wrapped
+    factories.
     """
     check_positive_int(workers, "workers")
+    if metric not in METRICS:
+        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+    check_positive_int(n_trials, "n_trials")
+    methods = list(methods)
+    names = [name for name, _ in methods]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"method names must be distinct, got {names}")
+    factories = dict(methods)
     if solver is not None:
-        methods = [
-            (name, with_solver(factory, solver)) for name, factory in methods
-        ]
-    if workers != 1:
-        from repro.experiments.parallel import run_grid_parallel
-
-        return run_grid_parallel(
-            hin,
-            methods,
-            fractions,
+        factories = {
+            name: with_solver(factory, solver) for name, factory in factories.items()
+        }
+    rec = get_recorder() if recorder is None else recorder
+    base_entropy = _grid_base_entropy(seed)
+    grid = GridResult(
+        fractions=tuple(float(f) for f in fractions),
+        metric=metric,
+        cells={name: [] for name in names},
+    )
+    specs = [
+        CellSpec(
+            index=index,
+            method=name,
+            fraction=fraction,
             n_trials=n_trials,
-            seed=seed,
             metric=metric,
-            share_operators=share_operators,
-            recorder=recorder,
-            metrics=metrics,
+            base_entropy=base_entropy,
+        )
+        for index, (name, fraction) in enumerate(
+            itertools.product(names, grid.fractions)
+        )
+    ]
+    in_process = workers == 1 or not specs
+    reason = None if in_process else serial_fallback_reason()
+    if reason is not None:
+        warnings.warn(
+            f"run_grid(workers={workers}) falling back to serial: {reason}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if in_process or reason is not None:
+        # Every event, the grid's own included, reaches the registry
+        # through one MetricsRecorder in front of the caller's recorder.
+        if metrics is not None:
+            rec = MetricsRecorder(metrics, forward=rec if rec.enabled else None)
+        fold = None
+        cells = _cells_in_process(
+            hin, factories, specs, {} if share_operators else None, rec
+        )
+    else:
+        # Worker events arrive already folded into the worker registries;
+        # the parent's own events go to the registry through ``fold``.
+        fold = MetricsRecorder(metrics) if metrics is not None else None
+        cells = cells_on_pool(
+            hin, factories, specs,
+            share_operators=share_operators, recorder=rec, fold=fold,
             workers=workers,
         )
-    rec = get_recorder() if recorder is None else recorder
-    if metrics is not None:
-        from repro.obs.metrics import MetricsRecorder
-
-        rec = MetricsRecorder(metrics, forward=rec if rec.enabled else None)
-    base_entropy = _grid_base_entropy(seed)
-    grid = GridResult(fractions=tuple(float(f) for f in fractions), metric=metric)
-    operator_pool: dict | None = {} if share_operators else None
-    for name, factory in methods:
-        cells = []
-        for fraction in grid.fractions:
-            cell_rng = np.random.default_rng(
-                cell_seed_sequence(base_entropy, name, fraction)
-            )
-            cell_started = time.perf_counter() if rec.enabled else 0.0
-            cell = evaluate_method(
-                hin,
-                factory,
-                fraction,
-                n_trials=n_trials,
-                seed=cell_rng,
-                metric=metric,
-                operator_pool=operator_pool,
-                recorder=rec,
-                method_name=name,
-            )
-            cells.append(cell)
-            if rec.enabled:
-                rec.emit(
+    for spec, cell, seconds in cells:
+        grid.cells[spec.method].append(cell)
+        for sink in (rec, fold):
+            if sink is not None and sink.enabled:
+                sink.emit(
                     "grid_cell",
-                    method=name,
-                    fraction=float(fraction),
+                    method=spec.method,
+                    fraction=spec.fraction,
                     metric=metric,
                     mean=cell.mean,
                     std=cell.std,
                     n_trials=cell.n_trials,
-                    seconds=time.perf_counter() - cell_started,
+                    seconds=seconds,
                 )
-                rec.count("grid_cells")
-        grid.cells[name] = cells
+                sink.count("grid_cells")
     return grid

@@ -1,18 +1,20 @@
-"""Process-pool execution for the evaluation harness.
+"""The fork pool behind :func:`~repro.experiments.harness.run_grid`.
 
 The grid of :func:`~repro.experiments.harness.run_grid` is embarrassingly
 parallel by construction: every cell's RNG stream is derived from
 ``(seed, method_name, fraction)`` alone (never from grid position), so
 cells can run in any order — or in different processes — and produce
-byte-identical results.  This module exploits that structure with a
-process pool:
+byte-identical results.  ``run_grid`` is the one grid loop; with
+``workers > 1`` it takes its cells from :func:`cells_on_pool`, and this
+module holds only the pool mechanics:
 
-* The parent pickles only tiny :class:`CellSpec` / :class:`TrialSpec`
-  records into the pool's task queue.  The heavyweight shared context —
-  the ground-truth :class:`~repro.hin.graph.HIN` and the (frequently
-  unpicklable lambda) method factories — reaches the workers through the
-  ``fork`` start method's copy-on-write inheritance, installed by a
-  per-process initializer.
+* The parent pickles only tiny :class:`CellSpec` records into the
+  pool's task queue.  The heavyweight shared context — the ground-truth
+  :class:`~repro.hin.graph.HIN` and the (frequently unpicklable lambda)
+  method factories — reaches the workers through the ``fork`` start
+  method's copy-on-write inheritance, installed by a per-process
+  initializer, which also caps every loaded OpenBLAS at one thread so
+  the workers do not oversubscribe the cores.
 * Each worker process builds the cached ``(O, R, W)`` operator triple at
   most once per similarity setting, memoised in a per-process pool keyed
   on the parent graph's :func:`graph_fingerprint` — the parallel
@@ -29,32 +31,28 @@ process pool:
   exception (with its remote traceback chained underneath) propagates
   as the cause of a :class:`WorkerError` naming the failed cell.
 
-``workers=1`` never touches this module: the serial paths in
-``harness`` stay byte-for-byte what they were.  On platforms without
-the ``fork`` start method (or when called from inside a worker) the
-parallel entry points fall back to the serial implementation with a
-:class:`RuntimeWarning` instead of failing.
+Where no fork pool can be built (:func:`serial_fallback_reason`),
+``run_grid`` runs its cells in process instead.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import time
-import warnings
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import ReproError, ValidationError
+from repro.errors import ReproError
 from repro.hin.graph import HIN
 from repro.obs.metrics import MetricsRecorder, MetricsRegistry
-from repro.obs.recorder import NULL_RECORDER, ListRecorder, get_recorder
+from repro.obs.recorder import NULL_RECORDER, ListRecorder
 from repro.obs.spans import SpanContext, activate_span, span
-from repro.utils.validation import check_positive_int
 
 
 class WorkerError(ReproError, RuntimeError):
@@ -126,23 +124,6 @@ class CellSpec:
         return f"{self.method}@{self.fraction:g}"
 
 
-@dataclass(frozen=True)
-class TrialSpec:
-    """One picklable single-trial work order of ``evaluate_method``."""
-
-    index: int
-    method: str
-    fraction: float
-    metric: str
-    split_rng: np.random.Generator
-    method_rng: np.random.Generator
-
-    @property
-    def cell(self) -> str:
-        """The ``cell`` tag carried on this trial's pool events."""
-        return f"{self.method}@{self.fraction:g}#t{self.index}"
-
-
 @dataclass
 class _WorkerState:
     """The fork-inherited context shared by every worker of one pool."""
@@ -162,10 +143,9 @@ class _WorkerState:
 
 @dataclass
 class _Outcome:
-    """Everything one worker ships back for one cell/trial."""
+    """Everything one worker ships back for one cell."""
 
-    index: int
-    payload: object
+    result: object
     seconds: float
     worker: int
     events: list = field(default_factory=list)
@@ -182,10 +162,64 @@ _STATE: _WorkerState | None = None
 _OPERATOR_POOLS: dict[str, dict] = {}
 
 
+#: Name patterns of the thread-count entry points of the OpenBLAS builds
+#: numpy and scipy ship (the ILP64 builds carry a ``64_`` suffix).
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+def _openblas_entry_points(action: str) -> dict[str, Callable]:
+    """``{library path: <action>_num_threads}`` of every loaded OpenBLAS.
+
+    ``action`` is ``"get"`` or ``"set"``.  Reads this process's memory
+    map, so it finds nothing (and caps nothing) where there is no
+    ``/proc`` or no OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                fields[5].strip()
+                for fields in (line.split(maxsplit=5) for line in maps)
+                if len(fields) == 6
+                and "openblas" in os.path.basename(fields[5]).lower()
+            }
+    except OSError:
+        return {}
+    entry_points = {}
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for pattern in _OPENBLAS_SYMBOLS:
+            function = getattr(library, pattern.format(action), None)
+            if function is not None:
+                entry_points[path] = function
+                break
+    return entry_points
+
+
+def openblas_threads() -> dict[str, int]:
+    """Thread count of every OpenBLAS loaded in this process, by path."""
+    return {path: int(get()) for path, get in _openblas_entry_points("get").items()}
+
+
 def _initialize_worker(state: _WorkerState) -> None:
-    """Pool initializer: install the fork-inherited shared context."""
+    """Pool initializer: install the fork-inherited shared context.
+
+    Cells are the pool's unit of parallelism, so each worker runs its
+    BLAS on one thread: multi-threaded BLAS in every worker at once
+    oversubscribes the cores and makes the pool slower than the serial
+    grid.  Both builds are capped where loaded (numpy's and scipy's).
+    """
     global _STATE
     _STATE = state
+    for set_threads in _openblas_entry_points("set").values():
+        set_threads(1)
 
 
 def _worker_recorder(state: _WorkerState):
@@ -226,72 +260,27 @@ def _operator_pool(state: _WorkerState) -> dict | None:
 
 def _run_cell(spec: CellSpec) -> _Outcome:
     """Worker body: one full grid cell under a private recorder stack."""
-    from repro.experiments.harness import cell_seed_sequence, evaluate_method
+    from repro.experiments.harness import evaluate_cell
 
     state = _STATE
     if state is None:  # pragma: no cover - initializer contract violation
         raise RuntimeError("worker context not initialized")
     recorder, events_sink, registry = _worker_recorder(state)
-    cell_rng = np.random.default_rng(
-        cell_seed_sequence(spec.base_entropy, spec.method, spec.fraction)
-    )
     started = time.perf_counter()
     with activate_span(_parent_span(state)):
         with span(
             "cell", recorder=recorder,
             method=spec.method, fraction=spec.fraction,
         ):
-            result = evaluate_method(
+            result = evaluate_cell(
                 state.hin,
                 state.factories[spec.method],
-                spec.fraction,
-                n_trials=spec.n_trials,
-                seed=cell_rng,
-                metric=spec.metric,
+                spec,
                 operator_pool=_operator_pool(state),
                 recorder=recorder,
-                method_name=spec.method,
             )
     return _Outcome(
-        index=spec.index,
-        payload=result,
-        seconds=time.perf_counter() - started,
-        worker=os.getpid(),
-        events=events_sink.events if events_sink is not None else [],
-        counters=dict(recorder.counters),
-        registry_json=registry.to_json() if registry is not None else None,
-    )
-
-
-def _run_trial(spec: TrialSpec) -> _Outcome:
-    """Worker body: one harness trial under a private recorder stack."""
-    from repro.experiments.harness import run_single_trial
-
-    state = _STATE
-    if state is None:  # pragma: no cover - initializer contract violation
-        raise RuntimeError("worker context not initialized")
-    recorder, events_sink, registry = _worker_recorder(state)
-    started = time.perf_counter()
-    with activate_span(_parent_span(state)):
-        with span(
-            "trial", recorder=recorder,
-            method=spec.method, fraction=spec.fraction, trial=spec.index,
-        ):
-            value = run_single_trial(
-                state.hin,
-                state.factories[spec.method],
-                spec.fraction,
-                trial=spec.index,
-                split_rng=spec.split_rng,
-                method_rng=spec.method_rng,
-                metric=spec.metric,
-                operator_pool=_operator_pool(state),
-                recorder=recorder,
-                method_name=spec.method,
-            )
-    return _Outcome(
-        index=spec.index,
-        payload=value,
+        result=result,
         seconds=time.perf_counter() - started,
         worker=os.getpid(),
         events=events_sink.events if events_sink is not None else [],
@@ -303,10 +292,10 @@ def _run_trial(spec: TrialSpec) -> _Outcome:
 def serial_fallback_reason() -> str | None:
     """Why a fork pool cannot be used here (``None`` when it can).
 
-    The one fallback contract of every pool entry point — the parallel
-    grid, parallel trials and sharded fits (:mod:`repro.shard`): no
-    nested pools (a pool requested from inside a grid/trial worker runs
-    serially), and no pools without the ``fork`` start method.
+    The one fallback contract of every pool — the grid's and the
+    sharded fits' (:mod:`repro.shard`): no nested pools (a pool
+    requested from inside a grid worker runs serially), and no pools
+    without the ``fork`` start method.
     """
     if in_worker():
         return "already inside a worker process (no nested pools)"
@@ -329,7 +318,7 @@ def _emit(recorder, fold, event: str, **fields) -> None:
         fold.emit(event, **fields)
 
 
-def _replay_outcome(outcome: _Outcome, cell: str, recorder, metrics) -> None:
+def _replay_outcome(outcome: _Outcome, cell: str, recorder, registry) -> None:
     """Fold one worker's telemetry back into the parent's sinks.
 
     Events are re-emitted through the parent recorder tagged with
@@ -343,12 +332,12 @@ def _replay_outcome(outcome: _Outcome, cell: str, recorder, metrics) -> None:
             recorder.emit(event["event"], worker=outcome.worker, cell=cell, **fields)
         for name, count in outcome.counters.items():
             recorder.count(name, count)
-    if metrics is not None and outcome.registry_json is not None:
-        metrics.merge(MetricsRegistry.from_json(outcome.registry_json))
+    if registry is not None and outcome.registry_json is not None:
+        registry.merge(MetricsRegistry.from_json(outcome.registry_json))
 
 
-def _run_pool(specs, worker_fn, state: _WorkerState, workers: int):
-    """Run ``worker_fn`` over ``specs``; return outcomes in spec order.
+def _run_pool(specs, state: _WorkerState, workers: int) -> list[_Outcome]:
+    """Run :func:`_run_cell` over ``specs``; return outcomes in spec order.
 
     Raises :class:`WorkerError` (original exception chained) as soon as
     any worker fails; remaining queued work is cancelled so the grid
@@ -356,7 +345,6 @@ def _run_pool(specs, worker_fn, state: _WorkerState, workers: int):
     """
     import multiprocessing
 
-    outcomes: list[_Outcome | None] = [None] * len(specs)
     executor = ProcessPoolExecutor(
         max_workers=min(workers, len(specs)),
         mp_context=multiprocessing.get_context("fork"),
@@ -364,7 +352,7 @@ def _run_pool(specs, worker_fn, state: _WorkerState, workers: int):
         initargs=(state,),
     )
     try:
-        futures = {executor.submit(worker_fn, spec): spec for spec in specs}
+        futures = {executor.submit(_run_cell, spec): spec for spec in specs}
         done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
         for future in done:
             error = future.exception()
@@ -373,105 +361,48 @@ def _run_pool(specs, worker_fn, state: _WorkerState, workers: int):
                     pending.cancel()
                 spec = futures[future]
                 raise WorkerError(
-                    f"parallel {worker_fn.__name__.lstrip('_')} for cell "
-                    f"{spec.cell!r} failed in a worker process: "
+                    f"grid cell {spec.cell!r} failed in a worker process: "
                     f"{type(error).__name__}: {error}"
                 ) from error
-        for future, spec in futures.items():
-            outcomes[spec.index] = future.result()
+        return [future.result() for future in futures]
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
-    return outcomes
 
 
-def run_grid_parallel(
-    hin: HIN,
-    methods: Sequence[tuple[str, Callable[[], object]]],
-    fractions=None,
-    *,
-    n_trials: int = 3,
-    seed=None,
-    metric: str = "accuracy",
-    share_operators: bool = True,
-    recorder=None,
-    metrics=None,
-    workers: int = 2,
+def cells_on_pool(
+    hin: HIN, factories, specs, *, share_operators, recorder, fold, workers: int
 ):
-    """The process-pool twin of :func:`~repro.experiments.harness.run_grid`.
+    """Yield ``(spec, CellResult, seconds)`` in spec order from a fork pool.
 
-    Same signature plus ``workers``; dispatches one :class:`CellSpec`
-    per (method, fraction) cell to a fork-based pool and merges results,
-    events and metrics back in deterministic grid order.  Cell scores
-    are bit-identical to the serial path because each cell's RNG stream
-    is derived from ``(seed, method_name, fraction)`` alone and operator
-    sharing never changes scores.  Falls back to the serial
-    implementation (with a :class:`RuntimeWarning`) where no pool can
-    be built.
+    The pool backend of :func:`~repro.experiments.harness.run_grid`.
+    ``recorder`` receives the ``pool`` span, ``pool_start``, one
+    ``cell_dispatch`` per spec, each cell's worker events tagged
+    ``worker``/``cell``, and — once the caller has taken the cell — its
+    ``cell_done``.  ``fold`` is ``None`` or a :class:`MetricsRecorder`
+    on the caller's registry: it gets the parent's own events, and each
+    worker's registry is merged into ``fold.registry``.  ``seconds`` is
+    the worker's wall clock for the cell.
     """
-    from repro.experiments import harness
-
-    workers = check_positive_int(workers, "workers")
-    fractions = harness.PAPER_FRACTIONS if fractions is None else fractions
-    reason = serial_fallback_reason()
-    if reason is not None:
-        warnings.warn(
-            f"run_grid(workers={workers}) falling back to serial: {reason}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return harness.run_grid(
-            hin, methods, fractions, n_trials=n_trials, seed=seed,
-            metric=metric, share_operators=share_operators,
-            recorder=recorder, metrics=metrics,
-        )
-    methods = list(methods)
-    names = [name for name, _ in methods]
-    if len(set(names)) != len(names):
-        raise ValidationError(
-            f"method names must be distinct for parallel grids, got {names}"
-        )
-    if metric not in harness.METRICS:
-        raise ValidationError(
-            f"metric must be one of {harness.METRICS}, got {metric!r}"
-        )
-    check_positive_int(n_trials, "n_trials")
-    rec = get_recorder() if recorder is None else recorder
-    fold = MetricsRecorder(metrics) if metrics is not None else None
-    base_entropy = harness._grid_base_entropy(seed)
-    grid = harness.GridResult(
-        fractions=tuple(float(f) for f in fractions), metric=metric
-    )
-    specs = [
-        CellSpec(
-            index=index,
-            method=name,
-            fraction=float(fraction),
-            n_trials=n_trials,
-            metric=metric,
-            base_entropy=base_entropy,
-        )
-        for index, (name, fraction) in enumerate(
-            (name, fraction) for name in names for fraction in grid.fractions
-        )
-    ]
+    n_workers = min(workers, len(specs))
+    registry = fold.registry if fold is not None else None
     with span(
-        "pool", recorder=rec, level="grid", n_cells=len(specs),
-        workers=min(workers, len(specs)),
+        "pool", recorder=recorder, level="grid", n_cells=len(specs),
+        workers=n_workers,
     ) as pool_ctx:
         state = _WorkerState(
             hin=hin,
-            factories=dict(methods),
+            factories=factories,
             fingerprint=graph_fingerprint(hin),
             share_operators=share_operators,
-            collect_events=rec.enabled,
-            collect_metrics=metrics is not None,
-            # Mirror the serial path: a metrics-only run (no enabled event
-            # recorder) keeps MetricsRecorder's probes-on default; otherwise
-            # probes follow the event recorder's preference.
+            collect_events=recorder.enabled,
+            collect_metrics=registry is not None,
+            # Mirror the in-process path: a metrics-only run (no enabled
+            # event recorder) keeps MetricsRecorder's probes-on default;
+            # otherwise probes follow the event recorder's preference.
             probes=(
-                bool(getattr(rec, "probes", False))
-                if rec.enabled
-                else metrics is not None
+                bool(getattr(recorder, "probes", False))
+                if recorder.enabled
+                else registry is not None
             ),
             span_context=(
                 (pool_ctx.trace_id, pool_ctx.span_id)
@@ -480,115 +411,17 @@ def run_grid_parallel(
             ),
         )
         _emit(
-            rec, fold, "pool_start",
-            workers=min(workers, len(specs)), n_cells=len(specs),
-            level="grid", start_method="fork",
+            recorder, fold, "pool_start",
+            workers=n_workers, n_cells=len(specs), level="grid",
+            start_method="fork",
         )
         for spec in specs:
-            _emit(rec, fold, "cell_dispatch", cell=spec.cell, index=spec.index)
-        outcomes = _run_pool(specs, _run_cell, state, workers)
-        for name in names:
-            grid.cells[name] = []
-        for spec, outcome in zip(specs, outcomes):
-            _replay_outcome(outcome, spec.cell, rec, metrics)
-            cell_result = outcome.payload
-            grid.cells[spec.method].append(cell_result)
+            _emit(recorder, fold, "cell_dispatch", cell=spec.cell, index=spec.index)
+        for spec, outcome in zip(specs, _run_pool(specs, state, workers)):
+            _replay_outcome(outcome, spec.cell, recorder, registry)
+            yield spec, outcome.result, outcome.seconds
             _emit(
-                rec, fold, "grid_cell",
-                method=spec.method, fraction=spec.fraction, metric=metric,
-                mean=cell_result.mean, std=cell_result.std,
-                n_trials=cell_result.n_trials, seconds=outcome.seconds,
-            )
-            if rec.enabled:
-                rec.count("grid_cells")
-            if fold is not None:
-                fold.count("grid_cells")
-            _emit(
-                rec, fold, "cell_done",
+                recorder, fold, "cell_done",
                 cell=spec.cell, index=spec.index, worker=outcome.worker,
-                mean=cell_result.mean, seconds=outcome.seconds,
+                mean=outcome.result.mean, seconds=outcome.seconds,
             )
-    return grid
-
-
-def run_trials_parallel(
-    hin: HIN,
-    method_factory: Callable[[], object],
-    fraction: float,
-    *,
-    rngs,
-    metric: str = "accuracy",
-    share_operators: bool = True,
-    recorder=None,
-    method_name: str | None = None,
-    workers: int = 2,
-) -> list[float] | None:
-    """Run ``evaluate_method``'s trial loop on a process pool.
-
-    ``rngs`` is the flat ``spawn_rngs(seed, 2 * n_trials)`` list the
-    serial loop would consume — trial ``t`` uses ``rngs[2t]`` for the
-    split and ``rngs[2t + 1]`` for the method, exactly as in the serial
-    path, so per-trial values are bit-identical.  Returns the metric
-    values in trial order, or ``None`` when no pool can be built here
-    (the caller then runs its serial loop).
-    """
-    workers = check_positive_int(workers, "workers")
-    reason = serial_fallback_reason()
-    if reason is not None:
-        warnings.warn(
-            f"evaluate_method(workers={workers}) falling back to serial: "
-            f"{reason}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    rec = get_recorder() if recorder is None else recorder
-    name = method_name if method_name is not None else "method"
-    n_trials = len(rngs) // 2
-    specs = [
-        TrialSpec(
-            index=trial,
-            method=name,
-            fraction=float(fraction),
-            metric=metric,
-            split_rng=rngs[2 * trial],
-            method_rng=rngs[2 * trial + 1],
-        )
-        for trial in range(n_trials)
-    ]
-    with span(
-        "pool", recorder=rec, level="trials", n_cells=len(specs),
-        workers=min(workers, len(specs)),
-    ) as pool_ctx:
-        state = _WorkerState(
-            hin=hin,
-            factories={name: method_factory},
-            fingerprint=graph_fingerprint(hin),
-            share_operators=share_operators,
-            collect_events=rec.enabled,
-            collect_metrics=False,
-            probes=bool(getattr(rec, "probes", False)) and rec.enabled,
-            span_context=(
-                (pool_ctx.trace_id, pool_ctx.span_id)
-                if pool_ctx is not None
-                else None
-            ),
-        )
-        _emit(
-            rec, None, "pool_start",
-            workers=min(workers, len(specs)), n_cells=len(specs),
-            level="trials", start_method="fork",
-        )
-        for spec in specs:
-            _emit(rec, None, "cell_dispatch", cell=spec.cell, index=spec.index)
-        outcomes = _run_pool(specs, _run_trial, state, workers)
-        values = []
-        for spec, outcome in zip(specs, outcomes):
-            _replay_outcome(outcome, spec.cell, rec, None)
-            values.append(float(outcome.payload))
-            _emit(
-                rec, None, "cell_done",
-                cell=spec.cell, index=spec.index, worker=outcome.worker,
-                value=float(outcome.payload), seconds=outcome.seconds,
-            )
-    return values

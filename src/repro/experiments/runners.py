@@ -631,7 +631,9 @@ def run_extensions(
         ("GNetMine", GNetMine),
         ("RankClass", RankClass),
     ]
-    grid = run_grid(hin, methods, fractions, n_trials=n_trials, seed=seed)
+    grid = run_grid(
+        hin, methods, fractions, n_trials=n_trials, seed=seed, workers=workers
+    )
     title = "Extensions — ZooBP / GNetMine / WeightedWvRN vs T-Mark on DBLP"
     text = format_grid(grid, title=title)
     return ExperimentReport("extensions", title, text, data={"grid": grid})

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.tmark import TMark, build_operators
+from repro.core.tmark import TMark
 from repro.errors import ValidationError
+from repro.experiments.harness import shared_tmark_operators
 from repro.hin.graph import HIN
 from repro.ml.metrics import accuracy
 from repro.utils.rng import spawn_rngs
@@ -128,12 +129,8 @@ def tune_tmark(
             if not train_mask.any():
                 raise ValidationError("validation split left no training labels")
             model = TMark(**params)
-            key = (model.similarity_top_k, model.similarity_metric)
-            if key not in operator_pool:
-                operator_pool[key] = build_operators(
-                    hin, similarity_top_k=key[0], similarity_metric=key[1]
-                )
-            model.fit(hin.masked(train_mask), operators=operator_pool[key])
+            operators = shared_tmark_operators(hin, model, operator_pool)
+            model.fit(hin.masked(train_mask), operators=operators)
             predictions = model.predict()
             scores.append(accuracy(y[validation_idx], predictions[validation_idx]))
         result.candidates.append(

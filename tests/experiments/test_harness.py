@@ -132,6 +132,14 @@ class TestRunGrid:
         assert grid.method_names == ["tmark"]
         assert len(grid.cells["tmark"]) == 2
 
+    def test_duplicate_method_names_rejected(self, hin):
+        # The second entry must not silently overwrite the first row.
+        with pytest.raises(ValidationError, match="distinct"):
+            run_grid(
+                hin, [("tmark", tmark_factory), ("tmark", tmark_factory)],
+                fractions=(0.3,), n_trials=1, seed=0, workers=1,
+            )
+
     def test_winner(self):
         grid = GridResult(fractions=(0.1,), metric="accuracy")
         from repro.experiments.harness import CellResult

@@ -7,18 +7,19 @@ original traceback instead of hanging the grid, and the merged trace
 must stay legible to the obs tooling (worker/cell tags, pool events).
 """
 
+import numpy as np
 import pytest
 
 from repro.core import TMark
 from repro.errors import ValidationError
-from repro.experiments.harness import evaluate_method, run_grid
+from repro.experiments.harness import run_grid
 from repro.experiments.parallel import (
     CellSpec,
     WorkerError,
     available_workers,
     fork_available,
     graph_fingerprint,
-    run_grid_parallel,
+    openblas_threads,
 )
 from repro.obs import ListRecorder, MetricsRegistry, summarize_trace
 from tests.conftest import small_labeled_hin
@@ -102,16 +103,6 @@ class TestBitIdentity:
                 == serial_metrics.get(name).count
             ), name
 
-    def test_evaluate_method_workers_identical(self, hin):
-        factory = methods()[0][1]
-        serial = evaluate_method(hin, factory, 0.3, n_trials=3, seed=4)
-        parallel = evaluate_method(
-            hin, factory, 0.3, n_trials=3, seed=4, workers=2
-        )
-        assert (parallel.mean, parallel.std, parallel.n_trials) == (
-            serial.mean, serial.std, serial.n_trials
-        )
-
     def test_operator_sharing_off_still_identical(self, hin):
         serial = run_grid(
             hin, methods(), FRACTIONS, n_trials=1, seed=3,
@@ -122,6 +113,51 @@ class TestBitIdentity:
             share_operators=False, workers=2,
         )
         assert grid_cells(parallel) == grid_cells(serial)
+
+
+class TestOneGridLoop:
+    def test_cell_events_match_the_in_process_grid(self, hin):
+        # Where a cell runs changes only timings, ids and the pool tags.
+        ignored = {"ts", "seconds", "span_id", "worker", "cell"}
+
+        def cell_events(workers):
+            recorder = ListRecorder(probes=False)
+            run_grid(
+                hin, methods(), FRACTIONS, n_trials=2, seed=11,
+                recorder=recorder, workers=workers,
+            )
+            return [
+                {k: v for k, v in event.items() if k not in ignored}
+                for event in recorder.events
+                if event["event"] in ("trial", "fit", "chain_health", "grid_cell")
+            ]
+
+        in_process = cell_events(1)
+        assert {e["event"] for e in in_process} == {
+            "trial", "fit", "chain_health", "grid_cell"
+        }
+        assert cell_events(2) == in_process
+
+    def test_empty_grid_needs_no_pool(self, hin):
+        grid = run_grid(hin, methods(), (), n_trials=1, seed=0, workers=2)
+        assert grid.cells == {"TMark": [], "TMark-low": []}
+
+    def test_pool_workers_run_single_threaded_blas(self, hin):
+        if not openblas_threads():
+            pytest.skip("no OpenBLAS loaded in this process")
+        # A worker whose BLAS runs more than one thread fails its cell.
+        run_grid(
+            hin, [("probe", _BlasThreadProbe)], FRACTIONS, n_trials=1,
+            seed=0, workers=2,
+        )
+
+
+class _BlasThreadProbe:
+    def fit_predict(self, hin, rng=None):
+        threads = openblas_threads()
+        if not threads or set(threads.values()) != {1}:
+            raise RuntimeError(f"pool worker OpenBLAS threads: {threads}")
+        return np.full((hin.n_nodes, hin.n_labels), 1.0 / hin.n_labels)
 
 
 class _Boom:
@@ -194,14 +230,14 @@ class TestValidation:
     def test_duplicate_method_names_rejected(self, hin):
         factory = methods()[0][1]
         with pytest.raises(ValidationError, match="distinct"):
-            run_grid_parallel(
+            run_grid(
                 hin, [("M", factory), ("M", factory)], FRACTIONS,
                 n_trials=1, workers=2,
             )
 
     def test_bad_metric_rejected(self, hin):
         with pytest.raises(ValidationError, match="metric"):
-            run_grid_parallel(
+            run_grid(
                 hin, methods(), FRACTIONS, n_trials=1, metric="nope",
                 workers=2,
             )
@@ -238,23 +274,6 @@ class TestSpanPropagation:
         for event in recorder.events_of("fit"):
             assert event["span_id"] in cell_ids
 
-    def test_trial_spans_link_in_trial_level_pool(self, hin):
-        from repro.experiments.parallel import run_trials_parallel
-        from repro.utils.rng import spawn_rngs
-
-        recorder = ListRecorder(probes=False)
-        run_trials_parallel(
-            hin, methods()[0][1], 0.3, rngs=spawn_rngs(5, 6),
-            workers=2, recorder=recorder,
-        )
-        spans = recorder.events_of("span")
-        (pool,) = [e for e in spans if e["name"] == "pool"]
-        assert pool["level"] == "trials"
-        trials = [e for e in spans if e["name"] == "trial"]
-        assert len(trials) == 3
-        assert {t["parent_id"] for t in trials} == {pool["span_id"]}
-        assert {t["trial"] for t in trials} == {0, 1, 2}
-
 
 class TestSpecsAndFingerprint:
     def test_cell_spec_tag(self):
@@ -278,4 +297,8 @@ class TestCli:
         from repro.experiments.__main__ import main
 
         assert main(["run", "example", "--workers", "2"]) == 0
-        assert "Worked example" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "Worked example" in captured.out
+        assert captured.err.splitlines() == [
+            "[--workers ignored: 'example' does not take it]"
+        ]

@@ -135,6 +135,20 @@ class TestAuxiliaryRunners:
             0 <= cell.mean <= 1 for cells in grid.cells.values() for cell in cells
         )
 
+    def test_extensions_passes_workers_to_the_grid(self, monkeypatch):
+        seen = []
+        real_run_grid = runners.run_grid
+
+        def spy(*args, workers=1, **kwargs):
+            seen.append(workers)
+            return real_run_grid(*args, **kwargs)
+
+        monkeypatch.setattr(runners, "run_grid", spy)
+        runners.run_extensions(
+            scale=0.3, seed=0, n_trials=1, fractions=(0.3,), workers=2
+        )
+        assert seen == [2]
+
     def test_dataset_summary(self):
         report = runners.run_dataset_summary(scale=0.3, seed=0)
         assert set(report.data) == {
