@@ -24,8 +24,8 @@ iterates live and how the two heavy products are computed:
 * ``o_tensor`` / ``r_tensor`` — read for the probes' dangling shares.
 
 :class:`LocalBackend` runs the products in process — for in-memory
-operators and store-backed :class:`~repro.ooc.ChunkedOperators` alike,
-since the latter are the same tensors over memory-mapped stacks.  The fork pool of
+operators and the store-backed ones of :mod:`repro.ooc` alike, since
+the latter are the same tensors over memory-mapped stacks.  The fork pool of
 :mod:`repro.shard` subclasses it: its workers compute operator parts,
 and the inherited ``x_step`` mixes them with the same statement.
 """
@@ -100,7 +100,6 @@ def _emit_solver_restart(rec, t, c, accelerator, reason, **timing) -> None:
         reason=reason,
         **timing,
     )
-    rec.count("solver_restarts")
 
 
 def _l1_rows(new_rows, old_rows):
@@ -266,7 +265,6 @@ def run_chains(
                             solver=accelerator.active_name,
                             seconds=time.perf_counter() - step_started,
                         )
-                        rec.count("solver_steps")
         if timed:
             timer.start("r_contraction")
         z_new = backend.z_step(x_new, active)
@@ -294,9 +292,6 @@ def run_chains(
                 residual=[histories[c].final_residual for c in active],
                 frozen=frozen,
             )
-            rec.count("chain_iterations")
-            if any(frozen):
-                rec.count("frozen_columns", sum(frozen))
             if probes_on:
                 z_active = Z[:, active]
                 if model.update_labels and t > 2:
@@ -318,7 +313,6 @@ def run_chains(
                     o_dangling_share=o_dangling_share,
                     r_unlinked_share=r_unlinked_share,
                 )
-                rec.count("invariant_probes")
         active = still_active
     for c in active:
         # The loop ran out of budget with this chain still moving.

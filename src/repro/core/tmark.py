@@ -133,7 +133,6 @@ def build_operators(
                 transition_seconds=transition_done - started,
                 feature_seconds=feature_done - transition_done,
             )
-            rec.count("operator_builds")
     return TMarkOperators(
         o_tensor=o_tensor,
         r_tensor=r_tensor,
@@ -446,10 +445,9 @@ class TMark:
         Parameters
         ----------
         operators:
-            A :class:`TMarkOperators` from :func:`build_operators`, or
-            any object with the same surface (``o_tensor`` /
-            ``r_tensor`` / ``w_matrix`` / ``shape`` / similarity
-            attributes) such as :class:`repro.ooc.ChunkedOperators`.
+            A :class:`TMarkOperators`, from :func:`build_operators` or
+            (streaming over a store) from
+            :func:`repro.ooc.build_chunked_operators`.
         label_matrix:
             ``(n, q)`` boolean supervision; all-``False`` rows are the
             nodes to classify.
@@ -619,8 +617,6 @@ class TMark:
                     history, class_index=c, label=label_names[c]
                 )
                 rec.emit("chain_health", **verdict.as_event())
-                if not verdict.ok:
-                    rec.count("unhealthy_chains")
             rec.emit(
                 "fit",
                 n_nodes=n,
@@ -633,7 +629,6 @@ class TMark:
                 converged=all(h.converged for h in histories),
                 seconds=time.perf_counter() - fit_started,
             )
-            rec.count("fits")
         return self
 
     @property

@@ -252,7 +252,6 @@ def evaluate_method(
                 value=float(value),
                 seconds=time.perf_counter() - trial_started,
             )
-            rec.count("trials")
         values.append(float(value))
     values = np.asarray(values)
     std = float(values.std(ddof=1)) if n_trials > 1 else 0.0
@@ -463,5 +462,4 @@ def run_grid(
                     n_trials=cell.n_trials,
                     seconds=seconds,
                 )
-                sink.count("grid_cells")
     return grid

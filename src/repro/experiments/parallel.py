@@ -149,7 +149,6 @@ class _Outcome:
     seconds: float
     worker: int
     events: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
     registry_json: str | None = None
 
 
@@ -284,7 +283,6 @@ def _run_cell(spec: CellSpec) -> _Outcome:
         seconds=time.perf_counter() - started,
         worker=os.getpid(),
         events=events_sink.events if events_sink is not None else [],
-        counters=dict(recorder.counters),
         registry_json=registry.to_json() if registry is not None else None,
     )
 
@@ -322,16 +320,15 @@ def _replay_outcome(outcome: _Outcome, cell: str, recorder, registry) -> None:
     """Fold one worker's telemetry back into the parent's sinks.
 
     Events are re-emitted through the parent recorder tagged with
-    ``worker``/``cell``; counters are re-counted; the worker registry is
-    folded in with the exact merge.  Called in deterministic spec order
+    ``worker``/``cell`` (a counting sink there counts them as it would
+    have in process); the worker registry is folded in with the exact
+    merge.  Called in deterministic spec order
     so gauge last-wins merges are reproducible.
     """
     if recorder.enabled:
         for event in outcome.events:
             fields = {k: v for k, v in event.items() if k != "event"}
             recorder.emit(event["event"], worker=outcome.worker, cell=cell, **fields)
-        for name, count in outcome.counters.items():
-            recorder.count(name, count)
     if registry is not None and outcome.registry_json is not None:
         registry.merge(MetricsRegistry.from_json(outcome.registry_json))
 

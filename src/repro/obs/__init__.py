@@ -3,11 +3,15 @@
 T-Mark's cost is dominated by per-iteration tensor contractions whose
 behaviour varies sharply with network structure and hyper-parameters.
 This package provides the measurement substrate the perf work builds
-on: a pluggable :class:`Recorder` protocol with a zero-overhead no-op
-default, wall-clock :class:`PhaseTimer` accumulators, monotonic
-counters, and a JSONL trace writer emitting structured events from the
-hot paths (``chain_iteration``, ``operator_build``, ``fit``, ``trial``,
-``grid_cell``).
+on: a pluggable :class:`Recorder` protocol (``enabled``, ``probes``,
+``emit``) with a zero-overhead no-op default, wall-clock
+:class:`PhaseTimer` accumulators, and a JSONL trace writer emitting
+structured events from the hot paths (``chain_iteration``,
+``operator_build``, ``fit``, ``trial``, ``grid_cell``).  Events are the
+only telemetry channel: the ``tmark_*_total`` counters of
+:class:`MetricsRecorder` and the event table of ``trace-summary`` are
+both derived from them, so a trace recomputes every number a live run
+reported.
 
 Recorders are plumbed two ways:
 

@@ -49,9 +49,6 @@ DURATION_FIELDS = {
     "solver_step": "solve_seconds",
 }
 
-#: Event types that render as neither slice, counter nor instant.
-_SKIPPED = frozenset({"counters"})
-
 _MICRO = 1e6
 
 
@@ -113,7 +110,7 @@ def chrome_trace(events: list[dict]) -> dict:
 
     for event in events:
         kind = event.get("event")
-        if kind in _SKIPPED or kind is None:
+        if kind is None:
             continue
         ts = float(event.get("ts", 0.0))
         if kind == "span":

@@ -81,24 +81,14 @@ class FlightRecorder(Recorder):
     ``n_events`` counts everything ever emitted; the ring holds the tail.
 
     Thread-safe: the daemon's handler threads, updater thread and
-    resource sampler all emit into one instance.  ``forward`` chains
-    another sink (each event is also re-emitted there), mirroring
-    :class:`~repro.obs.metrics.MetricsRecorder`'s composition idiom.
+    resource sampler all emit into one instance.
     """
 
-    def __init__(
-        self,
-        capacity: int = 2048,
-        *,
-        probes: bool = False,
-        forward: Recorder | None = None,
-    ):
-        super().__init__()
+    def __init__(self, capacity: int = 2048, *, probes: bool = False):
         from repro.utils.validation import check_positive_int
 
         self.capacity = check_positive_int(capacity, "capacity")
         self.probes = bool(probes)
-        self.forward = forward
         self._ring: deque[dict] = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
         self._opened = time.perf_counter()
@@ -113,13 +103,6 @@ class FlightRecorder(Recorder):
         with self._lock:
             self._ring.append(record)
             self.n_events += 1
-        if self.forward is not None and self.forward.enabled:
-            self.forward.emit(event, **fields)
-
-    def count(self, name: str, n: int = 1) -> None:
-        super().count(name, n)
-        if self.forward is not None:
-            self.forward.count(name, n)
 
     def events(self, last: int | None = None) -> list[dict]:
         """A snapshot of the ring (oldest first), optionally the tail.

@@ -356,23 +356,50 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+#: Event types counted one per event, as ``{event: counter name}``.
+#: Together with the conditional counters in
+#: :meth:`MetricsRecorder._observe` (``frozen_columns``,
+#: ``unhealthy_chains``, ``operator_builds``, ``chunked_operator_builds``)
+#: this is the one place that decides which events a ``tmark_*_total``
+#: counter counts.
+EVENT_COUNTERS = {
+    "fit": "tmark_fits_total",
+    "trial": "tmark_trials_total",
+    "grid_cell": "tmark_grid_cells_total",
+    "chain_iteration": "tmark_chain_iterations_total",
+    "invariant_probe": "tmark_invariant_probes_total",
+    "solver_step": "tmark_solver_steps_total",
+    "solver_restart": "tmark_solver_restarts_total",
+    "shard_dispatch": "tmark_shard_dispatches_total",
+    "boundary_exchange": "tmark_boundary_exchanges_total",
+    "delta_apply": "tmark_delta_batches_total",
+    "reconverge": "tmark_reconverges_total",
+    "operator_patch": "tmark_operator_patches_total",
+    "store_save": "tmark_store_saves_total",
+    "store_open": "tmark_store_opens_total",
+}
+
+
 class MetricsRecorder(Recorder):
     """A :class:`Recorder` sink that folds events into a registry.
 
     Every known event type updates a fixed set of ``tmark_*``-prefixed
     instruments (durations into shared-edge histograms, counts into
-    counters, level-style measurements into gauges); ``count`` calls
-    land in ``tmark_<name>_total`` counters.  Unknown event types still
-    count in ``tmark_events_total`` so nothing is silently dropped.
+    counters, level-style measurements into gauges).  Every counter is
+    derived from the events alone — one per event for the types in
+    :data:`EVENT_COUNTERS`, plus a few conditional ones — and is created
+    on its first counted event, so a registry folded from a trace
+    (:func:`registry_from_events`) holds the same counters as the live
+    one.  Unknown event types still count in ``tmark_events_total`` so
+    nothing is silently dropped.
 
     ``forward`` optionally chains a second recorder (e.g. a
-    :class:`~repro.obs.trace.JsonlTraceRecorder`): events and counts
-    pass through after being observed, so one run can feed metrics and a
-    trace simultaneously.
+    :class:`~repro.obs.trace.JsonlTraceRecorder`): events pass through
+    after being observed, so one run can feed metrics and a trace
+    simultaneously.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None, *, forward=None):
-        super().__init__()
         self.registry = MetricsRegistry() if registry is None else registry
         self.forward = forward
         if forward is not None:
@@ -385,18 +412,15 @@ class MetricsRecorder(Recorder):
         if self.forward is not None and self.forward.enabled:
             self.forward.emit(event, **fields)
 
-    def count(self, name: str, n: int = 1) -> None:
-        super().count(name, n)
-        self.registry.counter(f"tmark_{name}_total").inc(n)
-        if self.forward is not None and self.forward.enabled:
-            self.forward.count(name, n)
-
     # ------------------------------------------------------------------
     # Event -> instrument mapping
     # ------------------------------------------------------------------
     def _observe(self, event: str, fields: dict) -> None:
         registry = self.registry
         registry.counter("tmark_events_total").inc()
+        counter = EVENT_COUNTERS.get(event)
+        if counter is not None:
+            registry.counter(counter).inc()
         seconds = fields.get("seconds")
         if event == "fit":
             registry.histogram("tmark_fit_seconds").observe(seconds or 0.0)
@@ -411,6 +435,9 @@ class MetricsRecorder(Recorder):
                 sum(phases.values()) if phases else 0.0
             )
             registry.gauge("tmark_active_classes").set(fields.get("n_active", 0))
+            frozen = sum(fields.get("frozen", ()))
+            if frozen:
+                registry.counter("tmark_frozen_columns_total").inc(frozen)
         elif event == "trial":
             registry.histogram("tmark_trial_seconds").observe(seconds or 0.0)
             registry.histogram(
@@ -424,6 +451,11 @@ class MetricsRecorder(Recorder):
                 float(fields.get("transition_seconds", 0.0))
                 + float(fields.get("feature_seconds", 0.0))
             )
+            # In-memory builds carry ``w_form``.  The out-of-core per-chunk
+            # events carry ``operator`` instead; their build counts once,
+            # through its ``build_chunked_operators`` span.
+            if "w_form" in fields:
+                registry.counter("tmark_operator_builds_total").inc()
         elif event == "delta_apply":
             registry.histogram("tmark_delta_apply_seconds").observe(seconds or 0.0)
             registry.counter("tmark_deltas_total").inc(fields.get("n_deltas", 0))
@@ -437,6 +469,8 @@ class MetricsRecorder(Recorder):
         elif event == "chain_health":
             status = fields.get("status", "healthy")
             registry.counter(f"tmark_chain_health_{status}_total").inc()
+            if status != "healthy":
+                registry.counter("tmark_unhealthy_chains_total").inc()
         elif event == "invariant_probe":
             registry.gauge("tmark_max_mass_drift").set_max(
                 max(
@@ -468,6 +502,8 @@ class MetricsRecorder(Recorder):
             registry.counter("tmark_spans_total").inc()
             if "error" in fields:
                 registry.counter("tmark_span_errors_total").inc()
+            elif fields.get("name") == "build_chunked_operators":
+                registry.counter("tmark_chunked_operator_builds_total").inc()
         elif event == "resource_sample":
             registry.gauge("tmark_rss_bytes").set(fields.get("rss_bytes", 0))
             registry.gauge("tmark_max_rss_bytes").set(
@@ -485,9 +521,6 @@ class MetricsRecorder(Recorder):
             registry.counter("tmark_snapshot_swaps_total").inc()
             registry.gauge("tmark_snapshot_version").set(fields.get("version", 0))
             registry.histogram("tmark_snapshot_build_seconds").observe(seconds or 0.0)
-        elif event == "counters":
-            for name, value in fields.get("counters", {}).items():
-                registry.counter(f"tmark_{name}_total").inc(value)
 
 
 def registry_from_events(events) -> MetricsRegistry:

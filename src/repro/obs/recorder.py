@@ -1,9 +1,13 @@
 """The :class:`Recorder` protocol, no-op default and in-memory sink.
 
-A recorder receives structured events from the instrumented hot paths
-and maintains monotonic counters.  The contract is intentionally tiny —
-``enabled``, ``emit`` and ``count`` — so alternative sinks (JSONL files,
-in-memory lists, metrics back-ends) are trivial to plug in.
+A recorder receives structured events from the instrumented hot paths.
+The contract is intentionally tiny — ``enabled``, ``probes`` and
+``emit`` — so alternative sinks (JSONL files, in-memory lists, metrics
+back-ends) are trivial to plug in.  Events are the only channel: every
+count a sink reports (the ``tmark_*_total`` counters of
+:class:`~repro.obs.metrics.MetricsRecorder`, the event table of
+``trace-summary``) is derived from the events themselves, so any number
+can be recomputed from a trace.
 
 Instrumented loops hoist ``recorder.enabled`` into a local once per fit
 and skip all timing and emission when it is ``False``, which is what
@@ -69,23 +73,14 @@ class Recorder:
         cost a few extra array reductions per iteration on top of the
         phase timings, so sinks that only need timings can opt out;
         ignored while ``enabled`` is ``False``.
-    counters:
-        Monotonic named counters maintained by :meth:`count`.
     """
 
     enabled: bool = True
     probes: bool = True
 
-    def __init__(self) -> None:
-        self.counters: dict[str, int] = {}
-
     def emit(self, event: str, **fields) -> None:
         """Record one structured event (overridden by concrete sinks)."""
         raise NotImplementedError
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Increment the monotonic counter ``name`` by ``n``."""
-        self.counters[name] = self.counters.get(name, 0) + n
 
 
 class NullRecorder(Recorder):
@@ -95,9 +90,6 @@ class NullRecorder(Recorder):
     probes = False
 
     def emit(self, event: str, **fields) -> None:
-        pass
-
-    def count(self, name: str, n: int = 1) -> None:
         pass
 
 
@@ -116,7 +108,6 @@ class ListRecorder(Recorder):
     """
 
     def __init__(self, *, enabled: bool = True, probes: bool = True):
-        super().__init__()
         self.enabled = bool(enabled)
         self.probes = bool(probes)
         self.events: list[dict] = []

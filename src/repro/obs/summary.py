@@ -49,7 +49,6 @@ class TraceSummary:
     n_solver_restarts: int = 0
     solver_seconds: float = 0.0
     solver_names: set = field(default_factory=set)
-    counters: dict[str, int] = field(default_factory=dict)
     n_spans: int = 0
     span_seconds: float = 0.0
     span_names: set = field(default_factory=set)
@@ -200,9 +199,6 @@ def summarize_trace(events) -> TraceSummary:
         elif kind == "http_request":
             summary.n_requests += 1
             summary.request_seconds += float(event.get("seconds", 0.0))
-        elif kind == "counters":
-            for name, value in event.get("counters", {}).items():
-                summary.counters[name] = summary.counters.get(name, 0) + int(value)
     return summary
 
 
@@ -310,10 +306,5 @@ def format_trace_summary(summary: TraceSummary) -> str:
         lines.append(
             f"invariant probes: {summary.n_probes}; max simplex drift "
             f"{summary.max_mass_drift:.1e}; min entry {min_entry}"
-        )
-    if summary.counters:
-        lines.append(
-            "counters: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(summary.counters.items()))
         )
     return "\n".join(lines)

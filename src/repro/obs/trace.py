@@ -29,9 +29,7 @@ from repro.obs.spans import current_span
 
 #: Run-summary event types that trigger an immediate flush: they close a
 #: unit of work, so a crash right after one loses no completed results.
-FLUSH_EVENTS = frozenset(
-    {"fit", "trial", "grid_cell", "reconverge", "chain_health", "counters"}
-)
+FLUSH_EVENTS = frozenset({"fit", "trial", "grid_cell", "reconverge", "chain_health"})
 
 
 def _jsonable(value):
@@ -73,9 +71,8 @@ class JsonlTraceRecorder(Recorder):
     """Write every event as one JSON line to ``path``.
 
     Events gain two bookkeeping fields: ``event`` (the type) and ``ts``
-    (monotonic seconds since the recorder was opened).  On :meth:`close`
-    the accumulated counters are flushed as a final ``counters`` event.
-    Usable as a context manager.
+    (monotonic seconds since the recorder was opened).  Usable as a
+    context manager.
 
     The stream is flushed to the OS every ``flush_every`` events and
     after every run-summary event (:data:`FLUSH_EVENTS`), so a killed
@@ -86,7 +83,6 @@ class JsonlTraceRecorder(Recorder):
     """
 
     def __init__(self, path, *, flush_every: int = 64, probes: bool = True):
-        super().__init__()
         from repro.utils.validation import check_positive_int
 
         self.flush_every = check_positive_int(flush_every, "flush_every")
@@ -114,12 +110,7 @@ class JsonlTraceRecorder(Recorder):
             self._unflushed = 0
 
     def close(self) -> None:
-        """Flush counters (if any) and close the file; idempotent."""
-        if self._handle.closed:
-            return
-        if self.counters:
-            counters, self.counters = self.counters, {}
-            self.emit("counters", counters=counters)
+        """Close the file; idempotent."""
         self._handle.close()
 
     def __enter__(self) -> "JsonlTraceRecorder":

@@ -14,8 +14,9 @@ pieces, following DGL graphbolt's on-disk CSC design:
   stacked-CSR layout, touching ``O(n * m)`` resident memory plus one
   block and emitting per-chunk ``operator_build`` events
   (:mod:`repro.ooc.build`);
-* :class:`ChunkedOperators` + :func:`fit_from_store` — the in-memory
-  tensors over the memory-mapped stacks, walked in row blocks, so
+* the stored operators + :func:`fit_from_store` — the in-memory
+  tensors over the memory-mapped stacks, walked in row blocks and
+  returned as an ordinary :class:`~repro.core.tmark.TMarkOperators`, so
   :meth:`TMark.fit_operators` runs plain or accelerated chains
   byte-identical to the in-memory path (:mod:`repro.ooc.operators`,
   :mod:`repro.ooc.fit`).
@@ -34,7 +35,6 @@ from repro.ooc.fit import fit_from_store
 from repro.ooc.operators import (
     DEFAULT_CHUNK_SIZE,
     ChunkedFeatureWalk,
-    ChunkedOperators,
     StoredNodeTransition,
     StoredRelationTransition,
     release_pages,
@@ -49,7 +49,6 @@ from repro.ooc.synth import generate_ooc_store
 
 __all__ = [
     "GraphStore",
-    "ChunkedOperators",
     "StoredNodeTransition",
     "StoredRelationTransition",
     "ChunkedFeatureWalk",

@@ -51,13 +51,13 @@ from repro.core.features import (
     feature_transition_matrix,
     topk_cosine_transition_matrix,
 )
+from repro.core.tmark import TMarkOperators
 from repro.errors import ValidationError
 from repro.obs.recorder import get_recorder
 from repro.obs.spans import span
 from repro.ooc.operators import (
     DEFAULT_CHUNK_SIZE,
     ChunkedFeatureWalk,
-    ChunkedOperators,
     StoredNodeTransition,
     StoredRelationTransition,
     load_csr,
@@ -333,7 +333,7 @@ def _cache_usable(ops_dir, store: GraphStore, similarity_top_k,
 
 
 def _assemble(store: GraphStore, ops_dir, w_mode: str, chunk_size: int,
-              similarity_top_k, similarity_metric: str) -> ChunkedOperators:
+              similarity_top_k, similarity_metric: str) -> TMarkOperators:
     n, m = store.n_nodes, store.n_relations
     if w_mode == "none":
         w_matrix = None
@@ -341,7 +341,7 @@ def _assemble(store: GraphStore, ops_dir, w_mode: str, chunk_size: int,
         w_matrix = np.load(ops_dir / "w.npy", mmap_mode="r")
     else:
         w_matrix = ChunkedFeatureWalk(load_csr(ops_dir, "w", n, n), chunk_size)
-    return ChunkedOperators(
+    return TMarkOperators(
         o_tensor=StoredNodeTransition(
             load_csr(ops_dir, "o", m * n, n),
             np.load(ops_dir / "o.nondangling.npy"),
@@ -354,8 +354,6 @@ def _assemble(store: GraphStore, ops_dir, w_mode: str, chunk_size: int,
         shape=(n, m),
         similarity_top_k=similarity_top_k,
         similarity_metric=similarity_metric,
-        chunk_size=chunk_size,
-        directory=ops_dir,
     )
 
 
@@ -368,7 +366,7 @@ def build_chunked_operators(
     build_w: bool = True,
     rebuild: bool = False,
     recorder=None,
-) -> ChunkedOperators:
+) -> TMarkOperators:
     """Build (or reuse) the chunked ``(O, R, W)`` cache of a store.
 
     Parameters
@@ -394,8 +392,11 @@ def build_chunked_operators(
 
     Returns
     -------
-    A :class:`~repro.ooc.operators.ChunkedOperators` whose products
-    stream over the on-disk arrays.  Without ``build_w`` it carries no
+    A :class:`~repro.core.tmark.TMarkOperators` whose products stream
+    over the on-disk arrays: ``O`` and ``R`` are the
+    :mod:`repro.ooc.operators` stored tensors, ``W`` a
+    :class:`~repro.ooc.operators.ChunkedFeatureWalk` (top-k), the
+    memory-mapped dense array, or ``None``.  Without ``build_w`` it carries no
     ``W`` and the requested similarity settings, whatever ``W`` the
     cache holds.
     """
@@ -455,8 +456,6 @@ def build_chunked_operators(
             },
             digests=False,  # sizes catch a torn cache; nothing reads digests
         )
-    if rec.enabled:
-        rec.count("chunked_operator_builds")
     return _assemble(
         store, ops_dir, w_mode, chunk_size, similarity_top_k, similarity_metric
     )

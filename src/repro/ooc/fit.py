@@ -36,7 +36,6 @@ def fit_from_store(
     solver: str | None = None,
     starts=None,
     recorder=None,
-    rebuild_operators: bool = False,
     node_names: str = "auto",
     shards: int | None = None,
     workers: int | None = None,
@@ -65,12 +64,8 @@ def fit_from_store(
         Optional warm-start ``(X0, Z0)`` pair, as in :meth:`TMark.fit`.
     recorder:
         Obs recorder for build chunks + chain telemetry.
-    rebuild_operators:
-        Force a fresh operator build even when the on-disk cache
-        matches.
     node_names:
-        ``"auto"`` (attach names when ``n <= 100_000``), ``"always"``
-        or ``"never"``.
+        ``"auto"`` (attach names when ``n <= 100_000``) or ``"never"``.
     shards, workers:
         Run the per-iteration propagation sharded across fork workers
         (see :mod:`repro.shard`).  Each worker streams its contiguous
@@ -93,9 +88,9 @@ def fit_from_store(
         raise ValidationError(
             f"expected a GraphStore or path, got {type(store).__name__}"
         )
-    if node_names not in ("auto", "always", "never"):
+    if node_names not in ("auto", "never"):
         raise ValidationError(
-            f"node_names must be 'auto', 'always' or 'never', got {node_names!r}"
+            f"node_names must be 'auto' or 'never', got {node_names!r}"
         )
     if model is None:
         model = TMark(**model_params)
@@ -109,7 +104,6 @@ def fit_from_store(
         similarity_metric=model.similarity_metric,
         chunk_size=chunk_size,
         build_w=model.beta > 0,
-        rebuild=rebuild_operators,
         recorder=recorder,
     )
     label_matrix = store.label_matrix if labels is None else labels
@@ -119,9 +113,7 @@ def fit_from_store(
             f"labels must have shape ({store.n_nodes}, {store.n_labels}), "
             f"got {label_matrix.shape}"
         )
-    attach_names = node_names == "always" or (
-        node_names == "auto" and store.n_nodes <= MAX_AUTO_NODE_NAMES
-    )
+    attach_names = node_names == "auto" and store.n_nodes <= MAX_AUTO_NODE_NAMES
     model.fit_operators(
         operators,
         label_matrix,

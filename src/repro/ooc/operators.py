@@ -179,30 +179,3 @@ class ChunkedFeatureWalk:
             result[a:b] = rows @ x
         return result
 
-
-class ChunkedOperators:
-    """The out-of-core counterpart of :class:`repro.core.tmark.TMarkOperators`.
-
-    Duck-types the operator triple :meth:`TMark.fit_operators` consumes
-    (``o_tensor`` / ``r_tensor`` / ``w_matrix`` / ``shape`` /
-    similarity settings), with every product streaming over the store's
-    memmap'd arrays.  Build with
-    :func:`repro.ooc.build.build_chunked_operators`.
-    """
-
-    def __init__(self, *, o_tensor, r_tensor, w_matrix, shape,
-                 similarity_top_k, similarity_metric, chunk_size, directory):
-        self.o_tensor = o_tensor
-        self.r_tensor = r_tensor
-        self.w_matrix = w_matrix
-        self.shape = tuple(shape)  # (n_nodes, n_relations)
-        self.similarity_top_k = similarity_top_k
-        self.similarity_metric = similarity_metric
-        self.chunk_size = int(chunk_size)
-        self.directory = directory
-
-    def __repr__(self) -> str:
-        return (
-            f"ChunkedOperators(shape={self.shape}, chunk_size={self.chunk_size}, "
-            f"w={type(self.w_matrix).__name__!r}, directory={str(self.directory)!r})"
-        )

@@ -151,7 +151,6 @@ class GraphStore:
                 nnz=int(hin.tensor.nnz),
                 n_files=len(stage.names),
             )
-            rec.count("store_saves")
         return cls.open(directory)
 
     @classmethod
@@ -180,7 +179,6 @@ class GraphStore:
                 nnz=store.nnz,
                 verified=bool(verify),
             )
-            rec.count("store_opens")
         return store
 
     # ------------------------------------------------------------------

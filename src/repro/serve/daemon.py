@@ -367,8 +367,16 @@ def _make_handler(state: h.ServingState):
             self.end_headers()
             self.wfile.write(raw)
 
-        def _read_json(self):
-            length = int(self.headers.get("Content-Length") or 0)
+        def _content_length(self) -> int | None:
+            """The request's ``Content-Length`` (0 when absent), ``None``
+            when it is not a non-negative integer."""
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                return None
+            return length if length >= 0 else None
+
+        def _read_json(self, length: int):
             raw = self.rfile.read(length) if length else b""
             if not raw:
                 return None
@@ -394,7 +402,13 @@ def _make_handler(state: h.ServingState):
                 if url.path == "/debug/vars":
                     return h.handle_debug_vars(state)
                 return 404, {"error": f"no such endpoint: {url.path}"}
-            payload = self._read_json()
+            length = self._content_length()
+            if length is None:
+                # The body's extent is unknown, so the connection cannot
+                # be reused for another request.
+                self.close_connection = True
+                return 400, {"error": "Content-Length must be a non-negative integer"}
+            payload = self._read_json(length)
             if payload is None:
                 return 400, {"error": "body must be JSON"}
             if url.path == "/classify":

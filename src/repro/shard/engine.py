@@ -323,7 +323,6 @@ class ShardBackend(LocalBackend):
                         halo_rows=shard.halo_size,
                         worker=shard.index % self.n_workers,
                     )
-                self.rec.count("shard_dispatches", plan.n_shards)
             self._stack = stack.pop_all()
         return self
 
@@ -401,7 +400,6 @@ class ShardBackend(LocalBackend):
             * (2 * plan.halo_total + self.Z.shape[0] * plan.n_shards),
             seconds=self.exchange_seconds,
         )
-        recorder.count("boundary_exchanges")
 
 
 def run_chains_sharded(

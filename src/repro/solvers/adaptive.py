@@ -1,9 +1,9 @@
 """Health-driven solver selection (``solver="auto"``).
 
-The adaptive solver is the policy layer the ISSUE's selection rule asks
-for: watch the chain's residual series through the same estimator the
-:mod:`repro.obs.health` diagnostics use, and only pay for acceleration
-when the empirical decay rate says the plain power step is slow.
+The adaptive solver is a selection policy: it watches the chain's
+residual series through the same estimator the :mod:`repro.obs.health`
+diagnostics use, and only pays for acceleration when the empirical
+decay rate says the plain power step is slow.
 
 Policy
 ------
@@ -12,9 +12,10 @@ Policy
   past its burn-in to mean anything.
 * Once the rate estimate is available, a chain decaying at
   rate ≥ :data:`SLOW_RATE` (or whose residuals have stopped decaying
-  entirely, rate ≥ 1) switches onto an inner
-  :class:`~repro.solvers.anderson.AndersonAccelerator`; healthy chains
-  keep the cheap plain step and the solver never interferes.
+  entirely, rate ≥ 1) engages Anderson mixing — the solver *is* an
+  :class:`~repro.solvers.anderson.AndersonAccelerator` that starts its
+  history at the switch; healthy chains keep the cheap plain step and
+  the solver never interferes.
 * The decision is sticky in one direction only: a chain on Anderson
   stays on Anderson (its residual series no longer reflects the plain
   map's rate), while a dormant chain keeps re-checking as the series
@@ -30,7 +31,7 @@ import math
 
 from repro.obs.health import estimate_decay_rate
 from repro.solvers.anderson import AndersonAccelerator
-from repro.solvers.base import PLAIN_SOLVER, FixedPointAccelerator
+from repro.solvers.base import PLAIN_SOLVER
 
 #: Plain iterations observed before the first switch decision.
 PROBE_ITERATIONS = 8
@@ -41,44 +42,29 @@ PROBE_ITERATIONS = 8
 SLOW_RATE = 0.9
 
 
-class AdaptiveAccelerator(FixedPointAccelerator):
-    """Switch slow chains onto Anderson, leave healthy chains plain."""
+class AdaptiveAccelerator(AndersonAccelerator):
+    """Anderson mixing that stays dormant until a chain proves slow.
+
+    While dormant, :meth:`propose` records nothing, so the history a
+    restart or the safeguard would drop is empty and the engaged solver
+    starts from the switching iteration's pair.
+    """
 
     name = "auto"
-
-    def __init__(self, *, tol: float):
-        super().__init__(tol=tol)
-        self._inner: AndersonAccelerator | None = None
+    _engaged = False
 
     @property
     def active_name(self) -> str:
-        """``"plain"`` while dormant, the inner solver's name after."""
-        return self._inner.name if self._inner is not None else PLAIN_SOLVER
+        """``"plain"`` while dormant, ``"anderson"`` after the switch."""
+        return AndersonAccelerator.name if self._engaged else PLAIN_SOLVER
 
     def propose(self, x_prev, g_x, *, t: int, residuals):
-        if self._inner is None:
+        if not self._engaged:
             if t < PROBE_ITERATIONS or not self._is_slow(residuals):
                 return None
-            self._inner = AndersonAccelerator(tol=self.tol)
-        proposal = self._inner.propose(x_prev, g_x, t=t, residuals=residuals)
-        self.n_proposals = self._inner.n_proposals
-        return proposal
+            self._engaged = True
+        return super().propose(x_prev, g_x, t=t, residuals=residuals)
 
     def _is_slow(self, residuals) -> bool:
         rate = estimate_decay_rate(residuals)
         return not math.isnan(rate) and rate >= SLOW_RATE
-
-    def map_changed(self) -> None:
-        if self._inner is not None:
-            self._inner.map_changed()
-            self.n_restarts = self._inner.n_restarts
-
-    def rejected(self) -> None:
-        self.n_rejected += 1
-        if self._inner is not None:
-            self._inner.rejected()
-            self.n_restarts = self._inner.n_restarts
-
-    def reset(self) -> None:
-        if self._inner is not None:
-            self._inner.reset()

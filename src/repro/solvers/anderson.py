@@ -68,7 +68,6 @@ class AndersonAccelerator(FixedPointAccelerator):
         )
         gamma, *_ = np.linalg.lstsq(delta_f, f_last, rcond=None)
         if not np.all(np.isfinite(gamma)):
-            self._restart()
+            self.reset()
             return None
-        self.n_proposals += 1
         return self._gs[-1] - delta_g @ gamma

@@ -101,10 +101,10 @@ class FixedPointAccelerator:
         already moved less than ``tol`` the solver proposes nothing, so
         acceleration can never push a converged chain off its fixed
         point.
-    n_proposals, n_rejected, n_restarts:
-        Monotonic counters (proposals offered, proposals the safeguard
-        rejected, history restarts); the per-step trace counterpart is
-        the ``solver_step`` / ``solver_restart`` event stream.
+
+    What a solver did is reported by the chain runner, not counted
+    here: every accepted proposal is a ``solver_step`` event and every
+    history reset a ``solver_restart`` event.
     """
 
     name = "base"
@@ -113,9 +113,6 @@ class FixedPointAccelerator:
         if tol <= 0:
             raise ValidationError(f"tol must be positive, got {tol}")
         self.tol = float(tol)
-        self.n_proposals = 0
-        self.n_rejected = 0
-        self.n_restarts = 0
 
     @property
     def active_name(self) -> str:
@@ -148,15 +145,10 @@ class FixedPointAccelerator:
         accepts new nodes the map itself moves, so extrapolating across
         the change would chase a stale fixed point.
         """
-        self._restart()
+        self.reset()
 
     def rejected(self) -> None:
         """The safeguard rejected the last proposal: drop history."""
-        self.n_rejected += 1
-        self._restart()
-
-    def _restart(self) -> None:
-        self.n_restarts += 1
         self.reset()
 
     def reset(self) -> None:

@@ -136,7 +136,6 @@ class IncrementalOperators:
                 w_form=walk_matrix_form(self._w)[0],
                 seconds=time.perf_counter() - started,
             )
-            rec.count("operator_patches")
         return new_hin
 
     def _build_w(self, features) -> None:

@@ -206,7 +206,6 @@ class StreamingSession:
                 n_new_nodes=n_new - n_old,
                 seconds=apply_seconds,
             )
-            rec.count("delta_batches")
 
         iterations = 0
         converged = False
@@ -314,7 +313,6 @@ class StreamingSession:
                 health=health,
                 worst_health=worst_status(health.values()),
             )
-            rec.count("reconverges")
         return iterations, converged, warm, fit_seconds, health
 
     def replay(

@@ -264,8 +264,26 @@ class TestGoldenDigests:
                 ),
                 "8f4b5bf9552ca82e5d3f659220fd499ba837d35441f7c87f5ee2eec074156d7c",
             ),
+            (
+                # A slow chain (alpha=0.05): "auto" switches onto Anderson
+                # mid-run, and label updates restart it while dormant and
+                # while engaged.
+                dict(alpha=0.05, gamma=0.0, label_threshold=0.5, solver="auto"),
+                "9b0eec49499865ce0824007c31297533e5d458b7667dcaec8048073d42c09aa9",
+            ),
         ],
     )
     def test_fit_digest(self, partial_hin, params, digest):
         model = TMark(update_labels=True, max_iter=200, **params)
         assert _fit_digest(model, partial_hin) == digest
+
+    def test_auto_config_engages_anderson(self, partial_hin):
+        recorder = ListRecorder()
+        TMark(
+            update_labels=True, max_iter=200, alpha=0.05, gamma=0.0,
+            label_threshold=0.5, solver="auto",
+        ).fit(partial_hin, recorder=recorder)
+        steps = recorder.events_of("solver_step")
+        assert any(e["solver"] == "anderson" for e in steps)
+        restarts = {e["solver"] for e in recorder.events_of("solver_restart")}
+        assert restarts == {"plain", "anderson"}

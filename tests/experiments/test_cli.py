@@ -99,7 +99,7 @@ class TestTraceFlag:
         kinds = {e["event"] for e in events}
         assert "chain_iteration" in kinds
         assert "fit" in kinds
-        assert events[-1]["event"] == "counters"
+        assert "counters" not in kinds
 
     def test_trace_summary_prints_breakdown(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"

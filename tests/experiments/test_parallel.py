@@ -21,7 +21,12 @@ from repro.experiments.parallel import (
     graph_fingerprint,
     openblas_threads,
 )
-from repro.obs import ListRecorder, MetricsRegistry, summarize_trace
+from repro.obs import (
+    ListRecorder,
+    MetricsRegistry,
+    registry_from_events,
+    summarize_trace,
+)
 from tests.conftest import small_labeled_hin
 
 pytestmark = pytest.mark.skipif(
@@ -205,9 +210,10 @@ class TestPoolTelemetry:
         for event in recorder.events_of("trial") + recorder.events_of("fit"):
             assert event["worker"] > 0
             assert "@" in event["cell"]
-        # Worker-side counters fold back into the parent recorder.
-        assert recorder.counters["trials"] == n_cells
-        assert recorder.counters["grid_cells"] == n_cells
+        # Replayed worker events count in the parent as in process.
+        registry = registry_from_events(recorder.events)
+        assert registry.get("tmark_trials_total").value == n_cells
+        assert registry.get("tmark_grid_cells_total").value == n_cells
 
     def test_trace_summary_reports_pool(self, hin):
         recorder = ListRecorder(probes=False)

@@ -64,13 +64,6 @@ class TestSchema:
         assert metadata
         assert any(e["args"]["name"] == "tmark" for e in metadata)
 
-    def test_counters_event_is_skipped(self, traced_fit_events):
-        assert any(e["event"] == "counters" for e in traced_fit_events)
-        payload = chrome_trace(traced_fit_events)
-        assert all(
-            e.get("cat") != "counters" and e.get("name") != "counters"
-            for e in payload["traceEvents"]
-        )
 
 
 class TestHierarchy:

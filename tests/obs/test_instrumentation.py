@@ -7,7 +7,7 @@ from repro.core import TMark
 from repro.core.tmark import build_operators
 from repro.datasets.synthetic import RelationSpec, make_synthetic_hin
 from repro.hin.graph import HIN
-from repro.obs import CHAIN_PHASES, ListRecorder, use_recorder
+from repro.obs import CHAIN_PHASES, ListRecorder, registry_from_events, use_recorder
 from tests.conftest import small_labeled_hin
 
 
@@ -113,8 +113,9 @@ class TestChainInstrumentation:
     def test_counters_accumulate(self, hin):
         recorder = ListRecorder()
         _fit(hin, recorder=recorder)
-        assert recorder.counters["fits"] == 1
-        assert recorder.counters["chain_iterations"] == len(
+        registry = registry_from_events(recorder.events)
+        assert registry.get("tmark_fits_total").value == 1
+        assert registry.get("tmark_chain_iterations_total").value == len(
             recorder.events_of("chain_iteration")
         )
 
@@ -122,7 +123,6 @@ class TestChainInstrumentation:
         recorder = ListRecorder(enabled=False)
         _fit(hin, recorder=recorder)
         assert recorder.events == []
-        assert recorder.counters == {}
 
     def test_tracing_never_changes_scores(self, hin):
         """Instrumentation is purely observational: bit-identical fits."""
@@ -173,7 +173,8 @@ class TestProbeInstrumentation:
         _fit(hin, recorder=recorder)
         probes = recorder.events_of("invariant_probe")
         assert len(probes) == len(recorder.events_of("chain_iteration"))
-        assert recorder.counters["invariant_probes"] == len(probes)
+        registry = registry_from_events(recorder.events)
+        assert registry.get("tmark_invariant_probes_total").value == len(probes)
         for probe in probes:
             # Columns live on the simplex: mass drift at float epsilon,
             # no negative entries anywhere.

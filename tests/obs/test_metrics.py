@@ -1,18 +1,37 @@
 """Tests for the metrics registry and its Recorder adapter."""
 
+import json
+
 import pytest
 
+from repro.core import TMark
 from repro.errors import ValidationError
-from repro.obs.metrics import _format_number
+from repro.experiments.harness import run_grid
 from repro.obs import (
     Counter,
     Gauge,
     Histogram,
+    JsonlTraceRecorder,
     ListRecorder,
     MetricsRecorder,
     MetricsRegistry,
+    read_trace,
     registry_from_events,
+    use_recorder,
 )
+from repro.obs.metrics import EVENT_COUNTERS, _format_number
+from repro.stream import GraphDelta, StreamingSession
+from tests.conftest import small_labeled_hin
+
+
+def _counters(registry: MetricsRegistry) -> dict[str, float]:
+    """Every counter of ``registry`` as ``{name: value}``."""
+    payload = json.loads(registry.to_json())
+    return {
+        name: entry["value"]
+        for name, entry in payload.items()
+        if entry["kind"] == "counter"
+    }
 
 
 class TestCounter:
@@ -261,17 +280,16 @@ class TestMetricsRecorder:
 
     def test_count_lands_in_total_counter(self):
         recorder = MetricsRecorder()
-        recorder.count("fits", 2)
+        recorder.emit("fit", seconds=0.1)
+        recorder.emit("fit", seconds=0.2)
         assert recorder.registry.get("tmark_fits_total").value == 2.0
-        assert recorder.counters == {"fits": 2}
 
     def test_forward_chains_events_and_counts(self):
         sink = ListRecorder()
         recorder = MetricsRecorder(forward=sink)
         recorder.emit("fit", seconds=0.1)
-        recorder.count("fits")
         assert [e["event"] for e in sink.events] == ["fit"]
-        assert sink.counters == {"fits": 1}
+        assert recorder.registry.get("tmark_fits_total").value == 1.0
 
     def test_forward_inherits_probe_preference(self):
         assert MetricsRecorder(forward=ListRecorder(probes=False)).probes is False
@@ -283,13 +301,89 @@ class TestMetricsRecorder:
         assert registry.get("tmark_fit_seconds").count == 1
 
 
+class TestEventCounters:
+    """Every ``tmark_*_total`` work counter is derived from the events."""
+
+    @pytest.mark.parametrize("event, name", sorted(EVENT_COUNTERS.items()))
+    def test_one_per_event(self, event, name):
+        recorder = MetricsRecorder()
+        recorder.emit(event)
+        recorder.emit(event)
+        assert recorder.registry.get(name).value == 2.0
+
+    def test_created_on_first_counted_event_only(self):
+        recorder = MetricsRecorder()
+        recorder.emit("fit", seconds=0.1)
+        assert "tmark_trials_total" not in recorder.registry
+        assert "tmark_unhealthy_chains_total" not in recorder.registry
+
+    def test_frozen_columns_sum_the_frozen_flags(self):
+        recorder = MetricsRecorder()
+        recorder.emit("chain_iteration", frozen=[False, False])
+        assert "tmark_frozen_columns_total" not in recorder.registry
+        recorder.emit("chain_iteration", frozen=[True, False, True])
+        assert recorder.registry.get("tmark_frozen_columns_total").value == 2.0
+
+    def test_unhealthy_chains_count_non_healthy_verdicts(self):
+        recorder = MetricsRecorder()
+        recorder.emit("chain_health", status="healthy")
+        assert "tmark_unhealthy_chains_total" not in recorder.registry
+        recorder.emit("chain_health", status="stalled")
+        recorder.emit("chain_health", status="oscillating")
+        assert recorder.registry.get("tmark_unhealthy_chains_total").value == 2.0
+
+    def test_operator_builds_count_in_memory_builds_only(self):
+        recorder = MetricsRecorder()
+        recorder.emit("operator_build", operator="o", chunk=0)
+        assert "tmark_operator_builds_total" not in recorder.registry
+        recorder.emit("operator_build", w_form="dense")
+        assert recorder.registry.get("tmark_operator_builds_total").value == 1.0
+
+    def test_chunked_builds_count_completed_build_spans(self):
+        recorder = MetricsRecorder()
+        recorder.emit("span", name="build_o")
+        recorder.emit("span", name="build_chunked_operators", error="OSError")
+        assert "tmark_chunked_operator_builds_total" not in recorder.registry
+        recorder.emit("span", name="build_chunked_operators")
+        assert (
+            recorder.registry.get("tmark_chunked_operator_builds_total").value == 1.0
+        )
+
+    def test_trace_refolds_to_the_live_counters(self, tmp_path):
+        """A traced run's registry equals the one folded from its trace."""
+        hin = small_labeled_hin(seed=3, n=40, q=3)
+        live = MetricsRegistry()
+        path = tmp_path / "trace.jsonl"
+        with JsonlTraceRecorder(path) as tracer:
+            recorder = MetricsRecorder(live, forward=tracer)
+            with use_recorder(recorder):
+                run_grid(
+                    hin, [("T-Mark", lambda: TMark(alpha=0.6, gamma=0.3))],
+                    (0.3,), n_trials=2, seed=0, solver="anderson",
+                )
+                session = StreamingSession(hin, TMark(alpha=0.6, gamma=0.3))
+                session.fit()
+                name = hin.node_names[0]
+                session.apply([GraphDelta.set_label(name, [hin.label_names[0]])])
+        events = read_trace(path)
+        counters = _counters(live)
+        assert counters == _counters(registry_from_events(events))
+        for name in (
+            "tmark_fits_total", "tmark_trials_total", "tmark_grid_cells_total",
+            "tmark_chain_iterations_total", "tmark_solver_steps_total",
+            "tmark_delta_batches_total", "tmark_reconverges_total",
+            "tmark_operator_patches_total", "tmark_operator_builds_total",
+        ):
+            assert counters[name] > 0, name
+        assert counters["tmark_fits_total"] == sum(e["event"] == "fit" for e in events)
+
+
 class TestRegistryFromEvents:
     def test_folds_a_parsed_trace(self):
         events = [
             {"event": "fit", "ts": 0.1, "seconds": 0.05, "iterations": 3,
              "converged": True},
             {"event": "trial", "ts": 0.2, "seconds": 0.02, "value": 0.9},
-            {"event": "counters", "ts": 0.3, "counters": {"fits": 1}},
         ]
         registry = registry_from_events(events)
         assert registry.get("tmark_fit_seconds").count == 1

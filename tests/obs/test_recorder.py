@@ -22,18 +22,10 @@ class TestRecorderProtocol:
         with pytest.raises(NotImplementedError):
             Recorder().emit("fit")
 
-    def test_base_counters_accumulate(self):
-        recorder = ListRecorder()
-        recorder.count("fits")
-        recorder.count("fits", 2)
-        assert recorder.counters == {"fits": 3}
-
     def test_null_recorder_is_disabled_and_silent(self):
         recorder = NullRecorder()
         assert recorder.enabled is False
         recorder.emit("fit", seconds=1.0)
-        recorder.count("fits")
-        assert recorder.counters == {}
 
     def test_shared_null_recorder_is_disabled(self):
         assert NULL_RECORDER.enabled is False

@@ -254,15 +254,6 @@ class TestFlightRecorder:
         assert isinstance(event["seconds"], float)
         assert isinstance(event["n"], int)
 
-    def test_forward_chains_a_second_sink(self):
-        sink = ListRecorder()
-        flight = FlightRecorder(forward=sink)
-        flight.emit("fit", seconds=0.1)
-        flight.count("fits", 2)
-        assert sink.events_of("fit")
-        assert sink.counters["fits"] == 2
-        assert flight.counters["fits"] == 2
-
     def test_capacity_validated(self):
         with pytest.raises(ValidationError):
             FlightRecorder(capacity=0)

@@ -24,14 +24,13 @@ def _sample_events():
         {"event": "fit", "seconds": 0.12, "n_nodes": 30},
         {"event": "trial", "trial": 0, "seconds": 0.15},
         {"event": "grid_cell", "method": "tmark", "seconds": 0.3},
-        {"event": "counters", "counters": {"fits": 1, "chain_iterations": 1}},
     ]
 
 
 class TestSummarizeTrace:
     def test_folds_all_event_kinds(self):
         summary = summarize_trace(_sample_events())
-        assert summary.n_events == 8
+        assert summary.n_events == 7
         assert summary.event_counts["chain_class"] == 2
         assert summary.n_iterations == 1
         assert summary.phase_totals["o_propagation"] == 0.04
@@ -40,7 +39,6 @@ class TestSummarizeTrace:
         assert summary.operator_seconds == 0.30000000000000004
         assert summary.trial_seconds == 0.15
         assert summary.grid_seconds == 0.3
-        assert summary.counters == {"fits": 1, "chain_iterations": 1}
 
     def test_phase_seconds_and_coverage(self):
         summary = summarize_trace(_sample_events())
@@ -115,11 +113,11 @@ class TestSummarizeTrace:
 class TestFormatTraceSummary:
     def test_renders_breakdown_and_coverage(self):
         text = format_trace_summary(summarize_trace(_sample_events()))
-        assert "8 events" in text
+        assert "7 events" in text
         assert "o_propagation" in text
         assert "phase coverage" in text
         assert "grid cells: 1" in text
-        assert "counters: chain_iterations=1, fits=1" in text
+        assert "fit".ljust(18) + "1".rjust(8) in text
 
     def test_empty_trace_renders(self):
         assert "0 events" in format_trace_summary(summarize_trace([]))

@@ -50,15 +50,12 @@ class TestJsonlTraceRecorder:
         assert event["phases"] == {"a": 0.125}
         assert event["values"] == [0, 1, 2]
 
-    def test_counters_flush_as_final_event_on_close(self, tmp_path):
+    def test_close_appends_no_event(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with JsonlTraceRecorder(path) as recorder:
             recorder.emit("fit", seconds=0.1)
-            recorder.count("fits")
-            recorder.count("chain_iterations", 7)
-        events = read_trace(path)
-        assert events[-1]["event"] == "counters"
-        assert events[-1]["counters"] == {"fits": 1, "chain_iterations": 7}
+            recorder.emit("trial", trial=0)
+        assert [e["event"] for e in read_trace(path)] == ["fit", "trial"]
 
     def test_close_is_idempotent(self, tmp_path):
         recorder = JsonlTraceRecorder(tmp_path / "trace.jsonl")
@@ -226,7 +223,7 @@ class TestReadTrace:
         path.write_text(
             '{"event": "fit", "seconds": 0.1}\n'
             '{"event": "trial", "value": 0.9}\n'
-            '{"event": "counters", "coun'
+            '{"event": "grid_cell", "me'
         )
         return path
 

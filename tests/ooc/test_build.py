@@ -11,7 +11,7 @@ from repro.core.features import feature_transition_matrix
 from repro.core.tmark import build_operators
 from repro.errors import ValidationError
 from repro.hin.graph import HIN
-from repro.obs.recorder import ListRecorder, use_recorder
+from repro.obs import ListRecorder, registry_from_events, use_recorder
 from repro.ooc import (
     ChunkedFeatureWalk,
     GraphStore,
@@ -39,6 +39,12 @@ def ondisk_relation_data(store, prefix: str, k: int) -> np.ndarray:
     block = ondisk_stack(store, prefix)[k * n : (k + 1) * n].tocsc()
     block.sort_indices()
     return block.data
+
+
+def _chunked_builds(recorder) -> float:
+    """``tmark_chunked_operator_builds_total`` folded from the recorded events."""
+    registry = registry_from_events(recorder.events)
+    return registry.get("tmark_chunked_operator_builds_total").value
 
 
 class TestBitIdentity:
@@ -160,7 +166,7 @@ class TestCache:
             build_chunked_operators(store, build_w=False)
         assert first_chunks > 0
         assert len(recorder.events_of("operator_build")) == first_chunks
-        assert recorder.counters["chunked_operator_builds"] == 1
+        assert _chunked_builds(recorder) == 1
 
     def test_rebuild_forces_fresh_build(self, tmp_path):
         store = GraphStore.save(sample_hin(), tmp_path / "store")
@@ -168,7 +174,7 @@ class TestCache:
         with use_recorder(recorder):
             build_chunked_operators(store, build_w=False)
             build_chunked_operators(store, build_w=False, rebuild=True)
-        assert recorder.counters["chunked_operator_builds"] == 2
+        assert _chunked_builds(recorder) == 2
 
     def test_stale_cache_detected(self, tmp_path):
         GraphStore.save(sample_hin(), tmp_path / "store")
@@ -180,7 +186,7 @@ class TestCache:
         recorder = ListRecorder()
         with use_recorder(recorder):
             build_chunked_operators(changed_store, build_w=False)
-        assert recorder.counters.get("chunked_operator_builds") == 1
+        assert _chunked_builds(recorder) == 1
 
     def test_w_settings_invalidate_cache_for_w_fits(self, tmp_path):
         store = GraphStore.save(sample_hin(), tmp_path / "store")
@@ -188,7 +194,7 @@ class TestCache:
         recorder = ListRecorder()
         with use_recorder(recorder):
             build_chunked_operators(store, similarity_top_k=3)
-        assert recorder.counters.get("chunked_operator_builds") == 1
+        assert _chunked_builds(recorder) == 1
 
     def test_no_w_cache_upgraded_when_w_needed(self, tmp_path):
         store = GraphStore.save(sample_hin(), tmp_path / "store")

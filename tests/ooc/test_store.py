@@ -10,7 +10,7 @@ from repro.errors import ValidationError
 from repro.hin.builder import HINBuilder
 from repro.hin.graph import HIN
 from repro.hin.io import load_hin, save_hin
-from repro.obs.recorder import ListRecorder, use_recorder
+from repro.obs import ListRecorder, registry_from_events, use_recorder
 from repro.ooc import MANIFEST_NAME, STORE_FORMAT_VERSION, GraphStore
 from repro.tensor.sptensor import SparseTensor3
 
@@ -275,5 +275,6 @@ class TestEvents:
         assert saves[0]["n_nodes"] == 3
         assert saves[0]["nnz"] == 4
         assert opens[-1]["verified"] is True
-        assert recorder.counters["store_saves"] == 1
-        assert recorder.counters["store_opens"] == 2
+        registry = registry_from_events(recorder.events)
+        assert registry.get("tmark_store_saves_total").value == 1
+        assert registry.get("tmark_store_opens_total").value == 2

@@ -9,6 +9,7 @@ every concurrent response is checked against the snapshot its reported
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -90,6 +91,26 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_400(self, daemon, length):
+        # A raw request: urllib always sends a well-formed Content-Length.
+        request = (
+            "POST /classify HTTP/1.1\r\n"
+            f"Host: {daemon.host}\r\n"
+            f"Content-Length: {length}\r\n"
+            "Content-Type: application/json\r\n"
+            "\r\n"
+            '{"nodes": ["p1"]}'
+        ).encode()
+        with socket.create_connection((daemon.host, daemon.port), timeout=3) as sock:
+            sock.sendall(request)
+            reply = b""
+            while b"\r\n" not in reply:
+                chunk = sock.recv(4096)
+                assert chunk, "connection closed without a reply"
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
 
     def test_metrics_prometheus_parses(self, daemon):
         _post(daemon.url, "/classify", {"nodes": ["p1"]})

@@ -21,7 +21,7 @@ from repro.datasets import make_worked_example
 from repro.datasets.synthetic import RelationSpec, make_synthetic_hin
 from repro.experiments.parallel import WorkerError, fork_available
 from repro.hin.builder import HINBuilder
-from repro.obs import ListRecorder
+from repro.obs import ListRecorder, registry_from_events
 from repro.shard import run_chains_sharded, shard_fallback_reason
 from tests.conftest import small_labeled_hin
 
@@ -191,8 +191,9 @@ class TestTelemetry:
             e for e in recorder.events_of("span") if e["name"] == "shard_pool"
         ]
         assert len(spans) == 1
-        assert recorder.counters["shard_dispatches"] == len(dispatches)
-        assert recorder.counters["boundary_exchanges"] == len(exchanges)
+        registry = registry_from_events(recorder.events)
+        assert registry.get("tmark_shard_dispatches_total").value == len(dispatches)
+        assert registry.get("tmark_boundary_exchanges_total").value == len(exchanges)
 
     @pytest.mark.parametrize("solver", ["plain", "anderson"])
     def test_serial_chain_events_preserved(self, hin, solver):

@@ -27,10 +27,10 @@ class TestSwitchPolicy:
     def test_fast_chain_never_switches(self):
         solver = AdaptiveAccelerator(tol=1e-10)
         fast = geometric(1.0, 0.5, 40)
-        for t in range(1, 30):
-            feed(solver, t, fast[:t])
+        proposals = [feed(solver, t, fast[:t]) for t in range(1, 30)]
         assert solver.active_name == "plain"
-        assert solver.n_proposals == 0
+        assert all(p is None for p in proposals)
+        assert not solver._xs
 
     def test_slow_chain_switches_to_anderson(self):
         solver = AdaptiveAccelerator(tol=1e-10)
@@ -57,34 +57,37 @@ class TestSwitchPolicy:
 
 
 class TestDelegation:
+    """Once engaged, the solver is its Anderson base: history and restarts."""
+
     def _switched(self):
         solver = AdaptiveAccelerator(tol=1e-10)
         slow = geometric(1.0, 0.95, 40)
-        for t in range(1, 20):
-            feed(solver, t, slow[:t])
-        assert solver._inner is not None
+        proposals = [feed(solver, t, slow[:t]) for t in range(1, 20)]
+        assert solver.active_name == "anderson"
+        assert solver._xs and any(p is not None for p in proposals)
         return solver
 
     def test_rejected_propagates_to_inner(self):
         solver = self._switched()
         solver.rejected()
-        assert solver.n_rejected == 1
-        assert solver.n_restarts == solver._inner.n_restarts
-        assert not solver._inner._xs
+        assert not solver._xs and not solver._gs
+        assert solver.active_name == "anderson"
 
     def test_map_changed_propagates_to_inner(self):
         solver = self._switched()
         solver.map_changed()
-        assert solver.n_restarts == solver._inner.n_restarts >= 1
+        assert not solver._xs and not solver._gs
+        # A restarted history records one pair before proposing again.
+        assert feed(solver, 20, geometric(1.0, 0.95, 20)) is None
+        assert feed(solver, 21, geometric(1.0, 0.95, 21)) is not None
 
     def test_rejected_while_dormant_is_harmless(self):
         solver = AdaptiveAccelerator(tol=1e-10)
         solver.rejected()
-        assert solver.n_rejected == 1
+        assert not solver._xs
         assert solver.active_name == "plain"
 
     def test_reset_clears_inner_history(self):
         solver = self._switched()
-        solver._inner._xs.append(np.zeros(2))
         solver.reset()
-        assert not solver._inner._xs
+        assert not solver._xs and not solver._gs

@@ -57,7 +57,7 @@ class TestAndersonOnLinearMaps:
         solver = AndersonAccelerator(tol=1e-12)
         out = solver.propose(np.zeros(3), np.ones(3), t=1, residuals=[])
         assert out is None
-        assert solver.n_proposals == 0
+        assert len(solver._xs) == 1
 
     def test_exact_limit_stays_silent(self):
         solver = AndersonAccelerator(tol=1e-8)
@@ -91,8 +91,12 @@ class TestAndersonOnLinearMaps:
         h, _ = linear_contraction()
         solver = AndersonAccelerator(tol=1e-12)
         x = np.zeros(8)
+        proposals = []
         for t in range(1, 5):
             g = h(x)
             proposal = solver.propose(x.copy(), g.copy(), t=t, residuals=[])
+            proposals.append(proposal)
             x = g if proposal is None else proposal
-        assert solver.n_proposals >= 1
+        # Silent on the first pair, proposing from the second on.
+        assert proposals[0] is None
+        assert all(p is not None for p in proposals[1:])

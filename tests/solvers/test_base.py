@@ -86,15 +86,18 @@ class TestAcceleratorBase:
         solver.propose(np.array([0.5, 0.5]), np.array([0.4, 0.6]), t=1, residuals=[])
         assert solver._xs  # history accumulated
         solver.rejected()
-        assert solver.n_rejected == 1
-        assert solver.n_restarts == 1
-        assert not solver._xs  # history dropped
+        assert not solver._xs and not solver._gs  # history dropped
 
     def test_map_changed_restarts_without_rejection(self):
         solver = AndersonAccelerator(tol=1e-8)
+        solver.propose(np.array([0.5, 0.5]), np.array([0.4, 0.6]), t=1, residuals=[])
         solver.map_changed()
-        assert solver.n_restarts == 1
-        assert solver.n_rejected == 0
+        assert not solver._xs and not solver._gs
+        # The restarted history needs two fresh pairs before it proposes.
+        assert (
+            solver.propose(np.array([0.4, 0.6]), np.array([0.3, 0.7]), t=2, residuals=[])
+            is None
+        )
 
     def test_base_propose_is_abstract(self):
         base = FixedPointAccelerator(tol=1e-8)

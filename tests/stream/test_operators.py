@@ -19,7 +19,7 @@ from repro.core.features import LowRankMatrix
 from repro.core.tmark import TMark, build_operators
 from repro.errors import ValidationError
 from repro.hin.graph import HIN
-from repro.obs import ListRecorder
+from repro.obs import ListRecorder, registry_from_events
 from repro.stream.delta import GraphDelta, apply_batch
 from repro.stream.operators import IncrementalOperators
 from repro.stream.workload import synthetic_delta_log
@@ -383,7 +383,8 @@ class TestInterfaces:
         assert event["touched_columns"] == 2
         assert event["touched_fibres"] == 2
         assert not event["full_w_recompute"]
-        assert recorder.counters["operator_patches"] == 1
+        registry = registry_from_events(recorder.events)
+        assert registry.get("tmark_operator_patches_total").value == 1
 
 
 def array_nbytes(*objs):

@@ -6,7 +6,7 @@ import pytest
 from repro.core.persistence import load_result, save_result
 from repro.core.tmark import TMark
 from repro.errors import ValidationError
-from repro.obs import ListRecorder, summarize_trace
+from repro.obs import ListRecorder, registry_from_events, summarize_trace
 from repro.stream import (
     GraphDelta,
     StreamingSession,
@@ -166,8 +166,9 @@ class TestObservability:
         (reconverge_event,) = recorder.events_of("reconverge")
         assert reconverge_event["warm"]
         assert reconverge_event["iterations"] >= 1
-        assert recorder.counters["delta_batches"] == 1
-        assert recorder.counters["reconverges"] == 1
+        registry = registry_from_events(recorder.events)
+        assert registry.get("tmark_delta_batches_total").value == 1
+        assert registry.get("tmark_reconverges_total").value == 1
 
     def test_trace_summary_accounts_streaming(self):
         recorder = ListRecorder()
