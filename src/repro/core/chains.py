@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.convergence import ChainHistory
 from repro.core.labels import initial_label_vector, updated_label_matrix
 from repro.obs.recorder import CHAIN_PHASES, PhaseTimer, get_recorder
-from repro.solvers.base import PLAIN_SOLVER, make_solver, propose_safeguarded
+from repro.solvers.base import PLAIN_SOLVER, make_solver
 from repro.utils.simplex import project_columns_to_simplex, uniform_distribution
 
 
@@ -90,15 +90,10 @@ class LocalBackend:
         """Nothing to report: no iterate crosses a process boundary."""
 
 
-def _emit_solver_restart(rec, t, c, accelerator, reason, **timing) -> None:
-    """One ``solver_restart`` event: class ``c``'s accelerator dropped its history."""
+def _emit_solver_event(rec, kind, t, active, mixer, idx, **fields) -> None:
+    """One ``solver_step``/``solver_restart`` event for mixer row ``idx``."""
     rec.emit(
-        "solver_restart",
-        t=t,
-        class_index=c,
-        solver=accelerator.active_name,
-        reason=reason,
-        **timing,
+        kind, t=t, class_index=active[idx], solver=mixer.solver_name(idx), **fields
     )
 
 
@@ -153,13 +148,16 @@ def run_chains(
     ``solver`` selects the fixed-point accelerator (see
     :mod:`repro.solvers`).  For the default ``"plain"`` no solver
     object is even created and every solver statement is skipped.  For
-    accelerated solvers, each per-class accelerator is offered the
-    ``(x_prev, plain step)`` pair right after the x-projection;
-    accepted proposals replace the column (a ``solver_step`` event),
-    safeguard rejections fall back to the plain step and restart the
-    accelerator's history (a ``solver_restart`` event), and an Eq. 12
-    restart-vector change resets the history too (the map being
-    accelerated has moved).
+    accelerated solvers, the fit's one
+    :class:`~repro.solvers.anderson.AndersonMixer` is offered the whole
+    active block of ``(x_prev, plain step)`` rows right after the
+    x-projection; accepted proposals replace their columns (one
+    ``solver_step`` event per class), safeguard rejections fall back to
+    the plain step and restart that row's history (a ``solver_restart``
+    event), and an Eq. 12 restart-vector change restarts the history
+    too (the map being accelerated has moved).  Traced accelerated fits
+    add the solver block's wall time to each ``chain_iteration`` event
+    as ``solver_seconds``, outside the five phases.
     """
     rec = get_recorder() if recorder is None else recorder
     timed = rec.enabled
@@ -182,11 +180,9 @@ def run_chains(
         ChainHistory(tol=model.tol, n_anchors=int(mask.sum())) for mask in masks
     ]
     use_solver = solver != PLAIN_SOLVER
-    solvers = (
-        [make_solver(solver, tol=model.tol) for _ in range(q)]
-        if use_solver
-        else None
-    )
+    if use_solver:
+        mixer = make_solver(solver, tol=model.tol, rows=q, size=X.shape[0])
+    solver_fields = {}
     if probes_on:
         o_dangling_share = float(backend.o_tensor.dangling_share)
         r_unlinked_share = float(backend.r_tensor.unlinked_share)
@@ -210,15 +206,18 @@ def run_chains(
                 mode=model.threshold_mode,
             )
             if use_solver:
+                # A restart vector moved (Eq. 12 accepted new nodes): the
+                # map being accelerated changed, so that row's iterate
+                # history is stale.
                 moved = np.any(vectors != L[:, active], axis=0)
+                mixer.restart(moved)
+                if timed:
+                    for idx in np.flatnonzero(moved).tolist():
+                        _emit_solver_event(
+                            rec, "solver_restart", t, active, mixer, idx,
+                            reason="label_update",
+                        )
             for idx, c in enumerate(active):
-                if use_solver and moved[idx]:
-                    # The restart vector moved (Eq. 12 accepted new
-                    # nodes): the map being accelerated changed, so the
-                    # solver's iterate history is stale.
-                    solvers[c].map_changed()
-                    if timed:
-                        _emit_solver_restart(rec, t, c, solvers[c], "label_update")
                 histories[c].accepted_history.append(int(n_accepted[idx]))
             L[:, active] = vectors
         if timed:
@@ -232,38 +231,28 @@ def run_chains(
         x_new[...] = x_new_rows.T
         if use_solver:
             if timed:
-                # Pause the phase clock: proposal time is reported on the
-                # solver_step/solver_restart events themselves so a
-                # plain-vs-accelerated trace-diff compares the shared
-                # phases like for like.
+                # Pause the phase clock: the solver block's time goes to
+                # chain_iteration's solver_seconds, so a plain-vs-accelerated
+                # trace-diff compares the shared phases like for like.
                 timer.stop()
-            for idx, c in enumerate(active):
-                accelerator = solvers[c]
-                step_started = time.perf_counter() if timed else 0.0
-                outcome, safe = propose_safeguarded(
-                    accelerator,
-                    x_rows[idx].copy(),
-                    x_new_rows[idx].copy(),
-                    t=t,
-                    residuals=histories[c].residuals,
+                solver_started = time.perf_counter()
+            accepted, rejected = mixer.step(
+                x_rows, x_new_rows, t=t,
+                residuals=[histories[c].residuals for c in active],
+            )
+            if accepted.any():
+                x_new[:, accepted] = x_new_rows[accepted].T
+            if timed:
+                solver_fields["solver_seconds"] = (
+                    time.perf_counter() - solver_started
                 )
-                if outcome == "none":
-                    continue
-                if outcome == "rejected":
-                    if timed:
-                        _emit_solver_restart(
-                            rec, t, c, accelerator, "safeguard",
-                            seconds=time.perf_counter() - step_started,
-                        )
-                else:
-                    x_new[:, idx] = x_new_rows[idx] = safe
-                    if timed:
-                        rec.emit(
-                            "solver_step",
-                            t=t,
-                            class_index=c,
-                            solver=accelerator.active_name,
-                            seconds=time.perf_counter() - step_started,
+                for idx in np.flatnonzero(accepted | rejected).tolist():
+                    if accepted[idx]:
+                        _emit_solver_event(rec, "solver_step", t, active, mixer, idx)
+                    else:
+                        _emit_solver_event(
+                            rec, "solver_restart", t, active, mixer, idx,
+                            reason="safeguard",
                         )
         if timed:
             timer.start("r_contraction")
@@ -278,7 +267,12 @@ def run_chains(
             histories[c].record_residual(rho)
         moving = rhos >= model.tol
         still_active = [c for c, keep in zip(active, moving) if keep]
-        x_rows = x_new_rows if moving.all() else x_new_rows[moving]
+        if not moving.all():
+            x_rows = x_new_rows[moving]
+            if use_solver:
+                mixer.compact(moving)
+        else:
+            x_rows = x_new_rows
         if timed:
             timer.stop()
             backend.end_iteration(rec, t, len(active))
@@ -291,6 +285,7 @@ def run_chains(
                 class_index=list(active),
                 residual=[histories[c].final_residual for c in active],
                 frozen=frozen,
+                **solver_fields,
             )
             if probes_on:
                 z_active = Z[:, active]

@@ -15,7 +15,8 @@ trace-event JSON object format, which ``ui.perfetto.dev`` and
 * ``chain_iteration`` events expand into an ``iteration`` slice with one
   child slice per chain phase (phases are laid out sequentially in
   :data:`~repro.obs.recorder.CHAIN_PHASES` order; only their summed
-  durations are recorded, not their start offsets).
+  durations are recorded, not their start offsets), then a ``solver``
+  slice for the accelerated fits' ``solver_seconds``.
 * ``resource_sample`` events become counter (``"ph": "C"``) tracks for
   RSS, CPU time and GC collections.
 * Everything else becomes an instant (``"ph": "i"``) marker.
@@ -46,7 +47,6 @@ DURATION_FIELDS = {
     "http_request": "seconds",
     "snapshot_swap": "build_seconds",
     "operator_build": "transition_seconds",
-    "solver_step": "solve_seconds",
 }
 
 _MICRO = 1e6
@@ -166,7 +166,13 @@ def chrome_trace(events: list[dict]) -> dict:
                 for name in (*CHAIN_PHASES, *sorted(set(raw) - set(CHAIN_PHASES)))
                 if float(raw.get(name, 0.0)) > 0.0
             }
-            total = sum(phases.values())
+            # The solver block runs outside the phase clock; its slice
+            # closes the iteration.
+            solver = max(float(event.get("solver_seconds", 0.0)), 0.0)
+            slices = [(name, "phase", dur) for name, dur in phases.items()]
+            if solver > 0.0:
+                slices.append(("solver", "solver", solver))
+            total = sum(dur for _, _, dur in slices)
             start = ts - total
             out.append(
                 {
@@ -181,12 +187,12 @@ def chrome_trace(events: list[dict]) -> dict:
                 }
             )
             cursor = start
-            for name, dur in phases.items():
+            for name, cat, dur in slices:
                 out.append(
                     {
                         "ph": "X",
                         "name": name,
-                        "cat": "phase",
+                        "cat": cat,
                         "ts": cursor * _MICRO,
                         "dur": dur * _MICRO,
                         "pid": pid,

@@ -111,6 +111,7 @@ def summarize_trace(events) -> TraceSummary:
                 key = f"phase:{name}"
                 window[key] = window.get(key, 0.0) + float(seconds)
             summary.n_frozen_events += sum(map(bool, event.get("frozen", ())))
+            summary.solver_seconds += float(event.get("solver_seconds", 0.0))
         elif kind == "chain_class":  # one event per class in older traces
             if event.get("frozen"):
                 summary.n_frozen_events += 1
@@ -170,12 +171,10 @@ def summarize_trace(events) -> TraceSummary:
             summary.n_dispatched += 1
         elif kind == "solver_step":
             summary.n_solver_steps += 1
-            summary.solver_seconds += float(event.get("seconds", 0.0))
             if "solver" in event:
                 summary.solver_names.add(str(event["solver"]))
         elif kind == "solver_restart":
             summary.n_solver_restarts += 1
-            summary.solver_seconds += float(event.get("seconds", 0.0))
             if "solver" in event:
                 summary.solver_names.add(str(event["solver"]))
         elif kind == "cell_done":

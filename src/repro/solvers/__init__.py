@@ -18,38 +18,36 @@ low-rank corrections for tensor-structured chains (arXiv 1412.0937).
 
 This package provides those accelerators as *solvers* the chain driver
 (:func:`repro.core.chains.run_chains`, whatever its backend) consults
-once per iteration per class:
+once per iteration with the whole active block of chains:
 
-* :class:`~repro.solvers.anderson.AndersonAccelerator` — windowed
-  least-squares mixing of the recent iterates (Anderson acceleration /
-  DIIS), pure numpy;
-* :class:`~repro.solvers.adaptive.AdaptiveAccelerator` — reads the
-  chain's empirical decay rate through the
-  :mod:`repro.obs.health` estimators and switches a slow chain (rate
-  near 1) onto Anderson while leaving healthy chains on the cheap plain
-  step.
+* :class:`~repro.solvers.anderson.AndersonMixer` — windowed Anderson
+  mixing (DIIS) of the recent iterates, one stacked mixer per fit whose
+  rows are the class chains; its small least-squares solves are
+  element-wise numpy, with no BLAS or LAPACK call;
+* ``solver="auto"`` (:mod:`repro.solvers.adaptive`) — the same mixer
+  with every row dormant until the chain's empirical decay rate, read
+  through the :mod:`repro.obs.health` estimators, says the plain step is
+  slow (rate near 1); healthy chains keep the cheap plain step.
 
-Every accelerator carries the same two guarantees:
+Every solver carries the same two guarantees, row by row:
 
-* **exact limit** — at (or within ``tol`` of) a fixed point the solver
-  proposes nothing, so an accelerated chain stops at the same
-  stationary pair the plain iteration would reach;
+* **exact limit** — at (or within ``tol`` of) a fixed point the mixer
+  proposes nothing for that row, so an accelerated chain stops at the
+  same stationary pair the plain iteration would reach;
 * **safeguarded fallback** — a proposal is accepted only if it passes
   :func:`~repro.solvers.base.safeguard_proposal` (finite, inside the
   simplex up to the documented drift/mass tolerances); otherwise the
-  plain power step is used and the solver's history restarts.
+  plain power step is used and that row's history restarts.
 
 ``solver="plain"`` bypasses the package entirely: the chain runner takes
 the exact pre-solver code path, so plain fits are bit-identical to
 releases predating this layer.
 """
 
-from repro.solvers.adaptive import AdaptiveAccelerator
-from repro.solvers.anderson import AndersonAccelerator
+from repro.solvers.anderson import AndersonMixer
 from repro.solvers.base import (
     PLAIN_SOLVER,
     SOLVER_NAMES,
-    FixedPointAccelerator,
     check_solver,
     make_solver,
     safeguard_proposal,
@@ -58,10 +56,8 @@ from repro.solvers.base import (
 __all__ = [
     "SOLVER_NAMES",
     "PLAIN_SOLVER",
-    "FixedPointAccelerator",
     "check_solver",
     "make_solver",
     "safeguard_proposal",
-    "AndersonAccelerator",
-    "AdaptiveAccelerator",
+    "AndersonMixer",
 ]

@@ -1,16 +1,17 @@
-"""Solver protocol, registry and the simplex safeguard.
+"""Solver registry and the row-wise simplex safeguard.
 
-A *solver* accelerates one per-class chain.  The chain runner evaluates
-the plain Algorithm 1 step first — that evaluation is both the fallback
-iterate and the map sample the accelerators extrapolate from — then
-offers the ``(x_prev, g_x)`` pair to the solver via :meth:`propose`.
-A ``None`` return keeps the plain step; a returned proposal replaces it
-*only after* :func:`safeguard_proposal` confirms the extrapolated
-iterate still lives on the probability simplex (up to the documented
-drift tolerances).  Rejected proposals fall back to the plain step and
-reset the solver's history (a ``solver_restart`` trace event), so a
-misbehaving extrapolation can never push a chain off Theorem 1's
-invariant set — the worst case is plain-iteration progress.
+A *solver* accelerates the per-class chains of one fit.  The chain
+runner evaluates the plain Algorithm 1 step first — that evaluation is
+both the fallback iterate and the map sample the mixer extrapolates
+from — then offers the whole active block of ``(x_prev, g_x)`` rows to
+the fit's :class:`~repro.solvers.anderson.AndersonMixer`.  A row's
+proposal replaces its plain step *only after*
+:func:`safeguard_proposal` confirms the extrapolated iterate still lives
+on the probability simplex (up to the documented drift tolerances).
+Rejected proposals fall back to the plain step and reset that row's
+history (a ``solver_restart`` trace event), so a misbehaving
+extrapolation can never push a chain off Theorem 1's invariant set —
+the worst case is plain-iteration progress.
 """
 
 from __future__ import annotations
@@ -39,120 +40,32 @@ SAFEGUARD_NEGATIVE_TOL = 1e-6
 SAFEGUARD_MASS_BOUNDS = (0.5, 2.0)
 
 
-def safeguard_proposal(proposal: np.ndarray) -> np.ndarray | None:
-    """Project an extrapolated iterate back onto the simplex, or reject it.
+def safeguard_proposal(proposals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project extrapolated rows back onto the simplex, or reject them.
 
-    Returns the clipped-and-renormalised proposal when it is finite,
-    no entry is below ``-``:data:`SAFEGUARD_NEGATIVE_TOL`, and the total
-    mass lies within :data:`SAFEGUARD_MASS_BOUNDS`; ``None`` otherwise.
-    ``None`` tells the chain runner to keep the plain power step — the
-    safeguarded-fallback half of the solver contract.
+    ``proposals`` is a C-contiguous ``(a, n)`` block, one proposal per
+    row.  Returns ``(safe, ok)``: ``ok[r]`` holds when row ``r`` is
+    finite, no entry is below ``-``:data:`SAFEGUARD_NEGATIVE_TOL` and its
+    clipped mass lies within :data:`SAFEGUARD_MASS_BOUNDS`; ``safe[r]``
+    is then the clipped-and-renormalised row (its mass a 1-D row sum,
+    the reduction a single-vector check would run).  Rows with
+    ``ok[r]`` false keep the plain power step — the safeguarded-fallback
+    half of the solver contract — and their ``safe`` row is meaningless.
     """
-    arr = np.asarray(proposal, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        return None
-    if float(arr.min()) < -SAFEGUARD_NEGATIVE_TOL:
-        return None
+    arr = np.asarray(proposals, dtype=float)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        arr = np.where(finite[:, None], arr, 0.0)
     clipped = np.clip(arr, 0.0, None)
-    total = float(clipped.sum())
+    total = clipped.sum(axis=1)
     low, high = SAFEGUARD_MASS_BOUNDS
-    if not low <= total <= high:
-        return None
-    return clipped / total
-
-
-def propose_safeguarded(accelerator, x_prev, x_plain, *, t, residuals):
-    """One solver step: offer the pair, safeguard the proposal.
-
-    The shared per-class acceleration step of the serial and sharded
-    chain runners — both must apply the identical logic (and identical
-    floating-point operations) or accelerated sharded fits would drift
-    from serial ones.  Returns ``(outcome, column)`` where ``outcome``
-    is one of:
-
-    * ``"none"`` — the accelerator proposed nothing; keep the plain step;
-    * ``"rejected"`` — the safeguard refused the proposal; the
-      accelerator's history was restarted (``rejected()``) and the plain
-      step stands (the caller emits a ``solver_restart`` event);
-    * ``"accepted"`` — ``column`` is the safeguarded iterate to install
-      (the caller emits a ``solver_step`` event).
-    """
-    proposal = accelerator.propose(x_prev, x_plain, t=t, residuals=residuals)
-    if proposal is None:
-        return "none", None
-    safe = safeguard_proposal(proposal)
-    if safe is None:
-        accelerator.rejected()
-        return "rejected", None
-    return "accepted", safe
-
-
-class FixedPointAccelerator:
-    """Base class for per-class chain accelerators.
-
-    One instance serves one class chain for one fit; the chain runner
-    creates a fresh solver per class so histories never mix.
-
-    Attributes
-    ----------
-    tol:
-        The chain's stopping tolerance.  Every accelerator implements
-        the *exact-limit* guarantee through it: when the plain step
-        already moved less than ``tol`` the solver proposes nothing, so
-        acceleration can never push a converged chain off its fixed
-        point.
-
-    What a solver did is reported by the chain runner, not counted
-    here: every accepted proposal is a ``solver_step`` event and every
-    history reset a ``solver_restart`` event.
-    """
-
-    name = "base"
-
-    def __init__(self, *, tol: float):
-        if tol <= 0:
-            raise ValidationError(f"tol must be positive, got {tol}")
-        self.tol = float(tol)
-
-    @property
-    def active_name(self) -> str:
-        """The solver actually driving proposals (adaptive overrides)."""
-        return self.name
-
-    def propose(self, x_prev, g_x, *, t: int, residuals) -> np.ndarray | None:
-        """Offer an accelerated iterate for this step, or ``None``.
-
-        Parameters
-        ----------
-        x_prev:
-            The previous accepted iterate ``x_{t-1}`` (a private copy —
-            solvers may keep it without copying again).
-        g_x:
-            The plain Algorithm 1 step evaluated at ``x_prev`` (also a
-            private copy), already projected onto the simplex.
-        t:
-            1-based iteration number.
-        residuals:
-            The chain's residual history so far (read-only) — the
-            adaptive solver reads its decay rate off this.
-        """
-        raise NotImplementedError
-
-    def map_changed(self) -> None:
-        """The Eq. 12 update altered the restart vector: drop history.
-
-        The accelerators model a *fixed* map; when the label update
-        accepts new nodes the map itself moves, so extrapolating across
-        the change would chase a stale fixed point.
-        """
-        self.reset()
-
-    def rejected(self) -> None:
-        """The safeguard rejected the last proposal: drop history."""
-        self.reset()
-
-    def reset(self) -> None:
-        """Clear accumulated iterate history (overridden by subclasses)."""
+    ok = (
+        finite
+        & (arr.min(axis=1) >= -SAFEGUARD_NEGATIVE_TOL)
+        & (total >= low)
+        & (total <= high)
+    )
+    return clipped / np.where(ok, total, 1.0)[:, None], ok
 
 
 def check_solver(solver: str) -> str:
@@ -164,14 +77,15 @@ def check_solver(solver: str) -> str:
     return solver
 
 
-def make_solver(solver: str, *, tol: float) -> FixedPointAccelerator | None:
-    """Instantiate one per-class solver; ``None`` for the plain step."""
-    from repro.solvers.adaptive import AdaptiveAccelerator
-    from repro.solvers.anderson import AndersonAccelerator
+def make_solver(solver: str, *, tol: float, rows: int, size: int):
+    """The fit's stacked mixer over ``rows`` chains of ``size`` nodes.
+
+    ``None`` for the plain step: the chain runner then creates no solver
+    object and runs no solver statement.
+    """
+    from repro.solvers.anderson import AndersonMixer
 
     check_solver(solver)
     if solver == PLAIN_SOLVER:
         return None
-    if solver == "anderson":
-        return AndersonAccelerator(tol=tol)
-    return AdaptiveAccelerator(tol=tol)
+    return AndersonMixer(rows, size, tol=tol, auto=solver == "auto")

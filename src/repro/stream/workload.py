@@ -50,7 +50,10 @@ def synthetic_delta_log(
         Total number of deltas (a node arrival counts as two: the
         ``add_node`` plus the ``add_link`` wiring it in).
     batch_size:
-        Commit marker interval.
+        Commit marker interval: a batch is committed as soon as the
+        stream reaches the next multiple of ``batch_size``, so batches
+        hold ``batch_size`` deltas, or one more or one fewer around a
+        node arrival that straddles a boundary.
     seed:
         Anything :func:`repro.utils.rng.ensure_rng` accepts.
     op_weights:
@@ -106,6 +109,7 @@ def synthetic_delta_log(
     log = DeltaLog()
     n_new_nodes = 0
     emitted = 0
+    next_commit = batch_size
     while emitted < n_deltas:
         op = ops[int(rng.choice(len(ops), p=probs))]
         if op == "remove_link" and not removable:
@@ -170,7 +174,10 @@ def synthetic_delta_log(
             removable.append(pair)
             emitted += 2
 
-        if emitted % batch_size == 0:
+        if emitted >= next_commit:
+            # An add_node pair can step over a boundary: commit there
+            # anyway, so no batch grows past batch_size + 1.
             log.commit()
+            next_commit = (emitted // batch_size + 1) * batch_size
     log.commit()
     return log

@@ -8,6 +8,7 @@ import pytest
 from repro.core import TMark
 from repro.obs import (
     JsonlTraceRecorder,
+    ListRecorder,
     chrome_trace,
     read_trace,
     use_recorder,
@@ -125,6 +126,47 @@ class TestHierarchy:
         assert iterations
         for event in iterations:
             assert event["span_id"] == chains["span_id"]
+
+
+class TestSolverSlices:
+    @pytest.fixture(scope="class")
+    def anderson_events(self):
+        recorder = ListRecorder()
+        hin = small_labeled_hin(seed=3, n=30, q=3)
+        TMark(alpha=0.8, gamma=0.4, max_iter=40, solver="anderson").fit(
+            hin, recorder=recorder
+        )
+        return recorder.events
+
+    def test_solver_time_closes_each_iteration(self, anderson_events):
+        iterations = [e for e in anderson_events if e["event"] == "chain_iteration"]
+        xs = slices(chrome_trace(anderson_events))
+        solver = [e for e in xs if e["name"] == "solver"]
+        assert len(solver) == len(iterations)
+        assert {e["cat"] for e in solver} == {"solver"}
+        for entry, event in zip(solver, iterations):
+            assert entry["dur"] == pytest.approx(event["solver_seconds"] * 1e6)
+            # Each iteration slice is followed by its phase slices and
+            # then the solver slice, which ends where the iteration does.
+            at = next(i for i, e in enumerate(xs) if e is entry)
+            start = max(
+                i for i in range(at) if xs[i]["name"] == f"iteration {event['t']}"
+            )
+            iteration, phases = xs[start], xs[start + 1:at]
+            assert {e["cat"] for e in phases} == {"phase"}
+            assert interval(entry)[1] == pytest.approx(interval(iteration)[1])
+            assert sum(e["dur"] for e in phases) + entry["dur"] == pytest.approx(
+                iteration["dur"]
+            )
+
+    def test_solver_events_stay_instants(self, anderson_events):
+        payload = chrome_trace(anderson_events)
+        steps = [e for e in payload["traceEvents"] if e["name"] == "solver_step"]
+        assert steps and {e["ph"] for e in steps} == {"i"}
+
+    def test_plain_fit_has_no_solver_slice(self, traced_fit_events):
+        names = {e["name"] for e in slices(chrome_trace(traced_fit_events))}
+        assert "solver" not in names
 
 
 class TestCountersAndInstants:

@@ -104,6 +104,25 @@ class TestSummarizeTrace:
         assert summarize_trace(folded).n_frozen_events == 3
         assert summarize_trace(per_class).n_frozen_events == 3
 
+    def test_solver_seconds_come_from_the_iterations(self):
+        phases = {"o_propagation": 0.01}
+        events = [
+            {"event": "chain_iteration", "t": 1, "phases": phases,
+             "solver_seconds": 0.25},
+            {"event": "solver_step", "t": 1, "class_index": 0, "solver": "anderson"},
+            {"event": "solver_restart", "t": 1, "class_index": 1,
+             "solver": "anderson", "reason": "safeguard"},
+            {"event": "chain_iteration", "t": 2, "phases": phases,
+             "solver_seconds": 0.5},
+            {"event": "fit", "seconds": 1.0},
+        ]
+        summary = summarize_trace(events)
+        assert summary.solver_seconds == 0.75
+        assert (summary.n_solver_steps, summary.n_solver_restarts) == (1, 1)
+        # Solver time is not a chain phase: coverage stays phase-only.
+        assert summary.phase_seconds == 0.02
+        assert "(0.7500s)" in format_trace_summary(summary)
+
     def test_probe_without_entry_fields_keeps_min_none(self):
         summary = summarize_trace([{"event": "invariant_probe", "t": 1}])
         assert summary.n_probes == 1

@@ -1,5 +1,6 @@
 """Tests for DeltaLog save/load/replay and the synthetic workload."""
 
+import hashlib
 import json
 import os
 import warnings
@@ -142,6 +143,30 @@ class TestSyntheticWorkload:
         )
         assert all(delta.op == "set_label" for delta in log)
         log.replay(hin)
+
+    @pytest.mark.parametrize(
+        "seed, batch_size, digest",
+        [
+            # sha256 of the delta lines as generated before commits were
+            # placed at the boundaries an add_node pair steps over: the
+            # stream itself must not move, only where batches end.
+            (10, 10, "48027d03b451179e5b198096cc6216ba693057ee1649bd7df5cb29f91a287dbe"),
+            (14, 10, "a8d7b7615b9670059a817542cd5adb6561534b073d9f09961eb733eb423ed078"),
+            (10, 3, "48027d03b451179e5b198096cc6216ba693057ee1649bd7df5cb29f91a287dbe"),
+            (10, 1, "48027d03b451179e5b198096cc6216ba693057ee1649bd7df5cb29f91a287dbe"),
+        ],
+    )
+    def test_batches_stay_near_batch_size(self, seed, batch_size, digest):
+        # Seeds 10 and 14 draw node arrivals (two deltas each) that
+        # straddle a multiple of 10; committing only on exact multiples
+        # gave batches of 20 and 30.
+        hin = small_labeled_hin(seed=5)
+        log = synthetic_delta_log(hin, 60, batch_size=batch_size, seed=seed)
+        sizes = [len(batch) for batch in log.batches()]
+        assert sum(sizes) == 60
+        assert all(batch_size - 1 <= size <= batch_size + 1 for size in sizes), sizes
+        stream = "\n".join(journal._delta_line(delta) for delta in log)
+        assert hashlib.sha256(stream.encode()).hexdigest() == digest
 
     def test_save_load_replay_round_trip(self, tmp_path):
         hin = small_labeled_hin(seed=2)
