@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConvergenceError
-
 
 @dataclass
 class ChainHistory:
@@ -72,11 +70,3 @@ class ChainHistory:
         self.converged = rho < self.tol
         return rho
 
-    def require_converged(self, context: str = "iteration") -> None:
-        """Raise :class:`ConvergenceError` unless the chain converged."""
-        if not self.converged:
-            raise ConvergenceError(
-                f"{context} did not converge: final residual "
-                f"{self.final_residual:.3e} >= tol {self.tol:.3e} after "
-                f"{self.n_iterations} iterations"
-            )

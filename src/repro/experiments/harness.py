@@ -34,7 +34,6 @@ from repro.forkpool import serial_fallback_reason
 from repro.hin.graph import HIN
 from repro.ml.metrics import accuracy, macro_f1, multilabel_macro_f1
 from repro.ml.splits import multilabel_fraction_split, stratified_fraction_split
-from repro.obs.metrics import MetricsRecorder
 from repro.obs.recorder import get_recorder, use_recorder
 from repro.solvers.base import check_solver
 from repro.utils.rng import spawn_rngs
@@ -346,7 +345,6 @@ def run_grid(
     metric: str = "accuracy",
     share_operators: bool = True,
     recorder=None,
-    metrics=None,
     workers: int = 1,
     solver: str | None = None,
 ) -> GridResult:
@@ -368,14 +366,11 @@ def run_grid(
 
     ``recorder`` (default: the ambient one) receives one ``grid_cell``
     event per cell with its mean/std and wall clock, on top of the
-    per-trial and chain-level events emitted underneath.
-
-    ``metrics`` optionally passes a
-    :class:`~repro.obs.metrics.MetricsRegistry`: the whole grid's
-    telemetry — every cell, trial, fit and chain event — is folded into
-    its instruments via a :class:`~repro.obs.metrics.MetricsRecorder`,
-    so one registry aggregates across cells (and, via
-    ``MetricsRegistry.merge``, across grids).
+    per-trial and chain-level events emitted underneath.  To aggregate
+    a grid into metrics, pass
+    ``recorder=MetricsRecorder(registry, forward=...)``: it folds every
+    event, wherever the cell ran; passing the same recorder to several
+    grids aggregates across them.
 
     ``workers`` only chooses where the cells run: the default 1 runs
     them in this process; ``workers > 1`` runs them on the fork pool of
@@ -432,35 +427,25 @@ def run_grid(
             stacklevel=2,
         )
     if in_process or reason is not None:
-        # Every event, the grid's own included, reaches the registry
-        # through one MetricsRecorder in front of the caller's recorder.
-        if metrics is not None:
-            rec = MetricsRecorder(metrics, forward=rec if rec.enabled else None)
-        fold = None
         cells = _cells_in_process(
             hin, factories, specs, {} if share_operators else None, rec
         )
     else:
-        # Worker events arrive already folded into the worker registries;
-        # the parent's own events go to the registry through ``fold``.
-        fold = MetricsRecorder(metrics) if metrics is not None else None
         cells = cells_on_pool(
             hin, factories, specs,
-            share_operators=share_operators, recorder=rec, fold=fold,
-            workers=workers,
+            share_operators=share_operators, recorder=rec, workers=workers,
         )
     for spec, cell, seconds in cells:
         grid.cells[spec.method].append(cell)
-        for sink in (rec, fold):
-            if sink is not None and sink.enabled:
-                sink.emit(
-                    "grid_cell",
-                    method=spec.method,
-                    fraction=spec.fraction,
-                    metric=metric,
-                    mean=cell.mean,
-                    std=cell.std,
-                    n_trials=cell.n_trials,
-                    seconds=seconds,
-                )
+        if rec.enabled:
+            rec.emit(
+                "grid_cell",
+                method=spec.method,
+                fraction=spec.fraction,
+                metric=metric,
+                mean=cell.mean,
+                std=cell.std,
+                n_trials=cell.n_trials,
+                seconds=seconds,
+            )
     return grid

@@ -18,14 +18,15 @@ module holds only what is particular to grid cells:
   once per similarity setting, memoised in its copy of the handler's
   operator pool — the parallel analogue of
   :func:`~repro.experiments.harness.shared_tmark_operators`.
-* Workers run with their own
-  :class:`~repro.obs.recorder.ListRecorder` /
-  :class:`~repro.obs.metrics.MetricsRegistry` and ship the recorded
-  events and instruments back with the scores.  The parent re-emits the
-  events into its own recorder tagged with ``worker`` (the worker PID)
-  and ``cell`` so ``trace-summary``, ``health`` and ``trace-diff`` keep
-  working on parallel traces, and folds the registries together with
-  the exact :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
+* When the caller's recorder is enabled, a worker collects its cell's
+  events into a :class:`~repro.obs.recorder.ListRecorder` (with the
+  caller's ``probes`` preference) and ships them back with the scores.
+  The parent replays them through the caller's recorder, tagged with
+  ``worker`` (the worker PID) and ``cell``, so ``trace-summary``,
+  ``health`` and ``trace-diff`` keep working on parallel traces and a
+  counting sink folds them as it would have in process.  Events are
+  the only channel: no worker state but scores, seconds and events
+  comes back.
 * A failed, dead or stalled worker fails the whole grid with a
   :class:`~repro.forkpool.WorkerError` naming the cell.
 """
@@ -34,13 +35,12 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.forkpool import ForkPool
 from repro.hin.graph import HIN
-from repro.obs.metrics import MetricsRecorder, MetricsRegistry
-from repro.obs.recorder import NULL_RECORDER, ListRecorder
+from repro.obs.recorder import ListRecorder
 from repro.obs.spans import SpanContext, activate_span, span
 
 
@@ -68,8 +68,7 @@ class _Outcome:
     result: object
     seconds: float
     worker: int
-    events: list = field(default_factory=list)
-    registry_json: str | None = None
+    events: list
 
 
 @dataclass
@@ -85,7 +84,6 @@ class _CellWorker:
     factories: dict[str, Callable[[], object]]
     operator_pool: dict | None
     collect_events: bool
-    collect_metrics: bool
     probes: bool
     #: The parent's ``pool`` span, so worker spans link back into the
     #: coordinator's trace (``None`` when the parent is not tracing).
@@ -94,17 +92,7 @@ class _CellWorker:
     def __call__(self, spec: CellSpec) -> _Outcome:
         from repro.experiments.harness import evaluate_cell
 
-        events_sink = (
-            ListRecorder(probes=self.probes) if self.collect_events else None
-        )
-        registry = MetricsRegistry() if self.collect_metrics else None
-        if registry is not None:
-            recorder = MetricsRecorder(registry, forward=events_sink)
-            recorder.probes = self.probes
-        elif events_sink is not None:
-            recorder = events_sink
-        else:
-            recorder = NULL_RECORDER
+        recorder = ListRecorder(enabled=self.collect_events, probes=self.probes)
         started = time.perf_counter()
         with activate_span(self.pool_span):
             with span(
@@ -122,40 +110,8 @@ class _CellWorker:
             result=result,
             seconds=time.perf_counter() - started,
             worker=os.getpid(),
-            events=events_sink.events if events_sink is not None else [],
-            registry_json=registry.to_json() if registry is not None else None,
+            events=recorder.events,
         )
-
-
-def _emit(recorder, fold, event: str, **fields) -> None:
-    """Emit a parent-originated pool event to the recorder and registry.
-
-    ``fold`` is the parent-side :class:`MetricsRecorder` wrapping the
-    caller's registry (or ``None``).  Worker-originated events never go
-    through it — they were already folded inside the worker — so every
-    event lands in the registry exactly once.
-    """
-    if recorder.enabled:
-        recorder.emit(event, **fields)
-    if fold is not None:
-        fold.emit(event, **fields)
-
-
-def _replay_outcome(outcome: _Outcome, cell: str, recorder, registry) -> None:
-    """Fold one worker's telemetry back into the parent's sinks.
-
-    Events are re-emitted through the parent recorder tagged with
-    ``worker``/``cell`` (a counting sink there counts them as it would
-    have in process); the worker registry is folded in with the exact
-    merge.  Called in deterministic spec order
-    so gauge last-wins merges are reproducible.
-    """
-    if recorder.enabled:
-        for event in outcome.events:
-            fields = {k: v for k, v in event.items() if k != "event"}
-            recorder.emit(event["event"], worker=outcome.worker, cell=cell, **fields)
-    if registry is not None and outcome.registry_json is not None:
-        registry.merge(MetricsRegistry.from_json(outcome.registry_json))
 
 
 def _run_cells(specs, worker: _CellWorker, n_workers: int) -> list[_Outcome]:
@@ -184,7 +140,7 @@ def _run_cells(specs, worker: _CellWorker, n_workers: int) -> list[_Outcome]:
 
 
 def cells_on_pool(
-    hin: HIN, factories, specs, *, share_operators, recorder, fold, workers: int
+    hin: HIN, factories, specs, *, share_operators, recorder, workers: int
 ):
     """Yield ``(spec, CellResult, seconds)`` in spec order from a fork pool.
 
@@ -192,13 +148,9 @@ def cells_on_pool(
     ``recorder`` receives the ``pool`` span, ``pool_start``, one
     ``cell_dispatch`` per spec, each cell's worker events tagged
     ``worker``/``cell``, and — once the caller has taken the cell — its
-    ``cell_done``.  ``fold`` is ``None`` or a :class:`MetricsRecorder`
-    on the caller's registry: it gets the parent's own events, and each
-    worker's registry is merged into ``fold.registry``.  ``seconds`` is
-    the worker's wall clock for the cell.
+    ``cell_done``.  ``seconds`` is the worker's wall clock for the cell.
     """
     n_workers = min(workers, len(specs))
-    registry = fold.registry if fold is not None else None
     with span(
         "pool", recorder=recorder, level="grid", n_cells=len(specs),
         workers=n_workers,
@@ -208,29 +160,26 @@ def cells_on_pool(
             factories=factories,
             operator_pool={} if share_operators else None,
             collect_events=recorder.enabled,
-            collect_metrics=registry is not None,
-            # Mirror the in-process path: a metrics-only run (no enabled
-            # event recorder) keeps MetricsRecorder's probes-on default;
-            # otherwise probes follow the event recorder's preference.
-            probes=(
-                bool(getattr(recorder, "probes", False))
-                if recorder.enabled
-                else registry is not None
-            ),
+            probes=recorder.probes,
             pool_span=pool_ctx,
         )
-        _emit(
-            recorder, fold, "pool_start",
-            workers=n_workers, n_cells=len(specs), level="grid",
-            start_method="fork",
-        )
-        for spec in specs:
-            _emit(recorder, fold, "cell_dispatch", cell=spec.cell, index=spec.index)
-        for spec, outcome in zip(specs, _run_cells(specs, worker, n_workers)):
-            _replay_outcome(outcome, spec.cell, recorder, registry)
-            yield spec, outcome.result, outcome.seconds
-            _emit(
-                recorder, fold, "cell_done",
-                cell=spec.cell, index=spec.index, worker=outcome.worker,
-                mean=outcome.result.mean, seconds=outcome.seconds,
+        if recorder.enabled:
+            recorder.emit(
+                "pool_start", workers=n_workers, n_cells=len(specs),
+                level="grid", start_method="fork",
             )
+            for spec in specs:
+                recorder.emit("cell_dispatch", cell=spec.cell, index=spec.index)
+        for spec, outcome in zip(specs, _run_cells(specs, worker, n_workers)):
+            for event in outcome.events:
+                fields = {k: v for k, v in event.items() if k != "event"}
+                recorder.emit(
+                    event["event"], worker=outcome.worker, cell=spec.cell, **fields
+                )
+            yield spec, outcome.result, outcome.seconds
+            if recorder.enabled:
+                recorder.emit(
+                    "cell_done", cell=spec.cell, index=spec.index,
+                    worker=outcome.worker, mean=outcome.result.mean,
+                    seconds=outcome.seconds,
+                )

@@ -104,10 +104,6 @@ class HINBuilder:
         self._labels.append(label_set)
         return idx
 
-    def has_node(self, name: str) -> bool:
-        """Return whether a node with ``name`` was added."""
-        return str(name) in self._node_index
-
     # ------------------------------------------------------------------
     # Relations / links
     # ------------------------------------------------------------------

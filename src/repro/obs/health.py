@@ -355,24 +355,16 @@ def health_from_result(result, *, fit_index: int = 0) -> list[ChainHealth]:
 def _class_entries(event):
     """``(class_index, residual, frozen)`` triples an event carries.
 
-    A ``chain_iteration`` event lists every active class; traces
-    recorded before those lists existed carry one ``chain_class`` event
-    per class instead.
+    A ``chain_iteration`` event lists every active class; other events
+    carry none.
     """
-    kind = event.get("event")
-    if kind == "chain_iteration":
-        return zip(
-            event.get("class_index", ()),
-            event.get("residual", ()),
-            event.get("frozen", ()),
-        )
-    if kind == "chain_class":
-        return [(
-            event.get("class_index", -1),
-            event.get("residual", 0.0),
-            event.get("frozen", False),
-        )]
-    return ()
+    if event.get("event") != "chain_iteration":
+        return ()
+    return zip(
+        event.get("class_index", ()),
+        event.get("residual", ()),
+        event.get("frozen", ()),
+    )
 
 
 def collect_residual_series(events):
@@ -385,8 +377,7 @@ def collect_residual_series(events):
     traces predating the field or chains not yet closed by a ``fit``
     event), and ``converged_classes`` maps ``class_index -> frozen``
     from the class's final iteration.  Reads the per-class lists of
-    ``chain_iteration`` events and the ``chain_class`` events of older
-    traces alike.
+    ``chain_iteration`` events.
     """
     groups = []
     current: dict[int, list[float]] = {}

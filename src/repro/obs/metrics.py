@@ -1,25 +1,25 @@
 """Counter / Gauge / Histogram registry fed by trace events.
 
 The JSONL trace layer answers "what happened in this run"; this module
-answers "how is the system doing across runs" — the aggregation
-substrate for the future serving path.  A :class:`MetricsRegistry`
-holds named :class:`Counter`, :class:`Gauge` and :class:`Histogram`
-instruments, merges exactly (histograms share fixed bucket edges, so a
-merge is pure integer addition — no re-binning error), round-trips
-through JSON, and renders Prometheus-style text exposition.
+answers "how is the system doing" — the ``/metrics`` registry of the
+prediction daemon and the aggregate of a grid.  A
+:class:`MetricsRegistry` holds named :class:`Counter`, :class:`Gauge`
+and :class:`Histogram` instruments (histograms bin on fixed edges) and
+renders Prometheus-style text exposition.
 
 :class:`MetricsRecorder` adapts the registry to the
 :class:`~repro.obs.recorder.Recorder` protocol: install it (directly,
-ambiently, or via ``run_grid(..., metrics=registry)``) and the
-instrumented hot paths feed the registry without knowing it exists.
-Events can optionally be forwarded to a second recorder so metrics and
-JSONL tracing compose in one run.
+ambiently, or as ``run_grid(..., recorder=...)``) and the instrumented
+hot paths feed the registry without knowing it exists.  Events can
+optionally be forwarded to a second recorder so metrics and JSONL
+tracing compose in one run.  Events are the only input, so a registry
+is rebuilt from a trace with
+``registry_from_events(read_trace(path))`` rather than persisted.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import re
 
@@ -98,14 +98,6 @@ class Counter:
             )
         self.value += float(amount)
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter in: counts add."""
-        self.value += other.value
-
-    def to_json(self) -> dict:
-        """JSON-serialisable state (see ``MetricsRegistry.to_json``)."""
-        return {"kind": self.kind, "value": self.value}
-
     def expose(self) -> list[str]:
         """Prometheus exposition lines for this counter."""
         return [f"# TYPE {self.name} counter", f"{self.name} {_format_number(self.value)}"]
@@ -146,22 +138,12 @@ class Gauge:
         if not self.updated or value > self.value:
             self.set(value)
 
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in: the other's value wins if it was set."""
-        if other.updated:
-            self.value = other.value
-            self.updated = True
-
-    def to_json(self) -> dict:
-        """JSON-serialisable state (see ``MetricsRegistry.to_json``)."""
-        return {"kind": self.kind, "value": self.value, "updated": self.updated}
-
     def expose(self) -> list[str]:
         """Prometheus exposition lines for this gauge.
 
         A gauge that was never ``set`` has no measurement to report:
         exposing its placeholder 0.0 would publish a stale zero (e.g. a
-        merged-in registry whose gauge never fired), so it is omitted.
+        gauge whose only observations were NaN), so it is omitted.
         """
         if not self.updated:
             return []
@@ -169,13 +151,11 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram: observations bin exactly, merges are exact.
+    """Fixed-bucket histogram: observations bin exactly.
 
     ``edges`` are the finite upper bounds (strictly increasing); an
     implicit ``+Inf`` bucket catches the remainder, so ``counts`` has
-    ``len(edges) + 1`` entries.  Because the edges are fixed at
-    construction, merging two histograms with the same edges is plain
-    integer addition — no re-binning, no approximation.
+    ``len(edges) + 1`` entries.
     """
 
     __slots__ = ("name", "edges", "counts", "sum", "count")
@@ -203,27 +183,6 @@ class Histogram:
         self.counts[bisect.bisect_left(self.edges, value)] += 1
         self.sum += value
         self.count += 1
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in; edges must match exactly."""
-        if other.edges != self.edges:
-            raise ValidationError(
-                f"cannot merge histogram {self.name}: bucket edges differ "
-                f"({self.edges} vs {other.edges})"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.sum += other.sum
-        self.count += other.count
-
-    def to_json(self) -> dict:
-        """JSON-serialisable state (see ``MetricsRegistry.to_json``)."""
-        return {
-            "kind": self.kind,
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "sum": self.sum,
-            "count": self.count,
-        }
 
     def expose(self) -> list[str]:
         """Prometheus exposition: cumulative ``_bucket`` lines + sum/count."""
@@ -296,58 +255,6 @@ class MetricsRegistry:
             )
         return metric
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry in (exactly) and return ``self``.
-
-        Counters and histograms add; gauges take the other's value when
-        it was set.  Names present only in ``other`` are copied in via a
-        fresh instrument plus a merge, so the two registries never share
-        mutable state.
-        """
-        for name, metric in other._metrics.items():
-            if metric.kind == "counter":
-                self.counter(name).merge(metric)
-            elif metric.kind == "gauge":
-                self.gauge(name).merge(metric)
-            else:
-                self.histogram(name, metric.edges).merge(metric)
-        return self
-
-    def to_json(self) -> str:
-        """Serialise the registry as a JSON object string."""
-        return json.dumps(
-            {name: metric.to_json() for name, metric in self._metrics.items()},
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsRegistry":
-        """Rebuild a registry serialised by :meth:`to_json`."""
-        registry = cls()
-        for name, payload in json.loads(text).items():
-            kind = payload.get("kind")
-            if kind == "counter":
-                registry.counter(name).value = float(payload["value"])
-            elif kind == "gauge":
-                gauge = registry.gauge(name)
-                gauge.value = float(payload["value"])
-                gauge.updated = bool(payload.get("updated", True))
-            elif kind == "histogram":
-                histogram = registry.histogram(name, payload["edges"])
-                counts = [int(c) for c in payload["counts"]]
-                if len(counts) != len(histogram.counts):
-                    raise ValidationError(
-                        f"histogram {name!r} payload has {len(counts)} counts "
-                        f"for {len(histogram.counts)} buckets"
-                    )
-                histogram.counts = counts
-                histogram.sum = float(payload["sum"])
-                histogram.count = int(payload["count"])
-            else:
-                raise ValidationError(f"unknown metric kind {kind!r} for {name!r}")
-        return registry
-
     def to_prometheus(self) -> str:
         """Prometheus text exposition of every registered instrument."""
         lines = []
@@ -359,7 +266,8 @@ class MetricsRegistry:
 #: Event types counted one per event, as ``{event: counter name}``.
 #: Together with the conditional counters in
 #: :meth:`MetricsRecorder._observe` (``frozen_columns``,
-#: ``unhealthy_chains``, ``operator_builds``, ``chunked_operator_builds``)
+#: ``unhealthy_chains``, ``unconverged_fits``, ``unconverged_reconverges``,
+#: ``operator_builds``, ``chunked_operator_builds``)
 #: this is the one place that decides which events a ``tmark_*_total``
 #: counter counts.
 EVENT_COUNTERS = {
@@ -466,6 +374,8 @@ class MetricsRecorder(Recorder):
             registry.histogram(
                 "tmark_reconverge_iterations", DEFAULT_ITERATION_BUCKETS
             ).observe(fields.get("iterations", 0))
+            if not fields.get("converged", True):
+                registry.counter("tmark_unconverged_reconverges_total").inc()
         elif event == "chain_health":
             status = fields.get("status", "healthy")
             registry.counter(f"tmark_chain_health_{status}_total").inc()

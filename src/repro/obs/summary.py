@@ -112,9 +112,6 @@ def summarize_trace(events) -> TraceSummary:
                 window[key] = window.get(key, 0.0) + float(seconds)
             summary.n_frozen_events += sum(map(bool, event.get("frozen", ())))
             summary.solver_seconds += float(event.get("solver_seconds", 0.0))
-        elif kind == "chain_class":  # one event per class in older traces
-            if event.get("frozen"):
-                summary.n_frozen_events += 1
         elif kind == "fit":
             summary.n_fits += 1
             summary.fit_seconds += float(event.get("seconds", 0.0))

@@ -247,16 +247,6 @@ class GraphStore:
         """Whether custom node names were saved (vs the ``node_<i>`` default)."""
         return self._manifest.get("node_names") == "stored"
 
-    def node_name(self, idx: int) -> str:
-        """Resolve one node index to its name without materialising all names."""
-        if not 0 <= idx < self.n_nodes:
-            raise ValidationError(
-                f"node index {idx} out of range [0, {self.n_nodes})"
-            )
-        if self.has_stored_node_names:
-            return str(self._arrays["node_names.npy"][idx])
-        return f"node_{idx}"
-
     def node_names(self) -> tuple[str, ...]:
         """All node names as a tuple.
 
@@ -282,13 +272,6 @@ class GraphStore:
     def _triple(self, prefix: str) -> tuple:
         parts = ("data", "indices", "indptr")
         return tuple(self._arrays[f"{prefix}.{part}.npy"] for part in parts)
-
-    def relation_csc(self, k: int) -> sp.csc_matrix:
-        """Relation ``k``'s adjacency slice as an mmap-backed CSC matrix."""
-        data, indices, indptr = self.relation_arrays(k)
-        return sp.csc_matrix(
-            (data, indices, indptr), shape=(self.n_nodes, self.n_nodes)
-        )
 
     @property
     def label_matrix(self) -> np.ndarray:

@@ -34,7 +34,7 @@ commit marker, ``fsync``) *before* it touches the model.  So:
   the committed batches, and replaying them on the seed graph rebuilds
   the graph the daemon had reached (or was about to reach);
 * a ticket's batch is durable at the latest when the served snapshot
-  version (``tmark_updates_applied_total`` on ``/metrics``) reaches the
+  version (``tmark_snapshot_version`` on ``/metrics``) reaches the
   ticket number; ``flush()`` waits for that in process;
 * a batch the updater fails to apply is already journaled; the updater
   stops there and refuses later ``/update`` calls.
@@ -286,19 +286,16 @@ class PredictionDaemon:
             snapshot = Snapshot.from_session(
                 self._session, version=self.state.snapshot.version + 1
             )
-        self._applied += 1
         self.state.swap(
             snapshot,
             build_seconds=time.perf_counter() - started,
             reconverge_seconds=update.fit_seconds,
         )
-        registry = self.state.registry
-        registry.counter("tmark_updates_applied_total").inc()
-        registry.gauge("tmark_update_queue_depth").set(
+        # Counted after the swap, so flush() returning means swapped.
+        self._applied += 1
+        self.state.registry.gauge("tmark_update_queue_depth").set(
             self._tickets - self._applied
         )
-        if not update.converged:
-            registry.counter("tmark_unconverged_reconverges_total").inc()
 
 
 def _check_fresh_journal(path) -> None:

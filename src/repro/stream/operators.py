@@ -23,10 +23,10 @@ post-batch state:
 
 **Exactness contract** (pinned by ``tests/stream/test_operators.py``):
 after ``apply(batch)`` the operators equal ``build_operators`` on
-``apply_batch(hin, batch)``.  ``O`` and ``R`` *are* that rebuild, so
-they match bitwise after any batch; ``W`` matches bitwise on its
-rebuild paths and to tight ``allclose`` tolerance when feature edits
-route through the incremental similarity update.
+``apply_batch(hin, batch)`` bitwise.  ``O`` and ``R`` *are* that
+rebuild; ``W`` is either rebuilt or, when feature edits route through
+the incremental similarity update, patched with the same fixed
+per-element summation order as the cold cosine build.
 """
 
 from __future__ import annotations

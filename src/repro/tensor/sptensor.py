@@ -148,15 +148,6 @@ class SparseTensor3:
         values = np.concatenate([m.data for m in mats])
         return cls(i, j, k, values, shape=(n, n, len(mats)))
 
-    @classmethod
-    def from_dense(cls, array) -> "SparseTensor3":
-        """Build a tensor from a dense ``(n, n, m)`` numpy array."""
-        arr = np.asarray(array, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1]:
-            raise ShapeError(f"expected a dense (n, n, m) array, got {arr.shape}")
-        i, j, k = np.nonzero(arr)
-        return cls(i, j, k, arr[i, j, k], shape=arr.shape)
-
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
@@ -288,22 +279,9 @@ class SparseTensor3:
             cols, weights=self._values, minlength=self._n * self._m
         ).astype(float, copy=False)
 
-    def relation_degrees(self) -> np.ndarray:
-        """Total link weight per relation (length ``m``)."""
-        return np.bincount(
-            self._k, weights=self._values, minlength=self._m
-        ).astype(float, copy=False)
-
     def transpose_nodes(self) -> "SparseTensor3":
         """Swap the two node axes (reverse every link's direction)."""
         return SparseTensor3(
             self._j, self._i, self._k, self._values, shape=self.shape
         )
 
-    def symmetrized(self) -> "SparseTensor3":
-        """Return ``A + A^T`` over the node axes (make every link two-way)."""
-        i = np.concatenate([self._i, self._j])
-        j = np.concatenate([self._j, self._i])
-        k = np.concatenate([self._k, self._k])
-        values = np.concatenate([self._values, self._values])
-        return SparseTensor3(i, j, k, values, shape=self.shape)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.convergence import ChainHistory
-from repro.errors import ConvergenceError
 
 
 class TestChainHistory:
@@ -29,17 +28,6 @@ class TestChainHistory:
         assert not history.converged
         history.record(np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([1.0]))
         assert history.converged
-
-    def test_require_converged_raises(self):
-        history = ChainHistory(tol=1e-9)
-        history.record(np.array([1.0]), np.array([0.0]), np.array([0.0]), np.array([0.0]))
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            history.require_converged("test chain")
-
-    def test_require_converged_passes(self):
-        history = ChainHistory(tol=1.0)
-        history.record(np.array([0.1]), np.array([0.1]), np.array([0.1]), np.array([0.1]))
-        history.require_converged()
 
     def test_n_iterations_counts_records(self):
         history = ChainHistory(tol=1e-6)

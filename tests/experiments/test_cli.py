@@ -141,8 +141,8 @@ class TestHealthCommand:
 
         trace = tmp_path / "bad.jsonl"
         events = [
-            {"event": "chain_class", "t": t, "class_index": 0,
-             "residual": 2.0, "frozen": False}
+            {"event": "chain_iteration", "t": t, "class_index": [0],
+             "residual": [2.0], "frozen": [False]}
             for t in range(1, 11)
         ] + [{"event": "fit", "seconds": 0.01, "tol": 1e-8, "iterations": 10,
               "converged": False}]

@@ -307,7 +307,7 @@ class TestMacroF1Metric:
 
 class TestGridMetricsAggregation:
     def test_metrics_registry_collects_the_whole_grid(self, hin):
-        from repro.obs import MetricsRegistry
+        from repro.obs import MetricsRecorder, MetricsRegistry
 
         registry = MetricsRegistry()
         run_grid(
@@ -316,7 +316,7 @@ class TestGridMetricsAggregation:
             fractions=(0.2, 0.4),
             n_trials=2,
             seed=0,
-            metrics=registry,
+            recorder=MetricsRecorder(registry),
         )
         assert registry.get("tmark_grid_cells_total").value == 2.0
         assert registry.get("tmark_trials_total").value == 4.0
@@ -327,7 +327,7 @@ class TestGridMetricsAggregation:
         assert registry.get("tmark_iteration_seconds").count > 0
 
     def test_metrics_forward_to_an_explicit_recorder(self, hin):
-        from repro.obs import ListRecorder, MetricsRegistry
+        from repro.obs import ListRecorder, MetricsRecorder, MetricsRegistry
 
         registry = MetricsRegistry()
         recorder = ListRecorder()
@@ -337,28 +337,25 @@ class TestGridMetricsAggregation:
             fractions=(0.3,),
             n_trials=1,
             seed=0,
-            recorder=recorder,
-            metrics=registry,
+            recorder=MetricsRecorder(registry, forward=recorder),
         )
         assert registry.get("tmark_grid_cells_total").value == 1.0
         assert recorder.events_of("grid_cell")
         assert recorder.events_of("trial")
 
-    def test_registries_merge_across_grids(self, hin):
-        from repro.obs import MetricsRegistry
+    def test_one_recorder_aggregates_across_grids(self, hin):
+        from repro.obs import MetricsRecorder, MetricsRegistry
 
-        def one_grid():
-            registry = MetricsRegistry()
+        registry = MetricsRegistry()
+        recorder = MetricsRecorder(registry)
+        for _ in range(2):
             run_grid(
                 hin,
                 [("tmark", tmark_factory)],
                 fractions=(0.3,),
                 n_trials=1,
                 seed=0,
-                metrics=registry,
+                recorder=recorder,
             )
-            return registry
-
-        combined = MetricsRegistry().merge(one_grid()).merge(one_grid())
-        assert combined.get("tmark_fits_total").value == 2.0
-        assert combined.get("tmark_fit_seconds").count == 2
+        assert registry.get("tmark_fits_total").value == 2.0
+        assert registry.get("tmark_fit_seconds").count == 2

@@ -23,6 +23,7 @@ from repro.forkpool import (
 from repro.hin import graph_fingerprint
 from repro.obs import (
     ListRecorder,
+    MetricsRecorder,
     MetricsRegistry,
     registry_from_events,
     summarize_trace,
@@ -52,6 +53,35 @@ def methods():
     ]
 
 
+#: Counters a pooled grid moves by design: its own events and spans,
+#: and one shared operator build per worker instead of one per grid.
+POOL_COUNTERS = frozenset({
+    "tmark_events_total", "tmark_spans_total", "tmark_pools_total",
+    "tmark_cells_dispatched_total", "tmark_cells_merged_total",
+    "tmark_operator_builds_total",
+})
+
+
+def instrument_state(registry):
+    """``{name: value}``; a histogram's value is ``(counts, sum, count)``."""
+    state = {}
+    for name in registry.names():
+        metric = registry.get(name)
+        if metric.kind == "histogram":
+            state[name] = (tuple(metric.counts), metric.sum, metric.count)
+        else:
+            state[name] = metric.value
+    return state
+
+
+def counters(registry, *, exclude=frozenset()):
+    return {
+        name: registry.get(name).value
+        for name in registry.names()
+        if registry.get(name).kind == "counter" and name not in exclude
+    }
+
+
 def grid_cells(grid):
     return {
         (method, fraction): (cell.mean, cell.std, cell.n_trials)
@@ -71,45 +101,45 @@ class TestBitIdentity:
         assert grid_cells(parallel) == grid_cells(serial)
 
     def test_merged_metrics_match_serial(self, hin):
-        serial_metrics, parallel_metrics = MetricsRegistry(), MetricsRegistry()
-        run_grid(
-            hin, methods(), FRACTIONS, n_trials=2, seed=11,
-            metrics=serial_metrics,
-        )
-        run_grid(
-            hin, methods(), FRACTIONS, n_trials=2, seed=11,
-            metrics=parallel_metrics, workers=2,
-        )
-        # Value-carrying instruments merge exactly: same trials, same
-        # scores, same iteration counts, regardless of which process ran
-        # them.
+        def grid_metrics(workers):
+            registry = MetricsRegistry()
+            run_grid(
+                hin, methods(), FRACTIONS, n_trials=2, seed=11,
+                recorder=MetricsRecorder(registry), workers=workers,
+            )
+            return registry
+
+        serial, parallel = grid_metrics(1), grid_metrics(2)
+        # Value-carrying instruments fold the same events in the same
+        # (spec) order, regardless of which process ran the cells: same
+        # trials, scores, iteration counts, peak simplex drift and last
+        # cell.
         for name in ("tmark_trial_value", "tmark_fit_iterations"):
-            assert (
-                parallel_metrics.get(name).to_json()
-                == serial_metrics.get(name).to_json()
-            ), name
-        assert (
-            parallel_metrics.get("tmark_trials_total").value
-            == serial_metrics.get("tmark_trials_total").value
-        )
-        assert (
-            parallel_metrics.get("tmark_grid_cells_total").value
-            == serial_metrics.get("tmark_grid_cells_total").value
-        )
-        # The deterministic replay order makes the last-wins gauge land
-        # on the same (final) cell as the serial loop.
-        assert (
-            parallel_metrics.get("tmark_last_cell_mean").value
-            == serial_metrics.get("tmark_last_cell_mean").value
+            assert instrument_state(parallel)[name] == instrument_state(serial)[name]
+        for name in ("tmark_max_mass_drift", "tmark_last_cell_mean"):
+            assert parallel.get(name).value == serial.get(name).value, name
+        # Every other event-count counter matches.
+        assert counters(parallel, exclude=POOL_COUNTERS) == counters(
+            serial, exclude=POOL_COUNTERS
         )
         # Timing histograms can't match on sums, but the observation
         # counts must: one per trial / fit / cell, no loss, no double
-        # counting through the merge.
+        # counting.
         for name in ("tmark_trial_seconds", "tmark_grid_cell_seconds"):
-            assert (
-                parallel_metrics.get(name).count
-                == serial_metrics.get(name).count
-            ), name
+            assert parallel.get(name).count == serial.get(name).count, name
+
+    def test_live_registry_equals_the_refold_of_its_events(self, hin):
+        registry, sink = MetricsRegistry(), ListRecorder()
+        run_grid(
+            hin, methods(), FRACTIONS, n_trials=2, seed=11, workers=2,
+            recorder=MetricsRecorder(registry, forward=sink),
+        )
+        # The pool's own span and events reach the registry too: events
+        # are the only channel, so the trace recomputes every number.
+        assert sink.events_of("pool_start")
+        assert instrument_state(registry) == instrument_state(
+            registry_from_events(sink.events)
+        )
 
     def test_operator_sharing_off_still_identical(self, hin):
         serial = run_grid(

@@ -16,9 +16,10 @@ def two_node_builder():
 
 class TestNodes:
     def test_indices_sequential(self):
-        builder = two_node_builder()
+        builder = HINBuilder(["a", "b"])
+        assert builder.add_node("u", features=[1.0, 0.0], labels=["a"]) == 0
+        assert builder.add_node("v", features=[0.0, 1.0], labels=["b"]) == 1
         assert builder.n_nodes == 2
-        assert builder.has_node("u") and not builder.has_node("w")
 
     def test_duplicate_node_rejected(self):
         builder = two_node_builder()

@@ -217,6 +217,14 @@ class TestPeriodicToy:
         assert verdict.ok
 
 
+
+def _iteration(class_index, residual, frozen):
+    """A one-class ``chain_iteration`` event."""
+    return {
+        "event": "chain_iteration", "class_index": [class_index],
+        "residual": [residual], "frozen": [frozen],
+    }
+
 class TestTraceChainHealth:
     def test_prefers_emitted_chain_health_events(self, hin):
         recorder = ListRecorder()
@@ -237,10 +245,10 @@ class TestTraceChainHealth:
 
     def test_groups_by_fit_event(self):
         events = [
-            {"event": "chain_class", "class_index": 0, "residual": 0.5, "frozen": False},
-            {"event": "chain_class", "class_index": 0, "residual": 1e-9, "frozen": True},
+            _iteration(0, 0.5, False),
+            _iteration(0, 1e-9, True),
             {"event": "fit", "tol": 1e-8},
-            {"event": "chain_class", "class_index": 0, "residual": 2.0, "frozen": False},
+            _iteration(0, 2.0, False),
             {"event": "fit", "tol": 1e-8},
         ]
         verdicts = trace_chain_health(events)
@@ -250,17 +258,17 @@ class TestTraceChainHealth:
 
     def test_tol_fallback_for_unclosed_trace(self):
         events = [
-            {"event": "chain_class", "class_index": 0, "residual": 0.5, "frozen": False},
-            {"event": "chain_class", "class_index": 0, "residual": 1e-5, "frozen": True},
+            _iteration(0, 0.5, False),
+            _iteration(0, 1e-5, True),
         ]
         (verdict,) = trace_chain_health(events, tol=1e-4)
         assert verdict.tol == 1e-4
 
     def test_collect_residual_series_shapes(self):
         events = [
-            {"event": "chain_class", "class_index": 0, "residual": 0.5, "frozen": False},
-            {"event": "chain_class", "class_index": 1, "residual": 0.4, "frozen": False},
-            {"event": "chain_class", "class_index": 0, "residual": 0.1, "frozen": True},
+            _iteration(0, 0.5, False),
+            _iteration(1, 0.4, False),
+            _iteration(0, 0.1, True),
             {"event": "fit", "tol": 1e-6},
         ]
         ((series, tol, frozen),) = collect_residual_series(events)
@@ -275,9 +283,7 @@ class TestTraceChainHealth:
             {"event": "chain_iteration", "t": 2, "class_index": [0],
              "residual": [0.1], "frozen": [True]},
             {"event": "fit", "tol": 1e-6},
-            # Iteration events of traces older than the per-class lists.
-            {"event": "chain_iteration", "t": 1, "phases": {}},
-            {"event": "chain_class", "class_index": 0, "residual": 2.0, "frozen": False},
+            _iteration(0, 2.0, False),
             {"event": "fit", "tol": 1e-6},
         ]
         (first, second) = collect_residual_series(events)

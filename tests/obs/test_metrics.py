@@ -1,7 +1,5 @@
 """Tests for the metrics registry and its Recorder adapter."""
 
-import json
-
 import pytest
 
 from repro.core import TMark
@@ -26,11 +24,10 @@ from tests.conftest import small_labeled_hin
 
 def _counters(registry: MetricsRegistry) -> dict[str, float]:
     """Every counter of ``registry`` as ``{name: value}``."""
-    payload = json.loads(registry.to_json())
     return {
-        name: entry["value"]
-        for name, entry in payload.items()
-        if entry["kind"] == "counter"
+        name: registry.get(name).value
+        for name in registry.names()
+        if registry.get(name).kind == "counter"
     }
 
 
@@ -68,12 +65,6 @@ class TestGauge:
         gauge.set_max(-1.0)
         assert gauge.value == -1.0 and gauge.updated
 
-    def test_merge_skips_never_set(self):
-        gauge = Gauge("g")
-        gauge.set(3.0)
-        gauge.merge(Gauge("g"))
-        assert gauge.value == 3.0
-
     def test_set_drops_nan(self):
         gauge = Gauge("g")
         gauge.set(float("nan"))
@@ -106,22 +97,6 @@ class TestHistogram:
         assert hist.counts == [2, 1, 1]
         assert hist.count == 4
         assert hist.sum == pytest.approx(102.0)
-
-    def test_merge_is_exact_integer_addition(self):
-        a = Histogram("h", edges=(1.0, 2.0))
-        b = Histogram("h", edges=(1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        b.observe(5.0)
-        a.merge(b)
-        assert a.counts == [1, 1, 1]
-        assert a.count == 3
-
-    def test_merge_rejects_different_edges(self):
-        a = Histogram("h", edges=(1.0, 2.0))
-        b = Histogram("h", edges=(1.0, 3.0))
-        with pytest.raises(ValidationError, match="bucket edges differ"):
-            a.merge(b)
 
     @pytest.mark.parametrize(
         "edges", [(), (2.0, 1.0), (1.0, 1.0), (float("inf"),)]
@@ -163,31 +138,6 @@ class TestMetricsRegistry:
         with pytest.raises(ValidationError, match="already registered"):
             registry.histogram("h", edges=(1.0, 3.0))
 
-    def test_merge_folds_all_kinds(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(2)
-        b.counter("c").inc(3)
-        b.gauge("g").set(7.0)
-        b.histogram("h", edges=(1.0,)).observe(0.5)
-        a.merge(b)
-        assert a.get("c").value == 5.0
-        assert a.get("g").value == 7.0
-        assert a.get("h").count == 1
-        # Copied-in instruments never share state with the source.
-        b.get("h").observe(0.5)
-        assert a.get("h").count == 1
-
-    def test_json_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(0.25)
-        registry.histogram("h", edges=(1.0, 2.0)).observe(1.5)
-        rebuilt = MetricsRegistry.from_json(registry.to_json())
-        assert rebuilt.get("c").value == 2.0
-        assert rebuilt.get("g").value == 0.25
-        assert rebuilt.get("h").counts == [0, 1, 0]
-        assert rebuilt.to_json() == registry.to_json()
-
     def test_prometheus_exposition_covers_all_instruments(self):
         registry = MetricsRegistry()
         registry.counter("tmark_fits_total").inc()
@@ -213,24 +163,6 @@ class TestMetricsRegistry:
         assert "g -Inf" in text
         assert "inf" not in text.replace("+Inf", "").replace("-Inf", "")
         assert _format_number(float("nan")) == "NaN"
-
-    def test_never_set_gauge_round_trips_without_stale_zero(self):
-        # Regression audit: a gauge created but never set must survive
-        # JSON round-trip and merge as "never set" — not re-expose (or
-        # overwrite a live peer with) its placeholder 0.0.
-        registry = MetricsRegistry()
-        registry.gauge("g")
-        rebuilt = MetricsRegistry.from_json(registry.to_json())
-        assert not rebuilt.get("g").updated
-        assert "g" not in rebuilt.to_prometheus()
-        live = MetricsRegistry()
-        live.gauge("g").set(7.0)
-        live.merge(rebuilt)
-        assert live.get("g").value == 7.0 and live.get("g").updated
-        target = MetricsRegistry().merge(rebuilt)
-        assert not target.get("g").updated
-        assert target.to_prometheus() == ""
-
 
 class TestMetricsRecorder:
     def test_fit_events_feed_histograms_and_counters(self):
@@ -331,6 +263,15 @@ class TestEventCounters:
         recorder.emit("chain_health", status="stalled")
         recorder.emit("chain_health", status="oscillating")
         assert recorder.registry.get("tmark_unhealthy_chains_total").value == 2.0
+
+    def test_unconverged_reconverges_count_unconverged_events(self):
+        recorder = MetricsRecorder()
+        recorder.emit("reconverge", iterations=3, converged=True)
+        assert "tmark_unconverged_reconverges_total" not in recorder.registry
+        recorder.emit("reconverge", iterations=50, converged=False)
+        assert (
+            recorder.registry.get("tmark_unconverged_reconverges_total").value == 1.0
+        )
 
     def test_operator_builds_count_in_memory_builds_only(self):
         recorder = MetricsRecorder()

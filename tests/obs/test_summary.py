@@ -18,9 +18,10 @@ def _sample_events():
                 "r_contraction": 0.03,
                 "projection": 0.01,
             },
+            "class_index": [0, 1],
+            "residual": [0.0, 0.5],
+            "frozen": [True, False],
         },
-        {"event": "chain_class", "t": 1, "class_index": 0, "residual": 0.0, "frozen": True},
-        {"event": "chain_class", "t": 1, "class_index": 1, "residual": 0.5, "frozen": False},
         {"event": "fit", "seconds": 0.12, "n_nodes": 30},
         {"event": "trial", "trial": 0, "seconds": 0.15},
         {"event": "grid_cell", "method": "tmark", "seconds": 0.3},
@@ -30,8 +31,8 @@ def _sample_events():
 class TestSummarizeTrace:
     def test_folds_all_event_kinds(self):
         summary = summarize_trace(_sample_events())
-        assert summary.n_events == 7
-        assert summary.event_counts["chain_class"] == 2
+        assert summary.n_events == 5
+        assert summary.event_counts["chain_iteration"] == 1
         assert summary.n_iterations == 1
         assert summary.phase_totals["o_propagation"] == 0.04
         assert summary.n_frozen_events == 1
@@ -85,24 +86,16 @@ class TestSummarizeTrace:
         assert "feature walk W: dense rank 400 x1, factored rank 121 x2" in text
         assert summary.to_dict()["w_forms"] == summary.w_forms
 
-    def test_frozen_lists_on_iteration_events_match_class_events(self):
+    def test_iteration_lists_count_each_frozen_flag(self):
         phases = {"o_propagation": 0.01}
-        folded = [
+        events = [
             {"event": "chain_iteration", "t": 1, "phases": phases,
              "class_index": [0, 1, 2], "residual": [0.0, 0.5, 0.0],
              "frozen": [True, False, True]},
             {"event": "chain_iteration", "t": 2, "phases": phases,
              "class_index": [1], "residual": [0.0], "frozen": [True]},
         ]
-        per_class = [
-            {"event": "chain_iteration", "t": 1, "phases": phases},
-            *({"event": "chain_class", "t": 1, "class_index": c, "frozen": f}
-              for c, f in ((0, True), (1, False), (2, True))),
-            {"event": "chain_iteration", "t": 2, "phases": phases},
-            {"event": "chain_class", "t": 2, "class_index": 1, "frozen": True},
-        ]
-        assert summarize_trace(folded).n_frozen_events == 3
-        assert summarize_trace(per_class).n_frozen_events == 3
+        assert summarize_trace(events).n_frozen_events == 3
 
     def test_solver_seconds_come_from_the_iterations(self):
         phases = {"o_propagation": 0.01}
@@ -132,7 +125,7 @@ class TestSummarizeTrace:
 class TestFormatTraceSummary:
     def test_renders_breakdown_and_coverage(self):
         text = format_trace_summary(summarize_trace(_sample_events()))
-        assert "7 events" in text
+        assert "5 events" in text
         assert "o_propagation" in text
         assert "phase coverage" in text
         assert "grid cells: 1" in text

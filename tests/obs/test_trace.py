@@ -36,7 +36,7 @@ class TestJsonlTraceRecorder:
         path = tmp_path / "trace.jsonl"
         with JsonlTraceRecorder(path) as recorder:
             recorder.emit(
-                "chain_class",
+                "chain_iteration",
                 residual=np.float64(0.5),
                 class_index=np.int64(2),
                 frozen=np.bool_(True),

@@ -145,15 +145,6 @@ class TestAccessors:
         assert store.label_names == hin.label_names
         assert store.metadata == hin.metadata
 
-    def test_relation_csc_matches_slice(self, tmp_path):
-        hin = sample_hin()
-        store = GraphStore.save(hin, tmp_path / "store")
-        for k in range(hin.n_relations):
-            expected = hin.tensor.relation_slice(k).tocsc()
-            assert np.array_equal(
-                store.relation_csc(k).toarray(), expected.toarray()
-            )
-
     def test_relation_index_validated(self, tmp_path):
         store = GraphStore.save(sample_hin(), tmp_path / "store")
         with pytest.raises(ValidationError, match="relation index"):
@@ -162,10 +153,7 @@ class TestAccessors:
     def test_node_names_stored(self, tmp_path):
         store = GraphStore.save(sample_hin(), tmp_path / "store")
         assert store.has_stored_node_names
-        assert store.node_name(0) == "p1"
         assert store.node_names() == ("p1", "p2", "p3")
-        with pytest.raises(ValidationError, match="node index"):
-            store.node_name(3)
 
     def test_default_node_names_not_stored(self, tmp_path):
         hin = sample_hin()
@@ -179,7 +167,7 @@ class TestAccessors:
         store = GraphStore.save(default, tmp_path / "store")
         assert not store.has_stored_node_names
         assert not (tmp_path / "store" / "node_names.npy").exists()
-        assert store.node_name(1) == "node_1"
+        assert store.node_names()[1] == "node_1"
 
     def test_mmap_arrays_are_readonly_views(self, tmp_path):
         store = GraphStore.save(sample_hin(), tmp_path / "store")

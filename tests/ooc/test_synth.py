@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import ValidationError
 from repro.ooc import GraphStore, fit_from_store, generate_ooc_store
@@ -49,8 +50,8 @@ class TestGenerator:
             assert indptr[0] == 0 and int(indptr[-1]) == data.size
             assert np.all(np.diff(np.asarray(indptr)) >= 0)
             # Rows sorted within each column, no self-loops, no dupes.
-            csc = small_store.relation_csc(k)
-            coo = csc.tocoo()
+            n = small_store.n_nodes
+            coo = sp.csc_matrix((data, indices, indptr), shape=(n, n)).tocoo()
             assert not np.any(coo.row == coo.col)
             flat = coo.col.astype(np.int64) * small_store.n_nodes + coo.row
             assert np.unique(flat).size == flat.size

@@ -19,6 +19,7 @@ import pytest
 from repro.core.tmark import TMark
 from repro.datasets import make_worked_example
 from repro.errors import ValidationError
+from repro.obs import registry_from_events
 from repro.serve import PredictionDaemon
 from repro.stream import DeltaLog, GraphDelta, StreamingSession
 
@@ -139,6 +140,22 @@ class TestEndpoints:
         assert daemon.applied_updates == 1
         status, body = _post(daemon.url, "/classify", {"nodes": ["p2"]})
         assert body["snapshot_version"] == 1
+
+    def test_update_counters_refold_from_the_flight_ring(self, daemon):
+        for label in ("CV", "DM"):
+            delta = GraphDelta.set_label("p2", [label]).to_dict()
+            assert _post(daemon.url, "/update", {"deltas": [delta]})[0] == 202
+        daemon.flush()
+        _, text = _get_text(daemon.url, "/metrics")
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if line and not line.startswith("#")
+        )
+        refold = registry_from_events(daemon.state.flight.events())
+        assert samples["tmark_snapshot_swaps_total"] == "2"
+        for name in ("tmark_snapshot_swaps_total", "tmark_reconverges_total"):
+            assert float(samples[name]) == refold.get(name).value, name
 
 
 class TestJournaling:

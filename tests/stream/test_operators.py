@@ -2,10 +2,9 @@
 
 The exactness contract of ``repro.stream.operators``: after
 ``ops.apply(batch)`` the cached triple equals ``build_operators`` on
-``apply_batch(hin, batch)`` — ``O`` and ``R`` bitwise after every
-batch (including dangling gain/loss in both directions), ``W`` bitwise
-on its rebuild paths and to tight ``allclose`` tolerance when the
-incremental cosine-similarity path handles feature edits.
+``apply_batch(hin, batch)`` bitwise after every batch — ``O`` and
+``R`` (including dangling gain/loss in both directions) and ``W`` on
+every path, the incremental cosine-similarity update included.
 """
 
 import gc
@@ -35,27 +34,23 @@ def dense_w(w_matrix):
     return w_matrix.toarray() if sp.issparse(w_matrix) else w_matrix
 
 
-def assert_matches_rebuild(ops, expected_hin, *, w_exact, **build_kwargs):
+def assert_matches_rebuild(ops, expected_hin, **build_kwargs):
     """The incremental triple against a cold ``build_operators`` rebuild."""
     ref = build_operators(expected_hin, **build_kwargs)
     got = ops.operators
     assert got.shape == ref.shape
     assert np.array_equal(got.o_tensor.to_dense(), ref.o_tensor.to_dense())
     assert np.array_equal(got.r_tensor.to_dense(), ref.r_tensor.to_dense())
-    got_w, ref_w = dense_w(got.w_matrix), dense_w(ref.w_matrix)
-    if w_exact:
-        assert np.array_equal(got_w, ref_w)
-    else:
-        np.testing.assert_allclose(got_w, ref_w, rtol=1e-12, atol=1e-15)
+    assert np.array_equal(dense_w(got.w_matrix), dense_w(ref.w_matrix))
 
 
-def apply_and_check(hin, deltas, *, w_exact=True, **build_kwargs):
+def apply_and_check(hin, deltas, **build_kwargs):
     ops = IncrementalOperators(hin, **build_kwargs)
     new_hin = ops.apply(deltas)
     expected = apply_batch(hin, deltas)
     assert new_hin.node_names == expected.node_names
     assert new_hin.tensor == expected.tensor
-    assert_matches_rebuild(ops, expected, w_exact=w_exact, **build_kwargs)
+    assert_matches_rebuild(ops, expected, **build_kwargs)
     return ops, expected
 
 
@@ -63,7 +58,7 @@ class TestLinkPatches:
     def test_initial_state_matches_full_build(self):
         hin = small_hin()
         ops = IncrementalOperators(hin)
-        assert_matches_rebuild(ops, hin, w_exact=True)
+        assert_matches_rebuild(ops, hin)
 
     def test_pure_addition_bitwise(self):
         apply_and_check(
@@ -120,9 +115,9 @@ class TestLinkPatches:
         hin = small_hin()
         ops = IncrementalOperators(hin)
         mid = ops.apply([GraphDelta.add_link("u", "w", "r3")])
-        assert_matches_rebuild(ops, mid, w_exact=True)
+        assert_matches_rebuild(ops, mid)
         final = ops.apply([GraphDelta.remove_link("u", "w", "r3")])
-        assert_matches_rebuild(ops, final, w_exact=True)
+        assert_matches_rebuild(ops, final)
         assert final.tensor == hin.tensor
 
     def test_fibre_gains_and_loses_relation(self):
@@ -158,7 +153,6 @@ class TestNodeGrowth:
                 GraphDelta.add_link("x", "u", "r1"),
                 GraphDelta.add_link("w", "x", "r2", directed=True),
             ],
-            w_exact=False,
         )
 
     def test_isolated_node_growth(self):
@@ -167,7 +161,6 @@ class TestNodeGrowth:
         apply_and_check(
             small_hin(),
             [GraphDelta.add_node("x", features=[0.5, 0.5])],
-            w_exact=False,
         )
 
     def test_link_isolated_node_in_later_batch(self):
@@ -176,9 +169,9 @@ class TestNodeGrowth:
         hin = small_hin()
         ops = IncrementalOperators(hin)
         mid = ops.apply([GraphDelta.add_node("x", features=[0.5, 0.5])])
-        assert_matches_rebuild(ops, mid, w_exact=False)
+        assert_matches_rebuild(ops, mid)
         final = ops.apply([GraphDelta.add_link("x", "v", "r2", directed=True)])
-        assert_matches_rebuild(ops, final, w_exact=False)
+        assert_matches_rebuild(ops, final)
 
 
 class TestFeaturePatches:
@@ -186,7 +179,6 @@ class TestFeaturePatches:
         apply_and_check(
             small_hin(),
             [GraphDelta.update_features("u", [3.0, 1.0])],
-            w_exact=False,
         )
 
     def test_feature_update_to_zero_vector(self):
@@ -194,7 +186,6 @@ class TestFeaturePatches:
         apply_and_check(
             small_hin(),
             [GraphDelta.update_features("v", [0.0, 0.0])],
-            w_exact=False,
         )
 
     def test_link_only_batch_keeps_w_object(self):
@@ -211,14 +202,12 @@ class TestFeaturePatches:
         apply_and_check(
             small_hin(sparse_features=True),
             [GraphDelta.update_features("u", [3.0, 1.0])],
-            w_exact=True,
         )
 
     def test_rbf_metric_full_recompute_bitwise(self):
         apply_and_check(
             small_hin(),
             [GraphDelta.update_features("u", [3.0, 1.0])],
-            w_exact=True,
             similarity_metric="rbf",
         )
 
@@ -226,7 +215,6 @@ class TestFeaturePatches:
         apply_and_check(
             small_hin(),
             [GraphDelta.update_features("u", [3.0, 1.0])],
-            w_exact=True,
             similarity_top_k=2,
         )
 
@@ -243,7 +231,7 @@ class TestRandomizedSequences:
             got = ops.apply(batch)
             assert got.tensor == current.tensor
             # Feature/node deltas appear in the mix, and W stays bitwise.
-            assert_matches_rebuild(ops, current, w_exact=True)
+            assert_matches_rebuild(ops, current)
 
     def test_link_only_journal_stays_bitwise(self):
         hin = small_labeled_hin(seed=4, n=20, q=3, m=3)
@@ -259,7 +247,7 @@ class TestRandomizedSequences:
         for batch in log.batches():
             current = apply_batch(current, batch)
             ops.apply(batch)
-            assert_matches_rebuild(ops, current, w_exact=True)
+            assert_matches_rebuild(ops, current)
 
 
 def nonnegative_hin(seed=3, n=40):
@@ -281,7 +269,7 @@ class TestFactoredW:
         assert isinstance(ops.operators.w_matrix, LowRankMatrix)
         assert ops._sims is None  # no n x n buffer on the factored path
         assert ops._unit is None
-        assert_matches_rebuild(ops, ops.hin, w_exact=True)
+        assert_matches_rebuild(ops, ops.hin)
 
     @pytest.mark.parametrize("seed", [2, 11])
     def test_feature_and_node_journal_matches_rebuild(self, seed):
@@ -315,7 +303,7 @@ class TestFactoredW:
             saw.add("link_only" if link_only else "features")
             assert isinstance(ops.operators.w_matrix, LowRankMatrix)
             # Feature batches rebuild the factored W cold: bitwise too.
-            assert_matches_rebuild(ops, current, w_exact=True)
+            assert_matches_rebuild(ops, current)
         assert saw == {"link_only", "features"}
         assert ops.hin.n_nodes > hin.n_nodes
 
@@ -330,10 +318,10 @@ class TestFactoredW:
         (event,) = recorder.events_of("operator_patch")
         assert event["full_w_recompute"]
         assert event["w_form"] == "dense"
-        assert_matches_rebuild(ops, mid, w_exact=True)
+        assert_matches_rebuild(ops, mid)
         # Later signed edits take the maintained-similarity path.
         later = ops.apply([GraphDelta.update_features("v5", signed)])
-        assert_matches_rebuild(ops, later, w_exact=False)
+        assert_matches_rebuild(ops, later)
         restored = ops.apply(
             [
                 GraphDelta.update_features("v2", np.abs(signed)),
@@ -341,7 +329,7 @@ class TestFactoredW:
             ]
         )
         assert isinstance(ops.operators.w_matrix, LowRankMatrix)
-        assert_matches_rebuild(ops, restored, w_exact=True)
+        assert_matches_rebuild(ops, restored)
 
     def test_factored_operators_fit_like_a_rebuild(self):
         hin = nonnegative_hin()
@@ -366,11 +354,8 @@ class TestInterfaces:
         model = TMark(update_labels=False)
         model.fit(ops.hin, operators=ops.operators)
         reference = TMark(update_labels=False).fit(ops.hin)
-        np.testing.assert_allclose(
-            model.result_.node_scores,
-            reference.result_.node_scores,
-            rtol=1e-12,
-            atol=1e-15,
+        np.testing.assert_array_equal(
+            model.result_.node_scores, reference.result_.node_scores
         )
 
     def test_patch_event_emitted(self):

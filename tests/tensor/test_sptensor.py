@@ -85,17 +85,6 @@ class TestConstruction:
 
 
 class TestAlternativeConstructors:
-    def test_from_dense_round_trip(self):
-        dense = np.zeros((3, 3, 2))
-        dense[0, 1, 0] = 2.0
-        dense[2, 2, 1] = 1.5
-        tensor = SparseTensor3.from_dense(dense)
-        assert np.allclose(tensor.to_dense(), dense)
-
-    def test_from_dense_rejects_bad_shape(self):
-        with pytest.raises(ShapeError):
-            SparseTensor3.from_dense(np.zeros((2, 3, 1)))
-
     def test_from_slices(self):
         s0 = np.array([[0, 1], [0, 0]])
         s1 = sp.csr_matrix(np.array([[0, 0], [2, 0]]))
@@ -187,9 +176,6 @@ class TestStructureQueries:
         assert normalised[pair_ids == 1 * 3 + 0] == 1.0  # (i=0, j=1)
         assert linked.tolist() == [2, 3, 7]  # unlinked pairs are absent
 
-    def test_relation_degrees(self):
-        assert np.allclose(make_simple().relation_degrees(), [3.0, 3.0])
-
     def test_transpose_nodes(self):
         transposed = make_simple().transpose_nodes()
         assert transposed.to_dense()[1, 0, 0] == 1.0
@@ -197,8 +183,3 @@ class TestStructureQueries:
     def test_transpose_involution(self, random_tensor):
         assert random_tensor.transpose_nodes().transpose_nodes() == random_tensor
 
-    def test_symmetrized(self):
-        sym = make_simple().symmetrized()
-        dense = sym.to_dense()
-        assert np.allclose(dense, np.swapaxes(dense, 0, 1))
-        assert dense[0, 1, 0] == 1.0 and dense[1, 0, 0] == 1.0

@@ -2,8 +2,9 @@
 
 The library packages must not depend on :mod:`repro.experiments`: the
 harness sits on top of them.  The one exception is the serve CLI's
-runner hook, which builds a session with the harness's helpers.  And
-``import repro`` must need only the declared dependencies.
+runner hook, which builds a session with the harness's helpers.  The
+harness in turn reaches the metrics sinks only through the events it
+emits, and ``import repro`` must need only the declared dependencies.
 """
 
 import ast
@@ -56,6 +57,29 @@ def test_library_does_not_import_the_experiment_harness():
             for function, module in harness_imports(path):
                 if (relative, function) not in ALLOWED:
                     offending.append(f"{relative} ({function}): {module}")
+    assert offending == []
+
+
+def named_identifiers(path: Path) -> set[str]:
+    """Every identifier a module names: imports, names and attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_experiments_reach_metrics_only_through_events():
+    sinks = {"MetricsRegistry", "MetricsRecorder"}
+    offending = [
+        f"{path.relative_to(SRC).as_posix()}: {name}"
+        for path in sorted((SRC / "experiments").rglob("*.py"))
+        for name in sorted(named_identifiers(path) & sinks)
+    ]
     assert offending == []
 
 
