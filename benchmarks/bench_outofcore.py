@@ -119,11 +119,12 @@ def _fit(store_dir: str) -> dict:
     """Child workload: out-of-core fit; report convergence + accuracy."""
     import numpy as np
 
+    from repro.core import TMark
     from repro.ooc import fit_from_store
 
     started = time.perf_counter()
     model = fit_from_store(
-        store_dir, alpha=ALPHA, gamma=GAMMA, tol=TOL, max_iter=MAX_ITER
+        store_dir, TMark(alpha=ALPHA, gamma=GAMMA, tol=TOL, max_iter=MAX_ITER)
     )
     seconds = time.perf_counter() - started
     result = model.result_

@@ -83,16 +83,10 @@ def _workload(seed: int = 0, n_nodes: int = 30_000, n_classes: int = 8):
     return hin, operators
 
 
-def _fit(hin, operators, *, solver=None, shards=None, workers=None):
+def _fit(hin, operators, *, solver="plain", shards=None, workers=None):
     # gamma=0: the O / R products are the sharded hot path under test.
-    model = TMark(alpha=0.85, gamma=0.0, tol=1e-8, max_iter=60)
-    model.fit(
-        hin,
-        operators=operators,
-        solver=solver,
-        shards=shards,
-        workers=workers,
-    )
+    model = TMark(alpha=0.85, gamma=0.0, tol=1e-8, max_iter=60, solver=solver)
+    model.fit(hin, operators=operators, shards=shards, workers=workers)
     return model
 
 

@@ -1,6 +1,6 @@
 """Solver benchmark: acceleration must pay for itself on slow chains.
 
-The :mod:`repro.solvers` accelerators promise two things (see the
+The :mod:`repro.solvers` accelerator promises two things (see the
 package docstring): accelerated fits land on the *same* stationary point
 as the plain power iteration (argmax-identical predictions), and on
 slow-mixing chains they get there in materially fewer iterations.  This
@@ -9,15 +9,16 @@ two-relation HIN with a tiny restart weight (``alpha = 0.01``), whose
 per-class chains decay at rate ~0.93 — about 30 plain iterations per
 residual decade at ``tol = 1e-10``.
 
-1. **Same answers, always.**  Every accelerated solver's node argmax
-   must match the plain fit exactly, and every chain must converge.
+1. **Same answers, always.**  The accelerated fit's node argmax must
+   match the plain fit exactly, and every chain must converge.
 2. **Anderson cuts iterations by >= 1.5x.**  Total chain iterations
    (summed over classes) under ``solver="anderson"`` must be at least
    :data:`REDUCTION_FLOOR` times fewer than plain.  (Measured ~11x;
    the floor is the ISSUE's acceptance threshold, kept loose so noisy
-   CI machines never flake on it.)  Auto is recorded for the
-   trajectory but only Anderson is guarded — it is the solver the
-   adaptive policy escalates to.
+   CI machines never flake on it.)
+
+Entries recorded before ``solver="auto"`` was deleted also carry
+``auto_*`` fields; new entries measure Anderson only.
 
 Results append to ``BENCH_solvers.json`` at the repo root.
 
@@ -46,7 +47,7 @@ BENCH_PATH = REPO_ROOT / "BENCH_solvers.json"
 REDUCTION_FLOOR = 1.5
 
 #: The accelerated solvers measured against the plain baseline.
-ACCELERATED = ("anderson", "auto")
+ACCELERATED = ("anderson",)
 
 #: Chain hyper-parameters: a tiny restart weight makes the walk nearly
 #: periodic on the homophilous graph, which is exactly the slow-mixing

@@ -43,7 +43,6 @@ from repro.datasets import (
     make_worked_example,
 )
 from repro.errors import (
-    ConvergenceError,
     DatasetError,
     NotFittedError,
     ReproError,
@@ -92,7 +91,6 @@ __all__ = [
     "ShapeError",
     "ValidationError",
     "NotFittedError",
-    "ConvergenceError",
     "DatasetError",
     "__version__",
 ]

@@ -90,11 +90,9 @@ class LocalBackend:
         """Nothing to report: no iterate crosses a process boundary."""
 
 
-def _emit_solver_event(rec, kind, t, active, mixer, idx, **fields) -> None:
+def _emit_solver_event(rec, kind, t, active, solver, idx, **fields) -> None:
     """One ``solver_step``/``solver_restart`` event for mixer row ``idx``."""
-    rec.emit(
-        kind, t=t, class_index=active[idx], solver=mixer.solver_name(idx), **fields
-    )
+    rec.emit(kind, t=t, class_index=active[idx], solver=solver, **fields)
 
 
 def _l1_rows(new_rows, old_rows):
@@ -109,10 +107,7 @@ def _l1_rows(new_rows, old_rows):
     return delta.sum(axis=1)
 
 
-def run_chains(
-    model, backend, label_matrix, *, starts=None, recorder=None,
-    solver: str = PLAIN_SOLVER,
-):
+def run_chains(model, backend, label_matrix, *, starts=None, recorder=None):
     """Advance all ``q`` per-class chains of Algorithm 1 in lockstep.
 
     Every iteration runs one backend x-step and one z-step over the
@@ -124,8 +119,8 @@ def run_chains(
     per-class loop of Algorithm 1 would record.
 
     ``model`` supplies the chain hyper-parameters (``tol`` /
-    ``max_iter`` / label-update settings); ``starts`` optionally
-    provides warm ``(X0, Z0)`` score matrices.  Returns
+    ``max_iter`` / label-update settings / ``solver``); ``starts``
+    optionally provides warm ``(X0, Z0)`` score matrices.  Returns
     ``(node_scores, relation_scores, histories)``, the scores being the
     backend's ``X`` / ``Z`` buffers.
 
@@ -145,10 +140,10 @@ def run_chains(
     without reordering any floating-point operation, so traced and
     untraced fits are bit-identical.
 
-    ``solver`` selects the fixed-point accelerator (see
-    :mod:`repro.solvers`).  For the default ``"plain"`` no solver
-    object is even created and every solver statement is skipped.  For
-    accelerated solvers, the fit's one
+    ``model.solver`` selects the fixed-point accelerator (see
+    :mod:`repro.solvers`).  For ``"plain"`` no solver object is even
+    created and every solver statement is skipped.  For ``"anderson"``,
+    the fit's one
     :class:`~repro.solvers.anderson.AndersonMixer` is offered the whole
     active block of ``(x_prev, plain step)`` rows right after the
     x-projection; accepted proposals replace their columns (one
@@ -179,6 +174,7 @@ def run_chains(
     histories = [
         ChainHistory(tol=model.tol, n_anchors=int(mask.sum())) for mask in masks
     ]
+    solver = model.solver
     use_solver = solver != PLAIN_SOLVER
     if use_solver:
         mixer = make_solver(solver, tol=model.tol, rows=q, size=X.shape[0])
@@ -214,7 +210,7 @@ def run_chains(
                 if timed:
                     for idx in np.flatnonzero(moved).tolist():
                         _emit_solver_event(
-                            rec, "solver_restart", t, active, mixer, idx,
+                            rec, "solver_restart", t, active, solver, idx,
                             reason="label_update",
                         )
             for idx, c in enumerate(active):
@@ -236,10 +232,7 @@ def run_chains(
                 # trace-diff compares the shared phases like for like.
                 timer.stop()
                 solver_started = time.perf_counter()
-            accepted, rejected = mixer.step(
-                x_rows, x_new_rows, t=t,
-                residuals=[histories[c].residuals for c in active],
-            )
+            accepted, rejected = mixer.step(x_rows, x_new_rows)
             if accepted.any():
                 x_new[:, accepted] = x_new_rows[accepted].T
             if timed:
@@ -248,10 +241,10 @@ def run_chains(
                 )
                 for idx in np.flatnonzero(accepted | rejected).tolist():
                     if accepted[idx]:
-                        _emit_solver_event(rec, "solver_step", t, active, mixer, idx)
+                        _emit_solver_event(rec, "solver_step", t, active, solver, idx)
                     else:
                         _emit_solver_event(
-                            rec, "solver_restart", t, active, mixer, idx,
+                            rec, "solver_restart", t, active, solver, idx,
                             reason="safeguard",
                         )
         if timed:

@@ -234,14 +234,13 @@ class TMark:
         paper's choice and the default), ``"rbf"`` or ``"jaccard"``
         (section 4.2 allows any distance metric here).
     solver:
-        Fixed-point solver for the per-class chains: ``"plain"`` (the
-        default — the literal Algorithm 1 power iteration, bit-identical
-        to releases predating :mod:`repro.solvers`), ``"anderson"``
-        (windowed least-squares mixing), or ``"auto"`` (watch the
-        empirical decay rate and switch slow chains onto Anderson).
-        All accelerated solvers are safeguarded: an extrapolated
-        iterate that leaves the simplex is discarded for the plain
-        step, so the stationary pair they converge to is the same one
+        Fixed-point solver for the per-class chains, and the only place
+        a fit's solver is chosen: ``"plain"`` (the default — the literal
+        Algorithm 1 power iteration, bit-identical to releases predating
+        :mod:`repro.solvers`) or ``"anderson"`` (windowed least-squares
+        mixing).  Anderson is safeguarded: an extrapolated iterate that
+        leaves the simplex is discarded for the plain step, so the
+        stationary pair it converges to is the same one
         (argmax-identical predictions, residual ≤ ``tol``).
 
     Examples
@@ -311,7 +310,6 @@ class TMark:
         starts=None,
         operators=None,
         recorder=None,
-        solver: str | None = None,
         shards: int | None = None,
         workers: int | None = None,
     ) -> "TMark":
@@ -355,10 +353,6 @@ class TMark:
             residuals, one ``fit`` summary).  Defaults to the ambient
             recorder (:func:`repro.obs.get_recorder`), which is a no-op
             unless one was installed.
-        solver:
-            Per-fit override of the constructor's ``solver`` knob (one
-            of :data:`repro.solvers.SOLVER_NAMES`); ``None`` keeps the
-            constructor's choice.
         shards:
             Partition the node set into this many contiguous shards and
             run the per-iteration propagation in fork-based worker
@@ -407,7 +401,6 @@ class TMark:
             warm_start=warm_start,
             starts=starts,
             recorder=rec,
-            solver=solver,
             shards=shards,
             workers=workers,
             _fit_started=fit_started,
@@ -426,7 +419,6 @@ class TMark:
         warm_start: bool = False,
         starts=None,
         recorder=None,
-        solver: str | None = None,
         shards: int | None = None,
         workers: int | None = None,
         _fit_started: float | None = None,
@@ -458,7 +450,7 @@ class TMark:
             Optional node names for the result (``None`` keeps the
             result free of per-node strings — the only sane choice at
             millions of nodes).
-        warm_start, starts, recorder, solver, shards, workers:
+        warm_start, starts, recorder, shards, workers:
             As in :meth:`fit`.  In-memory and store-backed operators
             both shard along rows, bit-identical for any shard count.
 
@@ -474,7 +466,7 @@ class TMark:
             if _fit_started is None
             else _fit_started
         )
-        solver_name = self.solver if solver is None else check_solver(solver)
+        solver_name = check_solver(self.solver)
         if (
             operators.similarity_top_k != self.similarity_top_k
             or operators.similarity_metric != self.similarity_metric
@@ -582,14 +574,12 @@ class TMark:
 
                 node_scores, relation_scores, histories = run_chains_sharded(
                     self, o_tensor, r_tensor, w_matrix, label_matrix,
-                    shards=shards, workers=workers, starts=starts,
-                    recorder=rec, solver=solver_name,
+                    shards=shards, workers=workers, starts=starts, recorder=rec,
                 )
             else:
                 node_scores, relation_scores, histories = run_chains(
                     self, LocalBackend(self, o_tensor, r_tensor, w_matrix, q),
                     label_matrix, starts=starts, recorder=rec,
-                    solver=solver_name,
                 )
         for c, history in enumerate(histories):
             if history.exhausted:

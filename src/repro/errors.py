@@ -24,9 +24,5 @@ class NotFittedError(ReproError, RuntimeError):
     """A model method requiring ``fit`` was called before fitting."""
 
 
-class ConvergenceError(ReproError, RuntimeError):
-    """An iterative solver failed to converge within its budget."""
-
-
 class DatasetError(ReproError, ValueError):
     """A dataset generator or loader received inconsistent arguments."""

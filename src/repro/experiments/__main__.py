@@ -62,7 +62,7 @@ import sys
 import time
 
 from repro.experiments.registry import experiment_ids, get_experiment, run_experiment
-from repro.solvers.base import SOLVER_NAMES
+from repro.solvers.base import PLAIN_SOLVER, SOLVER_NAMES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write the final evolved graph as .npz")
     stream.add_argument("--trace", default=None, metavar="PATH",
                         help="record streaming telemetry to this JSONL file")
-    stream.add_argument("--solver", default=None,
+    stream.add_argument("--solver", default=PLAIN_SOLVER,
                         choices=SOLVER_NAMES,
                         help="fixed-point solver for the reconvergence fits")
     serve = sub.add_parser(
@@ -310,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(skips the startup fit)")
     serve.add_argument("--journal", default=None, metavar="PATH",
                        help="append accepted /update deltas to this JSONL journal")
-    serve.add_argument("--solver", default=None,
+    serve.add_argument("--solver", default=PLAIN_SOLVER,
                        choices=SOLVER_NAMES,
                        help="fixed-point solver for background reconvergences")
     serve.add_argument("--max-seconds", type=float, default=None,

@@ -324,8 +324,9 @@ def evaluate_cell(
     )
 
 
-def _cells_in_process(hin, factories, specs, operator_pool, recorder):
+def _cells_in_process(hin, factories, specs, recorder):
     """Yield ``(spec, CellResult, seconds)`` per spec, run in this process."""
+    operator_pool: dict = {}
     for spec in specs:
         started = time.perf_counter() if recorder.enabled else 0.0
         cell = evaluate_cell(
@@ -343,7 +344,6 @@ def run_grid(
     n_trials: int = 3,
     seed=None,
     metric: str = "accuracy",
-    share_operators: bool = True,
     recorder=None,
     workers: int = 1,
     solver: str | None = None,
@@ -358,11 +358,11 @@ def run_grid(
     result is byte-identical no matter which other methods or fractions
     share the roster.
 
-    With ``share_operators`` (the default) the T-Mark family methods in
-    the roster share one precomputed ``(O, R, W)`` operator triple per
-    similarity setting across every fraction and trial — the masked
-    training views all inherit ``hin``'s structure and features, so the
-    scores are unchanged and only the redundant rebuilds disappear.
+    The T-Mark family methods in the roster share one precomputed
+    ``(O, R, W)`` operator triple per similarity setting across every
+    fraction and trial (one per pool worker) — the masked training views
+    all inherit ``hin``'s structure and features, so the scores are those
+    of plain per-trial fits and only the redundant rebuilds disappear.
 
     ``recorder`` (default: the ambient one) receives one ``grid_cell``
     event per cell with its mean/std and wall clock, on top of the
@@ -427,14 +427,9 @@ def run_grid(
             stacklevel=2,
         )
     if in_process or reason is not None:
-        cells = _cells_in_process(
-            hin, factories, specs, {} if share_operators else None, rec
-        )
+        cells = _cells_in_process(hin, factories, specs, rec)
     else:
-        cells = cells_on_pool(
-            hin, factories, specs,
-            share_operators=share_operators, recorder=rec, workers=workers,
-        )
+        cells = cells_on_pool(hin, factories, specs, recorder=rec, workers=workers)
     for spec, cell, seconds in cells:
         grid.cells[spec.method].append(cell)
         if rec.enabled:

@@ -82,7 +82,7 @@ class _CellWorker:
 
     hin: HIN
     factories: dict[str, Callable[[], object]]
-    operator_pool: dict | None
+    operator_pool: dict
     collect_events: bool
     probes: bool
     #: The parent's ``pool`` span, so worker spans link back into the
@@ -139,9 +139,7 @@ def _run_cells(specs, worker: _CellWorker, n_workers: int) -> list[_Outcome]:
     return outcomes
 
 
-def cells_on_pool(
-    hin: HIN, factories, specs, *, share_operators, recorder, workers: int
-):
+def cells_on_pool(hin: HIN, factories, specs, *, recorder, workers: int):
     """Yield ``(spec, CellResult, seconds)`` in spec order from a fork pool.
 
     The pool backend of :func:`~repro.experiments.harness.run_grid`.
@@ -158,7 +156,7 @@ def cells_on_pool(
         worker = _CellWorker(
             hin=hin,
             factories=factories,
-            operator_pool={} if share_operators else None,
+            operator_pool={},
             collect_events=recorder.enabled,
             probes=recorder.probes,
             pool_span=pool_ctx,

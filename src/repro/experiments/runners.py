@@ -33,6 +33,7 @@ from repro.experiments.tables import format_grid, format_ranking_table, format_s
 from repro.hin.stats import relation_homophily
 from repro.ml.metrics import accuracy
 from repro.ml.splits import stratified_fraction_split
+from repro.solvers.base import PLAIN_SOLVER
 from repro.utils.rng import ensure_rng
 
 
@@ -522,16 +523,17 @@ EXAMPLE_FITS = 5
 
 
 def run_example(
-    *, scale: float = 1.0, seed=0, solver: str | None = None,
+    *, scale: float = 1.0, seed=0, solver: str = PLAIN_SOLVER,
     store: str | None = None, shards: int | None = None,
 ) -> ExperimentReport:
     """The section 3.2 worked example: classify p3/p4 and rank relations.
 
     The smallest end-to-end exercise of the full pipeline (4 nodes,
     3 relations, 2 classes) — the CI observability smoke test traces
-    this experiment, and the solver smoke compares its ``--solver
-    anderson`` trace against the plain one.  ``scale`` and ``seed`` are
-    accepted for CLI uniformity; the example is fixed and T-Mark is
+    this experiment, and ``benchmarks/solver_smoke.py`` records its fits
+    under both solvers in one process for the solver smoke.  ``solver``
+    is the models' :mod:`repro.solvers` solver.  ``scale`` and ``seed``
+    are accepted for CLI uniformity; the example is fixed and T-Mark is
     deterministic.
 
     The fit runs :data:`EXAMPLE_FITS` times (identical results) so that
@@ -562,13 +564,13 @@ def run_example(
             graph_store = GraphStore.save(hin, store)
         for _ in range(EXAMPLE_FITS):
             model = fit_from_store(
-                graph_store, TMark(alpha=0.8, gamma=0.5), solver=solver,
+                graph_store, TMark(alpha=0.8, gamma=0.5, solver=solver),
                 shards=shards,
             )
     else:
         for _ in range(EXAMPLE_FITS):
-            model = TMark(alpha=0.8, gamma=0.5).fit(
-                hin, solver=solver, shards=shards
+            model = TMark(alpha=0.8, gamma=0.5, solver=solver).fit(
+                hin, shards=shards
             )
     predicted = {
         name: hin.label_names[model.predict()[idx]]

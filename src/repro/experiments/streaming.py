@@ -33,6 +33,7 @@ from repro.errors import ValidationError
 from repro.experiments.report import ExperimentReport
 from repro.hin.graph import HIN
 from repro.obs.health import worst_status
+from repro.solvers.base import PLAIN_SOLVER
 from repro.stream import DeltaLog, StreamingSession, synthetic_delta_log
 
 #: ``stream`` CLI exit codes (documented in docs/api.md).
@@ -74,7 +75,7 @@ def run_stream(
     batch_size: int = 10,
     seed_hin: HIN | None = None,
     log: DeltaLog | None = None,
-    solver: str | None = None,
+    solver: str = PLAIN_SOLVER,
 ) -> ExperimentReport:
     """Replay a delta journal through a streaming session and report.
 
@@ -90,15 +91,15 @@ def run_stream(
             hin, n_deltas, batch_size=batch_size, seed=None if seed is None else seed + 1
         )
 
-    session = StreamingSession(hin, TMark(**MODEL_PARAMS))
+    session = StreamingSession(hin, TMark(**MODEL_PARAMS, solver=solver))
     started = time.perf_counter()
-    session.fit(solver=solver)
+    session.fit()
     cold_seed_seconds = time.perf_counter() - started
-    updates = session.replay(log, solver=solver)
+    updates = session.replay(log)
 
-    cold = TMark(**MODEL_PARAMS)
+    cold = TMark(**MODEL_PARAMS, solver=solver)
     started = time.perf_counter()
-    cold.fit(session.hin, solver=solver)
+    cold.fit(session.hin)
     cold_final_seconds = time.perf_counter() - started
     max_divergence = float(
         np.max(np.abs(session.result.node_scores - cold.result_.node_scores))
@@ -184,7 +185,6 @@ def build_streaming_session(
     result_path=None,
     scale: float = 1.0,
     seed=0,
-    solver: str | None = None,
     model: TMark | None = None,
 ) -> StreamingSession:
     """Build a fitted :class:`StreamingSession` — the serving entry hook.
@@ -194,7 +194,8 @@ def build_streaming_session(
     ``result_path`` (a persisted :func:`~repro.core.persistence.save_result`
     archive) the session resumes from the saved stationary state — no
     refit, the snapshot serves immediately; otherwise the session is
-    cold-fitted here (under ``solver`` when given).  Raises
+    cold-fitted here.  ``model`` (default ``TMark(**MODEL_PARAMS)``)
+    carries every fit setting, the solver included.  Raises
     :class:`~repro.errors.ValidationError` for unreadable inputs — the
     CLIs map that to :data:`EXIT_UNREADABLE`.
     """
@@ -211,7 +212,7 @@ def build_streaming_session(
         result = _load_input(load_result, result_path, "result archive")
         return StreamingSession.resume(seed_hin, result, model)
     session = StreamingSession(seed_hin, model)
-    session.fit(solver=solver)
+    session.fit()
     return session
 
 
@@ -254,7 +255,7 @@ def run_stream_cli(args) -> int:
         return EXIT_UNREADABLE
     report = run_stream(
         scale=args.scale, seed=args.seed, seed_hin=seed_hin, log=log,
-        solver=getattr(args, "solver", None),
+        solver=args.solver,
     )
     print(report)
     if args.save_journal:

@@ -22,24 +22,21 @@ from repro.ooc.operators import DEFAULT_CHUNK_SIZE
 from repro.ooc.store import GraphStore
 
 #: Stores at or below this node count get their names attached to the
-#: :class:`TMarkResult` (``node_names="auto"``); larger stores return
-#: ``node_names=None`` to keep the result O(q * n) floats, not strings.
+#: :class:`TMarkResult`; larger stores return ``node_names=None`` to keep
+#: the result O(q * n) floats, not strings.
 MAX_AUTO_NODE_NAMES = 100_000
 
 
 def fit_from_store(
     store,
-    model: TMark | None = None,
+    model: TMark,
     *,
     labels=None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    solver: str | None = None,
     starts=None,
     recorder=None,
-    node_names: str = "auto",
     shards: int | None = None,
     workers: int | None = None,
-    **model_params,
 ) -> TMark:
     """Fit T-Mark out-of-core against an on-disk graph store.
 
@@ -48,8 +45,8 @@ def fit_from_store(
     store:
         An open :class:`GraphStore` or a store directory path.
     model:
-        The :class:`TMark` instance to fit; ``None`` constructs one from
-        ``model_params`` (e.g. ``alpha=0.9, gamma=0.0``).
+        The :class:`TMark` instance to fit; its settings (``solver``
+        included) drive the fit.
     labels:
         Optional ``(n, q)`` boolean supervision matrix overriding the
         store's — the masked-split entry point (the stored label matrix
@@ -57,15 +54,10 @@ def fit_from_store(
     chunk_size:
         Columns per block for operator construction, rows per block for
         propagation.
-    solver:
-        Per-fit solver override (one of :data:`repro.solvers.SOLVER_NAMES`), as in
-        :meth:`TMark.fit`.
     starts:
         Optional warm-start ``(X0, Z0)`` pair, as in :meth:`TMark.fit`.
     recorder:
         Obs recorder for build chunks + chain telemetry.
-    node_names:
-        ``"auto"`` (attach names when ``n <= 100_000``) or ``"never"``.
     shards, workers:
         Run the per-iteration propagation sharded across fork workers
         (see :mod:`repro.shard`).  Each worker streams its contiguous
@@ -88,16 +80,6 @@ def fit_from_store(
         raise ValidationError(
             f"expected a GraphStore or path, got {type(store).__name__}"
         )
-    if node_names not in ("auto", "never"):
-        raise ValidationError(
-            f"node_names must be 'auto' or 'never', got {node_names!r}"
-        )
-    if model is None:
-        model = TMark(**model_params)
-    elif model_params:
-        raise ValidationError(
-            "pass either a model instance or TMark keyword parameters, not both"
-        )
     operators = build_chunked_operators(
         store,
         similarity_top_k=model.similarity_top_k,
@@ -113,7 +95,7 @@ def fit_from_store(
             f"labels must have shape ({store.n_nodes}, {store.n_labels}), "
             f"got {label_matrix.shape}"
         )
-    attach_names = node_names == "auto" and store.n_nodes <= MAX_AUTO_NODE_NAMES
+    attach_names = store.n_nodes <= MAX_AUTO_NODE_NAMES
     model.fit_operators(
         operators,
         label_matrix,
@@ -122,7 +104,6 @@ def fit_from_store(
         node_names=store.node_names() if attach_names else None,
         starts=starts,
         recorder=recorder,
-        solver=solver,
         shards=shards,
         workers=workers,
     )

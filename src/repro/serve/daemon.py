@@ -13,8 +13,8 @@
 * **One updater thread** owns the streaming session exclusively.  Delta
   batches accepted by ``POST /update`` are queued to it; for each batch
   it journals the deltas (when a journal path is configured), applies
-  them (operator patch + warm reconverge, optionally under a
-  :mod:`repro.solvers` accelerator), builds a fresh snapshot and
+  them (operator patch + warm reconverge under the session model's
+  solver), builds a fresh snapshot and
   installs it with one atomic assignment
   (:meth:`~repro.serve.handlers.ServingState.swap`).
 
@@ -69,11 +69,16 @@ from repro.obs.flight import ResourceSampler
 from repro.obs.spans import span
 from repro.serve import handlers as h
 from repro.serve.snapshot import Snapshot
+from repro.solvers.base import check_solver
 from repro.stream.delta import as_batch
 from repro.stream.journal import DeltaLog
 
 #: Sentinel queued to shut the updater thread down.
 _STOP = object()
+
+#: Period in seconds of the background resource sampler emitting
+#: ``resource_sample`` events into the flight ring.
+SAMPLE_INTERVAL = 1.0
 
 
 class PredictionDaemon:
@@ -87,8 +92,10 @@ class PredictionDaemon:
     host, port:
         Bind address; ``port=0`` picks a free ephemeral port.
     solver:
-        Optional :mod:`repro.solvers` solver name used for every
-        background reconvergence.
+        Optional :mod:`repro.solvers` solver name; when given it is
+        validated and set on ``session.model`` once, here, so every
+        background reconvergence runs under it.  ``None`` keeps the
+        model's own solver.
     journal:
         Optional path of a :class:`~repro.stream.DeltaLog` journal;
         each accepted batch is appended and ``fsync``-ed there *before*
@@ -96,19 +103,14 @@ class PredictionDaemon:
         applied deltas (see "What a ``202`` promises" above).  A
         journal that already holds a committed batch is refused with a
         :class:`~repro.errors.ValidationError`.
-    registry:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` backing
-        ``/metrics`` (a fresh one by default).
-    flight_capacity:
-        Ring size of the always-on
-        :class:`~repro.obs.flight.FlightRecorder` behind
-        ``GET /debug/trace``.
     slow_request_seconds:
         Threshold for the stderr slow-request log (``None`` disables).
-    sample_interval:
-        Period of the background resource sampler emitting
-        ``resource_sample`` events into the flight ring (``None``
-        disables sampling).
+
+    The ``/metrics`` registry is the daemon's own, the flight ring
+    behind ``GET /debug/trace`` holds
+    :data:`~repro.serve.handlers.FLIGHT_CAPACITY` events, and a
+    resource sampler adds a ``resource_sample`` event to it every
+    :data:`SAMPLE_INTERVAL` seconds.
 
     Examples
     --------
@@ -131,10 +133,7 @@ class PredictionDaemon:
         port: int = 0,
         solver: str | None = None,
         journal=None,
-        registry=None,
-        flight_capacity: int = 2048,
         slow_request_seconds: float | None = 1.0,
-        sample_interval: float | None = 1.0,
     ):
         if session.result is None:
             raise ValidationError(
@@ -142,21 +141,16 @@ class PredictionDaemon:
             )
         if journal is not None:
             _check_fresh_journal(journal)
+        if solver is not None:
+            session.model.solver = check_solver(solver)
         self._session = session
-        self._solver = solver
         self._journal_path = journal
         self.state = h.ServingState(
             Snapshot.from_session(session, version=0),
-            registry=registry,
             enqueue_update=self._enqueue,
-            flight_capacity=flight_capacity,
             slow_request_seconds=slow_request_seconds,
         )
-        self._sampler = (
-            ResourceSampler(self.state.recorder, interval=sample_interval)
-            if sample_interval is not None
-            else None
-        )
+        self._sampler = ResourceSampler(self.state.recorder, interval=SAMPLE_INTERVAL)
         self._queue: queue.Queue = queue.Queue()
         self._tickets = 0
         self._applied = 0
@@ -206,14 +200,12 @@ class PredictionDaemon:
             daemon=True,
         )
         self._http_thread.start()
-        if self._sampler is not None:
-            self._sampler.start()
+        self._sampler.start()
         return self
 
     def stop(self, *, timeout: float = 5.0) -> None:
         """Shut the listener down and drain the updater thread."""
-        if self._sampler is not None:
-            self._sampler.stop()
+        self._sampler.stop()
         if self._updater_thread is not None:
             self._queue.put(_STOP)
             self._updater_thread.join(timeout=timeout)
@@ -282,7 +274,7 @@ class PredictionDaemon:
             # Journal first: an applied batch survives a crash mid-update.
             if self._journal_path is not None:
                 DeltaLog.append_batch(self._journal_path, batch)
-            update = self._session.apply(batch, solver=self._solver, recorder=rec)
+            update = self._session.apply(batch, recorder=rec)
             snapshot = Snapshot.from_session(
                 self._session, version=self.state.snapshot.version + 1
             )
@@ -476,9 +468,11 @@ def run_serve_cli(args) -> int:
     of an unhealthy reconvergence), 5 for unreadable ``--hin`` /
     ``--result`` inputs.
     """
+    from repro.core.tmark import TMark
     from repro.experiments.streaming import (
         EXIT_UNHEALTHY,
         EXIT_UNREADABLE,
+        MODEL_PARAMS,
         build_streaming_session,
     )
 
@@ -488,7 +482,7 @@ def run_serve_cli(args) -> int:
             result_path=args.result,
             scale=args.scale,
             seed=args.seed,
-            solver=args.solver,
+            model=TMark(**MODEL_PARAMS, solver=args.solver),
         )
     except ValidationError as exc:
         print(f"error: {exc}")
@@ -497,7 +491,6 @@ def run_serve_cli(args) -> int:
         session,
         host=args.host,
         port=args.port,
-        solver=args.solver,
         journal=args.journal,
     ).start()
     snapshot = daemon.state.snapshot

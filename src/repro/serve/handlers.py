@@ -31,6 +31,9 @@ from repro.stream.delta import GraphDelta
 #: pinning a reader thread on a giant response).
 MAX_BATCH = 10_000
 
+#: Ring size of the always-on flight recorder behind ``GET /debug/trace``.
+FLIGHT_CAPACITY = 2048
+
 
 class ServingState:
     """Shared state of a running daemon: snapshot ref + metrics + queue.
@@ -46,9 +49,7 @@ class ServingState:
         self,
         snapshot: Snapshot,
         *,
-        registry: MetricsRegistry | None = None,
         enqueue_update=None,
-        flight_capacity: int = 2048,
         slow_request_seconds: float | None = 1.0,
     ):
         if not isinstance(snapshot, Snapshot):
@@ -61,7 +62,7 @@ class ServingState:
                 f"got {slow_request_seconds!r}"
             )
         self.snapshot = snapshot
-        self.registry = MetricsRegistry() if registry is None else registry
+        self.registry = MetricsRegistry()
         self.enqueue_update = enqueue_update
         self.started = time.time()
         self.last_swap = self.started
@@ -69,7 +70,7 @@ class ServingState:
         self.slow_request_seconds = slow_request_seconds
         # Always-on bounded telemetry: every event folds into the
         # registry *and* lands in the flight ring served by /debug/trace.
-        self.flight = FlightRecorder(flight_capacity)
+        self.flight = FlightRecorder(FLIGHT_CAPACITY)
         self._recorder = MetricsRecorder(self.registry, forward=self.flight)
         self._swap_lock = threading.Lock()
         self.registry.gauge("tmark_snapshot_version").set(snapshot.version)

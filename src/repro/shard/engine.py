@@ -57,7 +57,6 @@ from repro.forkpool import ForkPool, available_workers
 from repro.obs.recorder import get_recorder
 from repro.obs.spans import span
 from repro.shard.plan import ShardPlan, plan_shards
-from repro.solvers.base import PLAIN_SOLVER
 from repro.utils.validation import check_positive_int
 
 
@@ -291,7 +290,6 @@ def run_chains_sharded(
     workers: int | None = None,
     starts=None,
     recorder=None,
-    solver: str = PLAIN_SOLVER,
 ):
     """Advance all per-class chains with the work sharded across forks.
 
@@ -301,8 +299,8 @@ def run_chains_sharded(
     and one ``boundary_exchange`` per iteration (all inside a
     ``shard_pool`` span).  ``model`` supplies the chain
     hyper-parameters (``alpha`` / ``beta`` / ``tol`` / ``max_iter`` /
-    label-update settings).  The caller is responsible for checking
-    :func:`~repro.forkpool.serial_fallback_reason` first.
+    label-update settings / ``solver``).  The caller is responsible for
+    checking :func:`~repro.forkpool.serial_fallback_reason` first.
     """
     q = np.shape(label_matrix)[1]
     with ShardBackend(
@@ -310,8 +308,7 @@ def run_chains_sharded(
         shards=shards, workers=workers, recorder=recorder,
     ) as backend:
         X, Z, histories = run_chains(
-            model, backend, label_matrix, starts=starts, recorder=recorder,
-            solver=solver,
+            model, backend, label_matrix, starts=starts, recorder=recorder
         )
     return X.copy(), Z.copy(), histories
 

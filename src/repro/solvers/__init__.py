@@ -1,4 +1,4 @@
-"""Pluggable fixed-point accelerators for the per-class stationary iteration.
+"""The fixed-point accelerator for the per-class stationary iteration.
 
 The dominant cost of every T-Mark experiment is the per-class ``(x, z)``
 fixed-point iteration of Algorithm 1.  Viewed through the composite map
@@ -16,20 +16,16 @@ essentially a menu of accelerators for exactly this problem class:
 low-rank tensor Markov models (arXiv 2411.02098) and multigrid with
 low-rank corrections for tensor-structured chains (arXiv 1412.0937).
 
-This package provides those accelerators as *solvers* the chain driver
+This package provides the one accelerator, which the chain driver
 (:func:`repro.core.chains.run_chains`, whatever its backend) consults
 once per iteration with the whole active block of chains:
+:class:`~repro.solvers.anderson.AndersonMixer` — windowed Anderson
+mixing (DIIS) of the recent iterates, one stacked mixer per fit whose
+rows are the class chains; its small least-squares solves are
+element-wise numpy, with no BLAS or LAPACK call.  A fit's solver is
+the model's ``TMark.solver`` attribute, one of :data:`SOLVER_NAMES`.
 
-* :class:`~repro.solvers.anderson.AndersonMixer` — windowed Anderson
-  mixing (DIIS) of the recent iterates, one stacked mixer per fit whose
-  rows are the class chains; its small least-squares solves are
-  element-wise numpy, with no BLAS or LAPACK call;
-* ``solver="auto"`` (:mod:`repro.solvers.adaptive`) — the same mixer
-  with every row dormant until the chain's empirical decay rate, read
-  through the :mod:`repro.obs.health` estimators, says the plain step is
-  slow (rate near 1); healthy chains keep the cheap plain step.
-
-Every solver carries the same two guarantees, row by row:
+The mixer carries two guarantees, row by row:
 
 * **exact limit** — at (or within ``tol`` of) a fixed point the mixer
   proposes nothing for that row, so an accelerated chain stops at the

@@ -43,8 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.solvers.adaptive import is_slow
-from repro.solvers.base import PLAIN_SOLVER, safeguard_proposal
+from repro.solvers.base import safeguard_proposal
 
 #: Default mixing-window size (pairs kept beyond the current one).
 DEFAULT_WINDOW = 5
@@ -57,7 +56,7 @@ DEFAULT_WINDOW = 5
 PIVOT_RTOL = 1e-12
 
 #: The per-row state :meth:`AndersonMixer.compact` carries over.
-_ROW_STATE = ("engaged", "count", "f_last", "g_last", "delta_f", "delta_g", "gram")
+_ROW_STATE = ("count", "f_last", "g_last", "delta_f", "delta_g", "gram")
 
 
 def cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
@@ -107,14 +106,10 @@ class AndersonMixer:
 
     Row ``r`` of every buffer belongs to the ``r``-th active chain; the
     chain runner drops the rows of frozen chains with :meth:`compact`.
-    With ``auto`` (``solver="auto"``) every row starts dormant and
-    engages by the :func:`~repro.solvers.adaptive.is_slow` rule; a
-    dormant row records nothing.
     """
 
     def __init__(
-        self, rows: int, size: int, *, tol: float, window: int = DEFAULT_WINDOW,
-        auto: bool = False,
+        self, rows: int, size: int, *, tol: float, window: int = DEFAULT_WINDOW
     ):
         if tol <= 0:
             raise ValidationError(f"tol must be positive, got {tol}")
@@ -122,7 +117,6 @@ class AndersonMixer:
             raise ValueError(f"window must be >= 1, got {window}")
         self.tol = float(tol)
         self.window = int(window)
-        self.engaged = np.full(rows, not auto)
         # Pairs recorded per row since its last restart.
         self.count = np.zeros(rows, dtype=np.int64)
         self.f_last = np.zeros((rows, size))
@@ -130,10 +124,6 @@ class AndersonMixer:
         self.delta_f = np.zeros((rows, self.window, size))
         self.delta_g = np.zeros((rows, self.window, size))
         self.gram = np.zeros((rows, self.window, self.window))
-
-    def solver_name(self, row: int) -> str:
-        """What row ``row``'s events report: ``"plain"`` while dormant."""
-        return "anderson" if self.engaged[row] else PLAIN_SOLVER
 
     @property
     def history_length(self) -> np.ndarray:
@@ -154,36 +144,24 @@ class AndersonMixer:
         for name in _ROW_STATE:
             setattr(self, name, getattr(self, name)[keep])
 
-    def step(self, x_rows, g_rows, *, t: int, residuals=()):
+    def step(self, x_rows, g_rows):
         """Record one ``(x_prev, g_x)`` pair per row and mix.
 
         ``x_rows`` holds the previous accepted iterates and ``g_rows``
         the plain Algorithm 1 step at them, both C-contiguous ``(a, n)``
-        blocks; ``residuals[r]`` is row ``r``'s residual history, read
-        only by dormant ``auto`` rows.  Accepted proposals overwrite
-        their rows of ``g_rows`` in place.  Returns the boolean masks
-        ``(accepted, rejected)``: a rejected row failed the safeguard
-        and its history restarted.
+        blocks.  Accepted proposals overwrite their rows of ``g_rows`` in
+        place.  Returns the boolean masks ``(accepted, rejected)``: a
+        rejected row failed the safeguard and its history restarted.
         """
         untouched = np.zeros(len(g_rows), dtype=bool)
-        record = self.engaged
-        if not record.all():
-            for row in np.flatnonzero(~record):
-                record[row] = is_slow(t, residuals[row])
-            if not record.any():
-                return untouched, untouched
         f = np.subtract(g_rows, x_rows)
-        pushing = record & (self.count > 0)
+        pushing = self.count > 0
         if pushing.any():
             self._push(f - self.f_last, g_rows - self.g_last, pushing)
-        if record.all():
-            self.f_last = f
-            self.g_last[...] = g_rows
-        else:
-            self.f_last[record] = f[record]
-            self.g_last[record] = g_rows[record]
-        self.count[record] += 1
-        depth = np.where(record, np.minimum(self.count - 1, self.window), 0)
+        self.f_last = f
+        self.g_last[...] = g_rows
+        self.count += 1
+        depth = np.minimum(self.count - 1, self.window)
         # Exact limit: a row whose plain step already moved less than
         # tol sits on the fixed point; extrapolating would perturb it.
         proposing = (depth > 0) & (np.abs(f).sum(axis=1) >= self.tol)

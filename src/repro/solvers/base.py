@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import ValidationError
 
 #: Registered solver names (``TMark(solver=...)`` accepts exactly these).
-SOLVER_NAMES = ("plain", "anderson", "auto")
+SOLVER_NAMES = ("plain", "anderson")
 
 #: The no-acceleration default: the chain runner special-cases this name
 #: and never instantiates a solver object for it, keeping plain fits
@@ -88,4 +88,4 @@ def make_solver(solver: str, *, tol: float, rows: int, size: int):
     check_solver(solver)
     if solver == PLAIN_SOLVER:
         return None
-    return AndersonMixer(rows, size, tol=tol, auto=solver == "auto")
+    return AndersonMixer(rows, size, tol=tol)

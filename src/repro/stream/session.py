@@ -17,7 +17,7 @@ stationary state still lines up with the graph's node indexing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,21 +56,20 @@ class StreamUpdate:
     health:
         Per-class convergence verdicts from :mod:`repro.obs.health`,
         mapping label name to status (``healthy`` / ``not_converged`` /
-        ``stalled`` / ``oscillating`` / ``diverging``).  Empty when
-        ``refit=False``.
+        ``stalled`` / ``oscillating`` / ``diverging``).
     """
 
     batch_index: int
     n_deltas: int
-    op_counts: dict = field(default_factory=dict)
-    n_nodes: int = 0
-    n_new_nodes: int = 0
-    iterations: int = 0
-    converged: bool = False
-    warm: bool = False
-    apply_seconds: float = 0.0
-    fit_seconds: float = 0.0
-    health: dict = field(default_factory=dict)
+    op_counts: dict
+    n_nodes: int
+    n_new_nodes: int
+    iterations: int
+    converged: bool
+    warm: bool
+    apply_seconds: float
+    fit_seconds: float
+    health: dict
 
     @property
     def worst_health(self) -> str:
@@ -142,51 +141,23 @@ class StreamingSession:
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
-    def fit(
-        self,
-        *,
-        recorder=None,
-        solver: str | None = None,
-        shards: int | None = None,
-        workers: int | None = None,
-    ) -> TMarkResult:
+    def fit(self, *, recorder=None) -> TMarkResult:
         """Cold-fit the model on the current graph and cache the result.
 
-        ``solver`` optionally overrides the model's fixed-point solver
-        for this fit (see :mod:`repro.solvers`); ``shards`` / ``workers``
-        run the chains sharded across fork workers (see
-        :mod:`repro.shard` — bit-identical to the serial fit).
+        The fit runs under the model's own settings, its ``solver``
+        included (see :mod:`repro.solvers`).
         """
-        self._model.fit(
-            self.hin,
-            operators=self._ops.operators,
-            recorder=recorder,
-            solver=solver,
-            shards=shards,
-            workers=workers,
-        )
+        self._model.fit(self.hin, operators=self._ops.operators, recorder=recorder)
         self._result = self._model.result_
         return self._result
 
-    def apply(
-        self,
-        deltas,
-        *,
-        refit: bool = True,
-        recorder=None,
-        solver: str | None = None,
-        shards: int | None = None,
-        workers: int | None = None,
-    ) -> StreamUpdate:
+    def apply(self, deltas, *, recorder=None) -> StreamUpdate:
         """Apply one delta batch: patch operators, warm-refit, report.
 
-        ``refit=False`` only advances the graph and operators (useful
-        when coalescing several batches before one reconvergence).
         Emits a ``delta_apply`` event for the graph/operator update and a
         ``reconverge`` event for the refit on the given or ambient
-        recorder.  ``solver`` optionally overrides the model's
-        fixed-point solver for the refit; ``shards`` / ``workers`` run
-        the warm refit sharded (see :mod:`repro.shard`).
+        recorder.  The refit warm-starts from the previous stationary
+        pair when one exists.
         """
         rec = get_recorder() if recorder is None else recorder
         batch = as_batch(deltas)
@@ -207,14 +178,35 @@ class StreamingSession:
                 seconds=apply_seconds,
             )
 
-        iterations = 0
-        converged = False
-        warm = False
-        fit_seconds = 0.0
-        health: dict[str, str] = {}
-        if refit:
-            iterations, converged, warm, fit_seconds, health = self._refit(
-                rec, solver=solver, shards=shards, workers=workers
+        starts = self._warm_starts(n_new)
+        warm = starts is not None
+        fit_started = time.perf_counter()
+        with span("reconverge", recorder=rec, warm=warm, n_nodes=n_new):
+            self._model.fit(
+                self.hin,
+                starts=starts,
+                operators=self._ops.operators,
+                recorder=rec,
+            )
+        fit_seconds = time.perf_counter() - fit_started
+        self._result = self._model.result_
+        iterations = max(h.n_iterations for h in self._result.histories)
+        converged = all(h.converged for h in self._result.histories)
+        health = {
+            verdict.label: verdict.status
+            for verdict in health_from_result(self._result)
+        }
+        if rec.enabled:
+            rec.emit(
+                "reconverge",
+                batch_index=self._n_batches,
+                warm=warm,
+                iterations=iterations,
+                converged=converged,
+                n_nodes=n_new,
+                seconds=fit_seconds,
+                health=health,
+                worst_health=worst_status(health.values()),
             )
         update = StreamUpdate(
             batch_index=self._n_batches,
@@ -232,113 +224,13 @@ class StreamingSession:
         self._n_batches += 1
         return update
 
-    def reconverge(
-        self,
-        *,
-        recorder=None,
-        solver: str | None = None,
-        shards: int | None = None,
-        workers: int | None = None,
-    ) -> StreamUpdate:
-        """Warm-refit the chains on the current graph, applying nothing.
-
-        The refit half of :meth:`apply`, callable on its own — the
-        natural follow-up to a run of ``apply(..., refit=False)``
-        batches, or a way to re-run the chains under a different
-        ``solver``.  Warm-starts from the previous stationary pair when
-        one exists, emits the same ``reconverge`` event, and returns a
-        :class:`StreamUpdate` with an empty delta half
-        (``n_deltas=0``).  The batch counter does not advance: no batch
-        was applied.  ``shards`` / ``workers`` run the warm refit
-        sharded across fork workers, bit-identical to the serial path.
-        """
-        rec = get_recorder() if recorder is None else recorder
-        iterations, converged, warm, fit_seconds, health = self._refit(
-            rec, solver=solver, shards=shards, workers=workers
-        )
-        return StreamUpdate(
-            batch_index=self._n_batches,
-            n_deltas=0,
-            op_counts={},
-            n_nodes=self.hin.n_nodes,
-            n_new_nodes=0,
-            iterations=iterations,
-            converged=converged,
-            warm=warm,
-            apply_seconds=0.0,
-            fit_seconds=fit_seconds,
-            health=health,
-        )
-
-    def _refit(
-        self,
-        rec,
-        *,
-        solver: str | None = None,
-        shards: int | None = None,
-        workers: int | None = None,
-    ):
-        """Warm-refit on the current graph; shared by apply/reconverge."""
-        n_now = self.hin.n_nodes
-        starts = self._warm_starts(n_now)
-        warm = starts is not None
-        fit_started = time.perf_counter()
-        with span("reconverge", recorder=rec, warm=warm, n_nodes=n_now):
-            self._model.fit(
-                self.hin,
-                starts=starts,
-                operators=self._ops.operators,
-                recorder=rec,
-                solver=solver,
-                shards=shards,
-                workers=workers,
-            )
-        fit_seconds = time.perf_counter() - fit_started
-        self._result = self._model.result_
-        iterations = max(h.n_iterations for h in self._result.histories)
-        converged = all(h.converged for h in self._result.histories)
-        health = {
-            verdict.label: verdict.status
-            for verdict in health_from_result(self._result)
-        }
-        if rec.enabled:
-            rec.emit(
-                "reconverge",
-                batch_index=self._n_batches,
-                warm=warm,
-                iterations=iterations,
-                converged=converged,
-                n_nodes=n_now,
-                seconds=fit_seconds,
-                health=health,
-                worst_health=worst_status(health.values()),
-            )
-        return iterations, converged, warm, fit_seconds, health
-
-    def replay(
-        self,
-        log: DeltaLog,
-        *,
-        recorder=None,
-        solver: str | None = None,
-        shards: int | None = None,
-        workers: int | None = None,
-    ) -> list[StreamUpdate]:
+    def replay(self, log: DeltaLog, *, recorder=None) -> list[StreamUpdate]:
         """Apply every batch of a :class:`DeltaLog` in order."""
         if not isinstance(log, DeltaLog):
             raise ValidationError(
                 f"expected a DeltaLog, got {type(log).__name__}"
             )
-        return [
-            self.apply(
-                batch,
-                recorder=recorder,
-                solver=solver,
-                shards=shards,
-                workers=workers,
-            )
-            for batch in log.batches()
-        ]
+        return [self.apply(batch, recorder=recorder) for batch in log.batches()]
 
     def _warm_starts(self, n_new: int):
         """The previous stationary pair, padded for newly added nodes.

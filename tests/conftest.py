@@ -83,6 +83,40 @@ def small_labeled_hin(seed=0, n=30, q=3, m=2):
     return builder.build()
 
 
+def grid_cells(grid):
+    """A grid's cells as ``(method, fraction) -> (mean, std, n_trials)``."""
+    return {
+        (method, fraction): (cell.mean, cell.std, cell.n_trials)
+        for method, cells in grid.cells.items()
+        for fraction, cell in zip(grid.fractions, cells)
+    }
+
+
+def per_trial_fit_cells(hin, methods, fractions, *, n_trials, seed):
+    """The cells ``run_grid`` computes for ``seed``, each trial fitted alone.
+
+    Same form as :func:`grid_cells`.  Every cell draws the grid's splits,
+    but no trial shares an operator triple: a T-Mark trial is a plain
+    ``TMark.fit`` that builds its own ``(O, R, W)``.
+    """
+    from repro.experiments.harness import evaluate_cell
+    from repro.experiments.parallel import CellSpec
+    from repro.obs import NULL_RECORDER
+
+    cells = {}
+    for name, factory in methods:
+        for fraction in map(float, fractions):
+            spec = CellSpec(
+                index=0, method=name, fraction=fraction, n_trials=n_trials,
+                metric="accuracy", base_entropy=seed,
+            )
+            cell = evaluate_cell(
+                hin, factory, spec, operator_pool=None, recorder=NULL_RECORDER
+            )
+            cells[name, fraction] = (cell.mean, cell.std, cell.n_trials)
+    return cells
+
+
 @pytest.fixture
 def labeled_hin():
     """A small connected labeled HIN."""

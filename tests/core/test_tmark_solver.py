@@ -169,23 +169,42 @@ class TestSolverEvents:
 
     def test_fit_event_carries_solver_name(self, hin):
         recorder = ListRecorder()
-        TMark(alpha=0.7, gamma=0.4).fit(hin, recorder=recorder, solver="anderson")
+        TMark(alpha=0.7, gamma=0.4, solver="anderson").fit(hin, recorder=recorder)
         (fit_event,) = recorder.events_of("fit")
         assert fit_event["solver"] == "anderson"
 
     def test_fit_override_beats_constructor_default(self, hin):
+        # The model attribute is the one place a fit's solver is chosen:
+        # the harness sets it on factory-built models after construction.
         model = TMark(alpha=0.7, gamma=0.4, solver="anderson")
+        model.solver = "plain"
         recorder = ListRecorder()
-        model.fit(hin, recorder=recorder, solver="plain")
+        model.fit(hin, recorder=recorder)
         assert recorder.events_of("solver_step") == []
+        (fit_event,) = recorder.events_of("fit")
+        assert fit_event["solver"] == "plain"
 
     def test_invalid_solver_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="solver"):
             TMark(solver="newton")
 
+    def test_auto_solver_is_gone(self):
+        with pytest.raises(ValidationError, match="solver must be one of"):
+            TMark(solver="auto")
+
     def test_invalid_solver_rejected_at_fit(self, hin):
+        model = TMark()
+        model.solver = "newton"
         with pytest.raises(ValidationError, match="solver"):
-            TMark().fit(hin, solver="newton")
+            model.fit(hin)
+
+    @pytest.mark.parametrize(
+        "entry", [TMark.fit, TMark.fit_operators], ids=lambda f: f.__name__
+    )
+    def test_fit_entry_points_take_no_solver(self, entry):
+        import inspect
+
+        assert "solver" not in inspect.signature(entry).parameters
 
     def test_label_update_restart_events(self):
         # update_labels fits move the Eq. 12 restart vector mid-run; the
@@ -276,26 +295,8 @@ class TestGoldenDigests:
                 ),
                 "1c5ac47536c8820033745892a57875535101e7fda3d187c4ce1fd73f62537803",
             ),
-            (
-                # A slow chain (alpha=0.05): "auto" switches onto Anderson
-                # mid-run, and label updates restart it while dormant and
-                # while engaged.
-                dict(alpha=0.05, gamma=0.0, label_threshold=0.5, solver="auto"),
-                "3feaf7a2b5ac0609ea318902761c3f864c36a1dab9aa73b9b6411d89c5f07572",
-            ),
         ],
     )
     def test_fit_digest(self, partial_hin, params, digest):
         model = TMark(update_labels=True, max_iter=200, **params)
         assert _fit_digest(model, partial_hin) == digest
-
-    def test_auto_config_engages_anderson(self, partial_hin):
-        recorder = ListRecorder()
-        TMark(
-            update_labels=True, max_iter=200, alpha=0.05, gamma=0.0,
-            label_threshold=0.5, solver="auto",
-        ).fit(partial_hin, recorder=recorder)
-        steps = recorder.events_of("solver_step")
-        assert any(e["solver"] == "anderson" for e in steps)
-        restarts = {e["solver"] for e in recorder.events_of("solver_restart")}
-        assert restarts == {"plain", "anderson"}

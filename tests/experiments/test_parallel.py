@@ -28,7 +28,7 @@ from repro.obs import (
     registry_from_events,
     summarize_trace,
 )
-from tests.conftest import small_labeled_hin
+from tests.conftest import grid_cells, per_trial_fit_cells, small_labeled_hin
 
 pytestmark = [
     pytest.mark.skipif(
@@ -79,14 +79,6 @@ def counters(registry, *, exclude=frozenset()):
         name: registry.get(name).value
         for name in registry.names()
         if registry.get(name).kind == "counter" and name not in exclude
-    }
-
-
-def grid_cells(grid):
-    return {
-        (method, fraction): (cell.mean, cell.std, cell.n_trials)
-        for method, cells in grid.cells.items()
-        for fraction, cell in zip(grid.fractions, cells)
     }
 
 
@@ -142,15 +134,12 @@ class TestBitIdentity:
         )
 
     def test_operator_sharing_off_still_identical(self, hin):
-        serial = run_grid(
-            hin, methods(), FRACTIONS, n_trials=1, seed=3,
-            share_operators=False,
+        # Each worker shares one operator build across its cells; the
+        # pooled grid still equals fitting every trial on its own.
+        parallel = run_grid(hin, methods(), FRACTIONS, n_trials=1, seed=3, workers=2)
+        assert grid_cells(parallel) == per_trial_fit_cells(
+            hin, methods(), FRACTIONS, n_trials=1, seed=3
         )
-        parallel = run_grid(
-            hin, methods(), FRACTIONS, n_trials=1, seed=3,
-            share_operators=False, workers=2,
-        )
-        assert grid_cells(parallel) == grid_cells(serial)
 
 
 class TestOneGridLoop:

@@ -50,9 +50,9 @@ class TestEquivalence:
         self, tmp_path, worked_example, solver
     ):
         store = GraphStore.save(worked_example, tmp_path / "store")
-        in_memory = TMark(alpha=0.8, gamma=0.5).fit(worked_example, solver=solver)
+        in_memory = TMark(alpha=0.8, gamma=0.5, solver=solver).fit(worked_example)
         from_store = fit_from_store(
-            store, alpha=0.8, gamma=0.5, chunk_size=2, solver=solver
+            store, TMark(alpha=0.8, gamma=0.5, solver=solver), chunk_size=2
         )
         assert np.array_equal(in_memory.predict(), from_store.predict())
         assert np.allclose(
@@ -70,11 +70,9 @@ class TestEquivalence:
     def test_synthetic_argmax_identical(self, tmp_path, synthetic_hin, solver):
         hin = masked(synthetic_hin)
         store = GraphStore.save(hin, tmp_path / "store")
-        params = dict(alpha=0.7, gamma=0.3, similarity_top_k=5)
-        in_memory = TMark(**params).fit(hin, solver=solver)
-        from_store = fit_from_store(
-            store, chunk_size=7, solver=solver, **params
-        )
+        params = dict(alpha=0.7, gamma=0.3, similarity_top_k=5, solver=solver)
+        in_memory = TMark(**params).fit(hin)
+        from_store = fit_from_store(store, TMark(**params), chunk_size=7)
         assert np.array_equal(in_memory.predict(), from_store.predict())
         assert np.allclose(
             in_memory.result_.node_scores,
@@ -87,13 +85,13 @@ class TestEquivalence:
 
         hin = masked(synthetic_hin)
         store = GraphStore.save(hin, tmp_path / "store")
-        fit_from_store(store, alpha=0.9, gamma=0.0)
+        fit_from_store(store, TMark(alpha=0.9, gamma=0.0))
         manifest = json.loads(
             (store.operators_dir / "operators.json").read_text(encoding="utf-8")
         )
         assert manifest["w_mode"] == "none"
         in_memory = TMark(alpha=0.9, gamma=0.0).fit(hin)
-        from_store = fit_from_store(store, alpha=0.9, gamma=0.0)
+        from_store = fit_from_store(store, TMark(alpha=0.9, gamma=0.0))
         assert np.array_equal(in_memory.predict(), from_store.predict())
 
     def test_labels_override_matches_masked_fit(self, tmp_path, synthetic_hin):
@@ -103,8 +101,7 @@ class TestEquivalence:
         in_memory = TMark(alpha=0.8, gamma=0.0).fit(split)
         from_store = fit_from_store(
             store,
-            alpha=0.8,
-            gamma=0.0,
+            TMark(alpha=0.8, gamma=0.0),
             labels=np.asarray(split.label_matrix),
         )
         assert np.array_equal(in_memory.predict(), from_store.predict())
@@ -147,8 +144,8 @@ class TestByteIdentity:
         for chunk_size in (1, 7, store.n_nodes):
             recorder = ListRecorder()
             model = fit_from_store(
-                store, chunk_size=chunk_size, shards=shards, recorder=recorder,
-                **params,
+                store, TMark(**params), chunk_size=chunk_size, shards=shards,
+                recorder=recorder,
             )
             assert fitted_bytes(model, recorder) == reference, chunk_size
 
@@ -224,27 +221,32 @@ class TestCacheReuse:
     def test_no_walk_fit_after_topk_build(self, tmp_path, synthetic_hin):
         # A gamma=0 fit reuses a top-k cache's O/R without its W settings.
         store = GraphStore.save(masked(synthetic_hin), tmp_path / "store")
-        fit_from_store(store, alpha=0.8, gamma=0.3, similarity_top_k=5)
-        model = fit_from_store(store, alpha=0.8, gamma=0.0)
+        fit_from_store(store, TMark(alpha=0.8, gamma=0.3, similarity_top_k=5))
+        model = fit_from_store(store, TMark(alpha=0.8, gamma=0.0))
         assert model.result_ is not None
 
 
 class TestResultMetadata:
     def test_node_names_attached_on_small_store(self, tmp_path, worked_example):
         store = GraphStore.save(worked_example, tmp_path / "store")
-        model = fit_from_store(store, alpha=0.8, gamma=0.5)
+        model = fit_from_store(store, TMark(alpha=0.8, gamma=0.5))
         assert model.result_.node_names == worked_example.node_names
 
-    def test_node_names_never(self, tmp_path, worked_example):
+    def test_node_names_dropped_on_large_store(
+        self, tmp_path, worked_example, monkeypatch
+    ):
+        import repro.ooc.fit
+
         store = GraphStore.save(worked_example, tmp_path / "store")
-        model = fit_from_store(
-            store, alpha=0.8, gamma=0.5, node_names="never"
+        monkeypatch.setattr(
+            repro.ooc.fit, "MAX_AUTO_NODE_NAMES", worked_example.n_nodes - 1
         )
+        model = fit_from_store(store, TMark(alpha=0.8, gamma=0.5))
         assert model.result_.node_names is None
 
     def test_label_and_relation_names_from_store(self, tmp_path, worked_example):
         store = GraphStore.save(worked_example, tmp_path / "store")
-        model = fit_from_store(store, alpha=0.8, gamma=0.5)
+        model = fit_from_store(store, TMark(alpha=0.8, gamma=0.5))
         assert model.result_.label_names == worked_example.label_names
         assert model.result_.relation_names == worked_example.relation_names
 
@@ -252,23 +254,13 @@ class TestResultMetadata:
 class TestValidation:
     def test_rejects_non_store(self):
         with pytest.raises(ValidationError, match="GraphStore or path"):
-            fit_from_store(42, alpha=0.8)
-
-    def test_rejects_model_and_params(self, tmp_path, worked_example):
-        store = GraphStore.save(worked_example, tmp_path / "store")
-        with pytest.raises(ValidationError, match="not both"):
-            fit_from_store(store, TMark(alpha=0.8), alpha=0.9)
-
-    def test_rejects_bad_node_names_mode(self, tmp_path, worked_example):
-        store = GraphStore.save(worked_example, tmp_path / "store")
-        with pytest.raises(ValidationError, match="node_names"):
-            fit_from_store(store, alpha=0.8, node_names="sometimes")
+            fit_from_store(42, TMark(alpha=0.8))
 
     def test_rejects_bad_labels_shape(self, tmp_path, worked_example):
         store = GraphStore.save(worked_example, tmp_path / "store")
         with pytest.raises(ValidationError, match="labels must have shape"):
             fit_from_store(
-                store, alpha=0.8, labels=np.zeros((2, 2), dtype=bool)
+                store, TMark(alpha=0.8), labels=np.zeros((2, 2), dtype=bool)
             )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core import TMark
 from repro.errors import ValidationError
 from repro.ooc import GraphStore, fit_from_store, generate_ooc_store
 
@@ -77,7 +78,7 @@ class TestGenerator:
         assert reopened.nnz == small_store.nnz
 
     def test_homophilous_fit_beats_chance(self, small_store):
-        model = fit_from_store(small_store, alpha=0.6, gamma=0.0, tol=1e-8)
+        model = fit_from_store(small_store, TMark(alpha=0.6, gamma=0.0, tol=1e-8))
         truth = np.load(small_store.directory / "ground_truth.npy")
         accuracy = float(np.mean(model.predict() == truth))
         assert accuracy > 1.0 / small_store.n_labels + 0.1

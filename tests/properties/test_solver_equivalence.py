@@ -81,8 +81,9 @@ def test_relation_scores_agree_too(solver):
 
 @pytest.mark.parametrize("solver", ACCELERATED)
 def test_accelerated_never_needs_more_than_double(solver):
-    # Acceleration may decline to fire (auto on a fast chain) but the
-    # safeguard must keep the worst case close to plain progress.
+    # Acceleration may decline to fire (a safeguard rejection, a
+    # degenerate history) but the safeguard must keep the worst case
+    # close to plain progress.
     hin = small_labeled_hin(seed=6, n=30, q=3)
     plain = fit_scores(hin, "plain")
     accel = fit_scores(hin, solver)

@@ -158,6 +158,27 @@ class TestEndpoints:
             assert float(samples[name]) == refold.get(name).value, name
 
 
+class TestSolver:
+    def test_solver_is_set_on_the_model_once(self):
+        session = _fitted_session()
+        daemon = PredictionDaemon(session, solver="anderson").start()
+        try:
+            delta = GraphDelta.set_label("p2", ["CV"]).to_dict()
+            assert _post(daemon.url, "/update", {"deltas": [delta]})[0] == 202
+            daemon.flush()
+        finally:
+            daemon.stop()
+        assert session.model.solver == "anderson"
+        fits = [e for e in daemon.state.flight.events() if e["event"] == "fit"]
+        assert [e["solver"] for e in fits] == ["anderson"]
+
+    def test_unknown_solver_is_refused(self):
+        session = _fitted_session()
+        with pytest.raises(ValidationError, match="solver must be one of"):
+            PredictionDaemon(session, solver="auto")
+        assert session.model.solver == "plain"
+
+
 class TestJournaling:
     def test_accepted_updates_are_journaled(self, tmp_path):
         journal = tmp_path / "serving.jsonl"

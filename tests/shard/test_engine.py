@@ -38,9 +38,11 @@ def hin():
     return small_labeled_hin(seed=7, n=30, q=3)
 
 
-def fitted(hin, *, gamma=0.4, top_k=None, solver=None, **fit_kwargs):
-    model = TMark(alpha=0.8, gamma=gamma, similarity_top_k=top_k, max_iter=80)
-    model.fit(hin, solver=solver, **fit_kwargs)
+def fitted(hin, *, gamma=0.4, top_k=None, solver="plain", **fit_kwargs):
+    model = TMark(
+        alpha=0.8, gamma=gamma, similarity_top_k=top_k, max_iter=80, solver=solver
+    )
+    model.fit(hin, **fit_kwargs)
     return model
 
 

@@ -1,10 +1,10 @@
 """End-to-end sharded fits: store-backed, streaming and CLI surfaces.
 
 The contract under test: every entry point that grew a ``shards``
-parameter — ``fit_from_store``, ``StreamingSession`` refits and the
-``run example`` experiment — produces the same answer as its serial
-twin, bit for bit: store-backed operators shard by rows exactly like
-in-memory ones.
+parameter — ``fit_from_store``, warm refits from a streaming session's
+state and the ``run example`` experiment — produces the same answer as
+its serial twin, bit for bit: store-backed operators shard by rows
+exactly like in-memory ones.
 """
 
 import numpy as np
@@ -47,11 +47,9 @@ class TestStoreBackedFit:
         self, tmp_path, synthetic_hin, gamma
     ):
         store = GraphStore.save(synthetic_hin, tmp_path / "store")
-        serial = fit_from_store(
-            store, alpha=0.8, gamma=gamma, chunk_size=8
-        )
+        serial = fit_from_store(store, TMark(alpha=0.8, gamma=gamma), chunk_size=8)
         sharded = fit_from_store(
-            store, alpha=0.8, gamma=gamma, chunk_size=8, shards=2, workers=2
+            store, TMark(alpha=0.8, gamma=gamma), chunk_size=8, shards=2, workers=2
         )
         assert np.array_equal(serial.predict(), sharded.predict())
         assert np.allclose(
@@ -68,9 +66,9 @@ class TestStoreBackedFit:
     def test_worked_example_store_fit(self, tmp_path):
         hin = make_worked_example()
         store = GraphStore.save(hin, tmp_path / "store")
-        serial = fit_from_store(store, alpha=0.8, gamma=0.5, chunk_size=2)
+        serial = fit_from_store(store, TMark(alpha=0.8, gamma=0.5), chunk_size=2)
         sharded = fit_from_store(
-            store, alpha=0.8, gamma=0.5, chunk_size=2, shards=2
+            store, TMark(alpha=0.8, gamma=0.5), chunk_size=2, shards=2
         )
         assert np.array_equal(serial.predict(), sharded.predict())
 
@@ -86,7 +84,7 @@ class TestColumnsDeterminism:
     def test_single_shard_bitwise_serial(self, tmp_path, synthetic_hin, gamma):
         # One row shard streams the same row blocks as the serial walk.
         store = GraphStore.save(synthetic_hin, tmp_path / "store")
-        serial = fit_from_store(store, alpha=0.8, gamma=gamma, chunk_size=8)
+        serial = fit_from_store(store, TMark(alpha=0.8, gamma=gamma), chunk_size=8)
         model = TMark(alpha=0.8, gamma=gamma)
         operators = build_chunked_operators(
             store, chunk_size=8, build_w=model.beta > 0
@@ -112,7 +110,7 @@ class TestColumnsDeterminism:
         assert plan.n_shards == shards
         first, second = (
             fit_from_store(
-                store, alpha=0.8, gamma=0.4, chunk_size=8,
+                store, TMark(alpha=0.8, gamma=0.4), chunk_size=8,
                 shards=shards, workers=2,
             )
             for _ in range(2)
@@ -124,37 +122,44 @@ class TestColumnsDeterminism:
             )
 
 
+def stationary(session):
+    """The session's stationary pair: the warm start of its next refit."""
+    return session.result.node_scores, session.result.relation_scores
+
+
+def warm_refit(session, starts, **fit_kwargs):
+    """Refit the session's graph from ``starts``, as ``apply`` does."""
+    model = TMark()
+    model.fit(
+        session.hin,
+        starts=starts,
+        operators=session.operators.operators,
+        **fit_kwargs,
+    )
+    return model.result_
+
+
 class TestStreaming:
+    """A warm refit from a session's state shards bit-identically."""
+
     def test_reconverge_sharded_bit_identical(self):
-        serial = StreamingSession(make_worked_example())
-        sharded = StreamingSession(make_worked_example())
-        serial.fit()
-        sharded.fit(shards=2, workers=2)
-        assert np.array_equal(
-            serial.result.node_scores, sharded.result.node_scores
-        )
-        u_serial = serial.reconverge()
-        u_sharded = sharded.reconverge(shards=2, workers=2)
-        assert u_serial.iterations == u_sharded.iterations
-        assert u_sharded.warm
-        assert np.array_equal(
-            serial.result.node_scores, sharded.result.node_scores
-        )
-        assert np.array_equal(
-            serial.result.relation_scores, sharded.result.relation_scores
-        )
+        session = StreamingSession(make_worked_example())
+        session.fit()
+        serial = warm_refit(session, stationary(session))
+        sharded = warm_refit(session, stationary(session), shards=2, workers=2)
+        assert [h.n_iterations for h in serial.histories] == [
+            h.n_iterations for h in sharded.histories
+        ]
+        assert np.array_equal(serial.node_scores, sharded.node_scores)
+        assert np.array_equal(serial.relation_scores, sharded.relation_scores)
 
     def test_apply_sharded_bit_identical(self):
-        serial = StreamingSession(make_worked_example())
-        sharded = StreamingSession(make_worked_example())
-        serial.fit()
-        sharded.fit()
-        deltas = [GraphDelta.set_label("p2", ["DM"])]
-        serial.apply(deltas)
-        sharded.apply(deltas, shards=2, workers=2)
-        assert np.array_equal(
-            serial.result.node_scores, sharded.result.node_scores
-        )
+        session = StreamingSession(make_worked_example())
+        session.fit()
+        starts = stationary(session)
+        session.apply([GraphDelta.set_label("p2", ["DM"])])
+        sharded = warm_refit(session, starts, shards=2, workers=2)
+        assert np.array_equal(session.result.node_scores, sharded.node_scores)
 
 
 class TestExperimentSurface:

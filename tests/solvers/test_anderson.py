@@ -27,10 +27,10 @@ def linear_contraction(seed=0, n=8, rate=0.9):
     return (lambda x: a @ x + b), x_star
 
 
-def offer(solver, x, g, t):
+def offer(solver, x, g):
     """Offer one pair to a one-row mixer; the accepted proposal or ``None``."""
     g_rows = np.array([g], dtype=float)
-    accepted, _ = solver.step(np.array([x], dtype=float), g_rows, t=t, residuals=[[]])
+    accepted, _ = solver.step(np.array([x], dtype=float), g_rows)
     return g_rows[0] if accepted[0] else None
 
 
@@ -39,7 +39,7 @@ def iterate(solver, h, x_star, max_t=100):
     x = np.full_like(x_star, 1.0 / x_star.size)
     for t in range(1, max_t):
         g = h(x)
-        proposal = offer(solver, x, g, t)
+        proposal = offer(solver, x, g)
         x = g if proposal is None else proposal
         if float(np.abs(h(x) - x).sum()) < 1e-10:
             break
@@ -66,22 +66,22 @@ class TestAndersonOnLinearMaps:
 
     def test_first_step_has_no_history(self):
         solver = AndersonMixer(1, 3, tol=1e-12)
-        assert offer(solver, [0.2, 0.3, 0.5], [0.3, 0.3, 0.4], 1) is None
+        assert offer(solver, [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]) is None
         assert solver.history_length[0] == 1
 
     def test_exact_limit_stays_silent(self):
         solver = AndersonMixer(1, 2, tol=1e-8)
         x = np.array([0.25, 0.75])
-        offer(solver, [0.3, 0.7], x, 1)
+        offer(solver, [0.3, 0.7], x)
         # Plain step moved less than tol: the solver must not perturb it.
-        assert offer(solver, x, x + 1e-12, 2) is None
+        assert offer(solver, x, x + 1e-12) is None
 
     def test_window_trims_history(self):
         # A tol no step reaches keeps the mixer silent, so nothing but
         # the window bounds the recorded history.
         solver = AndersonMixer(1, 2, tol=10.0, window=3)
         for t in range(1, 10):
-            offer(solver, [0.5 - 0.01 * t, 0.5 + 0.01 * t], [0.4, 0.6], t)
+            offer(solver, [0.5 - 0.01 * t, 0.5 + 0.01 * t], [0.4, 0.6])
         assert solver.history_length[0] == solver.window + 1
 
     def test_default_window(self):
@@ -93,7 +93,7 @@ class TestAndersonOnLinearMaps:
 
     def test_reset_clears_history(self):
         solver = AndersonMixer(1, 2, tol=1e-12)
-        offer(solver, [0.5, 0.5], [0.4, 0.6], 1)
+        offer(solver, [0.5, 0.5], [0.4, 0.6])
         solver.restart([0])
         assert solver.history_length[0] == 0
 
@@ -104,7 +104,7 @@ class TestAndersonOnLinearMaps:
         proposals = []
         for t in range(1, 5):
             g = h(x)
-            proposal = offer(solver, x, g, t)
+            proposal = offer(solver, x, g)
             proposals.append(proposal)
             x = g if proposal is None else proposal
         # Silent on the first pair, proposing from the second on.

@@ -22,14 +22,14 @@ def guard(row):
 
 class TestCheckSolver:
     def test_vocabulary(self):
-        assert SOLVER_NAMES == ("plain", "anderson", "auto")
+        assert SOLVER_NAMES == ("plain", "anderson")
         assert PLAIN_SOLVER == "plain"
 
     @pytest.mark.parametrize("name", SOLVER_NAMES)
     def test_accepts_registered_names(self, name):
         assert check_solver(name) == name
 
-    @pytest.mark.parametrize("bad", ["newton", "", None, "ANDERSON"])
+    @pytest.mark.parametrize("bad", ["newton", "", None, "ANDERSON", "auto"])
     def test_rejects_unknown_names(self, bad):
         with pytest.raises(ValidationError, match="solver must be one of"):
             check_solver(bad)
@@ -41,10 +41,7 @@ class TestMakeSolver:
 
     def test_accelerators_by_name(self):
         anderson = make_solver("anderson", tol=1e-8, rows=2, size=3)
-        auto = make_solver("auto", tol=1e-8, rows=2, size=3)
         assert isinstance(anderson, AndersonMixer)
-        assert isinstance(auto, AndersonMixer)
-        assert anderson.engaged.all() and not auto.engaged.any()
         assert anderson.delta_f.shape == (2, anderson.window, 3)
 
     def test_unknown_name_raises(self):
@@ -96,36 +93,30 @@ class TestSafeguard:
         assert safe[0].tobytes() == guard(rows[0]).tobytes()
 
 
-def offer(mixer, x, g, t):
+def offer(mixer, x, g):
     """One single-row step; the accepted proposal or ``None``."""
     g_rows = np.array([g], dtype=float)
-    accepted, _ = mixer.step(np.array([x], dtype=float), g_rows, t=t, residuals=[[]])
+    accepted, _ = mixer.step(np.array([x], dtype=float), g_rows)
     return g_rows[0] if accepted[0] else None
 
 
 class TestAcceleratorBase:
     def test_rejected_counts_and_restarts(self):
         solver = AndersonMixer(1, 2, tol=1e-8)
-        offer(solver, [0.0, 1.0], [0.1, 0.9], 1)
+        offer(solver, [0.0, 1.0], [0.1, 0.9])
         assert solver.history_length[0] == 1  # history accumulated
         # The residual grew along the same direction: gamma = 1.5
         # extrapolates to [-0.3, 1.3], which the safeguard rejects.
         g_rows = np.array([[0.9, 0.1]])
-        accepted, rejected = solver.step(
-            np.array([[0.6, 0.4]]), g_rows, t=2, residuals=[[]]
-        )
+        accepted, rejected = solver.step(np.array([[0.6, 0.4]]), g_rows)
         assert rejected.tolist() == [True] and not accepted.any()
         assert g_rows.tolist() == [[0.9, 0.1]]  # the plain step stands
         assert solver.history_length[0] == 0  # history dropped
 
     def test_map_changed_restarts_without_rejection(self):
         solver = AndersonMixer(1, 2, tol=1e-8)
-        offer(solver, [0.5, 0.5], [0.4, 0.6], 1)
+        offer(solver, [0.5, 0.5], [0.4, 0.6])
         solver.restart(np.array([True]))
         assert solver.history_length[0] == 0
         # The restarted history needs two fresh pairs before it proposes.
-        assert offer(solver, [0.4, 0.6], [0.3, 0.7], 2) is None
-
-    def test_active_name_defaults_to_name(self):
-        solver = AndersonMixer(3, 2, tol=1e-8)
-        assert [solver.solver_name(r) for r in range(3)] == ["anderson"] * 3
+        assert offer(solver, [0.4, 0.6], [0.3, 0.7]) is None

@@ -12,11 +12,10 @@ other rows share the block, in whatever order, with whatever history.
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.solvers import AndersonMixer
-from repro.solvers.adaptive import PROBE_ITERATIONS, is_slow
 from repro.solvers.anderson import PIVOT_RTOL, cholesky_solve
 from repro.solvers.base import SAFEGUARD_MASS_BOUNDS, SAFEGUARD_NEGATIVE_TOL
 
@@ -70,9 +69,8 @@ def reference_cholesky(gram, rhs):
 class ReferenceRow:
     """Anderson mixing for one chain, one pair at a time."""
 
-    def __init__(self, tol, window, auto=False):
+    def __init__(self, tol, window):
         self.tol, self.window = tol, window
-        self.engaged = not auto
         self.slots = [None] * window
         self.count = 0
         self.f_last = self.g_last = None
@@ -80,12 +78,8 @@ class ReferenceRow:
     def restart(self):
         self.count = 0
 
-    def step(self, x, g, t, residuals):
+    def step(self, x, g):
         """``("none" | "accepted" | "rejected", iterate)`` for one pair."""
-        if not self.engaged:
-            if not is_slow(t, residuals):
-                return "none", g
-            self.engaged = True
         f = g - x
         if self.count > 0:
             slot = (self.count - 1) % self.window
@@ -125,7 +119,7 @@ def contraction(rng, n):
     return lambda x: a @ x + b
 
 
-def run_block(seed, n_rows, n, window, steps, restart_p, freeze_p, auto):
+def run_block(seed, n_rows, n, window, steps, restart_p, freeze_p):
     """Drive one stacked mixer and per-row references with the same pairs.
 
     Rows restart and freeze at random; the block's row order is a random
@@ -135,11 +129,10 @@ def run_block(seed, n_rows, n, window, steps, restart_p, freeze_p, auto):
     rng = np.random.default_rng(seed)
     maps = [contraction(rng, n) for _ in range(n_rows)]
     xs = [rng.dirichlet(np.ones(n)) for _ in range(n_rows)]
-    residuals = [[] for _ in range(n_rows)]
     order = list(rng.permutation(n_rows))
     tol = 1e-12
-    mixer = AndersonMixer(n_rows, n, tol=tol, window=window, auto=auto)
-    refs = [ReferenceRow(tol, window, auto=auto) for _ in range(n_rows)]
+    mixer = AndersonMixer(n_rows, n, tol=tol, window=window)
+    refs = [ReferenceRow(tol, window) for _ in range(n_rows)]
     tally = {"none": 0, "accepted": 0, "rejected": 0}
     for t in range(1, steps + 1):
         if not order:
@@ -151,17 +144,14 @@ def run_block(seed, n_rows, n, window, steps, restart_p, freeze_p, auto):
         x_rows = np.array([xs[c] for c in order])
         g_rows = np.array([maps[c](xs[c]) for c in order])
         plain = g_rows.copy()
-        accepted, rejected = mixer.step(
-            x_rows, g_rows, t=t, residuals=[residuals[c] for c in order]
-        )
+        accepted, rejected = mixer.step(x_rows, g_rows)
         for idx, c in enumerate(order):
-            outcome, expected = refs[c].step(xs[c], plain[idx], t, residuals[c])
+            outcome, expected = refs[c].step(xs[c], plain[idx])
             assert bool(accepted[idx]) == (outcome == "accepted"), (t, c)
             assert bool(rejected[idx]) == (outcome == "rejected"), (t, c)
             assert g_rows[idx].tobytes() == expected.tobytes(), (t, c)
             assert mixer.count[idx] == refs[c].count
             tally[outcome] += 1
-            residuals[c].append(float(np.abs(g_rows[idx] - xs[c]).sum()))
             xs[c] = g_rows[idx]
         keep = rng.random(len(order)) >= freeze_p
         if not keep.all():
@@ -183,26 +173,19 @@ class TestAgainstReference:
     def test_rows_match_their_reference(
         self, seed, n_rows, n, window, restart_p, freeze_p
     ):
-        run_block(seed, n_rows, n, window, 25, restart_p, freeze_p, auto=False)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 5))
-    def test_auto_rows_match_their_reference(self, seed, n_rows):
-        run_block(seed, n_rows, 12, 5, 30, 0.1, 0.05, auto=True)
+        run_block(seed, n_rows, n, window, 25, restart_p, freeze_p)
 
     def test_scenarios_exercise_every_outcome(self):
         totals = {"none": 0, "accepted": 0, "rejected": 0}
         for seed in range(12):
-            for outcome, count in run_block(
-                seed, 4, 10, 3, 30, 0.1, 0.05, auto=False
-            ).items():
+            for outcome, count in run_block(seed, 4, 10, 3, 30, 0.1, 0.05).items():
                 totals[outcome] += count
         assert all(totals.values()), totals
 
     def test_ring_wraps_past_the_window(self):
         # No restarts or freezes: every row writes past slot w - 1 and
         # keeps matching the reference's slot-order window.
-        tally = run_block(3, 3, 16, 2, 20, 0.0, 0.0, auto=False)
+        tally = run_block(3, 3, 16, 2, 20, 0.0, 0.0)
         assert tally["accepted"] > 3 * 2
 
     def test_row_alone_equals_row_in_a_block(self):
@@ -219,17 +202,17 @@ class TestAgainstReference:
                 block.restart([0, 3])  # other rows' histories diverge
             x_rows = np.array(xs)
             g_rows = np.array([h(x) for h, x in zip(maps, xs)])
-            block.step(x_rows, g_rows, t=t)
+            block.step(x_rows, g_rows)
             g_alone = maps[2](x0)[None].copy()
-            alone.step(x0[None], g_alone, t=t)
+            alone.step(x0[None], g_alone)
             assert g_rows[2].tobytes() == g_alone[0].tobytes()
             xs, x0 = list(g_rows), g_alone[0]
 
 
-def offer_block(mixer, pairs, t):
+def offer_block(mixer, pairs):
     x_rows = np.array([x for x, _ in pairs], dtype=float)
     g_rows = np.array([g for _, g in pairs], dtype=float)
-    accepted, rejected = mixer.step(x_rows, g_rows, t=t, residuals=[[]] * len(pairs))
+    accepted, rejected = mixer.step(x_rows, g_rows)
     return g_rows, accepted, rejected
 
 
@@ -245,18 +228,18 @@ class TestDegenerateHistory:
 
     def test_duplicated_difference_proposes_nothing_and_restarts(self):
         mixer = AndersonMixer(1, 4, tol=1e-12)
-        offer_block(mixer, [(self.X, self.G[0])], 1)
-        _, accepted, _ = offer_block(mixer, [(self.X, self.G[1])], 2)
+        offer_block(mixer, [(self.X, self.G[0])])
+        _, accepted, _ = offer_block(mixer, [(self.X, self.G[1])])
         assert accepted.all()  # one column: a regular solve
-        g_rows, accepted, rejected = offer_block(mixer, [(self.X, self.G[2])], 3)
+        g_rows, accepted, rejected = offer_block(mixer, [(self.X, self.G[2])])
         assert not accepted.any() and not rejected.any()
         assert g_rows.tolist() == [self.G[2]]  # the plain step, no NaN
         assert mixer.history_length.tolist() == [0]
 
     def test_zero_difference_proposes_nothing_and_restarts(self):
         mixer = AndersonMixer(1, 4, tol=1e-12)
-        offer_block(mixer, [(self.X, self.G[0])], 1)
-        g_rows, accepted, _ = offer_block(mixer, [(self.X, self.G[0])], 2)
+        offer_block(mixer, [(self.X, self.G[0])])
+        g_rows, accepted, _ = offer_block(mixer, [(self.X, self.G[0])])
         assert not accepted.any()
         assert np.isfinite(g_rows).all()
         assert mixer.history_length.tolist() == [0]
@@ -265,7 +248,7 @@ class TestDegenerateHistory:
         mixer = AndersonMixer(2, 4, tol=1e-12)
         other = [[0.3, 0.2, 0.25, 0.25], [0.28, 0.22, 0.25, 0.25], [0.27, 0.23, 0.26, 0.24]]
         for t in range(3):
-            offer_block(mixer, [(self.X, self.G[t]), (self.X, other[t])], t + 1)
+            offer_block(mixer, [(self.X, self.G[t]), (self.X, other[t])])
         assert mixer.history_length.tolist() == [0, 3]
 
     def test_cholesky_flags_only_the_degenerate_row(self):
@@ -288,43 +271,14 @@ class TestSafeguardRowByRow:
         offer_block(
             mixer,
             [(self.X, self.G1), ([0.0, 3.0], [0.3, 2.7]), ([0.5, 0.5], [0.45, 0.55])],
-            1,
         )
         g_rows, accepted, rejected = offer_block(
             mixer,
             [([0.6, 0.4], [0.9, 0.1]), ([1.8, 1.2], [2.7, 0.3]),
              ([0.45, 0.55], [0.42, 0.58])],
-            2,
         )
         assert rejected.tolist() == [True, True, False]
         assert accepted.tolist() == [False, False, True]
         assert g_rows[:2].tolist() == [[0.9, 0.1], [2.7, 0.3]]
         assert mixer.history_length.tolist() == [0, 0, 2]
         assert float(g_rows[2].sum()) == 1.0
-
-
-class TestAutoDormancy:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 30))
-    @example(seed=0, steps=PROBE_ITERATIONS)
-    def test_dormant_rows_record_nothing(self, seed, steps):
-        rng = np.random.default_rng(seed)
-        n, rows = 6, 3
-        mixer = AndersonMixer(rows, n, tol=1e-12, auto=True)
-        # Row 0 decays fast and never engages; the others are slow.
-        rates = [0.3, 0.97, 0.99]
-        maps = [contraction(rng, n) for _ in range(rows)]
-        xs = [rng.dirichlet(np.ones(n)) for _ in range(rows)]
-        for t in range(1, steps + 1):
-            g_rows = np.array([h(x) for h, x in zip(maps, xs)])
-            residuals = [[r**k for k in range(t - 1)] for r in rates]
-            accepted, rejected = mixer.step(np.array(xs), g_rows, t=t, residuals=residuals)
-            assert not accepted[0] and not rejected[0]
-            xs = list(g_rows)
-        assert mixer.solver_name(0) == "plain"
-        assert mixer.count[0] == 0
-        for buffer in (mixer.f_last, mixer.g_last, mixer.delta_f, mixer.gram):
-            assert not buffer[0].any()
-        # ``is_slow`` decides from iteration PROBE_ITERATIONS on.
-        engaged = steps >= PROBE_ITERATIONS
-        assert mixer.engaged[1:].tolist() == [engaged, engaged]

@@ -39,18 +39,6 @@ class TestLifecycle:
         assert not update.warm
         assert session.result is not None
 
-    def test_refit_false_only_advances_graph(self):
-        session = make_session()
-        result = session.fit()
-        n_before = session.hin.n_nodes
-        update = session.apply(
-            [GraphDelta.add_node("x", features=[0.1] * 5)], refit=False
-        )
-        assert session.result is result  # untouched
-        assert update.iterations == 0
-        assert not update.warm
-        assert session.hin.n_nodes == n_before + 1
-
     def test_new_nodes_grow_scores(self):
         session = make_session()
         session.fit()
@@ -120,9 +108,9 @@ class TestReconvergence:
 class TestSolverThreading:
     def test_fit_with_solver_matches_plain(self):
         plain = make_session(seed=6, tol=1e-10)
-        accel = make_session(seed=6, tol=1e-10)
+        accel = make_session(seed=6, tol=1e-10, solver="anderson")
         a = plain.fit()
-        b = accel.fit(solver="anderson")
+        b = accel.fit()
         np.testing.assert_allclose(b.node_scores, a.node_scores, atol=1e-6)
         assert np.array_equal(
             np.argmax(b.node_scores, axis=1),
@@ -130,20 +118,28 @@ class TestSolverThreading:
         )
 
     def test_apply_with_solver_reconverges(self):
-        session = make_session(seed=6)
+        recorder = ListRecorder()
+        session = make_session(seed=6, solver="anderson")
         session.fit()
         update = session.apply(
-            [GraphDelta.set_label("v3", ["c1"])], solver="auto"
+            [GraphDelta.set_label("v3", ["c1"])], recorder=recorder
         )
         assert update.warm
         assert update.converged
+        # The refit runs under the model's solver.
+        (fit_event,) = recorder.events_of("fit")
+        assert fit_event["solver"] == "anderson"
 
-    def test_reconverge_accepts_solver_override(self):
-        session = make_session(seed=6)
-        session.fit()
-        update = session.reconverge(solver="anderson")
-        assert update.warm
-        assert update.converged
+    @pytest.mark.parametrize(
+        "method",
+        [StreamingSession.fit, StreamingSession.apply, StreamingSession.replay],
+        ids=lambda f: f.__name__,
+    )
+    def test_session_methods_take_no_solver(self, method):
+        import inspect
+
+        parameters = inspect.signature(method).parameters
+        assert not {"solver", "shards", "workers", "refit"} & set(parameters)
 
 
 class TestObservability:
@@ -216,15 +212,6 @@ class TestUpdateHealth:
         (event,) = recorder.events_of("reconverge")
         assert set(event["health"]) == set(session.hin.label_names)
         assert event["worst_health"] == "healthy"
-
-    def test_refit_false_leaves_health_empty(self):
-        session = make_session()
-        session.fit()
-        update = session.apply(
-            [GraphDelta.add_node("x", features=[0.1] * 5)], refit=False
-        )
-        assert update.health == {}
-        assert update.worst_health == "healthy"
 
 
 class TestResume:

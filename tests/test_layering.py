@@ -4,7 +4,9 @@ The library packages must not depend on :mod:`repro.experiments`: the
 harness sits on top of them.  The one exception is the serve CLI's
 runner hook, which builds a session with the harness's helpers.  The
 harness in turn reaches the metrics sinks only through the events it
-emits, and ``import repro`` must need only the declared dependencies.
+emits, the solvers are pure numerics that read nothing from the
+telemetry layer, and ``import repro`` must need only the declared
+dependencies.
 """
 
 import ast
@@ -23,8 +25,8 @@ LIBRARY = ("core", "shard", "ooc", "serve", "stream", "hin", "tensor", "solvers"
 ALLOWED = {("serve/daemon.py", "run_serve_cli")}
 
 
-def harness_imports(path: Path):
-    """``(enclosing function, module)`` of each import of ``repro.experiments``."""
+def imports_of(path: Path, package: str):
+    """``(enclosing function, module)`` of each import of ``package``."""
     found = []
 
     def visit(node, function):
@@ -39,9 +41,7 @@ def harness_imports(path: Path):
             else:
                 modules = []
             for module in modules:
-                if module == "repro.experiments" or module.startswith(
-                    "repro.experiments."
-                ):
+                if module == package or module.startswith(package + "."):
                     found.append((scope, module))
             visit(child, scope)
 
@@ -54,9 +54,18 @@ def test_library_does_not_import_the_experiment_harness():
     for package in LIBRARY:
         for path in sorted((SRC / package).rglob("*.py")):
             relative = path.relative_to(SRC).as_posix()
-            for function, module in harness_imports(path):
+            for function, module in imports_of(path, "repro.experiments"):
                 if (relative, function) not in ALLOWED:
                     offending.append(f"{relative} ({function}): {module}")
+    assert offending == []
+
+
+def test_solvers_import_nothing_from_obs():
+    offending = [
+        f"{path.relative_to(SRC).as_posix()}: {module}"
+        for path in sorted((SRC / "solvers").rglob("*.py"))
+        for _, module in imports_of(path, "repro.obs")
+    ]
     assert offending == []
 
 
