@@ -57,6 +57,12 @@ class TraceSummary:
     max_rss_bytes: int = 0
     n_requests: int = 0
     request_seconds: float = 0.0
+    #: ``request_seconds`` split as the daemon times each request:
+    #: ``parse`` (URL split, body read and decode), ``handle`` (the
+    #: endpoint function) and ``encode`` (the reply body's bytes).
+    request_parse_seconds: float = 0.0
+    request_handle_seconds: float = 0.0
+    request_encode_seconds: float = 0.0
     #: One record per ``fit`` event: its ``fit_seconds``, plus the
     #: ``operator_seconds`` and ``phase:<name>`` times traced since the
     #: previous fit event (what ``trace-diff`` takes per-fit medians of).
@@ -195,6 +201,9 @@ def summarize_trace(events) -> TraceSummary:
         elif kind == "http_request":
             summary.n_requests += 1
             summary.request_seconds += float(event.get("seconds", 0.0))
+            summary.request_parse_seconds += float(event.get("parse_seconds", 0.0))
+            summary.request_handle_seconds += float(event.get("handle_seconds", 0.0))
+            summary.request_encode_seconds += float(event.get("encode_seconds", 0.0))
     return summary
 
 
@@ -281,7 +290,10 @@ def format_trace_summary(summary: TraceSummary) -> str:
     if summary.n_requests:
         lines.append(
             f"http requests: {summary.n_requests} "
-            f"({summary.request_seconds:.4f}s)"
+            f"({summary.request_seconds:.4f}s; parse "
+            f"{summary.request_parse_seconds:.4f}s, handle "
+            f"{summary.request_handle_seconds:.4f}s, encode "
+            f"{summary.request_encode_seconds:.4f}s)"
         )
     if summary.n_frozen_events:
         lines.append(f"frozen-column events: {summary.n_frozen_events}")

@@ -10,11 +10,11 @@ a low-latency serving tier:
 * :mod:`~repro.serve.handlers` — pure endpoint functions over a shared
   :class:`ServingState` whose snapshot reference is replaced by atomic
   assignment, never mutated.
-* :class:`PredictionDaemon` (``daemon.py``) — a stdlib
-  ``http.server``-based daemon: reader threads serve JSON from the
-  current snapshot while a single updater thread journals incoming
-  delta batches, reconverges the streaming session warm, and swaps the
-  fresh snapshot in.
+* :class:`PredictionDaemon` (``daemon.py``) — a daemon on the stdlib's
+  ``http.server``: reader threads serve JSON from the current snapshot,
+  encoded by ``orjson`` (compact, shortest round-trip floats), while a
+  single updater thread journals incoming delta batches, reconverges
+  the streaming session warm, and swaps the fresh snapshot in.
 
 See ``docs/architecture.md`` ("Serving") for the lifecycle diagram and
 readiness semantics.

@@ -1,8 +1,11 @@
-"""The long-lived prediction daemon: stdlib HTTP over snapshot swaps.
+"""The long-lived prediction daemon: HTTP over snapshot swaps.
 
 :class:`PredictionDaemon` wraps a fitted
-:class:`~repro.stream.StreamingSession` in a threaded
-``http.server`` front end:
+:class:`~repro.stream.StreamingSession` in a threaded stdlib
+``http.server`` front end.  Request bodies are decoded by the stdlib
+``json`` module; every JSON reply is encoded by :func:`encode_json`
+(``orjson``: compact bytes, shortest round-trip floats, ``null`` for a
+non-finite float).
 
 * **Readers** (one thread per connection via
   ``ThreadingHTTPServer``) answer ``/classify``, ``/topk``,
@@ -64,9 +67,12 @@ import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
+import orjson
+
 from repro.errors import ValidationError
 from repro.obs.flight import ResourceSampler
 from repro.obs.spans import span
+from repro.obs.trace import _json_default
 from repro.serve import handlers as h
 from repro.serve.snapshot import Snapshot
 from repro.solvers.base import check_solver
@@ -307,6 +313,46 @@ def _check_fresh_journal(path) -> None:
         )
 
 
+def encode_json(body) -> bytes:
+    """Encode one response body as compact UTF-8 JSON.
+
+    Every JSON reply goes through here.  ``orjson`` writes the shortest
+    decimal that reads back as the same double, so ``json.loads`` of the
+    bytes gives bit-identical floats, at a fraction of ``json.dumps``'s
+    cost on a score-heavy ``/classify`` reply.  numpy scalars (events in
+    the flight ring may carry them) go through the trace sink's hook,
+    and a non-finite float encodes as ``null``.
+    """
+    return orjson.dumps(body, default=_json_default)
+
+
+def _handle_update(state: h.ServingState, payload):
+    """``POST /update``, answered 503 once the updater thread is down."""
+    try:
+        return h.handle_update(state, payload)
+    except ValidationError as exc:
+        return 503, {"error": str(exc)}
+
+
+def _refused(state: h.ServingState, reply):
+    """The endpoint of a request refused while it was read: its reply."""
+    return reply
+
+
+#: Endpoint function ``(state, argument) -> (status, body)`` of each
+#: ``(method, path)`` the daemon serves.
+_ROUTES = {
+    ("GET", "/healthz"): lambda state, params: h.handle_healthz(state),
+    ("GET", "/metrics"): lambda state, params: h.handle_metrics(state),
+    ("GET", "/topk"): h.handle_topk,
+    ("GET", "/relations"): h.handle_relations,
+    ("GET", "/debug/trace"): h.handle_debug_trace,
+    ("GET", "/debug/vars"): lambda state, params: h.handle_debug_vars(state),
+    ("POST", "/classify"): h.handle_classify,
+    ("POST", "/update"): _handle_update,
+}
+
+
 def _make_handler(state: h.ServingState):
     """Build the request-handler class bound to one ``ServingState``."""
 
@@ -320,41 +366,6 @@ def _make_handler(state: h.ServingState):
         # the serving benchmark.
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             pass
-
-        # -- plumbing ---------------------------------------------------
-        def _reply(
-            self,
-            endpoint: str,
-            started: float,
-            status: int,
-            body,
-            *,
-            request_id: str | None = None,
-        ) -> None:
-            if isinstance(body, str):
-                raw = body.encode("utf-8")
-                content_type = "text/plain; version=0.0.4; charset=utf-8"
-            else:
-                if request_id is not None and isinstance(body, dict):
-                    body = {**body, "request_id": request_id}
-                raw = json.dumps(body).encode("utf-8")
-                content_type = "application/json"
-            # Observe before flushing the response: a client holding its
-            # reply is then guaranteed to find the matching
-            # ``http_request`` event in a /debug/trace dump.
-            state.observe_request(
-                endpoint,
-                time.perf_counter() - started,
-                status,
-                request_id=request_id,
-            )
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            if request_id is not None:
-                self.send_header("X-Request-Id", request_id)
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
 
         def _content_length(self) -> int | None:
             """The request's ``Content-Length`` (0 when absent), ``None``
@@ -374,40 +385,32 @@ def _make_handler(state: h.ServingState):
             except (json.JSONDecodeError, UnicodeDecodeError):
                 return None
 
-        # -- routing ----------------------------------------------------
-        def _route(self, method: str, url) -> tuple[int, object]:
+        def _parse(self, method: str, url):
+            """Read one request: ``(endpoint function, its argument)``.
+
+            A GET's argument is its query parameters, a POST's its JSON
+            body.  A request refused before any endpoint runs gets
+            :func:`_refused` with its ``(status, body)``.
+            """
             if method == "GET":
-                params = dict(parse_qsl(url.query))
-                if url.path == "/healthz":
-                    return h.handle_healthz(state)
-                if url.path == "/metrics":
-                    return h.handle_metrics(state)
-                if url.path == "/topk":
-                    return h.handle_topk(state, params)
-                if url.path == "/relations":
-                    return h.handle_relations(state, params)
-                if url.path == "/debug/trace":
-                    return h.handle_debug_trace(state, params)
-                if url.path == "/debug/vars":
-                    return h.handle_debug_vars(state)
-                return 404, {"error": f"no such endpoint: {url.path}"}
-            length = self._content_length()
-            if length is None:
-                # The body's extent is unknown, so the connection cannot
-                # be reused for another request.
-                self.close_connection = True
-                return 400, {"error": "Content-Length must be a non-negative integer"}
-            payload = self._read_json(length)
-            if payload is None:
-                return 400, {"error": "body must be JSON"}
-            if url.path == "/classify":
-                return h.handle_classify(state, payload)
-            if url.path == "/update":
-                try:
-                    return h.handle_update(state, payload)
-                except ValidationError as exc:
-                    return 503, {"error": str(exc)}
-            return 404, {"error": f"no such endpoint: {url.path}"}
+                argument = dict(parse_qsl(url.query))
+            else:
+                length = self._content_length()
+                if length is None:
+                    # The body's extent is unknown, so the connection
+                    # cannot be reused for another request.
+                    self.close_connection = True
+                    return _refused, (
+                        400,
+                        {"error": "Content-Length must be a non-negative integer"},
+                    )
+                argument = self._read_json(length)
+                if argument is None:
+                    return _refused, (400, {"error": "body must be JSON"})
+            route = _ROUTES.get((method, url.path))
+            if route is None:
+                return _refused, (404, {"error": f"no such endpoint: {url.path}"})
+            return route, argument
 
         def _serve_one(self, method: str) -> None:
             started = time.perf_counter()
@@ -421,14 +424,40 @@ def _make_handler(state: h.ServingState):
                 endpoint=url.path,
                 method=method,
             ) as ctx:
-                status, body = self._route(method, url)
-            self._reply(
+                endpoint, argument = self._parse(method, url)
+                parsed = time.perf_counter()
+                status, body = endpoint(state, argument)
+                handled = time.perf_counter()
+            request_id = ctx.span_id if ctx is not None else None
+            encode_started = time.perf_counter()
+            if isinstance(body, str):
+                raw = body.encode("utf-8")
+                content_type = "text/plain; version=0.0.4; charset=utf-8"
+            else:
+                if request_id is not None and isinstance(body, dict):
+                    body = {**body, "request_id": request_id}
+                raw = encode_json(body)
+                content_type = "application/json"
+            encoded = time.perf_counter()
+            # Observe before flushing the response: a client holding its
+            # reply is then guaranteed to find the matching
+            # ``http_request`` event in a /debug/trace dump.
+            state.observe_request(
                 url.path,
-                started,
+                encoded - started,
                 status,
-                body,
-                request_id=ctx.span_id if ctx is not None else None,
+                request_id=request_id,
+                parse_seconds=parsed - started,
+                handle_seconds=handled - parsed,
+                encode_seconds=encoded - encode_started,
             )
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            if request_id is not None:
+                self.send_header("X-Request-Id", request_id)
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
 
         def do_GET(self):  # noqa: N802 - stdlib naming
             self._serve_one("GET")

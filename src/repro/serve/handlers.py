@@ -117,8 +117,14 @@ class ServingState:
         status: int,
         *,
         request_id: str | None = None,
+        **phase_seconds: float,
     ) -> None:
         """Fold one served request into the metrics registry and ring.
+
+        ``phase_seconds`` become fields of the ``http_request`` event;
+        the daemon splits each request into ``parse_seconds`` (URL
+        split, body read and decode), ``handle_seconds`` (the endpoint
+        function) and ``encode_seconds`` (the reply body's bytes).
 
         Requests slower than ``slow_request_seconds`` are additionally
         logged to stderr (with their id, so the line correlates with the
@@ -127,6 +133,7 @@ class ServingState:
         fields = {"endpoint": endpoint, "seconds": seconds, "status": status}
         if request_id is not None:
             fields["request_id"] = request_id
+        fields.update(phase_seconds)
         self._recorder.emit("http_request", **fields)
         if (
             self.slow_request_seconds is not None

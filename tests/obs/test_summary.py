@@ -116,6 +116,25 @@ class TestSummarizeTrace:
         assert summary.phase_seconds == 0.02
         assert "(0.7500s)" in format_trace_summary(summary)
 
+    def test_request_seconds_are_split_into_parse_handle_encode(self):
+        events = [
+            {"event": "http_request", "endpoint": "/classify", "seconds": 0.004,
+             "parse_seconds": 0.001, "handle_seconds": 0.0005,
+             "encode_seconds": 0.002},
+            {"event": "http_request", "endpoint": "/topk", "seconds": 0.002,
+             "parse_seconds": 0.0005, "handle_seconds": 0.001,
+             "encode_seconds": 0.0002},
+        ]
+        summary = summarize_trace(events)
+        assert summary.n_requests == 2
+        assert summary.request_seconds == 0.004 + 0.002
+        assert summary.request_parse_seconds == 0.001 + 0.0005
+        assert summary.request_handle_seconds == 0.0005 + 0.001
+        assert summary.request_encode_seconds == 0.002 + 0.0002
+        assert "parse 0.0015s, handle 0.0015s, encode 0.0022s" in (
+            format_trace_summary(summary)
+        )
+
     def test_probe_without_entry_fields_keeps_min_none(self):
         summary = summarize_trace([{"event": "invariant_probe", "t": 1}])
         assert summary.n_probes == 1

@@ -6,7 +6,8 @@ runner hook, which builds a session with the harness's helpers.  The
 harness in turn reaches the metrics sinks only through the events it
 emits, the solvers are pure numerics that read nothing from the
 telemetry layer, and ``import repro`` must need only the declared
-dependencies.
+dependencies.  The core library is numpy/scipy only: ``orjson`` encodes
+the daemon's replies and nothing outside :mod:`repro.serve` imports it.
 """
 
 import ast
@@ -102,3 +103,24 @@ def test_import_repro_needs_no_networkx():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_import_repro_needs_no_orjson():
+    code = "import sys; sys.modules['orjson'] = None; import repro"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_only_the_serving_tier_imports_orjson():
+    importers = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if imports_of(path, "orjson")
+    }
+    assert importers and all(name.startswith("serve/") for name in importers)
