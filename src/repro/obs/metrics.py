@@ -24,7 +24,7 @@ import math
 import re
 
 from repro.errors import ValidationError
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import Recorder, read_iteration
 
 #: Wall-clock histogram edges (seconds) shared by all *_seconds metrics.
 DEFAULT_TIME_BUCKETS = (
@@ -338,14 +338,13 @@ class MetricsRecorder(Recorder):
             if not fields.get("converged", True):
                 registry.counter("tmark_unconverged_fits_total").inc()
         elif event == "chain_iteration":
-            phases = fields.get("phases", {})
+            iteration = read_iteration(fields)
             registry.histogram("tmark_iteration_seconds").observe(
-                sum(phases.values()) if phases else 0.0
+                iteration.phase_seconds
             )
-            registry.gauge("tmark_active_classes").set(fields.get("n_active", 0))
-            frozen = sum(fields.get("frozen", ()))
-            if frozen:
-                registry.counter("tmark_frozen_columns_total").inc(frozen)
+            registry.gauge("tmark_active_classes").set(iteration.n_active)
+            if iteration.n_frozen:
+                registry.counter("tmark_frozen_columns_total").inc(iteration.n_frozen)
         elif event == "trial":
             registry.histogram("tmark_trial_seconds").observe(seconds or 0.0)
             registry.histogram(

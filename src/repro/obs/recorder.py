@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
+from typing import NamedTuple
 
 #: Every event type the instrumented code emits.
 EVENT_TYPES = (
@@ -55,6 +56,48 @@ CHAIN_PHASES = (
     "r_contraction",  # R x-bar_1 X x-bar_2 X contraction
     "projection",     # simplex projections + residual bookkeeping
 )
+
+
+class ChainIteration(NamedTuple):
+    """One ``chain_iteration`` event, as :func:`read_iteration` reads it."""
+
+    t: int | None  # the iteration number
+    n_active: int  # classes still iterating
+    phases: dict[str, float]  # phase name -> seconds, in event order
+    classes: tuple[tuple[int, float, bool], ...]  # (class_index, residual, frozen)
+    n_frozen: int  # frozen flags set, counted over the event's ``frozen`` list
+    solver_seconds: float  # the solver block's wall time (0 for plain fits)
+
+    @property
+    def phase_seconds(self) -> float:
+        """The iteration's summed phase time."""
+        return sum(self.phases.values(), 0.0)
+
+
+def read_iteration(fields) -> ChainIteration:
+    """Read one ``chain_iteration`` event's fields.
+
+    :func:`repro.core.chains.run_chains` writes the event: the
+    :data:`CHAIN_PHASES` timings, and per active class the aligned lists
+    ``class_index``, ``residual`` and ``frozen``, plus ``solver_seconds``
+    for accelerated fits.  Every reader of the event (``trace-summary``,
+    ``health``, the metrics and the Chrome export) goes through this
+    function, so the event's shape is known in one place.
+    """
+    frozen = fields.get("frozen", ())
+    return ChainIteration(
+        t=fields.get("t"),
+        n_active=fields.get("n_active", 0),
+        phases={name: float(s) for name, s in fields.get("phases", {}).items()},
+        classes=tuple(
+            (int(c), float(residual), bool(is_frozen))
+            for c, residual, is_frozen in zip(
+                fields.get("class_index", ()), fields.get("residual", ()), frozen
+            )
+        ),
+        n_frozen=sum(map(bool, frozen)),
+        solver_seconds=float(fields.get("solver_seconds", 0.0)),
+    )
 
 
 class Recorder:

@@ -13,7 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from repro.obs.recorder import CHAIN_PHASES
+from repro.obs.recorder import CHAIN_PHASES, read_iteration
 
 
 @dataclass
@@ -109,15 +109,16 @@ def summarize_trace(events) -> TraceSummary:
         summary.n_events += 1
         summary.event_counts[kind] = summary.event_counts.get(kind, 0) + 1
         if kind == "chain_iteration":
+            iteration = read_iteration(event)
             summary.n_iterations += 1
-            for name, seconds in event.get("phases", {}).items():
+            for name, seconds in iteration.phases.items():
                 summary.phase_totals[name] = (
-                    summary.phase_totals.get(name, 0.0) + float(seconds)
+                    summary.phase_totals.get(name, 0.0) + seconds
                 )
                 key = f"phase:{name}"
-                window[key] = window.get(key, 0.0) + float(seconds)
-            summary.n_frozen_events += sum(map(bool, event.get("frozen", ())))
-            summary.solver_seconds += float(event.get("solver_seconds", 0.0))
+                window[key] = window.get(key, 0.0) + seconds
+            summary.n_frozen_events += iteration.n_frozen
+            summary.solver_seconds += iteration.solver_seconds
         elif kind == "fit":
             summary.n_fits += 1
             summary.fit_seconds += float(event.get("seconds", 0.0))
