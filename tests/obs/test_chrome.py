@@ -285,3 +285,50 @@ class TestChunkedBuildSpans:
         assert chunk_events
         for event in chunk_events:
             assert event.get("span_id") in child_ids
+
+
+class TestOperatorBuildSlices:
+    """An ``operator_build`` slice spans its O/R build and its W build."""
+
+    @staticmethod
+    def traced(tmp_path, build):
+        path = tmp_path / "trace.jsonl"
+        with JsonlTraceRecorder(path, probes=False) as recorder:
+            build(recorder)
+        events = read_trace(path)
+        return events, slices(chrome_trace(events))
+
+    def test_in_memory_build_slice_covers_both_builds(self, tmp_path):
+        from repro.core import build_operators
+
+        hin = small_labeled_hin(seed=5, n=30, q=3)
+        events, out = self.traced(
+            tmp_path, lambda rec: build_operators(hin, recorder=rec)
+        )
+        (event,) = [e for e in events if e["event"] == "operator_build"]
+        (build_span,) = [e for e in out if e["name"] == "build_operators"]
+        (build,) = [e for e in out if e["name"] == "operator_build"]
+        seconds = event["transition_seconds"] + event["feature_seconds"]
+        assert event["feature_seconds"] > 0.0
+        assert build["dur"] == pytest.approx(seconds * 1e6)
+        assert build["ts"] + build["dur"] == pytest.approx(event["ts"] * 1e6)
+        span_start, span_end = interval(build_span)
+        assert span_start <= build["ts"] <= span_end
+
+    def test_store_w_build_slice_is_not_empty(self, tmp_path):
+        from repro.ooc import GraphStore
+        from repro.ooc.build import build_chunked_operators
+
+        store = GraphStore.save(small_labeled_hin(seed=4, n=25, q=3), tmp_path / "s")
+        events, out = self.traced(
+            tmp_path, lambda rec: build_chunked_operators(store, recorder=rec)
+        )
+        (event,) = [
+            e
+            for e in events
+            if e["event"] == "operator_build" and e["operator"] == "W"
+        ]
+        assert event["transition_seconds"] == 0.0
+        (build,) = [e for e in out if e["name"] == "operator_build[W-1#0]"]
+        assert build["dur"] == pytest.approx(event["feature_seconds"] * 1e6)
+        assert build["dur"] > 0.0
