@@ -35,7 +35,6 @@ from repro.hin.graph import HIN
 from repro.ml.metrics import accuracy, macro_f1, multilabel_macro_f1
 from repro.ml.splits import multilabel_fraction_split, stratified_fraction_split
 from repro.obs.recorder import get_recorder, use_recorder
-from repro.solvers.base import check_solver
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_positive_int
 
@@ -111,28 +110,6 @@ class GridResult:
         return max(self.cells, key=lambda m: self.cells[m][fraction_index].mean)
 
 
-def with_solver(
-    method_factory: Callable[[], object], solver: str
-) -> Callable[[], object]:
-    """Wrap a method factory so T-Mark instances use ``solver``.
-
-    The harness threads its ``solver=`` knob through factories rather
-    than constructor signatures: the roster factories stay zero-argument
-    (and hence fork-picklable for the process pool), and non-T-Mark
-    baselines pass through untouched.  The solver name is validated
-    eagerly so a typo fails at grid setup, not inside a worker.
-    """
-    check_solver(solver)
-
-    def build():
-        model = method_factory()
-        if isinstance(model, TMark):
-            model.solver = solver
-        return model
-
-    return build
-
-
 def shared_tmark_operators(hin: HIN, model: TMark, pool: dict):
     """Fetch (or build and memoise) the operator triple for ``model``.
 
@@ -163,7 +140,6 @@ def evaluate_method(
     operator_pool: dict | None = None,
     recorder=None,
     method_name: str | None = None,
-    solver: str | None = None,
 ) -> CellResult:
     """Mean/std metric of one method at one label fraction.
 
@@ -197,10 +173,6 @@ def evaluate_method(
     method_name:
         Optional display name carried on the emitted ``trial`` events
         (``run_grid`` passes the roster name).
-    solver:
-        Optional fixed-point solver name applied to every T-Mark model
-        the factory produces (see :func:`with_solver`); ``None`` keeps
-        each factory's own choice.
 
     The returned std is the sample statistic (``ddof=1``); a single
     trial reports 0.0.
@@ -208,8 +180,6 @@ def evaluate_method(
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     check_positive_int(n_trials, "n_trials")
-    if solver is not None:
-        method_factory = with_solver(method_factory, solver)
     rec = get_recorder() if recorder is None else recorder
     rngs = spawn_rngs(seed, 2 * n_trials)
     values = []
@@ -346,7 +316,6 @@ def run_grid(
     metric: str = "accuracy",
     recorder=None,
     workers: int = 1,
-    solver: str | None = None,
 ) -> GridResult:
     """Run the full method x fraction grid of one paper table.
 
@@ -379,11 +348,6 @@ def run_grid(
     precisely so cells may run anywhere.  Where no pool can be built
     (:func:`~repro.forkpool.serial_fallback_reason`) the
     cells run in process after a :class:`RuntimeWarning`.
-
-    ``solver`` optionally selects a fixed-point solver for every T-Mark
-    model in the roster (see :func:`with_solver`).  Factories are
-    wrapped before the cells run, so pool workers inherit the wrapped
-    factories.
     """
     check_positive_int(workers, "workers")
     if metric not in METRICS:
@@ -394,10 +358,6 @@ def run_grid(
     if len(set(names)) != len(names):
         raise ValidationError(f"method names must be distinct, got {names}")
     factories = dict(methods)
-    if solver is not None:
-        factories = {
-            name: with_solver(factory, solver) for name, factory in factories.items()
-        }
     rec = get_recorder() if recorder is None else recorder
     base_entropy = _grid_base_entropy(seed)
     grid = GridResult(

@@ -11,7 +11,6 @@ from repro.experiments.harness import (
     run_grid,
     scores_to_multilabel,
     scores_to_predictions,
-    with_solver,
 )
 from tests.conftest import grid_cells, per_trial_fit_cells, small_labeled_hin
 
@@ -49,43 +48,6 @@ class TestScoresToMultilabel:
         assert predictions.any(axis=1).all()
 
 
-class TestWithSolver:
-    def test_sets_solver_on_tmark_instances(self):
-        factory = with_solver(tmark_factory, "anderson")
-        model = factory()
-        assert isinstance(model, TMark)
-        assert model.solver == "anderson"
-
-    def test_non_tmark_factories_pass_through(self):
-        sentinel = object()
-        factory = with_solver(lambda: sentinel, "anderson")
-        assert factory() is sentinel
-
-    def test_unknown_solver_fails_at_wrap_time(self):
-        with pytest.raises(ValidationError, match="solver"):
-            with_solver(tmark_factory, "newton")
-
-    def test_evaluate_method_solver_matches_plain(self, hin):
-        plain = evaluate_method(hin, tmark_factory, 0.3, n_trials=2, seed=0)
-        accel = evaluate_method(
-            hin, tmark_factory, 0.3, n_trials=2, seed=0, solver="anderson"
-        )
-        # Accelerated solvers share the plain fixed point, so the
-        # harness accuracy must agree exactly on identical splits.
-        assert accel.mean == pytest.approx(plain.mean, abs=1e-12)
-
-    def test_run_grid_threads_solver(self, hin):
-        grid = run_grid(
-            hin,
-            [("tmark", tmark_factory)],
-            fractions=(0.3,),
-            n_trials=1,
-            seed=0,
-            solver="anderson",
-        )
-        assert grid.cells["tmark"][0].n_trials == 1
-
-
 class TestEvaluateMethod:
     def test_returns_mean_std(self, hin):
         cell = evaluate_method(hin, tmark_factory, 0.3, n_trials=2, seed=0)
@@ -103,6 +65,26 @@ class TestEvaluateMethod:
         b = evaluate_method(hin, tmark_factory, 0.2, n_trials=1, seed=2)
         # Different splits -> (almost surely) different accuracy.
         assert a.mean != b.mean or a.std != b.std or True  # smoke determinism
+
+    def test_anderson_factory_matches_plain(self, hin):
+        def anderson_factory():
+            return TMark(alpha=0.5, gamma=0.3, max_iter=100, solver="anderson")
+
+        plain = evaluate_method(hin, tmark_factory, 0.3, n_trials=2, seed=0)
+        accel = evaluate_method(hin, anderson_factory, 0.3, n_trials=2, seed=0)
+        # Accelerated solvers share the plain fixed point, so the
+        # harness accuracy must agree exactly on identical splits.
+        assert accel.mean == pytest.approx(plain.mean, abs=1e-12)
+
+    def test_harness_takes_no_solver(self):
+        # A fit's solver lives on the model its factory builds.
+        import inspect
+
+        from repro.experiments import harness
+
+        assert not hasattr(harness, "with_solver")
+        for entry in (evaluate_method, run_grid):
+            assert "solver" not in inspect.signature(entry).parameters
 
     def test_unknown_metric_rejected(self, hin):
         with pytest.raises(ValidationError):
