@@ -413,32 +413,32 @@ def _make_handler(state: h.ServingState):
             return route, argument
 
         def _serve_one(self, method: str) -> None:
-            started = time.perf_counter()
             url = urlsplit(self.path)
-            # One span per request on this handler thread; its span_id
-            # is the request id echoed to the client (X-Request-Id
-            # header + "request_id" body field).
+            # One span per request on this handler thread, enclosing
+            # parse, endpoint and encode; its span_id is the request id
+            # echoed to the client (X-Request-Id header + "request_id"
+            # body field).
             with span(
                 "request",
                 recorder=state.recorder,
                 endpoint=url.path,
                 method=method,
             ) as ctx:
+                started = time.perf_counter()
+                request_id = ctx.span_id if ctx is not None else None
                 endpoint, argument = self._parse(method, url)
                 parsed = time.perf_counter()
                 status, body = endpoint(state, argument)
                 handled = time.perf_counter()
-            request_id = ctx.span_id if ctx is not None else None
-            encode_started = time.perf_counter()
-            if isinstance(body, str):
-                raw = body.encode("utf-8")
-                content_type = "text/plain; version=0.0.4; charset=utf-8"
-            else:
-                if request_id is not None and isinstance(body, dict):
-                    body = {**body, "request_id": request_id}
-                raw = encode_json(body)
-                content_type = "application/json"
-            encoded = time.perf_counter()
+                if isinstance(body, str):
+                    raw = body.encode("utf-8")
+                    content_type = "text/plain; version=0.0.4; charset=utf-8"
+                else:
+                    if request_id is not None and isinstance(body, dict):
+                        body = {**body, "request_id": request_id}
+                    raw = encode_json(body)
+                    content_type = "application/json"
+                encoded = time.perf_counter()
             # Observe before flushing the response: a client holding its
             # reply is then guaranteed to find the matching
             # ``http_request`` event in a /debug/trace dump.
@@ -449,7 +449,7 @@ def _make_handler(state: h.ServingState):
                 request_id=request_id,
                 parse_seconds=parsed - started,
                 handle_seconds=handled - parsed,
-                encode_seconds=encoded - encode_started,
+                encode_seconds=encoded - handled,
             )
             self.send_response(status)
             self.send_header("Content-Type", content_type)

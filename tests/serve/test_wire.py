@@ -203,3 +203,29 @@ class TestRequestPhases:
         phases = [event[f"{name}_seconds"] for name in ("parse", "handle", "encode")]
         assert all(seconds >= 0.0 for seconds in phases)
         assert sum(phases) <= event["seconds"]
+
+    def test_request_span_encloses_parse_handle_and_encode(self, daemon):
+        # The request span closes after the reply is encoded, so a trace
+        # reader looking only at spans sees where serialise time went.
+        request_ids = []
+        for _ in range(20):
+            status, headers, _ = _exchange(
+                daemon, "POST", "/classify", {"nodes": NODES}
+            )
+            assert status == 200
+            request_ids.append(headers["X-Request-Id"])
+        events = daemon.state.flight.events()
+        spans = {
+            e["span_id"]: e
+            for e in events
+            if e["event"] == "span" and e["name"] == "request"
+        }
+        requests = {
+            e["request_id"]: e for e in events if e["event"] == "http_request"
+        }
+        for request_id in request_ids:
+            event = requests[request_id]
+            phases = sum(
+                event[f"{name}_seconds"] for name in ("parse", "handle", "encode")
+            )
+            assert spans[request_id]["seconds"] >= phases, request_id
