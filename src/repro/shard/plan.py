@@ -113,21 +113,21 @@ def _balanced_boundaries(weights: np.ndarray, n_parts: int) -> np.ndarray:
 
 
 def _row_halo(start: int, stop: int, blocks, n: int) -> np.ndarray:
-    """Out-of-range node indices referenced by a shard's CSR row blocks."""
-    pieces = []
+    """Out-of-range node indices referenced by a shard's CSR row blocks.
+
+    Sorted int64.  Marks the referenced columns in a length-``n`` mask,
+    which is linear in the blocks' entries where sorting them is not.
+    """
+    seen = np.zeros(n, dtype=bool)
     for block in blocks:
         if sp.issparse(block):
-            if block.nnz:
-                pieces.append(block.indices)
+            seen[block.indices] = True
         elif block is not None:
             # Dense feature-walk rows read every node.
-            return np.concatenate(
-                (np.arange(0, start), np.arange(stop, n))
-            ).astype(np.int64)
-    if not pieces:
-        return np.empty(0, dtype=np.int64)
-    cols = np.unique(np.concatenate(pieces)).astype(np.int64)
-    return cols[(cols < start) | (cols >= stop)]
+            seen[:] = True
+            break
+    seen[start:stop] = False
+    return np.flatnonzero(seen).astype(np.int64, copy=False)
 
 
 def plan_shards(o_tensor, r_tensor, w_matrix, n_shards: int) -> ShardPlan:

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from repro.core.features import feature_transition_matrix
 from repro.errors import ValidationError
 from repro.shard import plan_shards
+from repro.shard.plan import _row_halo
 from repro.tensor.transition import build_transition_tensors
 from tests.conftest import small_labeled_hin
 
@@ -94,6 +95,56 @@ class TestRowsPolicy:
         with_w = plan_shards(o_tensor, r_tensor, w_dense, 2)
         without = plan_shards(o_tensor, r_tensor, None, 2)
         assert without.halo_total <= with_w.halo_total
+
+
+def _unique_halo(start, stop, blocks, n):
+    """The halo by sorting every referenced column (the reference form)."""
+    pieces = []
+    for block in blocks:
+        if sp.issparse(block):
+            pieces.append(block.indices)
+        elif block is not None:
+            return np.concatenate((np.arange(0, start), np.arange(stop, n)))
+    cols = np.unique(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
+    return cols[(cols < start) | (cols >= stop)].astype(np.int64)
+
+
+class TestRowHalo:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mask_matches_sorting_the_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        start = int(rng.integers(0, n))
+        stop = int(rng.integers(start + 1, n + 1))
+        blocks = [
+            sp.random(
+                stop - start, n, density=density, format="csr", random_state=rng
+            )
+            for density in (0.0, 0.02, 0.3, 1.0)
+        ]
+        blocks.insert(1, None)
+        halo = _row_halo(start, stop, blocks, n)
+        expected = _unique_halo(start, stop, blocks, n)
+        assert halo.dtype == np.int64
+        assert np.array_equal(halo, expected)
+
+    def test_empty_blocks_have_no_halo(self):
+        empty = sp.csr_matrix((3, 10))
+        halo = _row_halo(2, 5, [empty, None, empty], 10)
+        assert halo.dtype == np.int64 and halo.size == 0
+        assert np.array_equal(halo, _unique_halo(2, 5, [empty, None, empty], 10))
+        assert _row_halo(0, 4, [], 4).size == 0
+
+    @pytest.mark.parametrize("start, stop", [(0, 7), (3, 9), (9, 12), (0, 12)])
+    def test_dense_block_reads_every_other_node(self, start, stop):
+        n = 12
+        sparse = sp.random(stop - start, n, density=0.2, format="csr", random_state=0)
+        dense = np.ones((stop - start, n))
+        halo = _row_halo(start, stop, [sparse, dense], n)
+        assert np.array_equal(halo, _unique_halo(start, stop, [sparse, dense], n))
+        assert np.array_equal(
+            halo, np.concatenate((np.arange(start), np.arange(stop, n)))
+        )
 
 
 class TestValidation:
