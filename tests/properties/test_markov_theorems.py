@@ -5,7 +5,9 @@
 * Theorem 2 — on irreducible tensors the stationary distributions are
   strictly positive.
 * Theorem 3 / section 6.6 — the iteration converges and the limit is a
-  fixed point of the update.
+  fixed point of the update; a plain chain of the frozen map decays at
+  the spectral radius of the update's Jacobian there, which is what
+  ``obs.health``'s decay rate reads from the residuals.
 """
 
 import numpy as np
@@ -174,3 +176,53 @@ class TestTheorem3SpectralCondition:
             assert report.fixed_point_residual < 1e-8
             assert report.uniqueness_condition_holds
             assert report.locally_contractive
+
+
+class TestTheorem3DecayRate:
+    """Health's decay rate measures the operator: it lies near rho(DT).
+
+    ``obs.health`` estimates each chain's decay rate from its residuals
+    alone; Theorem 3's spectral radius of the update map's Jacobian at
+    the fixed point (``analysis.theory.fixed_point_spectrum``) is the
+    rate a linearly converging chain decays at.  The two must agree on
+    plain fits of the frozen map.  Scope: fits with
+    ``update_labels=False`` and ``solver="plain"`` only.  The Eq. 12
+    label update changes the restart vector between iterations, and
+    Anderson mixing replaces the map's own steps, so neither chain
+    decays at rho(DT).
+    """
+
+    PARAMS = [(0.8, 0.5), (0.3, 0.0), (0.1, 0.5)]
+
+    @staticmethod
+    def rates_and_radii(hin, alpha, gamma):
+        from repro.analysis.theory import fixed_point_spectrum
+        from repro.core.tmark import TMark
+        from repro.obs import ListRecorder
+
+        recorder = ListRecorder(probes=False)
+        model = TMark(
+            alpha=alpha, gamma=gamma, update_labels=False, tol=1e-13, max_iter=2000
+        ).fit(hin, recorder=recorder)
+        rates = [e["decay_rate"] for e in recorder.events_of("chain_health")]
+        radii = [r.spectral_radius for r in fixed_point_spectrum(model, hin)]
+        assert len(rates) == len(radii) == hin.n_labels
+        return np.array(rates), np.array(radii)
+
+    @pytest.mark.parametrize("alpha, gamma", PARAMS)
+    def test_worked_example(self, worked_example, alpha, gamma):
+        rates, radii = self.rates_and_radii(worked_example, alpha, gamma)
+        # Every class was within 0.003 when this was pinned.
+        assert np.abs(rates - radii).max() < 0.005
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("alpha, gamma", PARAMS)
+    def test_synthetic_hin(self, seed, alpha, gamma):
+        from tests.conftest import small_labeled_hin
+
+        hin = small_labeled_hin(seed=seed, n=60, q=3)
+        mask = np.zeros(hin.n_nodes, dtype=bool)
+        mask[::3] = True
+        rates, radii = self.rates_and_radii(hin.masked(mask), alpha, gamma)
+        # Within 0.027 on these nine fits when this was pinned.
+        assert np.abs(rates - radii).max() < 0.04
