@@ -293,15 +293,16 @@ class TestEventCounters:
     def test_trace_refolds_to_the_live_counters(self, tmp_path):
         """A traced run's registry equals the one folded from its trace."""
         hin = small_labeled_hin(seed=3, n=40, q=3)
+
+        def anderson():
+            return TMark(alpha=0.6, gamma=0.3, solver="anderson")
+
         live = MetricsRegistry()
         path = tmp_path / "trace.jsonl"
         with JsonlTraceRecorder(path) as tracer:
             recorder = MetricsRecorder(live, forward=tracer)
             with use_recorder(recorder):
-                run_grid(
-                    hin, [("T-Mark", lambda: TMark(alpha=0.6, gamma=0.3))],
-                    (0.3,), n_trials=2, seed=0, solver="anderson",
-                )
+                run_grid(hin, [("T-Mark", anderson)], (0.3,), n_trials=2, seed=0)
                 session = StreamingSession(hin, TMark(alpha=0.6, gamma=0.3))
                 session.fit()
                 name = hin.node_names[0]
