@@ -14,9 +14,11 @@ pieces, following DGL graphbolt's on-disk CSC design:
   stacked-CSR layout, touching ``O(n * m)`` resident memory plus one
   block and emitting per-chunk ``operator_build`` events
   (:mod:`repro.ooc.build`);
-* the stored operators + :func:`fit_from_store` — the in-memory
-  tensors over the memory-mapped stacks, walked in row blocks and
-  returned as an ordinary :class:`~repro.core.tmark.TMarkOperators`, so
+* store-backed operators + :func:`fit_from_store` — the in-memory
+  tensors themselves over the memory-mapped stacks
+  (``from_stack(..., chunk_size=)``), walked in ``chunk_size``-row
+  blocks and returned as an ordinary
+  :class:`~repro.core.tmark.TMarkOperators`, so
   :meth:`TMark.fit_operators` runs plain or accelerated chains
   byte-identical to the in-memory path (:mod:`repro.ooc.operators`,
   :mod:`repro.ooc.fit`).
@@ -32,13 +34,7 @@ from repro.ooc.build import (
     build_chunked_operators,
 )
 from repro.ooc.fit import fit_from_store
-from repro.ooc.operators import (
-    DEFAULT_CHUNK_SIZE,
-    ChunkedFeatureWalk,
-    StoredNodeTransition,
-    StoredRelationTransition,
-    release_pages,
-)
+from repro.ooc.operators import DEFAULT_CHUNK_SIZE, ChunkedFeatureWalk
 from repro.ooc.store import (
     MANIFEST_NAME,
     OPERATORS_DIRNAME,
@@ -46,11 +42,10 @@ from repro.ooc.store import (
     GraphStore,
 )
 from repro.ooc.synth import generate_ooc_store
+from repro.tensor.transition import release_pages
 
 __all__ = [
     "GraphStore",
-    "StoredNodeTransition",
-    "StoredRelationTransition",
     "ChunkedFeatureWalk",
     "build_chunked_operators",
     "fit_from_store",

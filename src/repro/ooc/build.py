@@ -55,17 +55,15 @@ from repro.core.tmark import TMarkOperators
 from repro.errors import ValidationError
 from repro.obs.recorder import get_recorder
 from repro.obs.spans import span
-from repro.ooc.operators import (
-    DEFAULT_CHUNK_SIZE,
-    ChunkedFeatureWalk,
-    StoredNodeTransition,
-    StoredRelationTransition,
-    load_csr,
-    release_pages,
-)
+from repro.ooc.operators import DEFAULT_CHUNK_SIZE, ChunkedFeatureWalk, load_csr
 from repro.ooc.publish import StagedDirectory, read_manifest
 from repro.ooc.store import GraphStore
 from repro.tensor.sptensor import normalise_fibres
+from repro.tensor.transition import (
+    NodeTransitionTensor,
+    RelationTransitionTensor,
+    release_pages,
+)
 from repro.utils.validation import check_positive_int
 
 #: Version of the on-disk operator-cache layout (3: published whole, with sizes).
@@ -342,13 +340,13 @@ def _assemble(store: GraphStore, ops_dir, w_mode: str, chunk_size: int,
     else:
         w_matrix = ChunkedFeatureWalk(load_csr(ops_dir, "w", n, n), chunk_size)
     return TMarkOperators(
-        o_tensor=StoredNodeTransition(
+        o_tensor=NodeTransitionTensor.from_stack(
             load_csr(ops_dir, "o", m * n, n),
             np.load(ops_dir / "o.nondangling.npy"),
-            chunk_size,
+            chunk_size=chunk_size,
         ),
-        r_tensor=StoredRelationTransition(
-            load_csr(ops_dir, "r", (m + 1) * n, n), m, chunk_size
+        r_tensor=RelationTransitionTensor.from_stack(
+            load_csr(ops_dir, "r", (m + 1) * n, n), m, chunk_size=chunk_size
         ),
         w_matrix=w_matrix,
         shape=(n, m),
@@ -393,8 +391,9 @@ def build_chunked_operators(
     Returns
     -------
     A :class:`~repro.core.tmark.TMarkOperators` whose products stream
-    over the on-disk arrays: ``O`` and ``R`` are the
-    :mod:`repro.ooc.operators` stored tensors, ``W`` a
+    over the on-disk arrays: ``O`` and ``R`` are the in-memory tensor
+    classes over the memory-mapped stacks, walked in ``chunk_size``-row
+    blocks (``from_stack``), ``W`` a
     :class:`~repro.ooc.operators.ChunkedFeatureWalk` (top-k), the
     memory-mapped dense array, or ``None``.  Without ``build_w`` it carries no
     ``W`` and the requested similarity settings, whatever ``W`` the

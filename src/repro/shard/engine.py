@@ -16,12 +16,14 @@ workers' operator parts live in anonymous ``MAP_SHARED`` mmaps created
 before the fork, so workers read the current iterate and write their
 parts with zero serialisation.  A round is one request per worker on
 :class:`repro.forkpool.ForkPool`, carrying only the round name and the
-active column list, and every reply is a bare ack.  Workers cut their
-operator row blocks lazily *after* the fork — each child pays for its
-own shards only, and the parent never holds a second operator copy.  In-memory operators are cut once per shard and
-kept; store-backed ones (:mod:`repro.ooc`) are streamed in
-``chunk_size``-row blocks every round, so a worker holds one block's
-pages, not its whole share.
+active column list, and every reply is a bare ack.  Workers read
+every operator they apply through its ``row_walk`` over their shards'
+ranges (:class:`~repro.tensor.transition.RowWalk`), lazily *after* the
+fork — each child pays for its own shards only, and the parent never
+holds a second operator copy.  An in-memory operator's walk cuts each
+shard into one block on first use and keeps it; a store-backed one
+(:mod:`repro.ooc`) streams ``chunk_size``-row blocks every round, so a
+worker holds one block's pages, not its whole share.
 
 Determinism
 -----------
@@ -57,6 +59,7 @@ from repro.forkpool import ForkPool, available_workers
 from repro.obs.recorder import get_recorder
 from repro.obs.spans import span
 from repro.shard.plan import ShardPlan, plan_shards
+from repro.tensor.transition import RowWalk
 from repro.utils.validation import check_positive_int
 
 
@@ -77,7 +80,8 @@ class _ShardContext:
     """Everything a worker needs, inherited through the fork.
 
     The part buffers are indexed by node row; ``O`` / ``W`` are ``None``
-    when no worker computes that product.
+    when no worker computes that product.  ``w_matrix`` is the sparse
+    ``W``'s row walk when workers apply it.
     """
 
     o_tensor: object
@@ -97,28 +101,6 @@ class _RowWorker:
     def __init__(self, context: _ShardContext, assigned):
         self.ctx = context
         self.assigned = list(assigned)
-        self.kept = {}
-
-    def _blocks(self, name: str, operator, shard):
-        """``(start, stop, rows)`` blocks covering ``shard``'s rows.
-
-        A store-backed operator streams them ``chunk_size`` rows at a
-        time; an in-memory one is cut into one block on first use and
-        kept.  ``rows`` is the kernels' ``stacked=`` argument for
-        ``O`` / ``R`` and the row slice of a sparse ``W``.
-        """
-        if hasattr(operator, "row_walk"):
-            return operator.row_walk(shard.start, shard.stop)
-        key = (name, shard.index)
-        if key not in self.kept:
-            start, stop = shard.start, shard.stop
-            rows = (
-                operator[start:stop]
-                if sp.issparse(operator)
-                else operator.row_stack(start, stop)
-            )
-            self.kept[key] = ((start, stop, rows),)
-        return self.kept[key]
 
     def __call__(self, request) -> None:
         """Run one round, ``("ox" | "r", active columns)``, into the buffers."""
@@ -132,12 +114,12 @@ class _RowWorker:
         z_act = ctx.Z[:, active]
         for shard in self.assigned:
             if ctx.O is not None:
-                for start, stop, rows in self._blocks("o", ctx.o_tensor, shard):
+                for start, stop, live in ctx.o_tensor.row_walk(shard.start, shard.stop):
                     ctx.O[start:stop, active] = ctx.o_tensor.relation_sum(
-                        x_act, z_act, rows
+                        x_act, z_act, live
                     )
             if ctx.W is not None:
-                for start, stop, rows in self._blocks("w", ctx.w_matrix, shard):
+                for start, stop, rows in ctx.w_matrix.row_walk(shard.start, shard.stop):
                     ctx.W[start:stop, active] = rows @ x_act
 
     def round_r(self, active):
@@ -145,9 +127,9 @@ class _RowWorker:
         ctx = self.ctx
         y_act = np.ascontiguousarray(ctx.XNEW[:, active])
         for shard in self.assigned:
-            for start, stop, rows in self._blocks("r", ctx.r_tensor, shard):
+            for start, stop, block in ctx.r_tensor.row_walk(shard.start, shard.stop):
                 ctx.R[:, start:stop, active] = ctx.r_tensor.integrands(
-                    y_act[start:stop], y_act, rows
+                    y_act[start:stop], y_act, block
                 )
 
 
@@ -169,26 +151,23 @@ class ShardBackend(LocalBackend):
         self.rec = get_recorder() if recorder is None else recorder
         # BLAS does not reproduce row blocks of a dense or factored walk
         # bit for bit, so only a sparse W (in memory, or the store's
-        # memory-mapped CSR) goes to the workers; any other W is walked
-        # whole by the inherited walk, and neither weighs a shard nor
-        # widens a halo.
-        sparse_w = (
-            w_matrix if sp.issparse(w_matrix) else getattr(w_matrix, "matrix", None)
-        )
-        workers_walk = self.beta > 0.0 and sparse_w is not None
-        self.plan = plan_shards(
-            o_tensor, r_tensor, sparse_w if workers_walk else None, shards
-        )
+        # memory-mapped CSR) goes to the workers, as a row walk; any
+        # other W is walked whole by the inherited walk, and neither
+        # weighs a shard nor widens a halo.
+        w_rows = RowWalk(w_matrix.tocsr()) if sp.issparse(w_matrix) else w_matrix
+        if not (self.beta > 0.0 and isinstance(w_rows, RowWalk)):
+            w_rows = None
+        self.plan = plan_shards(o_tensor, r_tensor, w_rows, shards)
         if workers is not None:
             workers = check_positive_int(workers, "workers")
         self.n_workers = min(self.plan.n_shards, workers or available_workers())
         n, m = self.X.shape[0], self.Z.shape[0]
         self.X, self.Z = _shared_array((n, q)), _shared_array((m, q))
         self.context = _ShardContext(
-            o_tensor=o_tensor, r_tensor=r_tensor, w_matrix=w_matrix,
+            o_tensor=o_tensor, r_tensor=r_tensor, w_matrix=w_rows,
             X=self.X, Z=self.Z, XNEW=_shared_array((n, q)),
             O=_shared_array((n, q)) if self.relational_weight > 0.0 else None,
-            W=_shared_array((n, q)) if workers_walk else None,
+            W=None if w_rows is None else _shared_array((n, q)),
             R=_shared_array((m + 1, n, q)),
         )
         self.exchange_seconds = 0.0

@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ValidationError
+from repro.tensor.transition import RowWalk
 from repro.utils.validation import check_positive_int
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +136,10 @@ def plan_shards(o_tensor, r_tensor, w_matrix, n_shards: int) -> ShardPlan:
 
     ``o_tensor`` / ``r_tensor`` are stacked-CSR tensors (exposing
     ``row_blocks`` and ``row_nnz``), in memory or store-backed;
-    ``w_matrix`` is the feature walk the workers apply, or ``None``.
-    The returned plan may hold fewer shards than requested when the
-    graph is too small to fill them.
+    ``w_matrix`` is the feature walk the workers apply (a sparse matrix
+    or its :class:`~repro.tensor.transition.RowWalk`, or dense), or
+    ``None``.  The returned plan may hold fewer shards than requested
+    when the graph is too small to fill them.
     """
     n_shards = check_positive_int(n_shards, "shards")
     if not (hasattr(o_tensor, "row_blocks") and hasattr(o_tensor, "row_nnz")):
@@ -147,9 +149,14 @@ def plan_shards(o_tensor, r_tensor, w_matrix, n_shards: int) -> ShardPlan:
         )
     n = o_tensor.shape[0]
     m = o_tensor.shape[2]
-    weights = o_tensor.row_nnz() + r_tensor.row_nnz()
-    if w_matrix is not None and sp.issparse(w_matrix):
-        weights = weights + np.diff(w_matrix.tocsr().indptr)
+    if sp.issparse(w_matrix):
+        w_matrix = RowWalk(w_matrix.tocsr())
+    walked, dense_w = [o_tensor, r_tensor], None
+    if isinstance(w_matrix, RowWalk):
+        walked.append(w_matrix)
+    elif w_matrix is not None:
+        dense_w = np.asarray(w_matrix)
+    weights = sum(operator.row_nnz() for operator in walked)
     # Every row carries at least unit weight so all-dangling stretches
     # still spread across shards instead of collapsing into one.
     weights = weights + 1
@@ -157,15 +164,10 @@ def plan_shards(o_tensor, r_tensor, w_matrix, n_shards: int) -> ShardPlan:
     shards = []
     for index, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         start, stop = int(start), int(stop)
-        blocks = list(o_tensor.row_blocks(start, stop))
-        blocks += list(r_tensor.row_blocks(start, stop))
+        blocks = [b for op in walked for b in op.row_blocks(start, stop)]
         blocks.append(r_tensor.pair_rows(start, stop))
-        if w_matrix is not None:
-            blocks.append(
-                w_matrix[start:stop]
-                if sp.issparse(w_matrix)
-                else np.asarray(w_matrix)[start:stop]
-            )
+        if dense_w is not None:
+            blocks.append(dense_w[start:stop])
         shards.append(Shard(
             index=index,
             start=start,

@@ -31,13 +31,13 @@ temporary.
 
 ``O x-bar_1 x x-bar_3 z`` runs over the stack's *live* rows only (rows
 with at least one entry; with many link types and few links per node
-most ``(k, i)`` rows are empty).  :func:`live_rows` indexes them once
-per stack: a CSR of those rows sharing the stack's entries, their count
-per block and a 0/1 ``gather`` matrix with one entry per live row.
+most ``(k, i)`` rows are empty).  :func:`live_rows` indexes a block of
+rows: a CSR of its live rows sharing the block's entries, their count
+per relation and a 0/1 ``gather`` matrix with one entry per live row.
 :meth:`NodeTransitionTensor.relation_sum` is then ``p = rows @ X``,
-``p *= Z`` repeated per live row of each block (one contiguous
+``p *= Z`` repeated per live row of each relation (one contiguous
 multiply) and ``gather @ p``; when every row is live it scales the
-``(m, n, q)`` blocks by ``Z`` and adds them in ``k`` order instead.
+``(m, rows, q)`` blocks by ``Z`` and adds them in ``k`` order instead.
 This is exact: each live row's product and scaling are the same
 operations as over the full stack, both adds start from ``+0.0`` and go
 in ``k`` order, and every skipped row would have added an exact
@@ -45,30 +45,38 @@ in ``k`` order, and every skipped row would have added an exact
 
 ``R x-bar_1 x x-bar_2 y`` multiplies every block by ``x`` and takes
 per-column sums; those need the zero rows, so ``R``'s product writes
-the full ``((m+1)*n, q)`` stack.  How it walks the stack depends on how
-many rows are live (:func:`product_operand`): below half live it
-multiplies through a CSC copy of the stack, a pass over the ``n``
-columns and the stored entries instead of over every ``(m+1)*n`` row.
-The bytes are the same: a CSC product adds row ``i``'s terms in
-ascending column order starting from ``+0.0``, which is what the CSR
-product does on a row whose indices are sorted, so the copy is only
-made from a sorted stack.  Heavier stacks stay on rows, where the CSR
-pass is faster.
+the full ``((m+1)*n, q)`` stack.  How an in-memory block of rows is
+multiplied depends on how many of them are live
+(:func:`product_operand`): below half live it goes through a CSC copy,
+a pass over the ``n`` columns and the stored entries instead of over
+every row.  The bytes are the same: a CSC product adds row ``i``'s
+terms in ascending column order starting from ``+0.0``, which is what
+the CSR product does on a row whose indices are sorted, so the copy is
+only made from a sorted stack.  Heavier stacks stay on rows, where the
+CSR pass is faster.
 
-A CSR row's product depends only on that row's entries, so a stack of
-any row range (``row_stack``; for ``O``, the :class:`LiveRows` of those
-rows, for ``R``, that block's :func:`product_operand`) gives those rows
-exactly: the sharded fit's workers and the store-backed operators of
-:mod:`repro.ooc`, which hold the same stack memory-mapped and index one
-row block at a time, run the same kernels on row blocks.  A
-store-backed ``R`` never makes the CSC copy: the stack stays out of
-core, and a copy per walked block would cost ``O(n)`` each.
+Row walks
+---------
+Both tensors apply their stack only through :meth:`RowWalk.row_walk`:
+``row_walk(start, stop)`` yields ``(a, b, block)`` blocks tiling rows
+``[start, stop)`` of every relation, ``block`` being the kernels'
+operand of those rows (``O``: their :class:`LiveRows`; ``R``: the rows
+themselves or their CSC copy).  ``propagate_many`` walks ``(0, n)``;
+the sharded fit's workers walk their shards' ranges.  In memory a range
+is one block, built on its first walk and kept, and the whole range's
+block is built with the tensor.  A tensor over the operator cache's
+memory-mapped stack (``from_stack(..., chunk_size=)``, see
+:mod:`repro.ooc`) walks ``chunk_size``-row CSR blocks instead, built as
+they are walked and never copied to CSC, and releases the stack's pages
+after each, so one block is resident.  A CSR row's product depends
+only on that row's entries, so every walk gives the same bytes.
 ``propagate`` delegates to ``propagate_many`` on a single column, so
 the looped and batched paths are the same floating-point computation.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import NamedTuple
 
 import numpy as np
@@ -199,14 +207,101 @@ def product_operand(stacked: sp.csr_matrix) -> sp.csr_matrix | sp.csc_matrix:
     return stacked
 
 
-class _StackedSlices:
+def release_pages(*arrays) -> None:
+    """Advise the kernel to drop the resident pages of memmap arrays.
+
+    On a large-memory box nothing ever evicts clean mmap pages, so a
+    whole pass over the operator files would leave them fully resident
+    and defeat the point of streaming.  ``MADV_DONTNEED`` returns the
+    pages immediately; the next iteration re-reads them from the page
+    cache/disk.  Best-effort: silently skips non-memmap inputs and
+    platforms without ``madvise``.
+    """
+    for array in arrays:
+        base = array
+        while base is not None and not isinstance(base, np.memmap):
+            base = getattr(base, "base", None)
+        handle = getattr(base, "_mmap", None)
+        if handle is None:
+            continue
+        try:
+            handle.madvise(mmap.MADV_DONTNEED)
+        except (AttributeError, ValueError, OSError):  # pragma: no cover
+            pass
+
+
+class RowWalk:
+    """A row-stacked CSR operator, applied block of rows by block of rows.
+
+    :meth:`row_walk` is the one way the chain kernels read the rows of
+    ``O``, ``R`` and a sparse ``W``.  In memory (no ``chunk_size``) a
+    range is one :meth:`row_stack` block, built on its first walk and
+    kept.  Over memory-mapped arrays (a ``chunk_size``) it is cut into
+    ``chunk_size``-row blocks, built as they are walked, and the arrays'
+    pages are released after each block, so one block is resident.
+    """
+
+    __slots__ = ("_stacked", "_chunk_size", "_kept")
+
+    def __init__(self, stacked: sp.csr_matrix, chunk_size: int | None = None):
+        self._stacked = stacked
+        self._chunk_size = chunk_size
+        self._kept = {}
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Matrix shape ``(n, n)``."""
+        return self._stacked.shape
+
+    def row_stack(self, start: int, stop: int):
+        """Rows ``[start, stop)``: the block :meth:`row_walk` yields."""
+        return self._stacked[start:stop]
+
+    def row_blocks(self, start: int, stop: int) -> tuple[sp.csr_matrix, ...]:
+        """Rows ``[start, stop)`` as CSR blocks: the shard planner's halo input."""
+        return (self._stacked[start:stop],)
+
+    def row_nnz(self) -> np.ndarray:
+        """Per-row entry counts: the shard planner's row weights."""
+        return np.diff(self._stacked.indptr)
+
+    def row_walk(self, start: int, stop: int):
+        """``(a, b, self.row_stack(a, b))`` for blocks tiling ``[start, stop)``.
+
+        A CSR row's product depends only on that row's entries, so the
+        blocks give rows ``[start, stop)`` of the whole product bit for
+        bit, however the range is cut.
+        """
+        if self._chunk_size is None:
+            block = self._kept.get((start, stop))
+            if block is None:
+                block = self._kept[start, stop] = self.row_stack(start, stop)
+            return ((start, stop, block),)
+        return self._chunks(start, stop)
+
+    def _chunks(self, start: int, stop: int):
+        stacked, chunk = self._stacked, self._chunk_size
+        for a in range(start, stop, chunk):
+            b = min(a + chunk, stop)
+            yield a, b, self.row_stack(a, b)
+            release_pages(stacked.indptr, stacked.indices, stacked.data)
+
+
+class _StackedSlices(RowWalk):
     """Relation slices kept as one vertically stacked CSR matrix.
 
     Row ``b*n + i`` of ``_stacked`` is row ``i`` of block ``b``; blocks
-    ``0 .. m-1`` are the relation slices.
+    ``0 .. m-1`` are the relation slices.  A walked block holds the
+    walked rows of every block, indexed for the kernel by ``_index``.
     """
 
-    __slots__ = ("_stacked", "_n", "_m")
+    __slots__ = ("_n", "_m")
+
+    def _walk_stack(self, stacked, chunk_size: int | None) -> None:
+        """Walk ``stacked``; in memory, its whole range is indexed now."""
+        RowWalk.__init__(self, stacked, chunk_size)
+        if chunk_size is None:
+            self._kept[0, self._n] = self._index(stacked)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -232,13 +327,12 @@ class _StackedSlices:
             self._stacked[k * n + start:k * n + stop] for k in range(self._m)
         )
 
-    def row_stack(self, start: int, stop: int) -> sp.csr_matrix:
-        """Rows ``[start, stop)`` of every block, stacked into one CSR.
+    def row_stack(self, start: int, stop: int):
+        """Rows ``[start, stop)`` of every block, indexed for the kernel.
 
-        The ``stacked=`` argument of :meth:`RelationTransitionTensor.integrands`
-        (``R``'s linked-pair rows come last, as its block ``m``); ``O``
-        indexes its live rows.  Each block's rows are one contiguous run
-        of the stack's entries, copied once.
+        Each block's rows are one contiguous run of the stack's entries,
+        copied once into one CSR (``R``'s linked-pair rows come last, as
+        its block ``m``).
         """
         stacked, n = self._stacked, self._n
         indptr = stacked.indptr
@@ -250,10 +344,10 @@ class _StackedSlices:
         def entries(array):
             return np.concatenate([array[indptr[a]:indptr[z]] for a, z in runs])
 
-        return sp.csr_matrix(
+        return self._index(sp.csr_matrix(
             (entries(stacked.data), entries(stacked.indices), rows_ptr),
             shape=(counts.size, n),
-        )
+        ))
 
     @property
     def live_share(self) -> float:
@@ -270,12 +364,12 @@ class NodeTransitionTensor(_StackedSlices):
     """The node-transition tensor ``O`` of Eq. 1, with implicit dangling mass.
 
     Stores the normalised slices ``M_k`` stacked into one ``(m*n, n)``
-    CSR matrix with its :class:`LiveRows` index, plus an ``(m, n)``
+    CSR matrix, walked as :class:`LiveRows` blocks, plus an ``(m, n)``
     indicator of the non-dangling ``(j, k)`` columns used to vectorise
     the uniform correction.
     """
 
-    __slots__ = ("_live", "_nd_indicator")
+    __slots__ = ("_nd_indicator",)
 
     def __init__(self, tensor: SparseTensor3):
         n, _, m = tensor.shape
@@ -288,27 +382,29 @@ class NodeTransitionTensor(_StackedSlices):
         values = tensor.values * scale[k * n + j]
         self._adopt(_stack_slices(values, i, j, k, n, m), nondangling.reshape(m, n))
 
-    def _adopt(self, stacked, nondangling: np.ndarray) -> None:
+    @classmethod
+    def from_stack(
+        cls, stacked, nondangling: np.ndarray, *, chunk_size: int | None = None
+    ) -> "NodeTransitionTensor":
+        """``O`` over a normalised ``(m*n, n)`` stack and its ``(m, n)``
+        non-dangling mask; ``chunk_size`` rows per walked block when the
+        stack is memory-mapped (:class:`RowWalk`)."""
+        tensor = cls.__new__(cls)
+        tensor._adopt(stacked, nondangling, chunk_size)
+        return tensor
+
+    def _adopt(self, stacked, nondangling: np.ndarray, chunk_size=None) -> None:
         """Take a normalised ``(m*n, n)`` stack and its ``(m, n)`` non-dangling mask."""
         self._m, self._n = nondangling.shape
-        self._stacked = stacked
-        self._live = self._whole_stack_index()
+        self._walk_stack(stacked, chunk_size)
         k, j = np.nonzero(nondangling)
         self._nd_indicator = sp.csr_matrix(
             (np.ones(k.size), (k, j)), shape=nondangling.shape
         )
 
-    def _whole_stack_index(self) -> LiveRows | None:
-        """The :class:`LiveRows` of the whole stack, :meth:`relation_sum`'s default."""
-        return live_rows(self._stacked, self._m)
-
-    def row_stack(self, start: int, stop: int) -> LiveRows:
-        """The :class:`LiveRows` of rows ``[start, stop)`` of every block.
-
-        The ``stacked=`` argument of :meth:`relation_sum`; the rows are
-        copied once (:meth:`_StackedSlices.row_stack`) and indexed.
-        """
-        return live_rows(super().row_stack(start, stop), self._m)
+    def _index(self, rows: sp.csr_matrix) -> LiveRows:
+        """The :class:`LiveRows` of a walked block of rows."""
+        return live_rows(rows, self._m)
 
     @property
     def _nondangling_cols(self) -> np.ndarray:
@@ -354,8 +450,10 @@ class NodeTransitionTensor(_StackedSlices):
         (scipy would copy an F-ordered ``X`` again)."""
         return _uncovered_mass(X, Z, self._nd_indicator @ (X if x is None else x))
 
-    def relation_sum(self, X: np.ndarray, Z: np.ndarray, stacked=None) -> np.ndarray:
-        """The sparse part ``sum_k Z[k] * (M_k @ X)``, blocks added in ``k`` order.
+    def relation_sum(self, X: np.ndarray, Z: np.ndarray, live: LiveRows) -> np.ndarray:
+        """Rows ``[a, b)`` of the sparse part ``sum_k Z[k] * (M_k @ X)``,
+        for a block ``(a, b, live)`` of :meth:`row_walk`, blocks added in
+        ``k`` order.
 
         Only the live rows are multiplied, scaled and added: ``p = rows
         @ X``, ``p *= Z`` repeated per live row of each block, then
@@ -363,11 +461,9 @@ class NodeTransitionTensor(_StackedSlices):
         into zeros.  When every row is live, ``p``'s ``(m, rows, q)``
         blocks are scaled by ``Z`` and added in ``k`` order from
         ``+0.0`` instead, the same operations without the repeat and
-        the gather.  ``stacked=self.row_stack(start, stop)`` yields rows
-        ``[start, stop)`` bit-for-bit from the full ``X``.  Returns a
+        the gather.  ``X`` is the full ``(n, q)`` input.  Returns a
         fresh C-contiguous array; inputs are not validated.
         """
-        live = self._live if stacked is None else stacked
         products = live.rows @ np.ascontiguousarray(X)
         if not live.all_live:
             products *= np.repeat(Z, live.counts, axis=0)
@@ -399,8 +495,9 @@ class NodeTransitionTensor(_StackedSlices):
         ``X`` is ``(n, q)`` (node distributions), ``Z`` is ``(m, q)``
         (relation distributions).  Returns the ``(n, q)`` matrix whose
         column ``c`` equals ``propagate(X[:, c], Z[:, c])``: the sparse
-        part :meth:`relation_sum` plus the dangling ``1/n`` correction
-        applied per column from the analytically tracked uncovered mass.
+        part :meth:`relation_sum` over every walked block of rows plus
+        the dangling ``1/n`` correction applied per column from the
+        analytically tracked uncovered mass.
         """
         X = check_array_2d(X, "X", shape=(self._n, None))
         Z = check_array_2d(Z, "Z", shape=(self._m, X.shape[1]))
@@ -408,7 +505,8 @@ class NodeTransitionTensor(_StackedSlices):
         # In the caller's layout, which the x-step and its probe column sums
         # inherit; the relation sum holds no -0.0, so this is zeros + sum.
         result = np.empty_like(X)
-        result[...] = self.relation_sum(x, Z)
+        for a, b, live in self.row_walk(0, self._n):
+            result[a:b] = self.relation_sum(x, Z, live)
         result += self.dangling_mass(X, Z, x) / self._n
         return result
 
@@ -434,11 +532,11 @@ class RelationTransitionTensor(_StackedSlices):
     an ``(n, n)`` indicator of the linked ``(i, j)`` pairs as one
     ``((m+1)*n, n)`` stack, so the per-relation reductions and the
     uniform ``1/m`` correction for unlinked pairs share one sparse
-    product — no ``(nnz, q)`` gather temporary.  The product runs
-    through the stack's :func:`product_operand`, kept next to it.
+    product — no ``(nnz, q)`` gather temporary.  In memory each walked
+    block is the :func:`product_operand` of its rows.
     """
 
-    __slots__ = ("_empty", "_operand")
+    __slots__ = ("_empty",)
 
     def __init__(self, tensor: SparseTensor3):
         n, _, m = tensor.shape
@@ -454,27 +552,34 @@ class RelationTransitionTensor(_StackedSlices):
         del linked, pair_i, pair_j
         self._adopt(sp.vstack((slices, pairs), format="csr"), m)
 
-    def _adopt(self, stacked, m: int) -> None:
+    @classmethod
+    def from_stack(
+        cls, stacked, m: int, *, chunk_size: int | None = None
+    ) -> "RelationTransitionTensor":
+        """``R`` over a normalised ``((m+1)*n, n)`` stack, pair indicator
+        last; ``chunk_size`` rows per walked block when the stack is
+        memory-mapped (:class:`RowWalk`)."""
+        tensor = cls.__new__(cls)
+        tensor._adopt(stacked, m, chunk_size)
+        return tensor
+
+    def _adopt(self, stacked, m: int, chunk_size=None) -> None:
         """Take a normalised ``((m+1)*n, n)`` stack, pair indicator last."""
         self._n, self._m = stacked.shape[1], m
-        self._stacked = stacked
-        self._operand = self._product_operand(stacked)
+        self._walk_stack(stacked, chunk_size)
         self._empty = np.flatnonzero(np.array(self.relation_nnz) == 0)
 
-    def _product_operand(self, stacked):
-        """:func:`product_operand` of ``stacked``, the whole stack or a row block."""
-        return product_operand(stacked)
+    def _index(self, rows: sp.csr_matrix):
+        """A walked block of rows, copied to CSC by :func:`product_operand`
+        in memory only: a memory-mapped block would pay ``O(n)`` per copy."""
+        return rows if self._chunk_size else product_operand(rows)
 
     @property
     def layout(self) -> str:
-        """How the whole-stack product walks the stack: ``"columns"`` when
-        it runs through a CSC copy, else ``"rows"``."""
-        return "columns" if self._operand.format == "csc" else "rows"
-
-    def row_stack(self, start: int, stop: int):
-        """Rows ``[start, stop)`` of every block, as :meth:`integrands`'s
-        ``stacked=`` argument: that row block's :func:`product_operand`."""
-        return self._product_operand(super().row_stack(start, stop))
+        """How the product walks the whole stack: ``"columns"`` when it
+        runs through a CSC copy, else ``"rows"``."""
+        whole = self._kept.get((0, self._n))
+        return "columns" if whole is not None and whole.format == "csc" else "rows"
 
     @property
     def n_linked_pairs(self) -> int:
@@ -499,17 +604,16 @@ class RelationTransitionTensor(_StackedSlices):
         offset = self._m * self._n
         return self._stacked[offset + start:offset + stop]
 
-    def integrands(self, X: np.ndarray, Y: np.ndarray, stacked=None) -> np.ndarray:
+    def integrands(self, X: np.ndarray, Y: np.ndarray, block) -> np.ndarray:
         """The Eq. 8 integrands ``X * (B_k @ Y)``, block ``m`` the pair indicator's.
 
-        ``stacked=self.row_stack(start, stop)`` with ``X`` those rows
-        and ``Y`` the full ``(n, q)`` input yields rows ``[start, stop)``.
-        One C-contiguous copy serves both operands when ``X`` is ``Y``.
-        Inputs are not validated.
+        Rows ``[a, b)`` of them, for a block ``(a, b, block)`` of
+        :meth:`row_walk`, ``X`` those rows and ``Y`` the full ``(n, q)``
+        input.  One C-contiguous copy serves both operands when ``X``
+        is ``Y``.  Inputs are not validated.
         """
-        stacked = self._operand if stacked is None else stacked
         y = np.ascontiguousarray(Y)
-        products = stacked @ y
+        products = block @ y
         products = products.reshape(self._m + 1, -1, Y.shape[1])
         products *= y if X is Y else np.ascontiguousarray(X)
         return products
@@ -557,11 +661,22 @@ class RelationTransitionTensor(_StackedSlices):
         ``propagate(X[:, c], Y[:, c])``.  Row ``k`` is the batched
         bilinear form ``X[:, c]^T (B_k @ Y[:, c])`` plus the
         unlinked-pair ``1/m`` correction computed the same way from the
-        pair indicator — all from one stacked sparse product.
+        pair indicator — one stacked sparse product per walked block.
         """
         X = check_array_2d(X, "X", shape=(self._n, None))
         Y = X if Y is None else check_array_2d(Y, "Y", shape=(self._n, X.shape[1]))
-        return self.contract(self.integrands(X, Y), X, Y)
+        y = np.ascontiguousarray(Y)
+        x = y if X is Y else X
+        integrands = None
+        for a, b, block in self.row_walk(0, self._n):
+            rows = self.integrands(x[a:b], y, block)
+            if b - a == self._n:  # one block holds every row: taken as is
+                integrands = rows
+                continue
+            if integrands is None:
+                integrands = np.empty((self._m + 1, self._n, X.shape[1]))
+            integrands[:, a:b] = rows
+        return self.contract(integrands, X, Y)
 
     def to_dense(self) -> np.ndarray:
         """Materialise the full ``(n, n, m)`` tensor including dangling fibres.

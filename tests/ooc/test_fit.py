@@ -141,7 +141,8 @@ class TestByteIdentity:
     for byte, serial or sharded, at any ``chunk_size``."""
 
     def assert_store_matches(self, store, params, reference, shards):
-        for chunk_size in (1, 7, store.n_nodes):
+        n = store.n_nodes
+        for chunk_size in (1, 7, n - 1, n, 2 * n):
             recorder = ListRecorder()
             model = fit_from_store(
                 store, TMark(**params), chunk_size=chunk_size, shards=shards,

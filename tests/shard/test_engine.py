@@ -277,14 +277,14 @@ class _ExplodingTensor:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def row_stack(self, start, stop):
+    def row_walk(self, start, stop):
         if os.getpid() != self._parent_pid:
             raise RuntimeError("operator exploded in the worker")
-        return self._inner.row_stack(start, stop)
+        return self._inner.row_walk(start, stop)
 
 
 class _StallingTensor:
-    """Delegates to a real tensor, but its relation sum hangs in any forked child."""
+    """Delegates to a real tensor, but its row walk hangs in any forked child."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -293,10 +293,10 @@ class _StallingTensor:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def relation_sum(self, *args):
+    def row_walk(self, start, stop):
         if os.getpid() != self._parent_pid:
             time.sleep(120)
-        return self._inner.relation_sum(*args)
+        return self._inner.row_walk(start, stop)
 
 
 class TestFailurePropagation:
@@ -346,10 +346,10 @@ class TestFailurePropagation:
         o_tensor, r_tensor, w_matrix = model_operators(hin, model)
 
         class _ExitingTensor(_StallingTensor):
-            def relation_sum(self, *args):
+            def row_walk(self, start, stop):
                 if os.getpid() != self._parent_pid:
                     os._exit(3)
-                return self._inner.relation_sum(*args)
+                return self._inner.row_walk(start, stop)
 
         with pytest.raises(WorkerError, match="round 1 .*(exited|died)"):
             run_chains_sharded(

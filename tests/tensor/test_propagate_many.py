@@ -240,6 +240,12 @@ def per_slice_r(r_tensor, X, Y, slices=None):
     return result
 
 
+def whole_block(tensor):
+    """An in-memory tensor's kept block of all its rows (its walk of ``(0, n)``)."""
+    ((_, _, block),) = tensor.row_walk(0, tensor.shape[0])
+    return block
+
+
 def same_bytes(got, expected):
     return (
         got.shape == expected.shape
@@ -333,8 +339,8 @@ class TestStackedKernelsMatchPerSliceLoop:
         Z = laid_out(rng, 20, 4, "fancy")
         expected = per_slice_o(o_tensor, X, Z)
         assert same_bytes(o_tensor.propagate_many(X, Z), expected)
-        live = o_tensor._live
-        o_tensor._live = live._replace(gather=reversed_rows(live.gather))
+        live = whole_block(o_tensor)
+        o_tensor._kept[0, 40] = live._replace(gather=reversed_rows(live.gather))
         assert not same_bytes(o_tensor.propagate_many(X, Z), expected)
 
 
@@ -397,7 +403,7 @@ class TestLiveRowKernel:
         tensor, X, Z = case
         o_tensor = NodeTransitionTensor(tensor)
         n = tensor.shape[0]
-        whole = o_tensor.relation_sum(X, Z)
+        whole = o_tensor.relation_sum(X, Z, whole_block(o_tensor))
         cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
         bounds = [0, *cuts, n]
         for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -410,7 +416,7 @@ class TestLiveRowKernel:
             np.array([0, 2, 0]), np.array([1, 1, 2]), np.array([1, 1, 3]),
             np.ones(3), shape=(3, 3, 4),
         )
-        rows, counts, gather = NodeTransitionTensor(tensor)._live
+        rows, counts, gather = whole_block(NodeTransitionTensor(tensor))
         assert rows.shape == (3, 3)
         assert counts.tolist() == [0, 2, 0, 1]
         assert gather.shape == (3, 3)
@@ -423,8 +429,9 @@ class TestLiveRowKernel:
         )
         o_tensor = NodeTransitionTensor(tensor)
         X, Z = random_stack(np.random.default_rng(0), 4, 2), np.full((3, 2), 1 / 3)
-        assert o_tensor._live.rows.shape == (0, 4)
-        assert np.array_equal(o_tensor.relation_sum(X, Z), np.zeros((4, 2)))
+        live = whole_block(o_tensor)
+        assert live.rows.shape == (0, 4)
+        assert np.array_equal(o_tensor.relation_sum(X, Z, live), np.zeros((4, 2)))
         assert np.allclose(o_tensor.propagate_many(X, Z), 0.25)
 
     def test_all_live_stack_adds_blocks_like_the_gather(self):
@@ -438,15 +445,16 @@ class TestLiveRowKernel:
         k = np.repeat(np.arange(m), n)
         tensor = SparseTensor3(i, j, k, rng.uniform(0.1, 2.0, n * m), shape=(n, n, m))
         o_tensor = NodeTransitionTensor(tensor)
-        assert o_tensor._live.all_live
+        live = whole_block(o_tensor)
+        assert live.all_live
         X = laid_out(rng, n, q, "fancy")
         Z = laid_out(rng, m, q, "F")
         Z[:, 1] = -0.0
-        rows, counts, gather = o_tensor._live
+        rows, counts, gather = live
         products = rows @ np.ascontiguousarray(X)
         products *= np.repeat(Z, counts, axis=0)
         gathered = gather @ products
-        got = o_tensor.relation_sum(X, Z)
+        got = o_tensor.relation_sum(X, Z, live)
         assert same_bytes(got, gathered)
         assert not np.signbit(got).any()
         assert same_bytes(o_tensor.propagate_many(X, Z), per_slice_o(o_tensor, X, Z))
@@ -454,7 +462,7 @@ class TestLiveRowKernel:
     def test_sparse_stack_is_not_all_live(self):
         rng = np.random.default_rng(1)
         o_tensor = NodeTransitionTensor(rule_tensor("mostly_empty", rng))
-        assert not o_tensor._live.all_live
+        assert not whole_block(o_tensor).all_live
         assert o_tensor.row_stack(0, 0).all_live  # no rows, none skipped
 
 
@@ -489,12 +497,11 @@ class TestColumnPass:
         Y = np.ones((3, 1))
         assert not same_bytes(stacked.tocsc() @ Y, stacked @ Y)
         assert product_operand(stacked) is stacked
-        r_tensor = object.__new__(RelationTransitionTensor)
-        r_tensor._adopt(stacked, 1)
+        r_tensor = RelationTransitionTensor.from_stack(stacked, 1)
         assert r_tensor.layout == "rows"
         X = np.ones((3, 1))
         expected = (stacked @ Y).reshape(2, 3, 1) * X
-        assert same_bytes(r_tensor.integrands(X, Y), expected)
+        assert same_bytes(r_tensor.integrands(X, Y, whole_block(r_tensor)), expected)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(RULE_LAYOUTS)), st.integers(0, 2**32 - 1), st.data())
@@ -503,7 +510,7 @@ class TestColumnPass:
         r_tensor = RelationTransitionTensor(rule_tensor(kind, rng))
         n = r_tensor.shape[0]
         X = laid_out(rng, n, 3, "fancy")
-        whole = r_tensor.integrands(X, X)
+        whole = r_tensor.integrands(X, X, whole_block(r_tensor))
         cuts = sorted(data.draw(st.lists(st.integers(1, n - 1), max_size=4)))
         bounds = [0, *cuts, n]
         y = np.ascontiguousarray(X)

@@ -69,7 +69,7 @@ def signalling_method(signum):
 
 
 class _SignallingTensor:
-    """Delegates to a real tensor; its relation sum signals any forked child."""
+    """Delegates to a real tensor; its row walk signals any forked child."""
 
     def __init__(self, inner, signum):
         self._inner = inner
@@ -79,11 +79,11 @@ class _SignallingTensor:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def relation_sum(self, *args):
+    def row_walk(self, start, stop):
         if os.getpid() != self._parent_pid:
             os.kill(os.getpid(), self._signum)
             time.sleep(60)
-        return self._inner.relation_sum(*args)
+        return self._inner.row_walk(start, stop)
 
 
 @pytest.mark.parametrize("signum", list(FAILURES), ids=["SIGSTOP", "SIGKILL"])
