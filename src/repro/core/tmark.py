@@ -30,6 +30,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from repro.core.features import feature_walk_matrix, walk_matrix_form
 from repro.core.labels import THRESHOLD_MODES
 from repro.errors import NotFittedError, ValidationError
 from repro.hin.graph import HIN
-from repro.obs.health import health_from_history
+from repro.obs.health import ChainHealth, health_from_history
 from repro.obs.recorder import get_recorder
 from repro.obs.spans import annotate_span, span
 from repro.solvers.base import PLAIN_SOLVER, check_solver
@@ -172,6 +173,17 @@ class TMarkResult:
     label_names: tuple[str, ...]
     relation_names: tuple[str, ...]
     node_names: tuple[str, ...] | None = None
+
+    @cached_property
+    def health(self) -> tuple[ChainHealth, ...]:
+        """Per-class convergence verdicts, folded from :attr:`histories`
+        once (:func:`~repro.obs.health.health_from_history`) and shared
+        by the ``chain_health`` events, the streaming session and the
+        serving snapshot."""
+        return tuple(
+            health_from_history(history, class_index=c, label=self.label_names[c])
+            for c, history in enumerate(self.histories)
+        )
 
     def ranked_relations(self, label: int | str) -> list[tuple[str, float]]:
         """Relations sorted by importance for ``label`` (name, score)."""
@@ -602,10 +614,7 @@ class TMark:
         )
         self._hin = None
         if rec.enabled:
-            for c, history in enumerate(histories):
-                verdict = health_from_history(
-                    history, class_index=c, label=label_names[c]
-                )
+            for verdict in self.result_.health:
                 rec.emit("chain_health", **verdict.as_event())
             rec.emit(
                 "fit",

@@ -48,7 +48,6 @@ from repro.obs.health import (
     estimate_decay_rate,
     format_health_report,
     health_from_history,
-    health_from_result,
     trace_chain_health,
     worst_status,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "estimate_decay_rate",
     "format_health_report",
     "health_from_history",
-    "health_from_result",
     "trace_chain_health",
     "worst_status",
     "Counter",

@@ -105,8 +105,9 @@ class ChainHealth:
     Attributes
     ----------
     fit_index:
-        0-based index of the fit this chain belongs to (a trace may
-        contain many fits; single-fit sources report 0).
+        0-based index of the fit this chain belongs to: a trace reader
+        counts the ``fit`` events before the verdict; single-fit
+        sources report 0.  Not part of the event payload.
     class_index, label:
         The chain's class column and, when known, its label name.
     status:
@@ -156,7 +157,6 @@ class ChainHealth:
     def as_event(self) -> dict:
         """The flat payload emitted as a ``chain_health`` trace event."""
         return {
-            "fit_index": self.fit_index,
             "class_index": self.class_index,
             "label": self.label,
             "status": self.status,
@@ -171,8 +171,9 @@ class ChainHealth:
         }
 
     @classmethod
-    def from_event(cls, event: dict) -> "ChainHealth":
-        """Rebuild a verdict from a ``chain_health`` trace event.
+    def from_event(cls, event: dict, *, fit_index: int = 0) -> "ChainHealth":
+        """Rebuild a verdict of fit ``fit_index`` from a ``chain_health``
+        trace event (a ``fit_index`` field older traces carry is ignored).
 
         ``projected_iterations`` is clamped to :data:`PROJECTION_NEVER`
         when the event carries a non-finite value — traces written by a
@@ -197,7 +198,7 @@ class ChainHealth:
             oscillation_share=float(event.get("oscillation_share", 0.0)),
             tol=float(event.get("tol", DEFAULT_TOL)),
             label=event.get("label"),
-            fit_index=int(event.get("fit_index", 0)),
+            fit_index=fit_index,
         )
 
 
@@ -340,20 +341,6 @@ def health_from_history(
     )
 
 
-def health_from_result(result, *, fit_index: int = 0) -> list[ChainHealth]:
-    """Per-class verdicts for a fitted result (``histories`` + names).
-
-    Accepts anything exposing ``histories`` and ``label_names`` aligned
-    by class — a :class:`~repro.core.tmark.TMarkResult` in practice.
-    """
-    return [
-        health_from_history(
-            history, class_index=c, label=result.label_names[c], fit_index=fit_index
-        )
-        for c, history in enumerate(result.histories)
-    ]
-
-
 def collect_residual_series(events):
     """Group a trace's per-class residuals by fit and class.
 
@@ -391,11 +378,17 @@ def trace_chain_health(events, *, tol: float | None = None) -> list[ChainHealth]
     carries them (fits since the diagnostics layer emit one per class);
     otherwise folds the raw per-class residual series, taking the
     tolerance from each fit's ``fit`` event, then from ``tol``, then
-    from :data:`DEFAULT_TOL`.
+    from :data:`DEFAULT_TOL`.  Either way a verdict's ``fit_index``
+    counts the ``fit`` events before it (a fit emits its ``fit`` event
+    after its iterations and verdicts).
     """
-    direct = [
-        ChainHealth.from_event(e) for e in events if e.get("event") == "chain_health"
-    ]
+    direct, n_fits = [], 0
+    for event in events:
+        kind = event.get("event")
+        if kind == "fit":
+            n_fits += 1
+        elif kind == "chain_health":
+            direct.append(ChainHealth.from_event(event, fit_index=n_fits))
     if direct:
         return direct
     verdicts = []

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.obs.health import health_from_result, worst_status
+from repro.obs.health import worst_status
 
 #: Per-class ranking depth precomputed at snapshot build time.  ``topk``
 #: requests beyond this fall back to a live argsort (rare, still
@@ -106,10 +106,7 @@ class Snapshot:
         # Per-class descending ranking, stable so score ties break by
         # node index exactly like a full argsort would.
         order = np.argsort(-node_scores, axis=0, kind="stable")[:depth, :]
-        health = {
-            verdict.label: verdict.status
-            for verdict in health_from_result(result)
-        }
+        health = {verdict.label: verdict.status for verdict in result.health}
         return cls(
             version=int(version),
             node_names=tuple(result.node_names),

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.tmark import TMark, TMarkResult
 from repro.errors import ValidationError
 from repro.hin.graph import HIN
-from repro.obs.health import health_from_result, worst_status
+from repro.obs.health import worst_status
 from repro.obs.recorder import get_recorder
 from repro.obs.spans import span
 from repro.stream.delta import as_batch
@@ -192,10 +192,7 @@ class StreamingSession:
         self._result = self._model.result_
         iterations = max(h.n_iterations for h in self._result.histories)
         converged = all(h.converged for h in self._result.histories)
-        health = {
-            verdict.label: verdict.status
-            for verdict in health_from_result(self._result)
-        }
+        health = {verdict.label: verdict.status for verdict in self._result.health}
         if rec.enabled:
             rec.emit(
                 "reconverge",

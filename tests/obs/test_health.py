@@ -15,7 +15,6 @@ from repro.obs import (
     estimate_decay_rate,
     format_health_report,
     health_from_history,
-    health_from_result,
     trace_chain_health,
     worst_status,
 )
@@ -122,7 +121,8 @@ class TestChainHealth:
         verdict = chain_health(
             geometric(1.0, 0.4, 8), tol=1e-8, class_index=2, label="DM", fit_index=3
         )
-        assert ChainHealth.from_event(verdict.as_event()) == verdict
+        assert "fit_index" not in verdict.as_event()
+        assert ChainHealth.from_event(verdict.as_event(), fit_index=3) == verdict
 
 
 class TestWorstStatus:
@@ -151,7 +151,7 @@ class TestWorstStatus:
 class TestHealthFromFit:
     def test_healthy_verdicts_with_labels(self, hin):
         model = TMark(alpha=0.7, gamma=0.4, max_iter=200).fit(hin)
-        verdicts = health_from_result(model.result_)
+        verdicts = model.result_.health
         assert len(verdicts) == hin.n_labels
         assert all(v.ok for v in verdicts)
         assert [v.label for v in verdicts] == list(hin.label_names)
@@ -159,7 +159,7 @@ class TestHealthFromFit:
     def test_decay_rate_within_ten_percent_of_observed_ratio(self, hin):
         model = TMark(alpha=0.7, gamma=0.4, max_iter=200).fit(hin)
         for history, verdict in zip(
-            model.result_.histories, health_from_result(model.result_)
+            model.result_.histories, model.result_.health
         ):
             residuals = [r for r in history.residuals[DECAY_BURN_IN:] if r > 0]
             observed = [b / a for a, b in zip(residuals, residuals[1:])]
@@ -170,7 +170,7 @@ class TestHealthFromFit:
         model = TMark(alpha=0.7, gamma=0.4, max_iter=200).fit(hin)
         for c, history in enumerate(model.result_.histories):
             direct = health_from_history(history, class_index=c)
-            via_result = health_from_result(model.result_)[c]
+            via_result = model.result_.health[c]
             assert direct.status == via_result.status
             assert direct.decay_rate == via_result.decay_rate
 
@@ -205,7 +205,7 @@ class TestPeriodicToy:
         model = TMark(alpha=0.0, gamma=0.0, update_labels=False, max_iter=30)
         with pytest.warns(RuntimeWarning, match="exhausted max_iter"):
             model.fit(self._toy_hin())
-        (verdict,) = health_from_result(model.result_)
+        (verdict,) = model.result_.health
         assert verdict.status in ("oscillating", "diverging")
         assert not verdict.converged
         assert verdict.projected_iterations == -1
@@ -213,7 +213,7 @@ class TestPeriodicToy:
     def test_restart_repairs_the_toy(self):
         model = TMark(alpha=0.5, gamma=0.0, update_labels=False, max_iter=100)
         model.fit(self._toy_hin())
-        (verdict,) = health_from_result(model.result_)
+        (verdict,) = model.result_.health
         assert verdict.ok
 
 
@@ -242,6 +242,30 @@ class TestTraceChainHealth:
         for verdict, history in zip(verdicts, model.result_.histories):
             assert verdict.converged == history.converged
             assert verdict.n_iterations == history.n_iterations
+
+    @pytest.mark.parametrize("source", ["chain_health", "residuals"])
+    def test_two_fits_are_numbered_by_their_fit_events(self, hin, source):
+        recorder = ListRecorder()
+        model = TMark(alpha=0.7, gamma=0.4, max_iter=200)
+        model.fit(hin, recorder=recorder)
+        model.fit(hin, recorder=recorder)
+        events = recorder.events
+        if source == "residuals":
+            events = [e for e in events if e["event"] != "chain_health"]
+        verdicts = trace_chain_health(events)
+        q = hin.n_labels
+        assert [v.fit_index for v in verdicts] == [0] * q + [1] * q
+        assert [v.class_index for v in verdicts] == list(range(q)) * 2
+        assert all("fit_index" not in e for e in recorder.events_of("chain_health"))
+
+    def test_recorded_fit_index_field_is_ignored(self):
+        events = [
+            {"event": "chain_health", "fit_index": 0, "class_index": 0},
+            {"event": "fit"},
+            {"event": "chain_health", "fit_index": 0, "class_index": 0},
+            {"event": "fit"},
+        ]
+        assert [v.fit_index for v in trace_chain_health(events)] == [0, 1]
 
     def test_groups_by_fit_event(self):
         events = [
@@ -294,7 +318,7 @@ class TestTraceChainHealth:
 class TestFormatHealthReport:
     def test_table_and_overall_line(self, hin):
         model = TMark(alpha=0.7, gamma=0.4, max_iter=200).fit(hin)
-        text = format_health_report(health_from_result(model.result_))
+        text = format_health_report(model.result_.health)
         assert f"{hin.n_labels} chain(s)" in text
         assert "overall: healthy" in text
         for label in hin.label_names:
