@@ -36,6 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ValidationError
+from repro.tensor.transition import RowWalk
 from repro.utils.validation import check_positive_int
 
 
@@ -117,28 +118,44 @@ def unit_feature_rows(features):
     return unit, norms
 
 
+def cosine_panel(unit, featureless: np.ndarray, columns, *,
+                 clip_negative: bool = True) -> np.ndarray:
+    """Cosine similarities of every node against the nodes ``columns``.
+
+    ``unit`` is :func:`unit_feature_rows`' ``F̂`` and ``featureless``
+    the ``(n,)`` mask of its zero-norm rows; ``columns`` is a slice or
+    an index list.  Returns the dense ``(n, len(columns))`` panel
+    ``F̂ F̂[columns]ᵀ``, negatives clipped to zero (unless
+    ``clip_negative`` is false), featureless rows and columns zeroed.
+
+    The one similarity kernel: the full matrix, the top-k column blocks
+    and the streamed rows of a patched ``W`` are all its panels.  Each
+    entry is reduced in a fixed per-element order, whatever the panel's
+    width: dense features use ``einsum``, not a BLAS GEMM (whose kernel
+    choice, and last-bit rounding, varies with the width); the sparse
+    product accumulates each entry in the order of the left operand's
+    row.  So a panel equals the matching columns of the full matrix bit
+    for bit, and top-k ties resolve alike on every path.
+    """
+    if sp.issparse(unit):
+        sims = (unit @ unit[columns].T).toarray()
+    else:
+        sims = np.einsum("nd,cd->nc", unit, unit[columns])
+    if clip_negative:
+        np.clip(sims, 0.0, None, out=sims)
+    sims[featureless, :] = 0.0
+    sims[:, featureless[columns]] = 0.0
+    return sims
+
+
 def cosine_similarity_matrix(features, *, clip_negative: bool = True) -> np.ndarray:
     """Dense pairwise cosine similarity ``C`` of node features.
 
     Rows with zero norm yield zero similarity against everything
     (including themselves).
     """
-    normalized, norms = unit_feature_rows(features)
-    if sp.issparse(normalized):
-        sims = (normalized @ normalized.T).toarray()
-    else:
-        # einsum, not GEMM: a fixed per-element summation order keeps
-        # these values bit-consistent with the chunked panels of
-        # topk_cosine_transition_matrix, so top-k ties resolve the same
-        # way on both paths.
-        sims = np.einsum("nd,cd->nc", normalized, normalized)
-    zero = norms == 0
-    if np.any(zero):
-        sims[zero, :] = 0.0
-        sims[:, zero] = 0.0
-    if clip_negative:
-        np.clip(sims, 0.0, None, out=sims)
-    return sims
+    unit, norms = unit_feature_rows(features)
+    return cosine_panel(unit, norms == 0, slice(None), clip_negative=clip_negative)
 
 
 def rbf_similarity_matrix(features, *, bandwidth: float | None = None) -> np.ndarray:
@@ -227,16 +244,14 @@ def topk_cosine_transition_matrix(
     The output is bit-identical for every valid ``chunk_size`` (a
     property test pins ``chunk_size`` in ``{1, 7, 512, n}``): each
     column's top-k selection and values depend only on that column's
-    similarity panel, and similarity panels are reduced with a fixed
-    per-element summation order (``np.einsum`` rather than a BLAS GEMM,
-    whose kernel choice — and last-bit rounding — varies with panel
-    width).  The out-of-core operator builds (:mod:`repro.ooc.build`)
-    rely on this invariant.
+    similarity panel, and :func:`cosine_panel` gives every column the
+    same bits whatever the panel's width.  The out-of-core operator
+    builds (:mod:`repro.ooc.build`) rely on this invariant.
     """
     top_k = check_positive_int(top_k, "top_k")
     chunk_size = check_positive_int(chunk_size, "chunk_size")
-    normalized, norms = unit_feature_rows(features)
-    n = normalized.shape[0]
+    unit, norms = unit_feature_rows(features)
+    n = unit.shape[0]
     zero_rows = norms == 0
     k = min(top_k, n)
 
@@ -245,18 +260,7 @@ def topk_cosine_transition_matrix(
     data_out: list[np.ndarray] = []
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
-        block = normalized[start:stop]
-        if sp.issparse(normalized):
-            # Sparse matmul accumulates each output element in the fixed
-            # order of the left operand's row, independent of panel width.
-            sims = np.asarray((normalized @ block.T).todense())
-        else:
-            # einsum, not GEMM: BLAS kernels round differently per panel
-            # width, which would break chunk-size bit-identity.
-            sims = np.einsum("nd,cd->nc", normalized, block)
-        np.clip(sims, 0.0, None, out=sims)
-        sims[zero_rows, :] = 0.0
-        sims[:, zero_rows[start:stop]] = 0.0
+        sims = cosine_panel(unit, zero_rows, slice(start, stop))
         # Force the diagonal in so self-similarity always survives
         # (featureless nodes excluded: their columns stay empty and fall
         # back to the uniform distribution below, matching the dense path).
@@ -414,25 +418,30 @@ def feature_walk_matrix(features, *, top_k: int | None = None, metric: str = "co
     """The ``W`` the chains walk: factored when exact and cheaper, else Eq. 9.
 
     Picks :func:`factored_cosine_transition_matrix` when
-    :func:`feature_walk_form` says ``"factored"``, and otherwise returns
-    :func:`feature_transition_matrix` unchanged.  Used by
+    :func:`feature_walk_form` says ``"factored"``.  Otherwise it is
+    :func:`feature_transition_matrix`: with ``top_k`` its CSR as a
+    :class:`~repro.tensor.transition.RowWalk` (walked by rows, like
+    ``O`` and ``R``, in memory, in shard workers and over a store), and
+    the dense array without.  Used by
     :func:`repro.core.tmark.build_operators` and
     :class:`repro.stream.IncrementalOperators`.
     """
-    if feature_walk_form(features, top_k=top_k, metric=metric) == "factored":
+    form = feature_walk_form(features, top_k=top_k, metric=metric)
+    if form == "factored":
         return factored_cosine_transition_matrix(features)
-    return feature_transition_matrix(features, top_k=top_k, metric=metric)
+    w_matrix = feature_transition_matrix(features, top_k=top_k, metric=metric)
+    return RowWalk(w_matrix) if form == "sparse" else w_matrix
 
 
 def walk_matrix_form(w_matrix) -> tuple[str, int]:
     """``(form, rank)`` of a built ``W``, as traces report it.
 
-    The form is ``"factored"`` for a
-    :class:`LowRankMatrix`, ``"sparse"`` for a
-    sparse matrix and ``"dense"`` otherwise; the rank is the inner
-    dimension of one ``W @ X`` product (``d + 1`` factored, ``n``
-    otherwise).
+    The form is ``"factored"`` for a :class:`LowRankMatrix`,
+    ``"sparse"`` for a :class:`~repro.tensor.transition.RowWalk` (the
+    top-k ``W``, in memory or store-backed) and ``"dense"`` otherwise;
+    the rank is the inner dimension of one ``W @ X`` product (``d + 1``
+    factored, ``n`` otherwise).
     """
     if isinstance(w_matrix, LowRankMatrix):
         return "factored", w_matrix.rank
-    return ("sparse" if sp.issparse(w_matrix) else "dense"), w_matrix.shape[1]
+    return ("sparse" if isinstance(w_matrix, RowWalk) else "dense"), w_matrix.shape[1]

@@ -72,9 +72,12 @@ class TMarkOperators:
     ``w_matrix`` is whatever :func:`repro.core.features.feature_walk_matrix`
     picked: an exact rank-``(d + 1)``
     :class:`~repro.core.features.LowRankMatrix` for cosine on
-    non-negative features when that is cheaper to apply, a CSR matrix
-    with ``similarity_top_k``, and the dense Eq. 9 array otherwise.  The
-    chain runners only ever compute ``w_matrix @ X``.
+    non-negative features when that is cheaper to apply, the top-k CSR
+    as a :class:`~repro.tensor.transition.RowWalk` with
+    ``similarity_top_k``, and the dense Eq. 9 array otherwise.  The
+    store-backed operators (:mod:`repro.ooc`) hold the same forms over
+    memory-mapped arrays.  The chain runners only ever compute
+    ``w_matrix @ X``; shard workers walk a ``RowWalk``'s rows.
     """
 
     o_tensor: object

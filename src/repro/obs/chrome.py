@@ -45,7 +45,7 @@ DURATION_FIELDS = {
     "operator_patch": ("seconds",),
     "cell_done": ("seconds",),
     "http_request": ("seconds",),
-    "snapshot_swap": ("build_seconds",),
+    "snapshot_swap": ("seconds",),
     # Stamped after the W build: the O/R build, then the W build.
     "operator_build": ("transition_seconds", "feature_seconds"),
 }

@@ -16,11 +16,12 @@ pieces, following DGL graphbolt's on-disk CSC design:
   (:mod:`repro.ooc.build`);
 * store-backed operators + :func:`fit_from_store` — the in-memory
   tensors themselves over the memory-mapped stacks
-  (``from_stack(..., chunk_size=)``), walked in ``chunk_size``-row
-  blocks and returned as an ordinary
+  (``from_stack(..., chunk_size=)``) and the top-k ``W`` as a
+  :class:`~repro.tensor.transition.RowWalk` over its memory-mapped
+  CSR, walked in ``chunk_size``-row blocks and returned as an ordinary
   :class:`~repro.core.tmark.TMarkOperators`, so
   :meth:`TMark.fit_operators` runs plain or accelerated chains
-  byte-identical to the in-memory path (:mod:`repro.ooc.operators`,
+  byte-identical to the in-memory path (:mod:`repro.ooc.build`,
   :mod:`repro.ooc.fit`).
 
 :func:`generate_ooc_store` (:mod:`repro.ooc.synth`) builds million-node
@@ -29,12 +30,12 @@ the graph in RAM.
 """
 
 from repro.ooc.build import (
+    DEFAULT_CHUNK_SIZE,
     MAX_DENSE_W_NODES,
     OPERATORS_FORMAT_VERSION,
     build_chunked_operators,
 )
 from repro.ooc.fit import fit_from_store
-from repro.ooc.operators import DEFAULT_CHUNK_SIZE, ChunkedFeatureWalk
 from repro.ooc.store import (
     MANIFEST_NAME,
     OPERATORS_DIRNAME,
@@ -46,7 +47,6 @@ from repro.tensor.transition import release_pages
 
 __all__ = [
     "GraphStore",
-    "ChunkedFeatureWalk",
     "build_chunked_operators",
     "fit_from_store",
     "generate_ooc_store",

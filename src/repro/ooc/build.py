@@ -55,13 +55,13 @@ from repro.core.tmark import TMarkOperators
 from repro.errors import ValidationError
 from repro.obs.recorder import get_recorder
 from repro.obs.spans import span
-from repro.ooc.operators import DEFAULT_CHUNK_SIZE, ChunkedFeatureWalk, load_csr
 from repro.ooc.publish import StagedDirectory, read_manifest
 from repro.ooc.store import GraphStore
 from repro.tensor.sptensor import normalise_fibres
 from repro.tensor.transition import (
     NodeTransitionTensor,
     RelationTransitionTensor,
+    RowWalk,
     release_pages,
 )
 from repro.utils.validation import check_positive_int
@@ -80,6 +80,18 @@ MAX_DENSE_W_NODES = 8192
 #: Column-block cap for the top-k cosine similarity pass (each block
 #: materialises an ``(n, block)`` similarity panel).
 MAX_W_SIMILARITY_CHUNK = 2048
+
+#: Default number of columns per build block and rows per walked block.
+DEFAULT_CHUNK_SIZE = 65536
+
+
+def load_csr(directory, prefix: str, n_rows: int, n_cols: int) -> sp.csr_matrix:
+    """The CSR in ``<prefix>.{data,indices,indptr}.npy``, memory-mapped."""
+    arrays = (
+        np.load(directory / f"{prefix}.{name}.npy", mmap_mode="r")
+        for name in ("data", "indices", "indptr")
+    )
+    return sp.csr_matrix(tuple(arrays), shape=(n_rows, n_cols), copy=False)
 
 
 def _column_blocks(indptr, n: int, chunk_size: int):
@@ -332,13 +344,25 @@ def _cache_usable(ops_dir, store: GraphStore, similarity_top_k,
 
 def _assemble(store: GraphStore, ops_dir, w_mode: str, chunk_size: int,
               similarity_top_k, similarity_metric: str) -> TMarkOperators:
+    """The store-backed operators: the in-memory ones over the cache's arrays.
+
+    ``O`` / ``R`` are the in-memory tensor classes over the
+    memory-mapped stacks (``from_stack(..., chunk_size=)``) and the
+    top-k ``W`` is a :class:`~repro.tensor.transition.RowWalk` over the
+    memory-mapped CSR; every one is walked in ``chunk_size``-row blocks
+    whose pages are released after each, so one block is resident (plus
+    the iterates and ``R``'s ``(m+1, n, q)`` integrands).  A CSR row's
+    product depends only on that row's entries, so a store-backed fit
+    is byte-identical to the in-memory fit over the same operators.  A
+    dense ``W`` (small stores only) is the memory-mapped array itself.
+    """
     n, m = store.n_nodes, store.n_relations
     if w_mode == "none":
         w_matrix = None
     elif w_mode == "dense":
         w_matrix = np.load(ops_dir / "w.npy", mmap_mode="r")
     else:
-        w_matrix = ChunkedFeatureWalk(load_csr(ops_dir, "w", n, n), chunk_size)
+        w_matrix = RowWalk(load_csr(ops_dir, "w", n, n), chunk_size)
     return TMarkOperators(
         o_tensor=NodeTransitionTensor.from_stack(
             load_csr(ops_dir, "o", m * n, n),
@@ -394,8 +418,9 @@ def build_chunked_operators(
     over the on-disk arrays: ``O`` and ``R`` are the in-memory tensor
     classes over the memory-mapped stacks, walked in ``chunk_size``-row
     blocks (``from_stack``), ``W`` a
-    :class:`~repro.ooc.operators.ChunkedFeatureWalk` (top-k), the
-    memory-mapped dense array, or ``None``.  Without ``build_w`` it carries no
+    :class:`~repro.tensor.transition.RowWalk` over the memory-mapped
+    top-k CSR, walked the same way, the memory-mapped dense array, or
+    ``None``.  Without ``build_w`` it carries no
     ``W`` and the requested similarity settings, whatever ``W`` the
     cache holds.
     """

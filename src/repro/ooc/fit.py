@@ -17,8 +17,7 @@ import numpy as np
 
 from repro.core.tmark import TMark
 from repro.errors import ValidationError
-from repro.ooc.build import build_chunked_operators
-from repro.ooc.operators import DEFAULT_CHUNK_SIZE
+from repro.ooc.build import DEFAULT_CHUNK_SIZE, build_chunked_operators
 from repro.ooc.store import GraphStore
 
 #: Stores at or below this node count get their names attached to the

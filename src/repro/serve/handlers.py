@@ -156,8 +156,9 @@ def handle_classify(state: ServingState, payload) -> tuple[int, dict]:
     """``POST /classify`` — batched node ids to per-class confidences.
 
     Payload: ``{"nodes": ["name", ...]}``.  Responds 200 with one entry
-    per requested node, 400 on a malformed payload, 404 when any node
-    is unknown to the current snapshot.
+    per requested node, 400 on a malformed payload (a node id that is
+    not a string included), 404 when any node is unknown to the current
+    snapshot.
     """
     snapshot = state.snapshot
     if not isinstance(payload, dict) or "nodes" not in payload:
@@ -169,6 +170,8 @@ def handle_classify(state: ServingState, payload) -> tuple[int, dict]:
         return 400, {"error": '"nodes" must not be empty'}
     if len(nodes) > MAX_BATCH:
         return 400, {"error": f"at most {MAX_BATCH} nodes per request"}
+    if not all(isinstance(node, str) for node in nodes):
+        return 400, {"error": '"nodes" must be a list of node names (strings)'}
     try:
         results = snapshot.classify(nodes)
     except ValidationError as exc:

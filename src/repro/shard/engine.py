@@ -52,7 +52,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.chains import LocalBackend, run_chains
 from repro.forkpool import ForkPool, available_workers
@@ -80,7 +79,7 @@ class _ShardContext:
     """Everything a worker needs, inherited through the fork.
 
     The part buffers are indexed by node row; ``O`` / ``W`` are ``None``
-    when no worker computes that product.  ``w_matrix`` is the sparse
+    when no worker computes that product.  ``w_matrix`` is the top-k
     ``W``'s row walk when workers apply it.
     """
 
@@ -150,13 +149,12 @@ class ShardBackend(LocalBackend):
         super().__init__(model, o_tensor, r_tensor, w_matrix, q)
         self.rec = get_recorder() if recorder is None else recorder
         # BLAS does not reproduce row blocks of a dense or factored walk
-        # bit for bit, so only a sparse W (in memory, or the store's
-        # memory-mapped CSR) goes to the workers, as a row walk; any
-        # other W is walked whole by the inherited walk, and neither
-        # weighs a shard nor widens a halo.
-        w_rows = RowWalk(w_matrix.tocsr()) if sp.issparse(w_matrix) else w_matrix
-        if not (self.beta > 0.0 and isinstance(w_rows, RowWalk)):
-            w_rows = None
+        # bit for bit, so only the top-k W's row walk (in memory or over
+        # the store's memory-mapped CSR) goes to the workers; any other
+        # W is walked whole by the inherited walk, and neither weighs a
+        # shard nor widens a halo.
+        walked = self.beta > 0.0 and isinstance(w_matrix, RowWalk)
+        w_rows = w_matrix if walked else None
         self.plan = plan_shards(o_tensor, r_tensor, w_rows, shards)
         if workers is not None:
             workers = check_positive_int(workers, "workers")

@@ -5,7 +5,7 @@ fit can advance all per-class chains shard by shard in fork workers
 (:mod:`repro.shard.engine`).  Shard ``s`` owns output rows
 ``[start, stop)`` of every per-iteration product; the planner balances
 the summed per-row stored-entry counts of the O/R stacks (plus the
-feature-walk matrix when sparse), because a row's propagation cost is
+top-k feature walk's, when workers apply it), because a row's propagation cost is
 proportional to its entries.  CSR row blocks reproduce the
 corresponding rows of the full products bit-for-bit, which is what
 lets the engine promise bit-identical scores for *any* shard count.
@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ValidationError
-from repro.tensor.transition import RowWalk
 from repro.utils.validation import check_positive_int
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +119,7 @@ def _row_halo(start: int, stop: int, blocks, n: int) -> np.ndarray:
     """
     seen = np.zeros(n, dtype=bool)
     for block in blocks:
-        if sp.issparse(block):
-            seen[block.indices] = True
-        elif block is not None:
-            # Dense feature-walk rows read every node.
-            seen[:] = True
-            break
+        seen[block.indices] = True
     seen[start:stop] = False
     return np.flatnonzero(seen).astype(np.int64, copy=False)
 
@@ -136,10 +129,10 @@ def plan_shards(o_tensor, r_tensor, w_matrix, n_shards: int) -> ShardPlan:
 
     ``o_tensor`` / ``r_tensor`` are stacked-CSR tensors (exposing
     ``row_blocks`` and ``row_nnz``), in memory or store-backed;
-    ``w_matrix`` is the feature walk the workers apply (a sparse matrix
-    or its :class:`~repro.tensor.transition.RowWalk`, or dense), or
-    ``None``.  The returned plan may hold fewer shards than requested
-    when the graph is too small to fill them.
+    ``w_matrix`` is the top-k feature walk the workers apply (a
+    :class:`~repro.tensor.transition.RowWalk`), or ``None``.  The
+    returned plan may hold fewer shards than requested when the graph
+    is too small to fill them.
     """
     n_shards = check_positive_int(n_shards, "shards")
     if not (hasattr(o_tensor, "row_blocks") and hasattr(o_tensor, "row_nnz")):
@@ -149,13 +142,7 @@ def plan_shards(o_tensor, r_tensor, w_matrix, n_shards: int) -> ShardPlan:
         )
     n = o_tensor.shape[0]
     m = o_tensor.shape[2]
-    if sp.issparse(w_matrix):
-        w_matrix = RowWalk(w_matrix.tocsr())
-    walked, dense_w = [o_tensor, r_tensor], None
-    if isinstance(w_matrix, RowWalk):
-        walked.append(w_matrix)
-    elif w_matrix is not None:
-        dense_w = np.asarray(w_matrix)
+    walked = [o_tensor, r_tensor] + ([] if w_matrix is None else [w_matrix])
     weights = sum(operator.row_nnz() for operator in walked)
     # Every row carries at least unit weight so all-dangling stretches
     # still spread across shards instead of collapsing into one.
@@ -166,8 +153,6 @@ def plan_shards(o_tensor, r_tensor, w_matrix, n_shards: int) -> ShardPlan:
         start, stop = int(start), int(stop)
         blocks = [b for op in walked for b in op.row_blocks(start, stop)]
         blocks.append(r_tensor.pair_rows(start, stop))
-        if dense_w is not None:
-            blocks.append(dense_w[start:stop])
         shards.append(Shard(
             index=index,
             start=start,

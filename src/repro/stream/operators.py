@@ -25,8 +25,8 @@ post-batch state:
 after ``apply(batch)`` the operators equal ``build_operators`` on
 ``apply_batch(hin, batch)`` bitwise.  ``O`` and ``R`` *are* that
 rebuild; ``W`` is either rebuilt or, when feature edits route through
-the incremental similarity update, patched with the same fixed
-per-element summation order as the cold cosine build.
+the incremental similarity update, patched with panels of the cold
+cosine build's own kernel (:func:`~repro.core.features.cosine_panel`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.features import (
+    cosine_panel,
     feature_walk_form,
     feature_walk_matrix,
     normalise_similarity_columns,
@@ -157,15 +158,11 @@ class IncrementalOperators:
         # ``_w_n`` are always zero, growth reallocates with headroom, and
         # every read slices ``[:n]`` — so a delta batch never pays an
         # O(n * d) copy just to add a node.
-        self._unit, _ = unit_feature_rows(features)
+        self._unit, norms = unit_feature_rows(features)
         self._w_n = self._unit.shape[0]
-        # einsum, matching cosine_similarity_matrix's fixed per-element
-        # summation order — a BLAS GEMM here would break the bitwise
-        # contract against cold rebuilds.
-        sims = np.einsum("nd,cd->nc", self._unit, self._unit)
-        np.clip(sims, 0.0, None, out=sims)
-        self._sims = sims
-        self._w = normalise_similarity_columns(sims.copy())
+        # The cold build's own kernel, so the buffer holds its bits.
+        self._sims = cosine_panel(self._unit, norms == 0, slice(None))
+        self._w = normalise_similarity_columns(self._sims.copy())
 
     # ------------------------------------------------------------------
     # W patching
@@ -199,15 +196,13 @@ class IncrementalOperators:
         # The cold build's own normaliser: a 1-D norm is a BLAS dot,
         # whose bits differ from the row-wise pairwise sum.
         unit[changed] = unit_feature_rows(new_features[changed])[0]
-        # One matvec per changed node refreshes its similarity row/column;
-        # zero-norm rows come out zero automatically (their unit row is 0).
-        # einsum's matvec reduces in the same per-element order as the
-        # full panel above, so refreshed rows carry identical bits.
-        for idx in changed:
-            sims_row = np.einsum("nd,d->n", unit, unit[idx])
-            np.clip(sims_row, 0.0, None, out=sims_row)
-            self._sims[idx, :n] = sims_row
-            self._sims[:n, idx] = sims_row
+        # One panel over the changed nodes refreshes their similarity
+        # columns and, by symmetry, rows: the kernel's panels equal the
+        # full matrix's columns bit for bit.  A featureless node's unit
+        # row is exactly zero.
+        panel = cosine_panel(unit, ~unit.any(axis=1), changed)
+        self._sims[:n, changed] = panel
+        self._sims[changed, :n] = panel.T
         self._w_n = n
         # Same floats as normalise_similarity_columns, without copying
         # the n x n similarity buffer on the common (no zero column) path.

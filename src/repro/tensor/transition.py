@@ -69,7 +69,10 @@ memory-mapped stack (``from_stack(..., chunk_size=)``, see
 :mod:`repro.ooc`) walks ``chunk_size``-row CSR blocks instead, built as
 they are walked and never copied to CSC, and releases the stack's pages
 after each, so one block is resident.  A CSR row's product depends
-only on that row's entries, so every walk gives the same bytes.
+only on that row's entries, so every walk gives the same bytes.  The
+top-k feature walk ``W`` of Eq. 9 is a plain :class:`RowWalk` over its
+CSR, applied as ``W @ X`` (in memory its whole-range block is the CSR
+itself), so every operator of an iteration is walked the same way.
 ``propagate`` delegates to ``propagate_many`` on a single column, so
 the looped and batched paths are the same floating-point computation.
 """
@@ -234,11 +237,13 @@ class RowWalk:
     """A row-stacked CSR operator, applied block of rows by block of rows.
 
     :meth:`row_walk` is the one way the chain kernels read the rows of
-    ``O``, ``R`` and a sparse ``W``.  In memory (no ``chunk_size``) a
+    ``O``, ``R`` and the top-k ``W``.  In memory (no ``chunk_size``) a
     range is one :meth:`row_stack` block, built on its first walk and
-    kept.  Over memory-mapped arrays (a ``chunk_size``) it is cut into
-    ``chunk_size``-row blocks, built as they are walked, and the arrays'
-    pages are released after each block, so one block is resident.
+    kept; the whole range's block is the CSR itself.  Over memory-mapped
+    arrays (a ``chunk_size``) it is cut into ``chunk_size``-row blocks,
+    built as they are walked, and the arrays' pages are released after
+    each block, so one block is resident.  A plain CSR (the top-k ``W``)
+    is applied as ``walk @ X``, every block's ``rows @ X`` in turn.
     """
 
     __slots__ = ("_stacked", "_chunk_size", "_kept")
@@ -255,11 +260,13 @@ class RowWalk:
 
     def row_stack(self, start: int, stop: int):
         """Rows ``[start, stop)``: the block :meth:`row_walk` yields."""
+        if (start, stop) == (0, self._stacked.shape[0]):
+            return self._stacked  # a full-range scipy slice copies the matrix
         return self._stacked[start:stop]
 
     def row_blocks(self, start: int, stop: int) -> tuple[sp.csr_matrix, ...]:
         """Rows ``[start, stop)`` as CSR blocks: the shard planner's halo input."""
-        return (self._stacked[start:stop],)
+        return (self.row_stack(start, stop),)
 
     def row_nnz(self) -> np.ndarray:
         """Per-row entry counts: the shard planner's row weights."""
@@ -285,6 +292,14 @@ class RowWalk:
             b = min(a + chunk, stop)
             yield a, b, self.row_stack(a, b)
             release_pages(stacked.indptr, stacked.indices, stacked.data)
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        """``stacked @ X`` (``X`` 1-D or 2-D), walked block by block."""
+        x = np.ascontiguousarray(X)
+        result = np.empty(self.shape[:1] + x.shape[1:])
+        for a, b, rows in self.row_walk(0, self.shape[0]):
+            result[a:b] = rows @ x
+        return result
 
 
 class _StackedSlices(RowWalk):

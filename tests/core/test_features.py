@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.features import cosine_similarity_matrix, feature_transition_matrix
+from repro.core.features import (
+    cosine_panel,
+    cosine_similarity_matrix,
+    feature_transition_matrix,
+    unit_feature_rows,
+)
 
 
 class TestCosineSimilarityMatrix:
@@ -119,3 +124,34 @@ class TestFeatureTransitionMatrix:
     def test_top_k_rejects_nonpositive(self):
         with pytest.raises(Exception):
             feature_transition_matrix(np.eye(3), top_k=0)
+
+
+class TestCosinePanel:
+    """The one similarity kernel: every panel is the full matrix's columns."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_panels_equal_the_full_matrix_columns(self, sparse):
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(80, 37)) * (rng.random((80, 37)) < 0.4)
+        feats[[4, 9]] = 0.0
+        if sparse:
+            feats = sp.csr_matrix(feats)
+        unit, norms = unit_feature_rows(feats)
+        featureless = norms == 0
+        full = cosine_panel(unit, featureless, slice(None))
+        assert full.tobytes() == cosine_similarity_matrix(feats).tobytes()
+        assert full.min() == 0.0
+        assert not full[featureless].any() and not full[:, featureless].any()
+        for columns in (slice(0, 1), slice(5, 12), slice(0, 80), [9, 3, 41, 3, 79]):
+            panel = cosine_panel(unit, featureless, columns)
+            expected = np.ascontiguousarray(full[:, columns])
+            assert panel.tobytes() == expected.tobytes(), columns
+        if not sparse:
+            # Streamed rows are written as the panel's transpose.
+            assert full.tobytes() == np.ascontiguousarray(full.T).tobytes()
+
+    def test_unclipped_panel_keeps_negative_similarities(self):
+        feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+        unit, norms = unit_feature_rows(feats)
+        panel = cosine_panel(unit, norms == 0, [1], clip_negative=False)
+        assert panel.ravel().tolist() == [-1.0, 1.0, 0.0]

@@ -206,6 +206,23 @@ class TestCountersAndInstants:
         assert entry["dur"] == pytest.approx(0.5e6)
         assert entry["ts"] == pytest.approx(1.5e6)
 
+    def test_snapshot_swap_becomes_a_slice_of_its_seconds(self):
+        from dataclasses import replace
+
+        from repro.datasets import make_worked_example
+        from repro.serve import ServingState, Snapshot
+        from repro.stream import StreamingSession
+
+        session = StreamingSession(make_worked_example(), TMark(update_labels=False))
+        session.fit()
+        state = ServingState(Snapshot.from_session(session))
+        state.swap(replace(state.snapshot, version=1), build_seconds=0.25)
+        (swap,) = [e for e in state.flight.events() if e["event"] == "snapshot_swap"]
+        (entry,) = slices(chrome_trace([swap]))
+        assert entry["name"] == "snapshot_swap"
+        assert entry["dur"] == pytest.approx(0.25e6)
+        assert entry["ts"] == pytest.approx((swap["ts"] - 0.25) * 1e6)
+
     def test_worker_span_gets_its_own_process_lane(self):
         events = [
             {

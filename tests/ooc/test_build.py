@@ -12,15 +12,13 @@ from repro.core.tmark import build_operators
 from repro.errors import ValidationError
 from repro.hin.graph import HIN
 from repro.obs import ListRecorder, registry_from_events, use_recorder
-from repro.ooc import (
-    ChunkedFeatureWalk,
-    GraphStore,
-    build_chunked_operators,
-    generate_ooc_store,
+from repro.ooc import GraphStore, build_chunked_operators, generate_ooc_store
+from repro.ooc.build import MAX_DENSE_W_NODES, OPERATORS_MANIFEST, load_csr
+from repro.tensor.transition import (
+    NodeTransitionTensor,
+    RelationTransitionTensor,
+    RowWalk,
 )
-from repro.ooc.build import MAX_DENSE_W_NODES, OPERATORS_MANIFEST
-from repro.ooc.operators import load_csr
-from repro.tensor.transition import NodeTransitionTensor, RelationTransitionTensor
 
 from tests.ooc.test_store import sample_hin
 from tests.properties.test_tensor_invariants import sparse_relation_tensors
@@ -120,7 +118,7 @@ class TestBitIdentity:
     def test_topk_w_matches_inram_topk(self, tmp_path, worked_example, rng):
         store = GraphStore.save(worked_example, tmp_path / "store")
         ops = build_chunked_operators(store, similarity_top_k=2, chunk_size=2)
-        assert isinstance(ops.w_matrix, ChunkedFeatureWalk)
+        assert isinstance(ops.w_matrix, RowWalk)
         from repro.core.features import topk_cosine_transition_matrix
 
         expected = topk_cosine_transition_matrix(worked_example.features, 2)

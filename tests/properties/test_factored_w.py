@@ -6,7 +6,7 @@ For non-negative features Eq. 9 factors exactly as
 through the one shared factor ``F̂``.  The
 selector :func:`repro.core.features.feature_walk_matrix` must pick it
 only when it is exact and cheaper, and hand back the dense Eq. 9
-reference unchanged otherwise.
+reference otherwise (its top-k CSR as a row walk).
 """
 
 import numpy as np
@@ -25,6 +25,7 @@ from repro.core.features import (
 )
 from repro.core.tmark import TMark, build_operators
 from repro.obs import ListRecorder
+from repro.tensor.transition import RowWalk
 
 
 @st.composite
@@ -125,8 +126,9 @@ class TestSelector:
         assert walk_matrix_form(got) == (form, features.shape[0])
         assert not isinstance(got, LowRankMatrix)
         if case == "top_k":
-            assert sp.issparse(got)
-            np.testing.assert_array_equal(got.toarray(), reference.toarray())
+            assert isinstance(got, RowWalk)
+            whole = got.row_stack(0, got.shape[0])
+            np.testing.assert_array_equal(whole.toarray(), reference.toarray())
         else:
             assert isinstance(got, np.ndarray)
             np.testing.assert_array_equal(got, reference)

@@ -35,7 +35,17 @@ class TestClassifyEndpoint:
 
     @pytest.mark.parametrize(
         "payload",
-        [None, [], {}, {"nodes": "p1"}, {"nodes": []}, {"wrong": ["p1"]}],
+        [
+            None,
+            [],
+            {},
+            {"nodes": "p1"},
+            {"nodes": []},
+            {"wrong": ["p1"]},
+            {"nodes": [[1]]},
+            {"nodes": [{"a": 1}]},
+            {"nodes": ["p1", 1]},
+        ],
     )
     def test_malformed_payload_is_400(self, state, payload):
         status, body = handle_classify(state, payload)

@@ -187,6 +187,27 @@ class TestEdgeValues:
         assert parsed == json.loads(json.dumps(values))
 
 
+class TestNonStringNodeIds:
+    @pytest.mark.parametrize(
+        "nodes", [[[1]], [{"a": 1}], ["p1", 1]], ids=["list", "object", "int"]
+    )
+    def test_answered_400_and_recorded(self, daemon, nodes):
+        status, headers, raw = _exchange(
+            daemon, "POST", "/classify", {"nodes": nodes}
+        )
+        assert status == 400
+        assert "node names" in json.loads(raw)["error"]
+        (event,) = [
+            e
+            for e in daemon.state.flight.events()
+            if e["event"] == "http_request"
+            and e.get("request_id") == headers["X-Request-Id"]
+        ]
+        assert event["status"] == 400 and event["endpoint"] == "/classify"
+        # The connection survived: the daemon still answers.
+        assert _exchange(daemon, "POST", "/classify", {"nodes": NODES})[0] == 200
+
+
 class TestRequestPhases:
     @pytest.mark.parametrize("method, path, payload, status", REQUESTS, ids=IDS)
     def test_each_request_splits_its_seconds(

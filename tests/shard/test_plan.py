@@ -15,7 +15,7 @@ from repro.core.features import feature_transition_matrix
 from repro.errors import ValidationError
 from repro.shard import plan_shards
 from repro.shard.plan import _row_halo
-from repro.tensor.transition import build_transition_tensors
+from repro.tensor.transition import RowWalk, build_transition_tensors
 from tests.conftest import small_labeled_hin
 
 
@@ -23,9 +23,8 @@ from tests.conftest import small_labeled_hin
 def operators():
     hin = small_labeled_hin(seed=3, n=40, q=3)
     o_tensor, r_tensor = build_transition_tensors(hin.tensor)
-    w_dense = feature_transition_matrix(hin.features)
-    w_sparse = feature_transition_matrix(hin.features, top_k=5)
-    return o_tensor, r_tensor, w_dense, w_sparse
+    w_csr = feature_transition_matrix(hin.features, top_k=5)
+    return o_tensor, r_tensor, w_csr, RowWalk(w_csr)
 
 
 class TestRowsPolicy:
@@ -59,7 +58,7 @@ class TestRowsPolicy:
         assert min(loads) > 0
 
     def test_halo_is_out_of_range_block_columns(self, operators):
-        o_tensor, r_tensor, _, w_sparse = operators
+        o_tensor, r_tensor, w_csr, w_sparse = operators
         plan = plan_shards(o_tensor, r_tensor, w_sparse, 3)
         assert plan.halo_total == sum(s.halo_size for s in plan.shards)
         for shard in plan.shards:
@@ -74,37 +73,23 @@ class TestRowsPolicy:
             for block in r_tensor.row_blocks(shard.start, shard.stop):
                 columns.append(block.indices)
             columns.append(r_tensor.pair_rows(shard.start, shard.stop).indices)
-            w_block = w_sparse.tocsr()[shard.start : shard.stop]
-            columns.append(w_block.indices)
+            columns.append(w_csr[shard.start : shard.stop].indices)
             reference = np.unique(np.concatenate(columns))
             reference = reference[
                 (reference < shard.start) | (reference >= shard.stop)
             ]
             assert np.array_equal(halo, reference)
 
-    def test_dense_w_halo_is_everything_else(self, operators):
-        o_tensor, r_tensor, w_dense, _ = operators
-        assert not sp.issparse(w_dense)
-        plan = plan_shards(o_tensor, r_tensor, w_dense, 2)
-        n = plan.n
-        for shard in plan.shards:
-            assert shard.halo_size == n - shard.size
-
     def test_no_w_shrinks_halo(self, operators):
-        o_tensor, r_tensor, w_dense, _ = operators
-        with_w = plan_shards(o_tensor, r_tensor, w_dense, 2)
+        o_tensor, r_tensor, _, w_sparse = operators
+        with_w = plan_shards(o_tensor, r_tensor, w_sparse, 2)
         without = plan_shards(o_tensor, r_tensor, None, 2)
         assert without.halo_total <= with_w.halo_total
 
 
 def _unique_halo(start, stop, blocks, n):
     """The halo by sorting every referenced column (the reference form)."""
-    pieces = []
-    for block in blocks:
-        if sp.issparse(block):
-            pieces.append(block.indices)
-        elif block is not None:
-            return np.concatenate((np.arange(0, start), np.arange(stop, n)))
+    pieces = [block.indices for block in blocks]
     cols = np.unique(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
     return cols[(cols < start) | (cols >= stop)].astype(np.int64)
 
@@ -122,7 +107,6 @@ class TestRowHalo:
             )
             for density in (0.0, 0.02, 0.3, 1.0)
         ]
-        blocks.insert(1, None)
         halo = _row_halo(start, stop, blocks, n)
         expected = _unique_halo(start, stop, blocks, n)
         assert halo.dtype == np.int64
@@ -130,21 +114,10 @@ class TestRowHalo:
 
     def test_empty_blocks_have_no_halo(self):
         empty = sp.csr_matrix((3, 10))
-        halo = _row_halo(2, 5, [empty, None, empty], 10)
+        halo = _row_halo(2, 5, [empty, empty], 10)
         assert halo.dtype == np.int64 and halo.size == 0
-        assert np.array_equal(halo, _unique_halo(2, 5, [empty, None, empty], 10))
+        assert np.array_equal(halo, _unique_halo(2, 5, [empty, empty], 10))
         assert _row_halo(0, 4, [], 4).size == 0
-
-    @pytest.mark.parametrize("start, stop", [(0, 7), (3, 9), (9, 12), (0, 12)])
-    def test_dense_block_reads_every_other_node(self, start, stop):
-        n = 12
-        sparse = sp.random(stop - start, n, density=0.2, format="csr", random_state=0)
-        dense = np.ones((stop - start, n))
-        halo = _row_halo(start, stop, [sparse, dense], n)
-        assert np.array_equal(halo, _unique_halo(start, stop, [sparse, dense], n))
-        assert np.array_equal(
-            halo, np.concatenate((np.arange(start), np.arange(stop, n)))
-        )
 
 
 class TestValidation:

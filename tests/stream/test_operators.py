@@ -23,15 +23,18 @@ from repro.stream.delta import GraphDelta, apply_batch
 from repro.stream.operators import IncrementalOperators
 from repro.stream.workload import synthetic_delta_log
 from repro.tensor.sptensor import SparseTensor3
+from repro.tensor.transition import RowWalk
 from tests.conftest import small_labeled_hin
 from tests.stream.test_delta import small_hin
 
 
 def dense_w(w_matrix):
-    """Any ``W`` form (dense, CSR, factored) as a dense array."""
+    """Any ``W`` form (dense, top-k walk, factored) as a dense array."""
     if isinstance(w_matrix, LowRankMatrix):
         return w_matrix.dense()
-    return w_matrix.toarray() if sp.issparse(w_matrix) else w_matrix
+    if isinstance(w_matrix, RowWalk):
+        return w_matrix.row_stack(0, w_matrix.shape[0]).toarray()
+    return w_matrix
 
 
 def assert_matches_rebuild(ops, expected_hin, **build_kwargs):
@@ -187,6 +190,29 @@ class TestFeaturePatches:
             small_hin(),
             [GraphDelta.update_features("v", [0.0, 0.0])],
         )
+
+    def test_batch_changing_several_rows_bitwise(self):
+        # Signed features keep the patched dense W; one kernel panel over
+        # the changed nodes refreshes all their rows and columns.
+        hin = small_labeled_hin(seed=5, n=24, q=3)
+        d = hin.features.shape[1]
+        rng = np.random.default_rng(5)
+        deltas = [
+            GraphDelta.update_features(f"v{idx}", rng.normal(size=d).tolist())
+            for idx in (2, 7, 11, 19)
+        ]
+        deltas += [
+            GraphDelta.update_features("v3", [0.0] * d),
+            GraphDelta.update_features("v7", rng.normal(size=d).tolist()),
+            GraphDelta.add_node("x", features=rng.normal(size=d).tolist()),
+        ]
+        rec = ListRecorder()
+        ops = IncrementalOperators(hin)
+        new_hin = ops.apply(deltas, recorder=rec)
+        (event,) = [e for e in rec.events if e["event"] == "operator_patch"]
+        assert event["full_w_recompute"] is False and event["w_form"] == "dense"
+        assert_matches_rebuild(ops, new_hin)
+        assert_matches_rebuild(ops, apply_batch(hin, deltas))
 
     def test_link_only_batch_keeps_w_object(self):
         hin = small_hin()

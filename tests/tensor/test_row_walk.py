@@ -1,11 +1,13 @@
-"""The row-walk contract of ``O`` and ``R``.
+"""The row-walk contract of ``O``, ``R`` and the top-k ``W``.
 
 ``row_walk(start, stop)`` is the one way the tensors' rows are read.
 In memory a range is one block, built once and kept (the whole range's
 block with the tensor); over the operator cache's memory-mapped stack
 (``from_stack(..., chunk_size=)``) it is ``chunk_size``-row CSR blocks
 built as walked, never copied to CSC and never indexed whole.  Every
-walk gives the in-memory products byte for byte.
+walk gives the in-memory products byte for byte.  The top-k ``W`` is
+a plain walk over its CSR, applied as ``W @ X``: in memory its
+whole-range block is the CSR itself.
 """
 
 import math
@@ -14,10 +16,20 @@ import numpy as np
 import pytest
 
 import repro.tensor.transition as transition
+from repro.core.features import (
+    feature_transition_matrix,
+    topk_cosine_transition_matrix,
+    walk_matrix_form,
+)
 from repro.core.tmark import build_operators
 from repro.datasets.synthetic import RelationSpec, make_synthetic_hin
 from repro.ooc import GraphStore, build_chunked_operators
-from repro.tensor.transition import NodeTransitionTensor, RelationTransitionTensor
+from repro.stream import IncrementalOperators
+from repro.tensor.transition import (
+    NodeTransitionTensor,
+    RelationTransitionTensor,
+    RowWalk,
+)
 
 
 def synthetic(n_relations):
@@ -177,3 +189,66 @@ class TestStoreBackedWalk:
         operators.o_tensor.propagate_many(X, Z)
         assert len(spy.rows) == math.ceil(n / chunk)
         assert max(spy.rows) == m * chunk
+
+
+@pytest.fixture(scope="module")
+def topk_w(tmp_path_factory):
+    """A 60-node HIN's top-k ``W``: the CSR, the in-memory walk, the store."""
+    hin = synthetic(2)
+    store = GraphStore.save(hin, tmp_path_factory.mktemp("w_store") / "store")
+    csr = feature_transition_matrix(hin.features, top_k=5)
+    return hin, csr, build_operators(hin, similarity_top_k=5).w_matrix, store
+
+
+class TestFeatureWalk:
+    """The top-k ``W`` is a :class:`RowWalk` in every tier."""
+
+    def operands(self, n):
+        rng = np.random.default_rng(6)
+        X = distributions(rng, n, 3)
+        return X, np.asfortranarray(X), X[:, 1].copy()
+
+    def test_in_memory_walk_equals_the_csr_product(self, topk_w):
+        hin, csr, walk, _ = topk_w
+        n = hin.n_nodes
+        for X in self.operands(n):
+            expected = (csr @ X).tobytes()
+            assert (walk @ X).tobytes() == expected
+            for chunk in chunk_sizes(n):
+                assert (RowWalk(csr, chunk) @ X).tobytes() == expected, chunk
+
+    def test_store_backed_walk_equals_the_csr_product(self, topk_w):
+        hin, _, _, store = topk_w
+        # The store writes the chunked top-k build's CSR.
+        csr = topk_cosine_transition_matrix(hin.features, 5)
+        X = self.operands(hin.n_nodes)[0]
+        for chunk in chunk_sizes(hin.n_nodes):
+            operators = build_chunked_operators(
+                store, similarity_top_k=5, chunk_size=chunk
+            )
+            assert isinstance(operators.w_matrix, RowWalk)
+            assert (operators.w_matrix @ X).tobytes() == (csr @ X).tobytes(), chunk
+
+    def test_in_memory_walk_keeps_no_copy(self, topk_w):
+        hin, csr, walk, _ = topk_w
+        n = hin.n_nodes
+        own = RowWalk(csr)
+        ((a, b, block),) = own.row_walk(0, n)
+        assert (a, b) == (0, n) and block is csr
+        assert own.row_blocks(0, n) == (csr,)
+        # The operators' walk: its kept whole-range block is its CSR.
+        ((_, _, kept),) = walk.row_walk(0, n)
+        assert kept is walk.row_stack(0, n)
+        walk @ self.operands(n)[0]
+        ((_, _, again),) = walk.row_walk(0, n)
+        assert again is kept
+
+    def test_form_is_sparse_in_every_tier(self, topk_w):
+        hin, _, walk, store = topk_w
+        streaming = IncrementalOperators(hin, similarity_top_k=5).operators
+        stored_w = build_chunked_operators(
+            store, similarity_top_k=5, chunk_size=7
+        ).w_matrix
+        for w_matrix in (walk, streaming.w_matrix, stored_w):
+            assert isinstance(w_matrix, RowWalk)
+            assert walk_matrix_form(w_matrix) == ("sparse", hin.n_nodes)
