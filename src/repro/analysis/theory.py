@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.features import feature_transition_matrix
+from repro.core.features import feature_walk_matrix
 from repro.core.labels import initial_label_vector, updated_label_vector
 from repro.core.tmark import TMark
 from repro.errors import NotFittedError, ValidationError
@@ -38,11 +38,12 @@ def tmark_update_map(hin: HIN, model: TMark, label_vec: np.ndarray):
     """The frozen-``l`` update map ``T([x; z]) -> [x'; z']`` as a callable.
 
     Uses the same operators a fit would build (including the implicit
-    dangling mass), with the Eq. 12 restart vector frozen at
+    dangling mass, and the ``W`` of :func:`feature_walk_matrix`:
+    factored, top-k or dense), with the Eq. 12 restart vector frozen at
     ``label_vec`` so the map is smooth and Theorem 3 applies.
     """
     o_tensor, r_tensor = build_transition_tensors(hin.tensor)
-    w_matrix = feature_transition_matrix(
+    w_matrix = feature_walk_matrix(
         hin.features,
         top_k=model.similarity_top_k,
         metric=model.similarity_metric,

@@ -13,8 +13,8 @@ Practical details the paper leaves implicit, resolved here:
   similarities are zero and its *column* falls back to the uniform
   distribution, mirroring the dangling convention of Eq. 1;
 * dense ``C`` is O(n^2) memory; ``top_k`` keeps only the strongest ``k``
-  similarities per column (plus the diagonal) for large networks — an
-  ablation bench quantifies the accuracy cost;
+  similarities per column (plus the diagonal), selected from column
+  panels of ``C`` — an ablation bench quantifies the accuracy cost;
 * for cosine on non-negative features (the paper's bag-of-words setting)
   no clipping happens, so Eq. 9 factors exactly through the
   row-normalised features ``F̂``: ``W = F̂ F̂ᵀ D⁻¹`` plus a uniform term
@@ -23,9 +23,8 @@ Practical details the paper leaves implicit, resolved here:
   ``1_zero`` marks the featureless nodes, so the rank-``(d + 1)``
   :class:`LowRankMatrix` stores ``F̂`` once (``n d`` floats, not the
   ``2 n (d + 1)`` of two separate factors).
-  :func:`feature_walk_matrix` picks it whenever it is cheaper to apply
-  than the dense matrix, and :func:`feature_transition_matrix` stays
-  the dense reference.
+  :func:`feature_walk_matrix`, the one ``W`` builder of every tier,
+  picks it whenever it is cheaper to apply than the dense matrix.
 """
 
 from __future__ import annotations
@@ -209,8 +208,15 @@ def jaccard_similarity_matrix(features) -> np.ndarray:
     return sims
 
 
+#: The similarity function of each metric.
+_SIMILARITIES = {
+    "cosine": cosine_similarity_matrix,
+    "rbf": rbf_similarity_matrix,
+    "jaccard": jaccard_similarity_matrix,
+}
+
 #: Similarity functions selectable in :func:`feature_transition_matrix`.
-SIMILARITY_METRICS = ("cosine", "rbf", "jaccard")
+SIMILARITY_METRICS = tuple(_SIMILARITIES)
 
 
 def normalise_similarity_columns(sims: np.ndarray) -> np.ndarray:
@@ -231,78 +237,77 @@ def normalise_similarity_columns(sims: np.ndarray) -> np.ndarray:
     return sims / col_sums[None, :]
 
 
+def _topk_similarity_csr(panels, n: int, top_k: int) -> sp.csr_matrix:
+    """The top-k similarity matrix from its ``(start, sims)`` column panels.
+
+    Each column of a dense ``(n, width)`` panel keeps its ``top_k``
+    largest entries plus the diagonal (all of them when ``top_k >= n``),
+    zeros dropped.  A column's selection reads only that column, so any
+    tiling of the columns gives the same canonical CSR.
+    """
+    counts, rows_out, data_out = [], [], []
+    for start, sims in panels:
+        columns = np.arange(sims.shape[1])
+        rows = np.broadcast_to(np.arange(n)[:, None], sims.shape)
+        if top_k < n:
+            top = np.argpartition(-sims, top_k - 1, axis=0)[:top_k]
+            rows = np.sort(np.vstack([top, start + columns]), axis=0)
+        values = sims[rows, columns]
+        values[1:][rows[1:] == rows[:-1]] = 0.0  # a diagonal among the top k
+        keep = values != 0
+        # Transposed, the kept entries come column by column, rows
+        # ascending: the CSC layout.
+        counts.append(keep.sum(axis=0))
+        rows_out.append(rows.T[keep.T])
+        data_out.append(values.T[keep.T])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    data, rows = np.concatenate(data_out), np.concatenate(rows_out)
+    return sp.csc_matrix((data, rows, indptr), shape=(n, n)).tocsr()
+
+
+def _normalise_csr_columns(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """:func:`normalise_similarity_columns` for a canonical CSR, bit for bit.
+
+    ``bincount`` adds each column's entries in row order, as the dense
+    column sum does, whose zeros change no bit.
+    """
+    n = matrix.shape[0]
+    col_sums = np.bincount(matrix.indices, weights=matrix.data, minlength=n)
+    empty = np.flatnonzero(col_sums == 0)
+    if empty.size:  # featureless nodes: uniform columns
+        rows, cols = np.divmod(np.arange(n * empty.size), empty.size)
+        ones = sp.csr_matrix((np.ones(rows.size), (rows, empty[cols])), shape=(n, n))
+        matrix = matrix + ones
+        col_sums = np.bincount(matrix.indices, weights=matrix.data, minlength=n)
+    matrix.data /= col_sums[matrix.indices]
+    return matrix
+
+
 def topk_cosine_transition_matrix(
     features, top_k: int, *, chunk_size: int = 512
 ) -> sp.csr_matrix:
-    """Chunked top-k cosine ``W`` without the dense ``n x n`` similarity.
+    """The top-k cosine ``W`` without the dense ``n x n`` similarity.
 
-    Equivalent to ``feature_transition_matrix(features, top_k=top_k)``
-    but computes similarities in column blocks of ``chunk_size``, so peak
-    memory is ``O(n * chunk_size)`` instead of ``O(n^2)`` — the path for
-    networks with tens of thousands of nodes.
+    ``feature_transition_matrix(features, top_k=top_k)`` delegates here:
+    similarities are computed in column blocks of ``chunk_size``, so peak
+    memory is ``O(n * chunk_size)`` instead of ``O(n^2)``.
 
     The output is bit-identical for every valid ``chunk_size`` (a
     property test pins ``chunk_size`` in ``{1, 7, 512, n}``): each
     column's top-k selection and values depend only on that column's
     similarity panel, and :func:`cosine_panel` gives every column the
-    same bits whatever the panel's width.  The out-of-core operator
-    builds (:mod:`repro.ooc.build`) rely on this invariant.
+    same bits whatever the panel's width.
     """
     top_k = check_positive_int(top_k, "top_k")
     chunk_size = check_positive_int(chunk_size, "chunk_size")
     unit, norms = unit_feature_rows(features)
     n = unit.shape[0]
     zero_rows = norms == 0
-    k = min(top_k, n)
-
-    rows_out: list[np.ndarray] = []
-    cols_out: list[np.ndarray] = []
-    data_out: list[np.ndarray] = []
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        sims = cosine_panel(unit, zero_rows, slice(start, stop))
-        # Force the diagonal in so self-similarity always survives
-        # (featureless nodes excluded: their columns stay empty and fall
-        # back to the uniform distribution below, matching the dense path).
-        local = np.arange(start, stop)
-        with_features = ~zero_rows[start:stop]
-        sims[local[with_features], (local - start)[with_features]] = np.maximum(
-            sims[local[with_features], (local - start)[with_features]], 1e-12
-        )
-        if k < n:
-            top_rows = np.argpartition(-sims, k - 1, axis=0)[:k, :]
-        else:
-            top_rows = np.tile(np.arange(n)[:, None], (1, stop - start))
-        block_cols = np.repeat(np.arange(start, stop)[None, :], top_rows.shape[0], 0)
-        values = sims[top_rows, block_cols - start]
-        keep = values > 0
-        rows_out.append(top_rows[keep])
-        cols_out.append(block_cols[keep])
-        data_out.append(values[keep])
-    matrix = sp.csr_matrix(
-        (
-            np.concatenate(data_out),
-            (np.concatenate(rows_out), np.concatenate(cols_out)),
-        ),
-        shape=(n, n),
+    panels = (
+        (start, cosine_panel(unit, zero_rows, slice(start, start + chunk_size)))
+        for start in range(0, n, chunk_size)
     )
-    col_sums = np.asarray(matrix.sum(axis=0)).ravel()
-    empty = col_sums == 0
-    if np.any(empty):
-        # Featureless columns: uniform, as elsewhere.
-        uniform = sp.csr_matrix(
-            (
-                np.full(int(empty.sum()) * n, 1.0),
-                (
-                    np.tile(np.arange(n), int(empty.sum())),
-                    np.repeat(np.flatnonzero(empty), n),
-                ),
-            ),
-            shape=(n, n),
-        )
-        matrix = matrix + uniform
-        col_sums = np.asarray(matrix.sum(axis=0)).ravel()
-    return (matrix @ sp.diags(1.0 / col_sums)).tocsr()
+    return _normalise_csr_columns(_topk_similarity_csr(panels, n, top_k))
 
 
 def feature_transition_matrix(
@@ -317,7 +322,8 @@ def feature_transition_matrix(
     top_k:
         When given, keep only the ``top_k`` largest similarities per
         column (the diagonal always survives) before normalising.  Returns
-        a CSR matrix in that case, a dense array otherwise.
+        a CSR matrix in that case (cosine's from column blocks, see
+        :func:`topk_cosine_transition_matrix`), a dense array otherwise.
     metric:
         Node-similarity function: ``"cosine"`` (the paper's choice),
         ``"rbf"`` or ``"jaccard"`` (section 4.2 notes that any distance
@@ -329,31 +335,18 @@ def feature_transition_matrix(
     ``(n, n)`` column-stochastic matrix: every column is non-negative and
     sums to one (zero-similarity columns become uniform).
     """
-    if metric == "cosine":
-        sims = cosine_similarity_matrix(features)
-    elif metric == "rbf":
-        sims = rbf_similarity_matrix(features)
-    elif metric == "jaccard":
-        sims = jaccard_similarity_matrix(features)
-    else:
+    similarity = _SIMILARITIES.get(metric)
+    if similarity is None:
         raise ValidationError(
             f"metric must be one of {SIMILARITY_METRICS}, got {metric!r}"
         )
-    n = sims.shape[0]
-    if top_k is not None:
-        top_k = check_positive_int(top_k, "top_k")
-        if top_k < n:
-            # Zero out everything below each column's top_k values,
-            # keeping the diagonal so self-similarity always survives.
-            keep = np.zeros_like(sims, dtype=bool)
-            idx = np.argpartition(-sims, top_k - 1, axis=0)[:top_k, :]
-            keep[idx, np.arange(n)[None, :].repeat(top_k, axis=0)] = True
-            keep[np.diag_indices(n)] = True
-            sims = np.where(keep, sims, 0.0)
-    result = normalise_similarity_columns(sims)
-    if top_k is not None:
-        return sp.csr_matrix(result)
-    return result
+    if top_k is None:
+        return normalise_similarity_columns(similarity(features))
+    top_k = check_positive_int(top_k, "top_k")
+    if metric == "cosine":
+        return topk_cosine_transition_matrix(features, top_k)
+    sims = similarity(features)
+    return _normalise_csr_columns(_topk_similarity_csr([(0, sims)], len(sims), top_k))
 
 
 def factored_cosine_transition_matrix(features) -> LowRankMatrix:
@@ -423,8 +416,9 @@ def feature_walk_matrix(features, *, top_k: int | None = None, metric: str = "co
     :class:`~repro.tensor.transition.RowWalk` (walked by rows, like
     ``O`` and ``R``, in memory, in shard workers and over a store), and
     the dense array without.  Used by
-    :func:`repro.core.tmark.build_operators` and
-    :class:`repro.stream.IncrementalOperators`.
+    :func:`repro.core.tmark.build_operators`,
+    :class:`repro.stream.IncrementalOperators` and the store's operator
+    cache (:func:`repro.ooc.build_chunked_operators`).
     """
     form = feature_walk_form(features, top_k=top_k, metric=metric)
     if form == "factored":

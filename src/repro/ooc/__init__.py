@@ -16,9 +16,9 @@ pieces, following DGL graphbolt's on-disk CSC design:
   (:mod:`repro.ooc.build`);
 * store-backed operators + :func:`fit_from_store` — the in-memory
   tensors themselves over the memory-mapped stacks
-  (``from_stack(..., chunk_size=)``) and the top-k ``W`` as a
-  :class:`~repro.tensor.transition.RowWalk` over its memory-mapped
-  CSR, walked in ``chunk_size``-row blocks and returned as an ordinary
+  (``from_stack(..., chunk_size=)``) and ``feature_walk_matrix``'s
+  ``W`` over its memory-mapped files (the top-k one a ``RowWalk``),
+  walked in ``chunk_size``-row blocks and returned as an ordinary
   :class:`~repro.core.tmark.TMarkOperators`, so
   :meth:`TMark.fit_operators` runs plain or accelerated chains
   byte-identical to the in-memory path (:mod:`repro.ooc.build`,

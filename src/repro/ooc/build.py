@@ -25,14 +25,15 @@ build's ``_stacked`` arrays of
   ``k*n + i`` = row ``i`` of slice ``k``; ``R``'s block ``m`` the pair
   indicator).  Column blocks arrive in ascending ``j``, so every row
   comes out column-sorted, as scipy's CSR is, whatever ``chunk_size``;
-* ``W`` — small stores reuse the dense Eq. 9 code verbatim; larger
-  stores require ``similarity_top_k`` and write the (already chunked)
-  top-k cosine CSR.
+* ``W`` — :func:`~repro.core.features.feature_walk_matrix`, as in every
+  tier, kept in the form it picks, so a store-backed fit is
+  byte-identical to :meth:`TMark.fit` on the same graph.
 
 Artifacts land in ``<store>/operators/``: ``o.{indptr,indices,data}.npy``
 and ``r.{indptr,indices,data}.npy`` (the two stacks),
-``o.nondangling.npy`` (the ``(m, n)`` non-dangling column mask),
-``w.npy`` (dense) or ``w.{indptr,indices,data}.npy`` (top-k), and
+``o.nondangling.npy`` (the ``(m, n)`` non-dangling column mask), ``W``
+by its form (``w_mode``: ``w.npy``, the ``w`` CSR triple, or ``F̂`` in
+``w.unit`` plus ``w.col_scale.npy`` and ``w.featureless.npy``), and
 ``operators.json``, which records the build parameters, the store
 fingerprint and every file's size, so a stale or torn cache is detected
 and rebuilt (:mod:`repro.ooc.publish` swaps each build in whole).  One
@@ -48,8 +49,9 @@ import scipy.sparse as sp
 
 from repro.core.features import (
     SIMILARITY_METRICS,
-    feature_transition_matrix,
-    topk_cosine_transition_matrix,
+    LowRankMatrix,
+    feature_walk_form,
+    feature_walk_matrix,
 )
 from repro.core.tmark import TMarkOperators
 from repro.errors import ValidationError
@@ -66,20 +68,17 @@ from repro.tensor.transition import (
 )
 from repro.utils.validation import check_positive_int
 
-#: Version of the on-disk operator-cache layout (3: published whole, with sizes).
-OPERATORS_FORMAT_VERSION = 3
+#: Version of the on-disk operator-cache layout (3: published whole, with
+#: sizes; 4: ``W`` in :func:`~repro.core.features.feature_walk_matrix`'s form).
+OPERATORS_FORMAT_VERSION = 4
 
 #: The cache manifest inside ``<store>/operators/``.
 OPERATORS_MANIFEST = "operators.json"
 
-#: Largest store for which a dense ``W`` (``similarity_top_k=None``) is
-#: built; beyond this the dense ``(n, n)`` matrix stops being an
-#: out-of-core operator in any meaningful sense.
+#: Largest store whose ``W`` build may materialise an ``(n, n)`` array
+#: (the dense form, or an rbf / jaccard similarity); beyond this it stops
+#: being an out-of-core operator in any meaningful sense.
 MAX_DENSE_W_NODES = 8192
-
-#: Column-block cap for the top-k cosine similarity pass (each block
-#: materialises an ``(n, block)`` similarity panel).
-MAX_W_SIMILARITY_CHUNK = 2048
 
 #: Default number of columns per build block and rows per walked block.
 DEFAULT_CHUNK_SIZE = 65536
@@ -270,56 +269,48 @@ def _build_r(store: GraphStore, stage, chunk_size: int, rec) -> None:
     _write_stack(stage, "r", parts, n, chunk_size)
 
 
-def _build_w(
-    store: GraphStore,
-    stage,
-    chunk_size: int,
-    similarity_top_k,
-    similarity_metric: str,
-    rec,
-) -> str:
-    """Build the feature-walk matrix on disk; returns its storage mode."""
-    n = store.n_nodes
-    emit = rec.enabled
-    started = time.perf_counter() if emit else 0.0
-    if similarity_top_k is None:
-        if n > MAX_DENSE_W_NODES:
-            raise ValidationError(
-                f"a dense W for {n} nodes is not an out-of-core operator; "
-                f"set similarity_top_k (chunked top-k cosine) or gamma=0 "
-                f"to skip the feature walk (dense limit: {MAX_DENSE_W_NODES})"
-            )
-        w = feature_transition_matrix(store.features, metric=similarity_metric)
-        stage.save("w.npy", np.asarray(w, dtype=np.float64))
-        mode = "dense"
-        nnz = n * n
-    else:
-        if similarity_metric != "cosine":
-            raise ValidationError(
-                "chunked top-k W supports metric='cosine' only, got "
-                f"{similarity_metric!r} (rbf/jaccard need the dense path)"
-            )
-        w = topk_cosine_transition_matrix(
-            store.features,
-            similarity_top_k,
-            chunk_size=min(chunk_size, MAX_W_SIMILARITY_CHUNK),
-        )
+def _save_matrix(stage, prefix: str, matrix) -> None:
+    """Stage ``matrix`` as ``<prefix>.npy`` or, sparse, its CSR triple."""
+    if sp.issparse(matrix):
         for name in ("data", "indices", "indptr"):
-            stage.save(f"w.{name}.npy", getattr(w, name))
-        mode = "csr"
-        nnz = int(w.nnz)
-    if emit:
+            stage.save(f"{prefix}.{name}.npy", getattr(matrix, name))
+    else:
+        stage.save(f"{prefix}.npy", matrix)
+
+
+def _build_w(store: GraphStore, stage, similarity_top_k, similarity_metric: str,
+             rec) -> str:
+    """Write :func:`feature_walk_matrix`'s ``W`` on disk; returns its form."""
+    n, features = store.n_nodes, store.features
+    form = feature_walk_form(features, top_k=similarity_top_k, metric=similarity_metric)
+    if n > MAX_DENSE_W_NODES and (form == "dense" or similarity_metric != "cosine"):
+        raise ValidationError(
+            f"a {form} {similarity_metric} W for {n} nodes needs an n x n "
+            f"similarity, which is not an out-of-core operator (limit: "
+            f"{MAX_DENSE_W_NODES}); use metric='cosine' with similarity_top_k "
+            f"or non-negative features, or gamma=0 to skip the feature walk"
+        )
+    started = time.perf_counter()
+    w = feature_walk_matrix(features, top_k=similarity_top_k, metric=similarity_metric)
+    if form == "factored":
+        stored = w.unit
+        stage.save("w.col_scale.npy", w.col_scale)
+        stage.save("w.featureless.npy", w.featureless)
+    else:
+        stored = w.row_stack(0, n) if form == "sparse" else w
+    _save_matrix(stage, "w.unit" if form == "factored" else "w", stored)
+    if rec.enabled:
         rec.emit(
             "operator_build",
             operator="W",
             relation=-1,
             chunk=0,
             columns=n,
-            nnz=nnz,
+            nnz=stored.nnz if sp.issparse(stored) else stored.size,
             transition_seconds=0.0,
             feature_seconds=time.perf_counter() - started,
         )
-    return mode
+    return form
 
 
 def _cache_usable(ops_dir, store: GraphStore, similarity_top_k,
@@ -342,6 +333,26 @@ def _cache_usable(ops_dir, store: GraphStore, similarity_top_k,
     return manifest
 
 
+def _load_w(store: GraphStore, ops_dir, w_mode: str, chunk_size: int):
+    """The cached ``W`` of form ``w_mode`` over its memory-mapped files."""
+    def load(prefix: str, n_cols: int):
+        path = ops_dir / f"{prefix}.npy"
+        if path.exists():
+            return np.load(path, mmap_mode="r")
+        return load_csr(ops_dir, prefix, store.n_nodes, n_cols)
+
+    if w_mode == "none":
+        return None
+    if w_mode == "factored":
+        return LowRankMatrix(
+            load("w.unit", store.n_features),
+            np.load(ops_dir / "w.col_scale.npy", mmap_mode="r"),
+            np.load(ops_dir / "w.featureless.npy", mmap_mode="r"),
+        )
+    w = load("w", store.n_nodes)
+    return RowWalk(w, chunk_size) if w_mode == "sparse" else w
+
+
 def _assemble(store: GraphStore, ops_dir, w_mode: str, chunk_size: int,
               similarity_top_k, similarity_metric: str) -> TMarkOperators:
     """The store-backed operators: the in-memory ones over the cache's arrays.
@@ -354,15 +365,11 @@ def _assemble(store: GraphStore, ops_dir, w_mode: str, chunk_size: int,
     the iterates and ``R``'s ``(m+1, n, q)`` integrands).  A CSR row's
     product depends only on that row's entries, so a store-backed fit
     is byte-identical to the in-memory fit over the same operators.  A
-    dense ``W`` (small stores only) is the memory-mapped array itself.
+    factored ``W`` is the :class:`~repro.core.features.LowRankMatrix`
+    over the memory-mapped ``F̂`` and its two vectors, and a dense ``W``
+    the memory-mapped array; both are read whole by each product.
     """
     n, m = store.n_nodes, store.n_relations
-    if w_mode == "none":
-        w_matrix = None
-    elif w_mode == "dense":
-        w_matrix = np.load(ops_dir / "w.npy", mmap_mode="r")
-    else:
-        w_matrix = RowWalk(load_csr(ops_dir, "w", n, n), chunk_size)
     return TMarkOperators(
         o_tensor=NodeTransitionTensor.from_stack(
             load_csr(ops_dir, "o", m * n, n),
@@ -372,7 +379,7 @@ def _assemble(store: GraphStore, ops_dir, w_mode: str, chunk_size: int,
         r_tensor=RelationTransitionTensor.from_stack(
             load_csr(ops_dir, "r", (m + 1) * n, n), m, chunk_size=chunk_size
         ),
-        w_matrix=w_matrix,
+        w_matrix=_load_w(store, ops_dir, w_mode, chunk_size),
         shape=(n, m),
         similarity_top_k=similarity_top_k,
         similarity_metric=similarity_metric,
@@ -405,7 +412,9 @@ def build_chunked_operators(
     build_w:
         ``False`` skips the feature-walk matrix entirely — the right
         call for ``gamma=0`` fits (``W`` is never touched) and the only
-        option for million-node stores without ``similarity_top_k``.
+        option for stores past :data:`MAX_DENSE_W_NODES` whose ``W``
+        would be dense (no ``similarity_top_k``, features that do not
+        factor) or use an rbf / jaccard metric.
     rebuild:
         Force a fresh build even when a matching cache exists.
     recorder:
@@ -417,12 +426,13 @@ def build_chunked_operators(
     A :class:`~repro.core.tmark.TMarkOperators` whose products stream
     over the on-disk arrays: ``O`` and ``R`` are the in-memory tensor
     classes over the memory-mapped stacks, walked in ``chunk_size``-row
-    blocks (``from_stack``), ``W`` a
-    :class:`~repro.tensor.transition.RowWalk` over the memory-mapped
-    top-k CSR, walked the same way, the memory-mapped dense array, or
-    ``None``.  Without ``build_w`` it carries no
-    ``W`` and the requested similarity settings, whatever ``W`` the
-    cache holds.
+    blocks (``from_stack``).  ``W`` is the form
+    :func:`~repro.core.features.feature_walk_matrix` picks, over its
+    memory-mapped files: a :class:`~repro.tensor.transition.RowWalk`
+    over the top-k CSR, walked the same way, a
+    :class:`~repro.core.features.LowRankMatrix`, or the dense array;
+    ``None`` without ``build_w``, whatever ``W`` the cache holds (the
+    operators still carry the requested similarity settings).
     """
     if not isinstance(store, GraphStore):
         raise ValidationError(
@@ -461,12 +471,7 @@ def build_chunked_operators(
         if build_w:
             with span("build_w", recorder=rec):
                 w_mode = _build_w(
-                    store,
-                    stage,
-                    chunk_size,
-                    similarity_top_k,
-                    similarity_metric,
-                    rec,
+                    store, stage, similarity_top_k, similarity_metric, rec
                 )
         else:
             w_mode = "none"

@@ -67,11 +67,11 @@ def fit_from_store(
     Returns
     -------
     The fitted model; ``model.result_`` holds the stationary scores,
-    byte-identical to :meth:`TMark.fit_operators` over the in-memory
-    operators with the same ``W``.  ``W`` is only built when the
-    model's ``beta`` is positive — a ``gamma=0`` fit never touches the
-    feature matrix, which is what makes million-node fits feasible
-    without ``similarity_top_k``.
+    byte-identical to :meth:`TMark.fit` on the same graph: both build
+    ``W`` with :func:`repro.core.features.feature_walk_matrix`.  ``W``
+    is only built when the model's ``beta`` is positive — a ``gamma=0``
+    fit never touches the feature matrix, which is what makes
+    million-node fits feasible whatever the features.
     """
     if isinstance(store, (str, Path)):
         store = GraphStore.open(store)

@@ -9,6 +9,8 @@ from repro.analysis.theory import (
     tmark_update_map,
 )
 from repro.core import TensorRrCc, TMark
+from repro.core.features import walk_matrix_form
+from repro.core.tmark import build_operators
 from repro.errors import NotFittedError
 from tests.conftest import small_labeled_hin
 
@@ -44,6 +46,28 @@ class TestUpdateMap:
                 ]
             )
             assert np.abs(update(point) - point).sum() < 1e-9
+
+
+class TestMapWalksTheFitsW:
+    """The map's ``W`` term is the ``W`` a fit walks, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "top_k, form", [(None, "factored"), (4, "sparse")], ids=["factored", "topk"]
+    )
+    def test_w_term_equals_build_operators(self, top_k, form):
+        hin = small_labeled_hin(seed=7, n=24, q=2)
+        # Non-negative features: the cosine W factors exactly.
+        hin = hin.derive(features=np.abs(hin.features))
+        # gamma=1 leaves no relational term, and a zero restart vector
+        # no label term: the map's x block is beta * (W @ x).
+        model = TMark(alpha=0.5, gamma=1.0, similarity_top_k=top_k)
+        w_matrix = build_operators(hin, similarity_top_k=top_k).w_matrix
+        assert walk_matrix_form(w_matrix)[0] == form
+        n = hin.n_nodes
+        x = np.random.default_rng(0).dirichlet(np.ones(n))
+        point = np.concatenate([x, np.full(hin.n_relations, 1.0 / hin.n_relations)])
+        update = tmark_update_map(hin, model, np.zeros(n))
+        assert update(point)[:n].tobytes() == (model.beta * (w_matrix @ x)).tobytes()
 
 
 class TestFixedPointSpectrum:

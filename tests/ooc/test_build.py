@@ -1,19 +1,26 @@
 """Tests for chunked operator construction (bit-identity, cache, W policy)."""
 
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 
-from repro.core.features import feature_transition_matrix
+from repro.core.features import feature_transition_matrix, walk_matrix_form
 from repro.core.tmark import build_operators
 from repro.errors import ValidationError
 from repro.hin.graph import HIN
 from repro.obs import ListRecorder, registry_from_events, use_recorder
 from repro.ooc import GraphStore, build_chunked_operators, generate_ooc_store
-from repro.ooc.build import MAX_DENSE_W_NODES, OPERATORS_MANIFEST, load_csr
+from repro.ooc.build import (
+    MAX_DENSE_W_NODES,
+    OPERATORS_FORMAT_VERSION,
+    OPERATORS_MANIFEST,
+    load_csr,
+)
 from repro.tensor.transition import (
     NodeTransitionTensor,
     RelationTransitionTensor,
@@ -119,11 +126,27 @@ class TestBitIdentity:
         store = GraphStore.save(worked_example, tmp_path / "store")
         ops = build_chunked_operators(store, similarity_top_k=2, chunk_size=2)
         assert isinstance(ops.w_matrix, RowWalk)
-        from repro.core.features import topk_cosine_transition_matrix
-
-        expected = topk_cosine_transition_matrix(worked_example.features, 2)
+        expected = build_operators(worked_example, similarity_top_k=2).w_matrix
         X = rng.random((store.n_nodes, 2))
         assert (ops.w_matrix @ X).tobytes() == (expected @ X).tobytes()
+
+    @pytest.mark.parametrize("sparse_features", [False, True], ids=["dense", "csr"])
+    def test_factored_w_matches_inram(self, tmp_path, rng, sparse_features):
+        hin = generate_ooc_store(
+            tmp_path / "source", n_nodes=50, n_links=120, n_features=6, seed=2
+        ).to_hin()
+        if sparse_features:
+            hin = hin.derive(features=sp.csr_matrix(hin.features))
+        store = GraphStore.save(hin, tmp_path / "store")
+        ops = build_chunked_operators(store, chunk_size=7)
+        expected = build_operators(hin).w_matrix
+        assert walk_matrix_form(ops.w_matrix) == walk_matrix_form(expected)
+        assert walk_matrix_form(expected)[0] == "factored"
+        assert sp.issparse(ops.w_matrix.unit) == sparse_features
+        X = rng.random((store.n_nodes, 3))
+        assert (ops.w_matrix @ X).tobytes() == (expected @ X).tobytes()
+        manifest = json.loads((store.operators_dir / OPERATORS_MANIFEST).read_text())
+        assert manifest["w_mode"] == "factored"
 
 
 class TestZeroLinkRelations:
@@ -194,6 +217,26 @@ class TestCache:
             build_chunked_operators(store, similarity_top_k=3)
         assert _chunked_builds(recorder) == 1
 
+    def test_format_3_cache_rebuilt(self, tmp_path):
+        # A format-3 cache holds a dense W where the builder now picks a
+        # factored one, or a top-k W without the tied diagonals.
+        store = GraphStore.save(sample_hin(), tmp_path / "store")
+        build_chunked_operators(store, similarity_top_k=2)
+        path = store.operators_dir / OPERATORS_MANIFEST
+        manifest = json.loads(path.read_text())
+        manifest["format_version"] = 3
+        path.write_text(json.dumps(manifest))
+        recorder = ListRecorder()
+        with use_recorder(recorder):
+            build_chunked_operators(store, similarity_top_k=2)
+        builds = [
+            e for e in recorder.events_of("span")
+            if e["name"] == "build_chunked_operators"
+        ]
+        assert len(builds) == 1
+        assert OPERATORS_FORMAT_VERSION == 4
+        assert json.loads(path.read_text())["format_version"] == 4
+
     def test_no_w_cache_upgraded_when_w_needed(self, tmp_path):
         store = GraphStore.save(sample_hin(), tmp_path / "store")
         build_chunked_operators(store, build_w=False)
@@ -203,26 +246,54 @@ class TestCache:
         assert manifest_path.exists()
 
 
-class TestWPolicy:
-    def test_dense_w_refused_beyond_limit(self, tmp_path):
-        store = generate_ooc_store(
-            tmp_path / "big",
-            n_nodes=MAX_DENSE_W_NODES + 1,
-            n_links=64,
-            n_relations=1,
-            n_labels=2,
-            n_features=4,
-            seed=3,
-        )
-        with pytest.raises(ValidationError, match="similarity_top_k"):
-            build_chunked_operators(store)
+@pytest.fixture(scope="module")
+def big_store(tmp_path_factory):
+    """A store one node past the cap, with non-negative features."""
+    return generate_ooc_store(
+        tmp_path_factory.mktemp("big") / "store",
+        n_nodes=MAX_DENSE_W_NODES + 1,
+        n_links=64,
+        n_relations=1,
+        n_labels=2,
+        n_features=4,
+        seed=3,
+    )
 
-    def test_topk_requires_cosine(self, tmp_path):
-        store = GraphStore.save(sample_hin(), tmp_path / "store")
-        with pytest.raises(ValidationError, match="cosine"):
+
+class TestWPolicy:
+    """Only a ``W`` build that needs an ``n x n`` similarity is capped."""
+
+    def test_dense_w_refused_beyond_limit(self, big_store):
+        # Cosine on these features is factored; rbf has no factored form.
+        with pytest.raises(ValidationError, match="similarity_top_k"):
+            build_chunked_operators(big_store, similarity_metric="rbf")
+
+    def test_rbf_topk_refused_beyond_limit(self, big_store):
+        with pytest.raises(ValidationError, match="n x n similarity"):
             build_chunked_operators(
-                store, similarity_top_k=2, similarity_metric="rbf"
+                big_store, similarity_top_k=2, similarity_metric="rbf"
             )
+
+    def test_factored_and_topk_cosine_uncapped(self, big_store):
+        forms = {
+            walk_matrix_form(
+                build_chunked_operators(big_store, similarity_top_k=k).w_matrix
+            )[0]
+            for k in (None, 3)
+        }
+        assert forms == {"factored", "sparse"}
+
+    def test_rbf_topk_equals_inram(self, tmp_path, worked_example, rng):
+        store = GraphStore.save(worked_example, tmp_path / "store")
+        ops = build_chunked_operators(
+            store, similarity_top_k=2, similarity_metric="rbf", chunk_size=3
+        )
+        expected = build_operators(
+            worked_example, similarity_top_k=2, similarity_metric="rbf"
+        ).w_matrix
+        assert walk_matrix_form(ops.w_matrix) == ("sparse", store.n_nodes)
+        X = rng.random((store.n_nodes, 2))
+        assert (ops.w_matrix @ X).tobytes() == (expected @ X).tobytes()
 
 
 class TestValidation:

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import TMark
-from repro.core.features import topk_cosine_transition_matrix
-from repro.core.tmark import TMarkOperators, build_operators
+from repro.core.features import walk_matrix_form
+from repro.core.tmark import build_operators
 from repro.datasets.synthetic import RelationSpec, make_synthetic_hin
 from repro.errors import ValidationError
 from repro.forkpool import fork_available
 from repro.obs import ListRecorder
-from repro.ooc import GraphStore, fit_from_store
+from repro.ooc import GraphStore, fit_from_store, generate_ooc_store
 
 
 @pytest.fixture
@@ -164,20 +165,24 @@ class TestByteIdentity:
         hin = masked(synthetic_hin)
         store = GraphStore.save(hin, tmp_path / "store")
         params = dict(alpha=0.7, gamma=0.3, similarity_top_k=5)
-        in_memory = build_operators(hin)
-        operators = TMarkOperators(
-            o_tensor=in_memory.o_tensor,
-            r_tensor=in_memory.r_tensor,
-            w_matrix=topk_cosine_transition_matrix(hin.features, 5),
-            shape=in_memory.shape,
-            similarity_top_k=5,
-            similarity_metric="cosine",
-        )
         recorder = ListRecorder()
-        model = TMark(**params).fit_operators(
-            operators, hin.label_matrix, recorder=recorder
-        )
-        reference = fitted_bytes(model, recorder)
+        reference = fitted_bytes(TMark(**params).fit(hin, recorder=recorder), recorder)
+        self.assert_store_matches(store, params, reference, shards)
+
+    @pytest.mark.parametrize("sparse_features", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_factored_walk_equals_fit(self, tmp_path, shards, sparse_features):
+        hin = generate_ooc_store(
+            tmp_path / "source", n_nodes=60, n_links=240, n_labels=3,
+            n_features=6, labeled_fraction=0.5, seed=4,
+        ).to_hin()
+        if sparse_features:
+            hin = hin.derive(features=sp.csr_matrix(hin.features))
+        assert walk_matrix_form(build_operators(hin).w_matrix)[0] == "factored"
+        store = GraphStore.save(hin, tmp_path / "store")
+        params = dict(alpha=0.7, gamma=0.3)
+        recorder = ListRecorder()
+        reference = fitted_bytes(TMark(**params).fit(hin, recorder=recorder), recorder)
         self.assert_store_matches(store, params, reference, shards)
 
     @pytest.mark.parametrize("shards", SHARDS)

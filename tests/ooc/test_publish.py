@@ -91,17 +91,17 @@ def walk_hin(tmp_path_factory):
 #: Operator-cache builds as ``build_chunked_operators`` keyword sets.
 TOPK5 = dict(similarity_top_k=5)
 TOPK10 = dict(similarity_top_k=10)
-DENSE = dict(similarity_top_k=None)
+FACTORED = dict(similarity_top_k=None)  # walk_hin's features factor
 NO_W = dict(build_w=False)
 
-#: (cache before, build that fails, label): top-k W, dense W,
+#: (cache before, build that fails, label): top-k W, factored W,
 #: build_w=False and rebuild=True over an existing cache.
 OPERATOR_CASES = [
     (TOPK5, TOPK10, "topk"),
-    (TOPK5, DENSE, "dense"),
+    (TOPK5, FACTORED, "factored"),
     (None, NO_W, "no_w"),
     (TOPK5, dict(NO_W, rebuild=True), "rebuild_no_w"),
-    (DENSE, dict(DENSE, rebuild=True), "rebuild_dense"),
+    (FACTORED, dict(FACTORED, rebuild=True), "rebuild_factored"),
 ]
 
 

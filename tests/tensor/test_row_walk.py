@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 
 import repro.tensor.transition as transition
-from repro.core.features import (
-    feature_transition_matrix,
-    topk_cosine_transition_matrix,
-    walk_matrix_form,
-)
+from repro.core.features import feature_transition_matrix, walk_matrix_form
 from repro.core.tmark import build_operators
 from repro.datasets.synthetic import RelationSpec, make_synthetic_hin
 from repro.ooc import GraphStore, build_chunked_operators
@@ -218,9 +214,8 @@ class TestFeatureWalk:
                 assert (RowWalk(csr, chunk) @ X).tobytes() == expected, chunk
 
     def test_store_backed_walk_equals_the_csr_product(self, topk_w):
-        hin, _, _, store = topk_w
-        # The store writes the chunked top-k build's CSR.
-        csr = topk_cosine_transition_matrix(hin.features, 5)
+        hin, csr, _, store = topk_w
+        # The store writes the in-memory top-k build's CSR.
         X = self.operands(hin.n_nodes)[0]
         for chunk in chunk_sizes(hin.n_nodes):
             operators = build_chunked_operators(
